@@ -29,16 +29,13 @@ from .forecast import (
     sample_scenarios,
     zoh_noise,
 )
-from .lp import HighsSession, LinearProgram, LpBuilder, LpSolution, add_free_abs, solve, to_mps
+from .lp import HighsSession, LinearProgram, LpSolution, solve
 from .mpc import (
     FirstStage,
     HorizonTiming,
     TankBounds,
     VariableMap,
-    build_deterministic,
-    build_perfect,
     build_reduced,
-    build_stochastic,
     extract_action,
 )
 from .plant import (

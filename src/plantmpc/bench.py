@@ -314,6 +314,7 @@ class BenchmarkReport:
                     "violations": r.violation_counts,
                     "monthly_peaks": r.monthly_peaks,
                     "runtime_seconds": r.runtime_seconds,
+                    "solver_iterations": r.solver_iterations,
                 }
                 for r in self.runs
                 if r.ok
@@ -333,7 +334,8 @@ class BenchmarkReport:
             writer.writerow(
                 ["scenario", "controller", "phi_usd", "phi_nocp_usd", "ccp_usd",
                  "electricity_usd", "water_usd", "gas_usd", "demand_usd",
-                 "violations_per_100h", "fallback_hours", "runtime_seconds"]
+                 "violations_per_100h", "fallback_hours", "runtime_seconds",
+                 "solver_iterations"]
             )
             for r in self.runs:
                 if not r.ok:
@@ -342,7 +344,8 @@ class BenchmarkReport:
                     [r.scenario, r.controller, r.phi, r.phi_nocp, r.ccp,
                      r.components.electricity, r.components.water,
                      r.components.gas, r.components.demand,
-                     r.violation_rate, r.fallback_hours, r.runtime_seconds]
+                     r.violation_rate, r.fallback_hours, r.runtime_seconds,
+                     r.solver_iterations]
                 )
 
     def write_cdf_csv(self, path, name: str = "ccp") -> None:

@@ -42,6 +42,27 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+#: Keys the config's ``run`` section may set.
+RUN_KEYS = frozenset({
+    "beta_det", "beta_sto", "scenarios", "horizon", "ar_order",
+    "history_days", "sim_hours", "refit_every", "seed",
+    "apply_storage_noise", "scenario_resampling", "initial_soc",
+})
+
+
+def _run_config(cfg: dict) -> dict:
+    run_cfg = cfg.get("run", {})
+    unknown = set(run_cfg) - RUN_KEYS
+    if unknown:
+        raise CliError(f"unknown run config fields: {sorted(unknown)}")
+    return run_cfg
+
+
+def _pick(flag, run_cfg: dict, key: str, default):
+    """A command-line value if given, else the config's, else the default."""
+    return flag if flag is not None else run_cfg.get(key, default)
+
+
 def _plant_config(cfg: dict) -> PlantConfig:
     try:
         return PlantConfig(**cfg.get("plant", {}))
@@ -100,7 +121,7 @@ def _parse_controller(token: str, run_cfg: dict, args) -> simulate.ControllerSpe
             beta = float(parts[1])
         except ValueError as exc:
             raise CliError(f"bad buffer in {token!r}") from exc
-    scenarios = args.scenarios or run_cfg.get("scenarios", 100)
+    scenarios = _pick(args.scenarios, run_cfg, "scenarios", 100)
     try:
         return simulate.ControllerSpec(kind, beta=beta, scenarios=scenarios)
     except ValueError as exc:
@@ -110,11 +131,11 @@ def _parse_controller(token: str, run_cfg: dict, args) -> simulate.ControllerSpe
 def _run_template(
     run_cfg: dict, args, controller: simulate.ControllerSpec, data_hours: int
 ) -> simulate.RunSpec:
-    horizon = args.horizon or run_cfg.get("horizon", 168)
-    ar_order = args.ar_order or run_cfg.get("ar_order", 168)
-    history_days = args.history_days or run_cfg.get("history_days", 184)
-    history_hours = 24 * history_days
-    sim_hours = getattr(args, "sim_hours", None) or run_cfg.get("sim_hours")
+    horizon = _pick(args.horizon, run_cfg, "horizon", 168)
+    ar_order = _pick(args.ar_order, run_cfg, "ar_order", 168)
+    history_hours = 24 * _pick(args.history_days, run_cfg, "history_days", 184)
+    sim_hours = _pick(args.sim_hours, run_cfg, "sim_hours", None)
+    seed = _pick(args.seed, run_cfg, "seed", 1)
     if sim_hours is None:
         sim_hours = data_hours - history_hours - horizon
     if sim_hours < 1 or data_hours < history_hours + sim_hours + horizon:
@@ -131,11 +152,10 @@ def _run_template(
             ar_order=ar_order,
             history_hours=history_hours,
             refit_every=run_cfg.get("refit_every", 24),
-            scenario_seed=args.seed if args.seed is not None else run_cfg.get("seed", 1),
-            zoh_seed=(args.seed if args.seed is not None else run_cfg.get("seed", 1)) + 1,
+            scenario_seed=seed,
+            zoh_seed=seed + 1,
             apply_storage_noise=run_cfg.get("apply_storage_noise", True),
             scenario_resampling=run_cfg.get("scenario_resampling", "run"),
-            lp_backend=run_cfg.get("lp_backend", "highs"),
             initial_soc=run_cfg.get("initial_soc", 0.5),
         )
     except ValueError as exc:
@@ -154,8 +174,9 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     config = _plant_config(cfg)
     truth = _load_truth(args.data)
-    controller = _parse_controller(args.controller, cfg.get("run", {}), args)
-    spec = _run_template(cfg.get("run", {}), args, controller, len(truth))
+    run_cfg = _run_config(cfg)
+    controller = _parse_controller(args.controller, run_cfg, args)
+    spec = _run_template(run_cfg, args, controller, len(truth))
     trace = simulate.run_closed_loop(config, spec, truth)
     trace.to_csv(args.out)
     summary_path = Path(args.out).with_suffix(".summary.json")
@@ -175,7 +196,7 @@ def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     config = _plant_config(cfg)
     truth = _load_truth(args.data)
-    run_cfg = cfg.get("run", {})
+    run_cfg = _run_config(cfg)
     tokens = [tok for tok in args.controllers.split(",") if tok]
     if not tokens:
         raise CliError("no controllers given")
@@ -190,7 +211,7 @@ def _cmd_bench(args) -> int:
         truth,
         args.validation_count,
         template,
-        seed=args.seed if args.seed is not None else run_cfg.get("seed", 0),
+        seed=_pick(args.seed, run_cfg, "seed", 0),
         jobs=args.jobs,
         validation_amplitude=cfg.get("validation", {}).get("amplitude", 0.05),
     )
@@ -241,11 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--data", required=True, help="truth CSV")
     run.add_argument("--out", required=True, help="trace CSV path")
     run.add_argument("--beta", type=float, default=None)
-    run.add_argument("--scenarios", type=int, default=None)
-    run.add_argument("--horizon", type=int, default=None)
-    run.add_argument("--ar-order", dest="ar_order", type=int, default=None)
-    run.add_argument("--history-days", dest="history_days", type=int, default=None)
-    run.add_argument("--sim-hours", dest="sim_hours", type=int, default=None)
+    run.add_argument("--scenarios", type=_positive_int, default=None)
+    run.add_argument("--horizon", type=_positive_int, default=None)
+    run.add_argument("--ar-order", dest="ar_order", type=_positive_int, default=None)
+    run.add_argument("--history-days", dest="history_days", type=_positive_int, default=None)
+    run.add_argument("--sim-hours", dest="sim_hours", type=_positive_int, default=None)
     run.add_argument("--seed", type=int, default=None)
     run.set_defaults(func=_cmd_run)
 
@@ -260,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--out", required=True, help="report JSON path")
     bn.add_argument("--jobs", type=_positive_int, default=1)
     bn.add_argument("--beta", type=float, default=None)
-    bn.add_argument("--scenarios", type=int, default=None)
-    bn.add_argument("--horizon", type=int, default=None)
-    bn.add_argument("--ar-order", dest="ar_order", type=int, default=None)
-    bn.add_argument("--history-days", dest="history_days", type=int, default=None)
-    bn.add_argument("--sim-hours", dest="sim_hours", type=int, default=None)
+    bn.add_argument("--scenarios", type=_positive_int, default=None)
+    bn.add_argument("--horizon", type=_positive_int, default=None)
+    bn.add_argument("--ar-order", dest="ar_order", type=_positive_int, default=None)
+    bn.add_argument("--history-days", dest="history_days", type=_positive_int, default=None)
+    bn.add_argument("--sim-hours", dest="sim_hours", type=_positive_int, default=None)
     bn.add_argument("--seed", type=int, default=None)
     bn.set_defaults(func=_cmd_bench)
     return parser

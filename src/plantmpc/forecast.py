@@ -330,24 +330,24 @@ def generate_synthetic_campus(
 
 # --- zero-order-hold storage noise -------------------------------------------
 
-def zoh_noise(
-    load_now: float,
-    load_next: float,
-    var_err: float,
-    var_int: float,
-    rng: np.random.Generator,
-) -> float:
-    """One draw of the intra-hour storage tracking error, in kWh.
+def zoh_noise(load_now, load_next, var_err, var_int, rng: np.random.Generator):
+    """Draws of the intra-hour storage tracking error, in kWh.
 
-    The mean is negative when the load rises (the tank discharges more
-    than planned to follow it); the variance combines the one-step load
-    prediction error with the integrated sub-hourly variability.
+    One draw per element of ``load_now``/``load_next`` (scalars or arrays
+    of consecutive hourly loads).  The mean is negative when the load rises
+    (the tank discharges more than planned to follow it); the variance
+    combines the one-step load prediction error with the integrated
+    sub-hourly variability.
     """
     if var_err < 0 or var_int < 0:
         raise ValueError("variances must be nonnegative")
     mean = -0.5 * (load_next - load_now)
-    std = np.sqrt(0.25 * var_err + var_int)
-    return float(rng.normal(mean, std))
+    return rng.normal(mean, zoh_std(var_err, var_int))
+
+
+def zoh_std(var_err: float, var_int: float) -> float:
+    """Standard deviation of one intra-hour tracking-error draw (kWh)."""
+    return np.sqrt(0.25 * var_err + var_int)
 
 
 def estimate_zoh_variances(

@@ -1,10 +1,8 @@
-"""Sparse linear programs and a deterministic bounded-variable simplex.
+"""Sparse linear programs solved by HiGHS through scipy's bindings.
 
-The embedded simplex is the reference solver: two-phase primal simplex on
-the equality form ``A x + s = b`` with general variable bounds, Dantzig
-pricing, and a Bland's-rule fallback after a run of degenerate pivots.  A
-second backend converts the same program to ``scipy.optimize.linprog``
-(HiGHS) for large instances; both honor the same contract.
+``solve`` runs one program once; ``HighsSession`` re-solves a sequence of
+programs on one HiGHS instance and warm-starts each from the last basis.
+Both load the program, run HiGHS and map its status the same way.
 """
 
 from __future__ import annotations
@@ -12,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
+from scipy.optimize._highspy import _core as _highs_core
 
 LE, EQ, GE = -1, 0, 1
 
@@ -21,14 +19,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
-
-#: Absolute feasibility tolerance on variable bounds.
-BOUND_TOL = 1e-9
-#: Relative feasibility tolerance on constraint rows.
-ROW_TOL = 1e-6
-
-EMBEDDED = "embedded"
-HIGHS = "highs"
 
 
 @dataclass
@@ -97,157 +87,76 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-class LpBuilder:
-    """Incremental construction of a LinearProgram with bulk operations."""
-
-    def __init__(self) -> None:
-        self._obj: list[np.ndarray] = []
-        self._lower: list[np.ndarray] = []
-        self._upper: list[np.ndarray] = []
-        self._senses: list[np.ndarray] = []
-        self._rhs: list[np.ndarray] = []
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._num_vars = 0
-        self._num_rows = 0
-
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
-    @property
-    def num_rows(self) -> int:
-        return self._num_rows
-
-    def add_variables(self, count: int, lower, upper, objective=0.0) -> np.ndarray:
-        """Append ``count`` columns; scalar arguments broadcast."""
-        idx = np.arange(self._num_vars, self._num_vars + count)
-        self._obj.append(np.broadcast_to(np.asarray(objective, dtype=float), (count,)).copy())
-        self._lower.append(np.broadcast_to(np.asarray(lower, dtype=float), (count,)).copy())
-        self._upper.append(np.broadcast_to(np.asarray(upper, dtype=float), (count,)).copy())
-        self._num_vars += count
-        return idx
-
-    def add_variable(self, lower: float, upper: float, objective: float = 0.0) -> int:
-        return int(self.add_variables(1, lower, upper, objective)[0])
-
-    def add_rows(self, count: int, sense, rhs) -> np.ndarray:
-        idx = np.arange(self._num_rows, self._num_rows + count)
-        self._senses.append(np.broadcast_to(np.asarray(sense, dtype=np.int8), (count,)).copy())
-        self._rhs.append(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)).copy())
-        self._num_rows += count
-        return idx
-
-    def add_row(self, sense: int, rhs: float, cols=None, vals=None) -> int:
-        row = int(self.add_rows(1, sense, rhs)[0])
-        if cols is not None:
-            self.add_entries(row, cols, vals)
-        return row
-
-    def add_entries(self, rows, cols, vals) -> None:
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        self._rows.append(rows.ravel())
-        self._cols.append(cols.ravel())
-        self._vals.append(vals.ravel().copy())
-
-    def build(self, validate: bool = False) -> LinearProgram:
-        def cat(parts, dtype):
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts).astype(dtype, copy=False)
-
-        lp = LinearProgram(
-            objective=cat(self._obj, float),
-            lower=cat(self._lower, float),
-            upper=cat(self._upper, float),
-            row_sense=cat(self._senses, np.int8),
-            rhs=cat(self._rhs, float),
-            a_rows=cat(self._rows, np.int64),
-            a_cols=cat(self._cols, np.int64),
-            a_vals=cat(self._vals, float),
-        )
-        if validate:
-            lp.validate()
-        return lp
+_STATUS = _highs_core.HighsModelStatus
 
 
-def add_free_abs(lp: LinearProgram, var: int) -> tuple[LinearProgram, int, int]:
-    """Split a free variable into a nonnegative pair for an |x| objective.
+def _highs() -> _highs_core._Highs:
+    """A HiGHS instance with the options every solve here uses.
 
-    Returns a new program plus the (plus, minus) column indices such that
-    the original variable equals ``plus - minus`` and the objective gains
-    ``plus + minus``.  The original column is pinned to zero.
+    Matrix scaling is disabled: the plant matrices are naturally well
+    ranged and the scaling pass both costs time and degrades basis reuse.
     """
-    if lp.lower[var] != -np.inf or lp.upper[var] != np.inf:
-        raise ValueError(f"variable {var} is not free")
-    if lp.objective[var] != 0.0:
-        raise ValueError(f"variable {var} already carries an objective term")
-    n = lp.num_vars
-    plus, minus = n, n + 1
-    mask = lp.a_cols == var
-    new_rows = np.concatenate([lp.a_rows, lp.a_rows[mask], lp.a_rows[mask]])
-    new_cols = np.concatenate(
-        [lp.a_cols, np.full(mask.sum(), plus), np.full(mask.sum(), minus)]
-    )
-    new_vals = np.concatenate([lp.a_vals, lp.a_vals[mask], -lp.a_vals[mask]])
-    keep = np.ones_like(new_cols, dtype=bool)
-    keep[: lp.num_entries] = ~mask
-    zeros = np.zeros(2)
-    return (
-        LinearProgram(
-            objective=np.concatenate([lp.objective, np.ones(2)]),
-            lower=np.concatenate([lp.lower, zeros]),
-            upper=np.concatenate([np.where(np.arange(n) == var, 0.0, lp.upper), np.full(2, np.inf)]),
-            row_sense=lp.row_sense,
-            rhs=lp.rhs,
-            a_rows=new_rows[keep],
-            a_cols=new_cols[keep],
-            a_vals=new_vals[keep],
-        ),
-        plus,
-        minus,
-    )
+    h = _highs_core._Highs()
+    opts = _highs_core.HighsOptions()
+    opts.output_flag = False
+    opts.threads = 1
+    opts.simplex_scale_strategy = 0
+    opts.simplex_dual_edge_weight_strategy = 0  # devex
+    h.passOptions(opts)
+    return h
 
 
-def solve(
-    lp: LinearProgram,
-    tol: float = 1e-9,
-    max_iters: int | None = None,
-    backend: str = EMBEDDED,
-) -> LpSolution:
-    """Solve a linear program; deterministic for identical inputs.
-
-    The embedded simplex is the reference implementation; the ``highs``
-    backend routes through scipy's bundled HiGHS and is preferred for
-    large instances.
-    """
-    if backend == EMBEDDED:
-        return _solve_simplex(lp, tol, max_iters)
-    if backend == HIGHS:
-        if _highs_core is not None:
-            return HighsSession().solve(lp)
-        return _solve_highs(lp)
-    raise ValueError(f"unknown backend {backend!r}")
+def _csc_pattern(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-major entry order: (permutation, column starts, row indices)."""
+    order = np.lexsort((lp.a_rows, lp.a_cols))
+    counts = np.bincount(lp.a_cols, minlength=lp.num_vars)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    return order, indptr, lp.a_rows[order].astype(np.int32)
 
 
-# --- HiGHS backend ---------------------------------------------------------
+def _row_sides(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    return (np.where(lp.row_sense == LE, -np.inf, lp.rhs),
+            np.where(lp.row_sense == GE, np.inf, lp.rhs))
 
-try:  # scipy >= 1.15 ships the full HiGHS API; older versions need linprog
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # pragma: no cover - depends on scipy version
-    _highs_core = None
 
-_HIGHS_STATUS = {
-    0: OPTIMAL,
-    1: ITERATION_LIMIT,
-    2: INFEASIBLE,
-    3: UNBOUNDED,
-    4: ITERATION_LIMIT,
-}
+def _pass_model(h, lp: LinearProgram, indptr, indices, data) -> None:
+    model = _highs_core.HighsLp()
+    model.num_col_ = lp.num_vars
+    model.num_row_ = lp.num_rows
+    model.col_cost_ = lp.objective
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_, model.row_upper_ = _row_sides(lp)
+    model.a_matrix_.num_col_ = lp.num_vars
+    model.a_matrix_.num_row_ = lp.num_rows
+    model.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = indptr
+    model.a_matrix_.index_ = indices
+    model.a_matrix_.value_ = data
+    h.passModel(model)
+
+
+def _result(h, lp: LinearProgram) -> LpSolution:
+    """The outcome of the last run of ``h`` on ``lp``."""
+    status = h.getModelStatus()
+    iterations = int(h.getInfo().simplex_iteration_count)
+    if status == _STATUS.kOptimal:
+        x = np.clip(np.asarray(h.getSolution().col_value), lp.lower, lp.upper)
+        return LpSolution(OPTIMAL, x, float(lp.objective @ x), iterations)
+    if status == _STATUS.kInfeasible:
+        return LpSolution(INFEASIBLE, None, None, iterations)
+    if status in (_STATUS.kUnbounded, _STATUS.kUnboundedOrInfeasible):
+        return LpSolution(UNBOUNDED, None, None, iterations)
+    return LpSolution(ITERATION_LIMIT, None, None, iterations)
+
+
+def solve(lp: LinearProgram) -> LpSolution:
+    """Solve one program from scratch, with presolve; deterministic."""
+    h = _highs()
+    order, indptr, indices = _csc_pattern(lp)
+    _pass_model(h, lp, indptr, indices, lp.a_vals[order])
+    h.run()
+    return _result(h, lp)
 
 
 class HighsSession:
@@ -257,21 +166,11 @@ class HighsSession:
     start from the previous optimal basis, which cuts re-solve time by an
     order of magnitude.  Programs with an unchanged sparsity pattern are
     updated in place (costs, bounds, sides); a dimension change falls back
-    to a cold solve with presolve.  Matrix scaling is disabled: the plant
-    matrices are naturally well ranged and the scaling pass both costs
-    time and degrades basis reuse.
+    to a cold solve with presolve.
     """
 
     def __init__(self) -> None:
-        if _highs_core is None:
-            raise RuntimeError("scipy's HiGHS core bindings are unavailable")
-        self._h = _highs_core._Highs()
-        opts = _highs_core.HighsOptions()
-        opts.output_flag = False
-        opts.threads = 1
-        opts.simplex_scale_strategy = 0
-        opts.simplex_dual_edge_weight_strategy = 0  # devex
-        self._h.passOptions(opts)
+        self._h = _highs()
         self._pattern_key = None
         self._perm = None
         self._indptr = None
@@ -289,32 +188,9 @@ class HighsSession:
             lp.a_cols.tobytes(),
         )
         if key != self._pattern_key:
-            order = np.lexsort((lp.a_rows, lp.a_cols))
-            self._perm = order
-            self._indices = lp.a_rows[order].astype(np.int32)
-            counts = np.bincount(lp.a_cols, minlength=lp.num_vars)
-            self._indptr = np.concatenate(
-                ([0], np.cumsum(counts))
-            ).astype(np.int32)
+            self._perm, self._indptr, self._indices = _csc_pattern(lp)
             self._pattern_key = key
         return key, self._indptr, self._indices, lp.a_vals[self._perm]
-
-    def _pass_model(self, lp: LinearProgram, indptr, indices, data) -> None:
-        model = _highs_core.HighsLp()
-        model.num_col_ = lp.num_vars
-        model.num_row_ = lp.num_rows
-        model.col_cost_ = lp.objective
-        model.col_lower_ = lp.lower
-        model.col_upper_ = lp.upper
-        model.row_lower_ = np.where(lp.row_sense == LE, -np.inf, lp.rhs)
-        model.row_upper_ = np.where(lp.row_sense == GE, np.inf, lp.rhs)
-        model.a_matrix_.num_col_ = lp.num_vars
-        model.a_matrix_.num_row_ = lp.num_rows
-        model.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
-        model.a_matrix_.start_ = indptr
-        model.a_matrix_.index_ = indices
-        model.a_matrix_.value_ = data
-        self._h.passModel(model)
 
     def _update_in_place(self, lp: LinearProgram) -> None:
         h = self._h
@@ -325,8 +201,7 @@ class HighsSession:
         if not (np.array_equal(prev["lower"], lp.lower)
                 and np.array_equal(prev["upper"], lp.upper)):
             h.changeColsBounds(n, self._all_cols(n), lp.lower, lp.upper)
-        row_lower = np.where(lp.row_sense == LE, -np.inf, lp.rhs)
-        row_upper = np.where(lp.row_sense == GE, np.inf, lp.rhs)
+        row_lower, row_upper = _row_sides(lp)
         changed = np.flatnonzero(
             (prev["row_lower"] != row_lower) | (prev["row_upper"] != row_upper)
         )
@@ -341,12 +216,13 @@ class HighsSession:
         return cached
 
     def _remember(self, lp: LinearProgram) -> None:
+        row_lower, row_upper = _row_sides(lp)
         self._prev.update(
             cost=lp.objective.copy(),
             lower=lp.lower.copy(),
             upper=lp.upper.copy(),
-            row_lower=np.where(lp.row_sense == LE, -np.inf, lp.rhs),
-            row_upper=np.where(lp.row_sense == GE, np.inf, lp.rhs),
+            row_lower=row_lower,
+            row_upper=row_upper,
         )
 
     #: Above this many changed matrix entries a full reload beats patching.
@@ -377,335 +253,27 @@ class HighsSession:
         elif self._have_basis and self._loaded_dims == dims:
             # Same shape, new matrix: reload but restart from the old basis.
             saved = h.getBasis()
-            self._pass_model(lp, indptr, indices, data)
+            _pass_model(h, lp, indptr, indices, data)
             h.setOptionValue("presolve", "off")
             h.setBasis(saved)
         else:
-            self._pass_model(lp, indptr, indices, data)
+            _pass_model(h, lp, indptr, indices, data)
             h.setOptionValue("presolve", "choose")
         h.run()
-        status = h.getModelStatus()
-        if status != _highs_core.HighsModelStatus.kOptimal and self._have_basis:
+        if h.getModelStatus() != _STATUS.kOptimal and self._have_basis:
             # A stale basis can mislead the solver; retry cold.
-            self._pass_model(lp, indptr, indices, data)
+            _pass_model(h, lp, indptr, indices, data)
             h.setOptionValue("presolve", "choose")
             h.run()
-            status = h.getModelStatus()
-        iterations = int(h.getInfo().simplex_iteration_count)
-
-        if status == _highs_core.HighsModelStatus.kOptimal:
+        solution = _result(h, lp)
+        if solution.is_optimal:
             self._have_basis = True
             self._loaded_pattern = key
             self._loaded_dims = dims
             self._remember(lp)
             self._prev["a_vals"] = data.copy()
-            x = np.clip(np.asarray(h.getSolution().col_value), lp.lower, lp.upper)
-            return LpSolution(OPTIMAL, x, float(lp.objective @ x), iterations)
-        self._have_basis = False
-        self._loaded_pattern = None
-        self._loaded_dims = None
-        if status == _highs_core.HighsModelStatus.kInfeasible:
-            return LpSolution(INFEASIBLE, None, None, iterations)
-        if status in (
-            _highs_core.HighsModelStatus.kUnbounded,
-            _highs_core.HighsModelStatus.kUnboundedOrInfeasible,
-        ):
-            return LpSolution(UNBOUNDED, None, None, iterations)
-        return LpSolution(ITERATION_LIMIT, None, None, iterations)
-
-
-def _solve_highs(lp: LinearProgram) -> LpSolution:
-    m, n = lp.num_rows, lp.num_vars
-    sense = lp.row_sense[lp.a_rows] if lp.num_entries else np.empty(0, np.int8)
-    is_eq_entry = sense == EQ
-    flip = np.where(sense[~is_eq_entry] == GE, -1.0, 1.0)
-
-    eq_rows = np.flatnonzero(lp.row_sense == EQ)
-    ub_rows = np.flatnonzero(lp.row_sense != EQ)
-    eq_map = np.full(m, -1, np.int64)
-    eq_map[eq_rows] = np.arange(eq_rows.size)
-    ub_map = np.full(m, -1, np.int64)
-    ub_map[ub_rows] = np.arange(ub_rows.size)
-
-    a_eq = scipy.sparse.csr_matrix(
-        (
-            lp.a_vals[is_eq_entry],
-            (eq_map[lp.a_rows[is_eq_entry]], lp.a_cols[is_eq_entry]),
-        ),
-        shape=(eq_rows.size, n),
-    )
-    a_ub = scipy.sparse.csr_matrix(
-        (
-            lp.a_vals[~is_eq_entry] * flip,
-            (ub_map[lp.a_rows[~is_eq_entry]], lp.a_cols[~is_eq_entry]),
-        ),
-        shape=(ub_rows.size, n),
-    )
-    b_eq = lp.rhs[eq_rows]
-    b_ub = np.where(lp.row_sense[ub_rows] == GE, -lp.rhs[ub_rows], lp.rhs[ub_rows])
-
-    res = scipy.optimize.linprog(
-        lp.objective,
-        A_ub=a_ub if ub_rows.size else None,
-        b_ub=b_ub if ub_rows.size else None,
-        A_eq=a_eq if eq_rows.size else None,
-        b_eq=b_eq if eq_rows.size else None,
-        bounds=np.column_stack([lp.lower, lp.upper]),
-        method="highs",
-    )
-    status = _HIGHS_STATUS.get(res.status, ITERATION_LIMIT)
-    nit = int(getattr(res, "nit", 0) or 0)
-    if status != OPTIMAL:
-        return LpSolution(status, None, None, nit)
-    x = np.clip(res.x, lp.lower, lp.upper)
-    return LpSolution(OPTIMAL, x, float(lp.objective @ x), nit)
-
-
-# --- embedded bounded-variable primal simplex ------------------------------
-
-_BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
-
-
-def _solve_simplex(
-    lp: LinearProgram, tol: float, max_iters: int | None
-) -> LpSolution:
-    m, n = lp.num_rows, lp.num_vars
-    if max_iters is None:
-        max_iters = 50 * (m + n)
-
-    # Equality form: structural columns, one slack per row, then one
-    # artificial per row for the phase-1 basis.
-    n_slack = m
-    n_total = n + n_slack + m
-
-    lower = np.full(n_total, -np.inf)
-    upper = np.full(n_total, np.inf)
-    lower[:n] = lp.lower
-    upper[:n] = lp.upper
-    sl = np.arange(n, n + n_slack)
-    lower[sl] = np.where(lp.row_sense == GE, -np.inf, 0.0)
-    upper[sl] = np.where(lp.row_sense == LE, np.inf, 0.0)
-
-    # Nonbasic rest values: the finite bound nearest zero, else zero.
-    rest = np.zeros(n_total)
-    fin_lo = np.isfinite(lower)
-    fin_up = np.isfinite(upper)
-    rest[fin_lo] = lower[fin_lo]
-    only_up = ~fin_lo & fin_up
-    rest[only_up] = upper[only_up]
-    status = np.full(n_total, _FREE, dtype=np.int8)
-    status[fin_lo] = _AT_LOWER
-    status[only_up] = _AT_UPPER
-
-    cols = [
-        scipy.sparse.csc_matrix(
-            (lp.a_vals, (lp.a_rows, lp.a_cols)), shape=(m, n)
-        ),
-        scipy.sparse.identity(m, format="csc"),
-    ]
-    residual = lp.rhs - cols[0] @ rest[:n]  # all slacks rest at value 0
-    art_sign = np.where(residual < 0, -1.0, 1.0)
-    cols.append(scipy.sparse.dia_matrix((art_sign, 0), shape=(m, m)).tocsc())
-    A = scipy.sparse.hstack(cols, format="csc")
-    art = np.arange(n + n_slack, n_total)
-    lower[art] = 0.0
-    upper[art] = np.inf
-
-    basis = art.copy()
-    status[art] = _BASIC
-    x_b = np.abs(residual)
-    b_inv = np.diag(art_sign.copy()) if m else np.zeros((0, 0))
-    state = _SimplexState(A, lower, upper, status, basis, x_b, rest, b_inv)
-
-    # Phase 1: drive the artificial infeasibility to zero.
-    c1 = np.zeros(n_total)
-    c1[art] = 1.0
-    iters1, stat1 = state.iterate(c1, tol, max_iters)
-    if stat1 == ITERATION_LIMIT:
-        return LpSolution(ITERATION_LIMIT, None, None, iters1)
-    phase1_obj = c1[state.basis] @ state.x_b
-    if phase1_obj > ROW_TOL * (1.0 + np.abs(lp.rhs).max(initial=0.0)):
-        return LpSolution(INFEASIBLE, None, None, iters1)
-
-    # Phase 2: original costs; artificials pinned at zero.
-    lower[art] = 0.0
-    upper[art] = 0.0
-    state.rest[art] = 0.0
-    c2 = np.zeros(n_total)
-    c2[:n] = lp.objective
-    iters2, stat2 = state.iterate(c2, tol, max_iters - iters1)
-    total_iters = iters1 + iters2
-    if stat2 == ITERATION_LIMIT:
-        return LpSolution(ITERATION_LIMIT, None, None, total_iters)
-    if stat2 == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, total_iters)
-
-    x_full = state.rest.copy()
-    x_full[state.basis] = state.x_b
-    x = np.clip(x_full[:n], lp.lower, lp.upper)
-    return LpSolution(OPTIMAL, x, float(lp.objective @ x), total_iters)
-
-
-class _SimplexState:
-    """Working memory for one solve; not shareable mid-solve."""
-
-    # Consecutive degenerate pivots before switching to Bland's rule.
-    PIVOT_TOL = 1e-10
-    REFACTOR_EVERY = 150
-
-    def __init__(self, A, lower, upper, status, basis, x_b, rest, b_inv):
-        self.A = A
-        self.a_csr = A.T.tocsr()  # for fast cᵀ - yᵀA pricing
-        self.lower = lower
-        self.upper = upper
-        self.status = status
-        self.basis = basis
-        self.x_b = x_b
-        self.rest = rest
-        self.b_inv = b_inv
-
-    def refactorize(self) -> None:
-        dense = self.A[:, self.basis].toarray()
-        self.b_inv = np.linalg.inv(dense)
-
-    def column(self, j: int) -> np.ndarray:
-        """Dense B⁻¹ A_j using the raw csc slices of column j."""
-        start, end = self.A.indptr[j], self.A.indptr[j + 1]
-        return self.b_inv[:, self.A.indices[start:end]] @ self.A.data[start:end]
-
-    def iterate(self, c, tol, max_iters) -> tuple[int, str]:
-        m = self.basis.size
-        degenerate_run = 0
-        bland_after = 2 * (m + self.A.shape[1])
-        use_bland = False
-        iters = 0
-        since_refactor = 0
-        movable = self.upper > self.lower
-
-        while iters < max_iters:
-            y = c[self.basis] @ self.b_inv
-            reduced = c - (self.a_csr @ y)
-            st = self.status
-            cand = (
-                ((st == _AT_LOWER) & (reduced < -tol) & movable)
-                | ((st == _AT_UPPER) & (reduced > tol) & movable)
-                | ((st == _FREE) & (np.abs(reduced) > tol))
-            )
-            cand_idx = np.flatnonzero(cand)
-            if cand_idx.size == 0:
-                return iters, OPTIMAL
-            if use_bland:
-                j = int(cand_idx[0])
-            else:
-                j = int(cand_idx[np.abs(reduced[cand_idx]).argmax()])
-            direction = 1.0 if reduced[j] < 0 else -1.0
-
-            w = self.column(j)
-            sw = direction * w
-            lo_b = self.lower[self.basis]
-            up_b = self.upper[self.basis]
-            ratios = np.full(m, np.inf)
-            pos = sw > self.PIVOT_TOL
-            neg = sw < -self.PIVOT_TOL
-            ratios[pos] = (self.x_b[pos] - lo_b[pos]) / sw[pos]
-            ratios[neg] = (self.x_b[neg] - up_b[neg]) / sw[neg]
-            np.maximum(ratios, 0.0, out=ratios)
-
-            span = self.upper[j] - self.lower[j]
-            t_row = ratios.min() if m else np.inf
-            t = min(t_row, span)
-            if not np.isfinite(t):
-                return iters, UNBOUNDED
-
-            iters += 1
-            if t <= self.PIVOT_TOL:
-                degenerate_run += 1
-                if degenerate_run > bland_after:
-                    use_bland = True
-            else:
-                degenerate_run = 0
-
-            if span <= t_row:
-                # Bound flip: the entering variable crosses to its other
-                # bound without changing the basis.
-                self.x_b -= sw * span
-                if self.status[j] == _AT_LOWER:
-                    self.status[j] = _AT_UPPER
-                    self.rest[j] = self.upper[j]
-                else:
-                    self.status[j] = _AT_LOWER
-                    self.rest[j] = self.lower[j]
-                continue
-
-            blocking = np.flatnonzero(ratios <= t + self.PIVOT_TOL)
-            if use_bland:
-                r = int(blocking[self.basis[blocking].argmin()])
-            else:
-                r = int(blocking[np.abs(sw[blocking]).argmax()])
-            leave = self.basis[r]
-            self.x_b -= sw * t
-            enter_val = self.rest[j] + direction * t  # free vars rest at 0
-            # Classify the leaving variable at whichever bound blocked.
-            self.rest[leave] = up_b[r] if sw[r] < 0 else lo_b[r]
-            self.status[leave] = _AT_UPPER if sw[r] < 0 else _AT_LOWER
-            self.basis[r] = j
-            self.status[j] = _BASIC
-            self.x_b[r] = enter_val
-
-            w_r = w[r]
-            if abs(w_r) < self.PIVOT_TOL:
-                self.refactorize()
-                since_refactor = 0
-                continue
-            br = self.b_inv[r] / w_r
-            self.b_inv -= np.outer(w, br)
-            self.b_inv[r] = br
-            since_refactor += 1
-            if since_refactor >= self.REFACTOR_EVERY:
-                self.refactorize()
-                since_refactor = 0
-
-        return iters, ITERATION_LIMIT
-
-
-# --- MPS export -------------------------------------------------------------
-
-def to_mps(lp: LinearProgram, name: str = "PLANTMPC") -> str:
-    """Render the program in fixed MPS format for external solvers."""
-    sense_tag = {LE: "L", EQ: "E", GE: "G"}
-    lines = [f"NAME          {name}", "ROWS", " N  COST"]
-    for i, s in enumerate(lp.row_sense):
-        lines.append(f" {sense_tag[int(s)]}  R{i}")
-    lines.append("COLUMNS")
-    order = np.lexsort((lp.a_rows, lp.a_cols))
-    by_col: dict[int, list[tuple[int, float]]] = {}
-    for k in order:
-        by_col.setdefault(int(lp.a_cols[k]), []).append(
-            (int(lp.a_rows[k]), float(lp.a_vals[k]))
-        )
-    for j in range(lp.num_vars):
-        if lp.objective[j] != 0.0:
-            lines.append(f"    X{j}  COST  {lp.objective[j]:.17g}")
-        for i, v in by_col.get(j, ()):
-            lines.append(f"    X{j}  R{i}  {v:.17g}")
-    lines.append("RHS")
-    for i, b in enumerate(lp.rhs):
-        if b != 0.0:
-            lines.append(f"    RHS  R{i}  {b:.17g}")
-    lines.append("BOUNDS")
-    for j in range(lp.num_vars):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo == up:
-            lines.append(f" FX BND  X{j}  {lo:.17g}")
         else:
-            if lo == -np.inf and up == np.inf:
-                lines.append(f" FR BND  X{j}")
-                continue
-            if lo == -np.inf:
-                lines.append(f" MI BND  X{j}")
-            elif lo != 0.0:
-                lines.append(f" LO BND  X{j}  {lo:.17g}")
-            if up != np.inf:
-                lines.append(f" UP BND  X{j}  {up:.17g}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+            self._have_basis = False
+            self._loaded_pattern = None
+            self._loaded_dims = None
+        return solution

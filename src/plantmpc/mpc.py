@@ -1,21 +1,28 @@
-"""LP builders for the three receding-horizon controllers.
+"""The LP that all three receding-horizon controllers solve.
 
-All three controllers share one extensive-form template: the deterministic
-and perfect-information programs are the single-scenario case, and the
-stochastic program replicates every recourse quantity per scenario while
-first-stage decisions (the hour-t unit loads and the hour t+1 storage
-levels) live in shared columns.  Sharing columns enforces nonanticipativity
-exactly; an explicit-equality variant is kept behind a flag so tests can
-confirm the equivalence.
+The deterministic, stochastic and perfect-information controllers build
+one program, ``build_reduced``, and differ only in the disturbance data fed
+to it: the mean forecast, a scenario set, or the realized trajectory.  The
+single-trajectory programs are the one-scenario case; the stochastic
+program replicates every recourse quantity per scenario while first-stage
+decisions (the hour-t unit loads and the hour t+1 storage levels) live in
+shared columns, which enforces nonanticipativity exactly.
 
-Column count, single month: with horizon N and S scenarios the program has
-``15 + S*(20N - 8)`` variables (shared: 7 first-stage loads, 2 initial
-storage pins, 2 shared next-hour storages, 4 integrator pins; per scenario:
-7(N-1) loads, 3N residuals, 4N slacks, 2(N-1) storages, 4N integrators,
-1 peak) and ``13N * S`` constraint rows.  For S = 1 this reduces to
-``20N + 7``: 7N controls + 3N residuals + 4N slacks + 2(N+1) storages +
-4(N+1) integrators + 1 peak.  A horizon spanning a month boundary adds one
-peak variable per scenario.
+The program is the reduced form of the extensive-form model: residual
+demands and the unmet/overmet integrators are eliminated by substitution,
+and the cooling-tower column and condenser rows drop out when the tower
+limit can never bind.  With horizon N, S scenarios and U unit columns
+(6, or 7 when the tower stays) a single-month program has
+``U + 4 + S*((U + 6)N - U - 1)`` columns and ``(U - 1)N * S`` rows; a horizon
+spanning a month boundary adds one peak column per scenario.  For the
+default plant at N = 168 and S = 100 that is 200,910 columns and 84,000
+rows.
+
+``ReducedProgram.expand`` maps a solution onto the extensive-form columns
+of ``VariableMap`` (``20N + 7`` for S = 1), which ``extract_action`` reads.
+The extensive-form program itself is built only by the test suite
+(``tests/full_form.py``), as the oracle the reduced program is checked
+against.
 """
 
 from __future__ import annotations
@@ -105,18 +112,14 @@ class _Layout:
     the scenario axis.
     """
 
-    def __init__(self, n: int, s: int, spans: bool, explicit: bool):
-        self.n, self.s, self.spans, self.explicit = n, s, spans, explicit
+    def __init__(self, n: int, s: int, spans: bool):
+        self.n, self.s, self.spans = n, s, spans
         peaks = 2 if spans else 1
         self.peaks_per_scenario = peaks
-        if explicit:
-            self.shared = 6
-            self.block = 20 * n + peaks
-        else:
-            self.shared = 15
-            self.block = 20 * n - 9 + peaks
+        self.shared = 15
+        self.block = 20 * n - 9 + peaks
         self.num_vars = self.shared + s * self.block
-        self.num_rows = 13 * n * s + (7 * (s - 1) if explicit else 0)
+        self.num_rows = 13 * n * s
 
         xi = np.arange(s, dtype=np.int64)
         base = self.shared + xi * self.block  # (s,)
@@ -127,25 +130,16 @@ class _Layout:
         self.E = np.empty((s, 2, n + 1), dtype=np.int64)
         self.ul = np.empty((s, 2, n + 1), dtype=np.int64)
         self.ol = np.empty((s, 2, n + 1), dtype=np.int64)
-        if explicit:
-            self.P[:, :, 0] = base[:, None] + units
-            self.E[:, :, 0] = tanks
-            self.E[:, :, 1] = base[:, None] + 7 + tanks
-            self.ul[:, :, 0] = 2 + tanks
-            self.ol[:, :, 0] = 4 + tanks
-            rest = base + 9
-        else:
-            self.P[:, :, 0] = units
-            self.E[:, :, 0] = 7 + tanks
-            self.E[:, :, 1] = 9 + tanks
-            self.ul[:, :, 0] = 11 + tanks
-            self.ol[:, :, 0] = 13 + tanks
-            rest = base
+        self.P[:, :, 0] = units
+        self.E[:, :, 0] = 7 + tanks
+        self.E[:, :, 1] = 9 + tanks
+        self.ul[:, :, 0] = 11 + tanks
+        self.ol[:, :, 0] = 13 + tanks
         k1 = np.arange(n - 1, dtype=np.int64)
         self.P[:, :, 1:] = (
-            rest[:, None, None] + units[None, :, None] * (n - 1) + k1
+            base[:, None, None] + units[None, :, None] * (n - 1) + k1
         )
-        roff = rest + 7 * (n - 1)
+        roff = base + 7 * (n - 1)
         self.r = (
             roff[:, None, None]
             + np.arange(3 * n, dtype=np.int64).reshape(1, 3, n)
@@ -179,21 +173,20 @@ class _Layout:
 
 
 @functools.lru_cache(maxsize=16)
-def _layout(n: int, s: int, spans: bool, explicit: bool) -> _Layout:
-    return _Layout(n, s, spans, explicit)
+def _layout(n: int, s: int, spans: bool) -> _Layout:
+    return _Layout(n, s, spans)
 
 
 class VariableMap:
     """Index lookup from (quantity, step, scenario) to LP column.
 
     First-stage quantities (unit loads at step 0, storage at steps 0/1,
-    integrators at step 0) map to one column regardless of scenario unless
-    the map was built with explicit nonanticipativity rows.
+    integrators at step 0) map to one column regardless of scenario.
     """
 
-    def __init__(self, n: int, s: int, spans: bool, explicit: bool = False):
-        self.n, self.s, self.spans, self.explicit = n, s, spans, explicit
-        self.layout = _layout(n, s, spans, explicit)
+    def __init__(self, n: int, s: int, spans: bool):
+        self.n, self.s, self.spans = n, s, spans
+        self.layout = _layout(n, s, spans)
         self.num_vars = self.layout.num_vars
         self.num_rows = self.layout.num_rows
         self.shared = self.layout.shared
@@ -243,198 +236,6 @@ def _scenario_values(forecast_or_scenarios) -> np.ndarray:
     if isinstance(forecast_or_scenarios, DisturbanceTrajectory):
         return forecast_or_scenarios.values[None, :, :]
     raise TypeError("expected DisturbanceTrajectory or ScenarioSet")
-
-
-def build_deterministic(
-    config: PlantConfig,
-    state: PlantState,
-    mean_forecast: DisturbanceTrajectory,
-    timing: HorizonTiming,
-    bounds: TankBounds,
-) -> tuple[lp.LinearProgram, VariableMap]:
-    """Certainty-equivalent program on the mean disturbance forecast."""
-    return _build(config, state, _scenario_values(mean_forecast), timing, bounds, False)
-
-
-def build_perfect(
-    config: PlantConfig,
-    state: PlantState,
-    truth: DisturbanceTrajectory,
-    timing: HorizonTiming,
-    bounds: TankBounds,
-) -> tuple[lp.LinearProgram, VariableMap]:
-    """Same program as deterministic but fed the realized disturbances."""
-    return _build(config, state, _scenario_values(truth), timing, bounds, False)
-
-
-def build_stochastic(
-    config: PlantConfig,
-    state: PlantState,
-    scenarios: ScenarioSet,
-    timing: HorizonTiming,
-    bounds: TankBounds,
-    explicit_nonanticipativity: bool = False,
-) -> tuple[lp.LinearProgram, VariableMap]:
-    """Two-stage program: expected cost over equally weighted scenarios."""
-    if scenarios.count < 1:
-        raise ValueError("scenario set is empty")
-    return _build(
-        config, state, _scenario_values(scenarios), timing, bounds,
-        explicit_nonanticipativity,
-    )
-
-
-def _build(
-    config: PlantConfig,
-    state: PlantState,
-    values: np.ndarray,
-    timing: HorizonTiming,
-    bounds: TankBounds,
-    explicit: bool,
-) -> tuple[lp.LinearProgram, VariableMap]:
-    s, n_chan, n = values.shape
-    if n != timing.n:
-        raise ValueError(f"forecast length {n} != horizon {timing.n}")
-    if n_chan != len(CHANNELS):
-        raise ValueError("expected 4 disturbance channels")
-    vmap = VariableMap(n, s, timing.spans_two_months, explicit)
-    lay = vmap.layout
-
-    obj = np.zeros(vmap.num_vars)
-    lower = np.full(vmap.num_vars, -np.inf)
-    upper = np.full(vmap.num_vars, np.inf)
-    sense = np.empty(vmap.num_rows, dtype=np.int8)
-    rhs = np.zeros(vmap.num_rows)
-    trip_r: list[np.ndarray] = []
-    trip_c: list[np.ndarray] = []
-    trip_v: list[np.ndarray] = []
-
-    def put(rows, cols, vals):
-        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        trip_r.append(rows.reshape(-1).astype(np.int64, copy=False))
-        trip_c.append(cols.reshape(-1).astype(np.int64, copy=False))
-        trip_v.append(vals.reshape(-1).astype(float))
-
-    steps = np.arange(n)
-    # Steps whose absolute hour lies past the month end bill into the
-    # second peak register.
-    in_second_month = (timing.t + steps) > timing.month_end
-    weight = 1.0 / s
-    demand_coeff = config.price_demand / timing.discount
-    carry = state.peak if timing.t < timing.month_end else state.peak_next
-
-    pmax = np.array([config.pmax(u) for u in UNITS])
-    alpha_e = np.array(
-        [config.alpha_e_cs, config.alpha_e_hrc, config.alpha_e_hwg, config.alpha_e_ct]
-    )
-    ui = {u: i for i, u in enumerate(UNITS)}
-    rows = lay.rows  # (s, 13, n)
-    P, r, S, E, ul, ol = lay.P, lay.r, lay.S, lay.E, lay.ul, lay.ol
-    load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
-
-    # Residual definitions: r_e - sum(alpha_e P) = L_e, etc.
-    put(rows[:, 0], r[:, 0], 1.0)
-    for i, a in enumerate(alpha_e):
-        put(rows[:, 0], P[:, i], -a)
-    rhs[rows[:, 0]] = load_e
-
-    put(rows[:, 1], r[:, 1], 1.0)
-    put(rows[:, 1], P[:, ui["ct"]], -config.alpha_w_ct)
-
-    put(rows[:, 2], r[:, 2], 1.0)
-    put(rows[:, 2], P[:, ui["hwg"]], -config.alpha_ng_hwg)
-
-    # Condenser balance: P_ct = alpha_cond * P_cs + P_hx.
-    put(rows[:, 3], P[:, ui["ct"]], 1.0)
-    put(rows[:, 3], P[:, ui["cs"]], -config.alpha_cond_cs)
-    put(rows[:, 3], P[:, ui["hx"]], -1.0)
-
-    # Chilled-water balance.
-    for u in ("cs", "hrc", "cw"):
-        put(rows[:, 4], P[:, ui[u]], 1.0)
-    put(rows[:, 4], S[:, 0], 1.0)
-    put(rows[:, 4], S[:, 1], -1.0)
-    rhs[rows[:, 4]] = load_cw
-
-    # Hot-water balance.
-    put(rows[:, 5], P[:, ui["hrc"]], config.alpha_h_hrc)
-    put(rows[:, 5], P[:, ui["hwg"]], 1.0)
-    put(rows[:, 5], P[:, ui["hx"]], -1.0)
-    put(rows[:, 5], P[:, ui["hw"]], 1.0)
-    put(rows[:, 5], S[:, 2], 1.0)
-    put(rows[:, 5], S[:, 3], -1.0)
-    rhs[rows[:, 5]] = load_hw
-
-    # Storage, unmet, and overmet dynamics.
-    for j, unit in enumerate(STORAGE_UNITS):
-        put(rows[:, 6 + j], E[:, j, 1:], 1.0)
-        put(rows[:, 6 + j], E[:, j, :-1], -1.0)
-        put(rows[:, 6 + j], P[:, ui[unit]], 1.0)
-        put(rows[:, 8 + j], ul[:, j, 1:], 1.0)
-        put(rows[:, 8 + j], ul[:, j, :-1], -1.0)
-        put(rows[:, 8 + j], S[:, 2 * j], -1.0)
-        put(rows[:, 10 + j], ol[:, j, 1:], 1.0)
-        put(rows[:, 10 + j], ol[:, j, :-1], -1.0)
-        put(rows[:, 10 + j], S[:, 2 * j + 1], -1.0)
-
-    # Peak tracking: r_e,k <= R for the month containing step k.
-    peak_col = np.where(in_second_month, lay.R2[:, None], lay.R1[:, None])
-    put(rows[:, 12], r[:, 0], 1.0)
-    put(rows[:, 12], peak_col, -1.0)
-
-    sense_blocks = sense.reshape(-1)[: 13 * n * s].reshape(s, 13, n)
-    sense_blocks[:, :12, :] = lp.EQ
-    sense_blocks[:, 12, :] = lp.LE
-
-    # Bounds.
-    is_storage = np.isin(np.array(UNITS), STORAGE_UNITS)
-    lower[P] = np.where(is_storage, -pmax, 0.0)[None, :, None]
-    upper[P] = pmax[None, :, None]
-    initial_ul = (state.ul_cw, state.ul_hw)
-    initial_ol = (state.ol_cw, state.ol_hw)
-    for j, unit in enumerate(STORAGE_UNITS):
-        lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(unit)
-        lower[E[:, j, 1:]] = bounds.lower(unit)
-        upper[E[:, j, 1:]] = bounds.upper(unit)
-        lower[ul[:, j, 0]] = upper[ul[:, j, 0]] = initial_ul[j]
-        lower[ol[:, j, 0]] = upper[ol[:, j, 0]] = initial_ol[j]
-        lower[ul[:, j, 1:]] = 0.0
-        lower[ol[:, j, 1:]] = 0.0
-        # Decided integrator states carry the violation penalty; the
-        # pinned initial value would only add a constant.
-        obj[ul[:, j, 1:]] = weight * config.rho(unit)
-        obj[ol[:, j, 1:]] = weight * config.rho(unit)
-    lower[S] = 0.0
-
-    # Objective: utility purchases plus discounted demand charges.
-    obj[r[:, 0]] = weight * price_e
-    obj[r[:, 1]] = weight * config.price_water
-    obj[r[:, 2]] = weight * config.price_gas
-    lower[lay.R1] = carry
-    obj[lay.R1] = weight * demand_coeff
-    if vmap.spans:
-        lower[lay.R2] = state.peak_next
-        obj[lay.R2] = weight * demand_coeff
-
-    if explicit:
-        # Nonanticipativity: first-stage loads equal across scenarios.
-        nonant = 13 * n * s + np.arange(7 * (s - 1))
-        others = P[1:, :, 0].reshape(-1)
-        put(nonant, others, 1.0)
-        put(nonant, np.broadcast_to(P[0, :, 0], (s - 1, 7)).reshape(-1), -1.0)
-        sense[nonant] = lp.EQ
-
-    program = lp.LinearProgram(
-        objective=obj,
-        lower=lower,
-        upper=upper,
-        row_sense=sense,
-        rhs=rhs,
-        a_rows=np.concatenate(trip_r),
-        a_cols=np.concatenate(trip_c),
-        a_vals=np.concatenate(trip_v),
-    )
-    return program, vmap
 
 
 # --- reduced solver form ------------------------------------------------------
@@ -577,9 +378,9 @@ def build_reduced(
 ) -> ReducedProgram:
     """Build the eliminated-definition solver form of any controller LP.
 
-    Exactly equivalent to the corresponding full program: optimal values
-    match after adding the returned constant offset and expanded solutions
-    satisfy every full-form constraint.
+    Exactly equivalent to the extensive-form program: optimal values match
+    after adding the returned constant offset and expanded solutions
+    satisfy every extensive-form constraint.
     """
     values = _scenario_values(forecast_or_scenarios)
     s, n_chan, n = values.shape
@@ -588,7 +389,7 @@ def build_reduced(
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
     fold_ct = _can_fold_ct(config)
-    vmap = VariableMap(n, s, timing.spans_two_months, False)
+    vmap = VariableMap(n, s, timing.spans_two_months)
     red = _reduced_layout(n, s, timing.spans_two_months, fold_ct)
 
     obj = np.zeros(red.num_vars)

@@ -7,9 +7,16 @@ balances while keeping every unit within its limits and both tanks inside
 their physical capacity.  If no such correction exists the plant takes no
 action for the hour and the shortfall is booked downstream.
 
-The condenser identity is imposed inside the correction problem (rather
-than recomputed afterwards) so the tower rate both stays consistent and
-respects its own limit.
+The correction is an LP with 14 columns and 3 rows.  Each unit's change
+is split as delta = delta+ - delta-, both nonnegative, and the objective
+is their sum.  The three rows are the chilled-water, hot-water and
+condenser balances.  The condenser identity is imposed inside the
+correction problem (rather than recomputed afterwards) so the tower rate
+both stays consistent and respects its own limit.  The unit limits and
+tank capacities confine each delta to a box [lo, hi]; they become the
+column bounds delta+ in [max(lo, 0), max(hi, 0)] and delta- in
+[max(-hi, 0), max(-lo, 0)], which admit exactly the deltas of the box
+also when it excludes zero.
 """
 
 from __future__ import annotations
@@ -62,11 +69,11 @@ def restore(
         if _storage_feasible(config, state, action):
             return RestoreOutcome(UNCHANGED, action, np.zeros(len(UNITS)))
 
-    prog, split = _correction_program(config, state, action, realized)
-    solution = lp.solve(prog, backend=lp.EMBEDDED)
+    solution = lp.solve(_correction_program(config, state, action, residuals))
     if not solution.is_optimal:
         return RestoreOutcome(FALLBACK, ZERO_ACTION, np.zeros(len(UNITS)))
-    deltas = np.array([solution.x[p] - solution.x[m] for p, m in split])
+    plus, minus = solution.x.reshape(2, len(UNITS))
+    deltas = plus - minus
     deltas[np.abs(deltas) < 1e-12] = 0.0
     if np.abs(deltas).max() <= 1e-9:
         return RestoreOutcome(UNCHANGED, action, np.zeros(len(UNITS)))
@@ -88,44 +95,39 @@ def _correction_program(
     config: PlantConfig,
     state: PlantState,
     action: ControlAction,
-    realized: Disturbance,
-) -> tuple[lp.LinearProgram, list[tuple[int, int]]]:
-    builder = lp.LpBuilder()
-    delta = {u: builder.add_variable(-np.inf, np.inf, 0.0) for u in UNITS}
+    residuals: tuple[float, float, float],
+) -> lp.LinearProgram:
+    """Columns: delta+ for every unit in UNITS order, then delta-."""
+    ui = {u: i for i, u in enumerate(UNITS)}
+    # Rate coefficients of the chilled-water, hot-water and condenser
+    # balances, as in plant.balance_residuals.
+    coeff = np.zeros((3, len(UNITS)))
+    coeff[0, [ui["cs"], ui["hrc"], ui["cw"]]] = 1.0
+    coeff[1, [ui["hrc"], ui["hwg"], ui["hx"], ui["hw"]]] = (
+        config.alpha_h_hrc, 1.0, -1.0, 1.0)
+    coeff[2, [ui["ct"], ui["cs"], ui["hx"]]] = (
+        1.0, -config.alpha_cond_cs, -1.0)
+    a = np.hstack([coeff, -coeff])
+    a_rows, a_cols = np.nonzero(a)
 
-    cw_res, hw_res, cond_res = balance_residuals(config, action, realized)
-    builder.add_row(
-        lp.EQ, -cw_res,
-        [delta["cs"], delta["hrc"], delta["cw"]],
-        [1.0, 1.0, 1.0],
-    )
-    builder.add_row(
-        lp.EQ, -hw_res,
-        [delta["hrc"], delta["hwg"], delta["hx"], delta["hw"]],
-        [config.alpha_h_hrc, 1.0, -1.0, 1.0],
-    )
-    builder.add_row(
-        lp.EQ, -cond_res,
-        [delta["ct"], delta["cs"], delta["hx"]],
-        [1.0, -config.alpha_cond_cs, -1.0],
-    )
-
-    # Unit limits and tank capacities, as rows so the delta columns stay
-    # free for the absolute-value split.
-    for u in UNITS:
+    lo = np.empty(len(UNITS))
+    hi = np.empty(len(UNITS))
+    for i, u in enumerate(UNITS):
         rate = action.rate(u)
         if u in PRODUCTION_UNITS:
-            lo, hi = -rate, config.pmax(u) - rate
+            lo[i], hi[i] = -rate, config.pmax(u) - rate
         else:
-            lo = max(-config.pmax(u) - rate,
-                     state.storage(u) - config.cap(u) - rate)
-            hi = min(config.pmax(u) - rate, state.storage(u) - rate)
-        builder.add_row(lp.GE, lo, [delta[u]], [1.0])
-        builder.add_row(lp.LE, hi, [delta[u]], [1.0])
+            lo[i] = max(-config.pmax(u) - rate,
+                        state.storage(u) - config.cap(u) - rate)
+            hi[i] = min(config.pmax(u) - rate, state.storage(u) - rate)
 
-    prog = builder.build()
-    split = []
-    for u in UNITS:
-        prog, plus, minus = lp.add_free_abs(prog, delta[u])
-        split.append((plus, minus))
-    return prog, split
+    return lp.LinearProgram(
+        objective=np.ones(2 * len(UNITS)),
+        lower=np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0)]),
+        upper=np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0)]),
+        row_sense=np.full(3, lp.EQ, dtype=np.int8),
+        rhs=-np.array(residuals),
+        a_rows=a_rows,
+        a_cols=a_cols,
+        a_vals=a[a_rows, a_cols],
+    )

@@ -41,6 +41,8 @@ from .forecast import (
     fit_ar,
     forecast as ar_forecast,
     mean_forecast,
+    zoh_noise,
+    zoh_std,
 )
 from .plant import (
     CHANNELS,
@@ -91,7 +93,14 @@ class ControllerSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one closed-loop run needs besides the plant and truth."""
+    """Everything one closed-loop run needs besides the plant and truth.
+
+    Every controller builds ``mpc.build_reduced`` each hour and solves it
+    on one warm-started ``lp.HighsSession`` per run.  The fields set the
+    controller, the horizon and AR forecast model, the billing calendar
+    (month-end hours; empty means ``default_calendar``), the scenario and
+    storage-noise random streams, and the initial state of charge.
+    """
 
     controller: ControllerSpec
     sim_hours: int
@@ -104,8 +113,6 @@ class RunSpec:
     zoh_seed: int = 2
     apply_storage_noise: bool = True
     scenario_resampling: str = "run"
-    lp_backend: str = lp.HIGHS
-    lp_formulation: str = "reduced"
     initial_soc: float = 0.5
 
     def __post_init__(self) -> None:
@@ -115,8 +122,6 @@ class RunSpec:
             raise ValueError("history too short for the AR order")
         if self.scenario_resampling not in ("run", "refit", "hourly"):
             raise ValueError("scenario_resampling must be run|refit|hourly")
-        if self.lp_formulation not in ("reduced", "full"):
-            raise ValueError("lp_formulation must be reduced|full")
         if not 0.0 <= self.initial_soc <= 1.0:
             raise ValueError("initial_soc must lie in [0, 1]")
         if self.refit_every < 1:
@@ -407,10 +412,10 @@ def precompute_storage_noise(
     for j, ch in enumerate((1, 2)):  # load_cw, load_hw channels
         series = truth.values[ch]
         var_err, var_int = estimate_zoh_variances(series[:h], spec.ar_order)
-        ramp = series[h + 1 : h + y + 1] - series[h : h + y]
-        std = np.sqrt(0.25 * var_err + var_int)
-        out[:, j] = rng.normal(-0.5 * ramp, std)
-        floor[j] = 4.0 * std
+        out[:, j] = zoh_noise(
+            series[h : h + y], series[h + 1 : h + y + 1], var_err, var_int, rng
+        )
+        floor[j] = 4.0 * zoh_std(var_err, var_int)
     return out, floor
 
 
@@ -436,7 +441,7 @@ def run_closed_loop(
         forecaster = ArForecaster(truth, spec)
     sampler = _ScenarioSampler(forecaster, spec) if kind == STOCHASTIC else None
     noise, clamp_floor = precompute_storage_noise(truth, spec)
-    session = lp.HighsSession() if spec.lp_backend == lp.HIGHS else None
+    session = lp.HighsSession()
 
     caps = np.array([config.cap_cw, config.cap_hw])
     e = spec.initial_soc * caps.copy()
@@ -476,35 +481,12 @@ def run_closed_loop(
             data = truth.slice(h + t, h + t + n)
 
         fallback = False
-        if spec.lp_formulation == "reduced":
-            reduced = mpc.build_reduced(config, state, data, timing, tank_bounds)
-            sol = (
-                session.solve(reduced.program)
-                if session is not None
-                else lp.solve(reduced.program, backend=spec.lp_backend)
-            )
-            iterations += sol.iterations
-            sol = reduced.expand(sol)
-            vmap = reduced.vmap
-        else:
-            if kind == STOCHASTIC:
-                program, vmap = mpc.build_stochastic(
-                    config, state, data, timing, tank_bounds
-                )
-            else:
-                build = (
-                    mpc.build_perfect if kind == PERFECT
-                    else mpc.build_deterministic
-                )
-                program, vmap = build(config, state, data, timing, tank_bounds)
-            sol = (
-                session.solve(program)
-                if session is not None
-                else lp.solve(program, backend=spec.lp_backend)
-            )
-            iterations += sol.iterations
+        reduced = mpc.build_reduced(config, state, data, timing, tank_bounds)
+        sol = session.solve(reduced.program)
+        iterations += sol.iterations
+        sol = reduced.expand(sol)
         if sol.is_optimal:
-            action = mpc.extract_action(sol, vmap).action
+            action = mpc.extract_action(sol, reduced.vmap).action
         else:
             # Solver trouble is recorded as a fallback hour, never raised.
             fallback = True

@@ -12,6 +12,8 @@ import numpy as np
 
 from plantmpc import lp
 
+from simplex import LpBuilder
+
 
 def vertex_enumeration_optimum(prog: lp.LinearProgram, tol: float = 1e-7):
     """Brute-force optimum of a small LP with a bounded feasible box.
@@ -72,7 +74,7 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
     """A random LP whose variables are boxed, so the optimum is a vertex."""
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(0, max_rows + 1))
-    builder = lp.LpBuilder()
+    builder = LpBuilder()
     lo = rng.uniform(-5.0, 0.0, n)
     hi = lo + rng.uniform(0.5, 8.0, n)
     builder.add_variables(n, lo, hi, rng.normal(size=n))

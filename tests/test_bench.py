@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from plantmpc import bench, forecast as fc, lp, simulate
+from plantmpc import bench, forecast as fc, simulate
 from plantmpc.plant import PlantConfig
 
 
@@ -173,7 +175,6 @@ def small_template(**overrides):
     defaults = dict(
         controller=simulate.ControllerSpec("det", beta=0.1),
         sim_hours=24, horizon=6, ar_order=6, history_hours=60,
-        lp_backend=lp.HIGHS, lp_formulation="reduced",
     )
     defaults.update(overrides)
     return simulate.RunSpec(**defaults)
@@ -285,9 +286,15 @@ class TestRunBenchmark:
         agg = data["aggregates"]["perf"]
         probs = agg["ccp_cdf_probs"]
         assert probs == sorted(probs) and probs[-1] == 1.0
+        iterations = [r.solver_iterations for r in report.runs]
+        assert all(i > 0 for i in iterations)
+        assert [r["solver_iterations"] for r in data["runs"]] == iterations
         report.write_runs_csv(tmp_path / "runs.csv")
         report.write_cdf_csv(tmp_path / "cdf.csv")
-        assert (tmp_path / "runs.csv").read_text().count("\n") == 3
+        with open(tmp_path / "runs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        assert [int(r["solver_iterations"]) for r in rows] == iterations
 
     def test_paired_difference(self):
         report = bench.BenchmarkReport(

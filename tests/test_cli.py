@@ -124,6 +124,39 @@ class TestRun:
         assert "malformed" in capsys.readouterr().err
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize(
+        "flag", ["--scenarios", "--horizon", "--ar-order", "--history-days",
+                 "--sim-hours"],
+    )
+    def test_zero_is_a_usage_error(self, tmp_path, data_csv, command, flag):
+        # Zero once fell through to the config or built-in default.
+        argv = {
+            "run": ["run", "--controller", "sto", "--out", str(tmp_path / "t.csv")],
+            "bench": ["bench", "--controllers", "sto", "--validation-count", "1",
+                      "--out", str(tmp_path / "r.json")],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv, "--data", str(data_csv), *SMALL, "--sim-hours", "2",
+                    flag, "0")
+        assert err.value.code == 2
+
+    def test_unknown_run_config_key_rejected(self, tmp_path, data_csv, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "run": {"horizon": 6, "lp_backend": "embedded", "sim_hourz": 3},
+        }))
+        code = run_cli(
+            "run", "--controller", "det", "--config", str(cfg),
+            "--data", str(data_csv), "--out", str(tmp_path / "t.csv"), *SMALL,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "lp_backend" in err and "sim_hourz" in err
+        assert "horizon" not in err
+
+
 class TestBench:
     def test_single_validation_run(self, tmp_path, data_csv, capsys):
         out = tmp_path / "report.json"

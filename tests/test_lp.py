@@ -4,84 +4,48 @@ import pytest
 from plantmpc import lp
 
 from oracles import random_box_lp, vertex_enumeration_optimum
+from simplex import BOUND_TOL, ROW_TOL, LpBuilder, solve_simplex
 
-BACKENDS = [lp.EMBEDDED, lp.HIGHS]
+#: The in-tree simplex oracle and the production HiGHS path.
+SOLVERS = {"embedded": solve_simplex, "highs": lp.solve}
 
 
 def simple_program():
-    builder = lp.LpBuilder()
+    builder = LpBuilder()
     x = builder.add_variable(-np.inf, np.inf, 1.0)
     builder.add_row(lp.GE, 3.0, [x], [1.0])
     return builder.build()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS.keys())
 class TestBasics:
-    def test_single_bound(self, backend):
-        sol = lp.solve(simple_program(), backend=backend)
+    def test_single_bound(self, solve):
+        sol = solve(simple_program())
         assert sol.is_optimal
         assert sol.objective == pytest.approx(3.0)
         assert sol.x[0] == pytest.approx(3.0)
 
-    def test_box_corner(self, backend):
-        builder = lp.LpBuilder()
+    def test_box_corner(self, solve):
+        builder = LpBuilder()
         xy = builder.add_variables(2, 0.0, 1.0, -1.0)
         builder.add_row(lp.LE, 1.0, xy, [1.0, 1.0])
-        sol = lp.solve(builder.build(), backend=backend)
+        sol = solve(builder.build())
         assert sol.is_optimal
         assert sol.objective == pytest.approx(-1.0)
 
-    def test_infeasible(self, backend):
-        builder = lp.LpBuilder()
+    def test_infeasible(self, solve):
+        builder = LpBuilder()
         x = builder.add_variable(-np.inf, np.inf, 0.0)
         builder.add_row(lp.LE, 1.0, [x], [1.0])
         builder.add_row(lp.GE, 2.0, [x], [1.0])
-        sol = lp.solve(builder.build(), backend=backend)
+        sol = solve(builder.build())
         assert sol.status == lp.INFEASIBLE
 
-    def test_unbounded(self, backend):
-        builder = lp.LpBuilder()
+    def test_unbounded(self, solve):
+        builder = LpBuilder()
         builder.add_variable(0.0, np.inf, -1.0)
-        sol = lp.solve(builder.build(), backend=backend)
+        sol = solve(builder.build())
         assert sol.status == lp.UNBOUNDED
-
-
-class TestAbsoluteValueSplit:
-    def build_abs(self, row_sense, rhs):
-        builder = lp.LpBuilder()
-        x = builder.add_variable(-np.inf, np.inf, 0.0)
-        builder.add_row(row_sense, rhs, [x], [1.0])
-        prog, plus, minus = lp.add_free_abs(builder.build(), x)
-        return prog, plus, minus
-
-    def test_pinned_negative(self):
-        prog, plus, minus = self.build_abs(lp.EQ, -2.0)
-        sol = lp.solve(prog)
-        assert sol.objective == pytest.approx(2.0)
-        assert sol.x[plus] - sol.x[minus] == pytest.approx(-2.0)
-
-    def test_free_variable_collapses_to_zero(self):
-        builder = lp.LpBuilder()
-        x = builder.add_variable(-np.inf, np.inf, 0.0)
-        prog, plus, minus = lp.add_free_abs(builder.build(), x)
-        sol = lp.solve(prog)
-        assert sol.objective == pytest.approx(0.0)
-
-    def test_shifted_target(self):
-        # minimize |x - 5| by substituting y = x - 5.
-        builder = lp.LpBuilder()
-        y = builder.add_variable(-np.inf, np.inf, 0.0)
-        builder.add_row(lp.GE, -5.0, [y], [1.0])  # x >= 0
-        prog, plus, minus = lp.add_free_abs(builder.build(), y)
-        sol = lp.solve(prog)
-        assert sol.objective == pytest.approx(0.0)
-        assert sol.x[plus] - sol.x[minus] == pytest.approx(0.0)
-
-    def test_rejects_bounded_variable(self):
-        builder = lp.LpBuilder()
-        x = builder.add_variable(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError, match="not free"):
-            lp.add_free_abs(builder.build(), x)
 
 
 class TestAgainstVertexEnumeration:
@@ -91,97 +55,105 @@ class TestAgainstVertexEnumeration:
         for _ in range(120):
             prog = random_box_lp(rng)
             status, expected = vertex_enumeration_optimum(prog)
-            sol = lp.solve(prog, backend=lp.EMBEDDED)
-            assert sol.status == status
-            if status == lp.OPTIMAL:
-                optimal += 1
-                assert sol.objective == pytest.approx(
-                    expected, rel=1e-6, abs=1e-6
-                )
+            for solve in SOLVERS.values():
+                sol = solve(prog)
+                assert sol.status == status
+                if status == lp.OPTIMAL:
+                    assert sol.objective == pytest.approx(
+                        expected, rel=1e-6, abs=1e-6
+                    )
+            optimal += status == lp.OPTIMAL
         assert optimal > 40  # the generator must exercise the solver
 
 
 class TestSolverProperties:
+    """Each property is checked on both the simplex oracle and HiGHS."""
+
     def test_determinism(self):
-        rng = np.random.default_rng(7)
-        prog = random_box_lp(rng)
-        first = lp.solve(prog)
-        second = lp.solve(prog)
-        assert first.status == second.status
-        if first.is_optimal:
-            assert np.array_equal(first.x, second.x)
-            assert first.objective == second.objective
-            assert first.iterations == second.iterations
+        prog = random_box_lp(np.random.default_rng(7))
+        for solve in SOLVERS.values():
+            first = solve(prog)
+            second = solve(prog)
+            assert first.status == second.status
+            if first.is_optimal:
+                assert np.array_equal(first.x, second.x)
+                assert first.objective == second.objective
+                assert first.iterations == second.iterations
 
     def test_weak_duality_spot_check(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 20:
-            prog = random_box_lp(rng)
-            sol = lp.solve(prog)
-            if not sol.is_optimal:
-                continue
-            a = prog.matrix().toarray()
-            samples = rng.uniform(prog.lower, prog.upper, size=(400, prog.num_vars))
-            rows = samples @ a.T
-            feasible = np.ones(len(samples), dtype=bool)
-            for i in range(prog.num_rows):
-                if prog.row_sense[i] == lp.LE:
-                    feasible &= rows[:, i] <= prog.rhs[i] + 1e-9
-                elif prog.row_sense[i] == lp.GE:
-                    feasible &= rows[:, i] >= prog.rhs[i] - 1e-9
-                else:
-                    feasible &= np.abs(rows[:, i] - prog.rhs[i]) <= 1e-9
-            if feasible.any():
-                assert (samples[feasible] @ prog.objective).min() >= (
-                    sol.objective - 1e-6
+        for solve in SOLVERS.values():
+            rng = np.random.default_rng(11)
+            checked = 0
+            while checked < 20:
+                prog = random_box_lp(rng)
+                sol = solve(prog)
+                if not sol.is_optimal:
+                    continue
+                a = prog.matrix().toarray()
+                samples = rng.uniform(
+                    prog.lower, prog.upper, size=(400, prog.num_vars)
                 )
-                checked += 1
+                rows = samples @ a.T
+                feasible = np.ones(len(samples), dtype=bool)
+                for i in range(prog.num_rows):
+                    if prog.row_sense[i] == lp.LE:
+                        feasible &= rows[:, i] <= prog.rhs[i] + 1e-9
+                    elif prog.row_sense[i] == lp.GE:
+                        feasible &= rows[:, i] >= prog.rhs[i] - 1e-9
+                    else:
+                        feasible &= np.abs(rows[:, i] - prog.rhs[i]) <= 1e-9
+                if feasible.any():
+                    assert (samples[feasible] @ prog.objective).min() >= (
+                        sol.objective - 1e-6
+                    )
+                    checked += 1
 
     def test_objective_scaling_keeps_argmin(self):
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         xy = builder.add_variables(2, 0.0, 10.0, [1.0, 2.0])
         builder.add_row(lp.GE, 5.0, xy, [1.0, 1.0])
         prog = builder.build()
-        base = lp.solve(prog)
         prog_scaled = lp.LinearProgram(
             objective=prog.objective * 7.5,
             lower=prog.lower, upper=prog.upper,
             row_sense=prog.row_sense, rhs=prog.rhs,
             a_rows=prog.a_rows, a_cols=prog.a_cols, a_vals=prog.a_vals,
         )
-        scaled = lp.solve(prog_scaled)
-        assert np.allclose(base.x, scaled.x, atol=1e-9)
+        for solve in SOLVERS.values():
+            base = solve(prog)
+            scaled = solve(prog_scaled)
+            assert np.allclose(base.x, scaled.x, atol=1e-9)
 
     def test_iteration_limit_status(self):
         rng = np.random.default_rng(5)
         prog = random_box_lp(rng)
-        sol = lp.solve(prog, max_iters=1)
+        sol = solve_simplex(prog, max_iters=1)
         assert sol.status in (lp.ITERATION_LIMIT, lp.OPTIMAL, lp.INFEASIBLE)
 
     def test_bound_and_row_feasibility_of_solutions(self):
-        rng = np.random.default_rng(99)
-        for _ in range(40):
-            prog = random_box_lp(rng)
-            sol = lp.solve(prog)
-            if not sol.is_optimal:
-                continue
-            assert np.all(sol.x >= prog.lower - lp.BOUND_TOL)
-            assert np.all(sol.x <= prog.upper + lp.BOUND_TOL)
-            rows = prog.matrix() @ sol.x
-            scale = lp.ROW_TOL * (1.0 + np.abs(prog.rhs).max(initial=0.0))
-            for i in range(prog.num_rows):
-                if prog.row_sense[i] == lp.LE:
-                    assert rows[i] <= prog.rhs[i] + scale
-                elif prog.row_sense[i] == lp.GE:
-                    assert rows[i] >= prog.rhs[i] - scale
-                else:
-                    assert abs(rows[i] - prog.rhs[i]) <= scale
+        for solve in SOLVERS.values():
+            rng = np.random.default_rng(99)
+            for _ in range(40):
+                prog = random_box_lp(rng)
+                sol = solve(prog)
+                if not sol.is_optimal:
+                    continue
+                assert np.all(sol.x >= prog.lower - BOUND_TOL)
+                assert np.all(sol.x <= prog.upper + BOUND_TOL)
+                rows = prog.matrix() @ sol.x
+                scale = ROW_TOL * (1.0 + np.abs(prog.rhs).max(initial=0.0))
+                for i in range(prog.num_rows):
+                    if prog.row_sense[i] == lp.LE:
+                        assert rows[i] <= prog.rhs[i] + scale
+                    elif prog.row_sense[i] == lp.GE:
+                        assert rows[i] >= prog.rhs[i] - scale
+                    else:
+                        assert abs(rows[i] - prog.rhs[i]) <= scale
 
 
 class TestValidation:
     def test_duplicate_entries_rejected(self):
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         x = builder.add_variable(0.0, 1.0, 1.0)
         row = builder.add_row(lp.LE, 1.0)
         builder.add_entries([row, row], [x, x], [1.0, 2.0])
@@ -189,57 +161,30 @@ class TestValidation:
             builder.build(validate=True)
 
     def test_non_finite_rejected(self):
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         x = builder.add_variable(0.0, 1.0, np.nan)
         with pytest.raises(ValueError):
             builder.build(validate=True)
 
     def test_out_of_range_rejected(self):
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         x = builder.add_variable(0.0, 1.0, 1.0)
         builder.add_row(lp.LE, 1.0, [x + 5], [1.0])
         with pytest.raises(ValueError):
             builder.build(validate=True)
 
     def test_crossed_bounds_rejected(self):
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         builder.add_variable(2.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="crossed"):
             builder.build(validate=True)
-
-
-class TestMpsExport:
-    def test_round_trip_through_highs(self, tmp_path):
-        rng = np.random.default_rng(3)
-        prog = random_box_lp(rng)
-        sol = lp.solve(prog)
-        text = lp.to_mps(prog)
-        assert text.startswith("NAME")
-        assert "ENDATA" in text
-        pytest.importorskip("scipy.optimize._highspy")
-        from scipy.optimize._highspy import _core
-
-        path = tmp_path / "prog.mps"
-        path.write_text(text)
-        h = _core._Highs()
-        opts = _core.HighsOptions()
-        opts.output_flag = False
-        h.passOptions(opts)
-        assert h.readModel(str(path)) in (
-            _core.HighsStatus.kOk, _core.HighsStatus.kWarning
-        )
-        h.run()
-        if sol.is_optimal:
-            assert h.getObjectiveValue() == pytest.approx(
-                sol.objective, rel=1e-6, abs=1e-6
-            )
 
 
 class TestHighsSession:
     def test_warm_chain_matches_one_shot(self):
         rng = np.random.default_rng(21)
         session = lp.HighsSession()
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         x = builder.add_variables(4, 0.0, 10.0, [1.0, 2.0, 3.0, 4.0])
         builder.add_row(lp.GE, 8.0, x, [1.0, 1.0, 1.0, 1.0])
         base = builder.build()
@@ -253,14 +198,14 @@ class TestHighsSession:
                 a_rows=base.a_rows, a_cols=base.a_cols, a_vals=base.a_vals,
             )
             warm = session.solve(prog)
-            cold = lp.solve(prog, backend=lp.EMBEDDED)
+            cold = solve_simplex(prog)
             assert warm.status == cold.status == lp.OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
 
     def test_dimension_change_falls_back_cold(self):
         session = lp.HighsSession()
         session.solve(simple_program())
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         xy = builder.add_variables(2, 0.0, 1.0, -1.0)
         builder.add_row(lp.LE, 1.0, xy, [1.0, 1.0])
         sol = session.solve(builder.build())
@@ -268,7 +213,7 @@ class TestHighsSession:
 
     def test_coefficient_patch_path(self):
         session = lp.HighsSession()
-        builder = lp.LpBuilder()
+        builder = LpBuilder()
         x = builder.add_variables(2, 0.0, 10.0, [1.0, 1.0])
         builder.add_row(lp.GE, 4.0, x, [1.0, 2.0])
         prog = builder.build()
@@ -281,5 +226,5 @@ class TestHighsSession:
             a_vals=np.array([1.0, 4.0]),
         )
         warm = session.solve(patched)
-        cold = lp.solve(patched, backend=lp.EMBEDDED)
+        cold = solve_simplex(patched)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)

@@ -9,11 +9,52 @@ from plantmpc.plant import (
     balance_residuals,
 )
 
+import full_form
 from oracles import grid_search_two_step
+from simplex import solve_simplex
 
 
 def full_bounds(config):
     return mpc.TankBounds(0.0, config.cap_cw, 0.0, config.cap_hw)
+
+
+def solve_reduced(config, state, data, timing, bounds):
+    """Production path: reduced program, HiGHS, expanded solution."""
+    reduced = mpc.build_reduced(config, state, data, timing, bounds)
+    return reduced.expand(lp.solve(reduced.program)), reduced.vmap
+
+
+def explicit_nonanticipativity(prog, vmap):
+    """The extensive-form program with per-scenario first-stage columns.
+
+    Scenarios 1..S-1 get their own copies of the hour-t unit loads and the
+    next-hour storage levels; 7(S - 1) equality rows tie their loads to
+    scenario 0's.  Sharing the columns must give the same optimum.
+    """
+    lay, s = vmap.layout, vmap.s
+    first = np.concatenate([lay.P[0, :, 0], lay.E[0, :, 1]])
+    copies = prog.num_vars + np.arange((s - 1) * first.size).reshape(s - 1, -1)
+    row_scenario = np.empty(prog.num_rows, dtype=np.int64)
+    row_scenario[lay.rows.reshape(s, -1)] = np.arange(s)[:, None]
+    position = np.full(prog.num_vars, -1)
+    position[first] = np.arange(first.size)
+    xi = row_scenario[prog.a_rows]
+    moved = (xi > 0) & (position[prog.a_cols] >= 0)
+    a_cols = prog.a_cols.copy()
+    a_cols[moved] = copies[xi[moved] - 1, position[prog.a_cols[moved]]]
+    tie = prog.num_rows + np.arange(7 * (s - 1))
+    return lp.LinearProgram(
+        objective=np.concatenate([prog.objective, np.tile(prog.objective[first], s - 1)]),
+        lower=np.concatenate([prog.lower, np.tile(prog.lower[first], s - 1)]),
+        upper=np.concatenate([prog.upper, np.tile(prog.upper[first], s - 1)]),
+        row_sense=np.concatenate([prog.row_sense, np.full(tie.size, lp.EQ, np.int8)]),
+        rhs=np.concatenate([prog.rhs, np.zeros(tie.size)]),
+        a_rows=np.concatenate([prog.a_rows, tie, tie]),
+        a_cols=np.concatenate(
+            [a_cols, copies[:, :7].reshape(-1), np.tile(first[:7], s - 1)]
+        ),
+        a_vals=np.concatenate([prog.a_vals, np.ones(tie.size), -np.ones(tie.size)]),
+    ), copies
 
 
 def trajectory(load_e, load_cw, load_hw, price):
@@ -41,14 +82,13 @@ class TestZeroInstance:
         n = 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         traj = trajectory([0] * n, [0] * n, [0] * n, [0] * n)
-        prog, vmap = mpc.build_deterministic(
-            config, state, traj, timing, full_bounds(config)
-        )
-        prog.validate()
-        sol = lp.solve(prog, backend=lp.EMBEDDED)
+        sol, vmap = solve_reduced(config, state, traj, timing, full_bounds(config))
         assert sol.is_optimal
         expected = config.price_demand / timing.discount * 500.0
         assert sol.objective == pytest.approx(expected)
+        prog, _ = full_form.build(config, state, traj, timing, full_bounds(config))
+        prog.validate()
+        assert solve_simplex(prog).objective == pytest.approx(expected)
         first = mpc.extract_action(sol, vmap)
         assert np.allclose(first.action.as_array(), 0.0, atol=1e-9)
         assert first.peak1 == pytest.approx(500.0)
@@ -64,9 +104,10 @@ class TestAgainstGridSearch:
         bounds = full_bounds(config)
         traj = trajectory([0.0, 0.0], loads, [0.0, 0.0], prices)
 
-        prog, vmap = mpc.build_deterministic(config, state, traj, timing, bounds)
-        sol = lp.solve(prog, backend=lp.EMBEDDED)
+        sol, vmap = solve_reduced(config, state, traj, timing, bounds)
         assert sol.is_optimal
+        oracle = solve_simplex(full_form.build(config, state, traj, timing, bounds)[0])
+        assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
 
         demand_weight = config.price_demand / timing.discount
         best_obj, best_p = grid_search_two_step(
@@ -77,50 +118,38 @@ class TestAgainstGridSearch:
         first = mpc.extract_action(sol, vmap)
         assert first.action.p_cs == pytest.approx(best_p[0], abs=0.5)
 
-    def test_perfect_information_same_toy(self):
-        config = toy_config()
-        state = PlantState(e_cw=50.0, e_hw=0.0)
-        loads = np.array([70.0, 30.0])
-        prices = np.array([0.08, 0.30])
-        timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
-        traj = trajectory([0.0, 0.0], loads, [0.0, 0.0], prices)
-        prog_d, _ = mpc.build_deterministic(
-            config, state, traj, timing, full_bounds(config)
-        )
-        prog_p, _ = mpc.build_perfect(
-            config, state, traj, timing, full_bounds(config)
-        )
-        assert np.array_equal(prog_d.objective, prog_p.objective)
-        assert np.array_equal(prog_d.a_vals, prog_p.a_vals)
-        assert np.array_equal(prog_d.rhs, prog_p.rhs)
-
     def test_extract_round_trip(self):
         config = toy_config()
         state = PlantState(e_cw=20.0, e_hw=0.0)
         timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
         traj = trajectory([0, 0], [50.0, 10.0], [0, 0], [0.1, 0.1])
-        prog, vmap = mpc.build_deterministic(
-            config, state, traj, timing, full_bounds(config)
-        )
-        sol = lp.solve(prog, backend=lp.EMBEDDED)
+        sol, vmap = solve_reduced(config, state, traj, timing, full_bounds(config))
         first = mpc.extract_action(sol, vmap)
         assert first.e_cw_next == pytest.approx(state.e_cw - first.action.p_cw)
 
 
 class TestCountingFormulas:
+    """Sizes documented in ``mpc``: U = 6 unit columns when the tower
+    folds (default plant), 7 otherwise; the extensive form is the oracle."""
+
     @pytest.mark.parametrize("n", [6, 48, 168])
     def test_deterministic_counts(self, n):
-        config = PlantConfig()
         state = PlantState(e_cw=0.0, e_hw=0.0)
         timing = mpc.HorizonTiming(t=0, n=n, month_end=10_000)
         zeros = [0.0] * n
-        prog, vmap = mpc.build_deterministic(
-            config, state, trajectory(zeros, zeros, zeros, zeros), timing,
-            full_bounds(config),
-        )
-        assert prog.num_vars == 20 * n + 7
-        assert prog.num_rows == 13 * n
-        assert vmap.num_vars == prog.num_vars
+        traj = trajectory(zeros, zeros, zeros, zeros)
+        for config, u in ((PlantConfig(), 6), (PlantConfig(pmax_ct=6000.0), 7)):
+            reduced = mpc.build_reduced(
+                config, state, traj, timing, full_bounds(config)
+            )
+            assert reduced.program.num_vars == u + 4 + (u + 6) * n - u - 1
+            assert reduced.program.num_rows == (u - 1) * n
+            prog, vmap = full_form.build(
+                config, state, traj, timing, full_bounds(config)
+            )
+            assert prog.num_vars == 20 * n + 7
+            assert prog.num_rows == 13 * n
+            assert reduced.vmap.num_vars == vmap.num_vars == prog.num_vars
 
     @pytest.mark.parametrize("n,s", [(6, 3), (24, 10)])
     def test_stochastic_counts(self, n, s):
@@ -129,9 +158,10 @@ class TestCountingFormulas:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=10_000)
         values = np.abs(np.random.default_rng(0).normal(50, 5, (s, 4, n)))
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        prog, _ = mpc.build_stochastic(
-            config, state, scen, timing, full_bounds(config)
-        )
+        reduced = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
+        assert reduced.program.num_vars == 10 + s * (12 * n - 7)
+        assert reduced.program.num_rows == 5 * n * s
+        prog, _ = full_form.build(config, state, scen, timing, full_bounds(config))
         assert prog.num_vars == 15 + s * (20 * n - 8)
         assert prog.num_rows == 13 * n * s
 
@@ -143,9 +173,9 @@ class TestCountingFormulas:
         assert timing.spans_two_months
         values = np.full((s, 4, n), 10.0)
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        prog, _ = mpc.build_stochastic(
-            config, state, scen, timing, full_bounds(config)
-        )
+        reduced = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
+        assert reduced.program.num_vars == 10 + s * (12 * n - 6)
+        prog, _ = full_form.build(config, state, scen, timing, full_bounds(config))
         assert prog.num_vars == 15 + s * (20 * n - 7)
 
 
@@ -168,13 +198,13 @@ class TestStochasticStructure:
         n = 8
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(1, n)
-        prog_s, _ = mpc.build_stochastic(
-            config, state, scen, timing, full_bounds(config)
-        )
-        prog_d, _ = mpc.build_deterministic(
+        red_s = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
+        red_d = mpc.build_reduced(
             config, state, DisturbanceTrajectory(scen.values[0]), timing,
             full_bounds(config),
         )
+        assert red_s.offset == red_d.offset
+        prog_s, prog_d = red_s.program, red_d.program
         assert np.array_equal(prog_s.objective, prog_d.objective)
         assert np.array_equal(prog_s.rhs, prog_d.rhs)
         assert np.array_equal(prog_s.lower, prog_d.lower)
@@ -188,16 +218,10 @@ class TestStochasticStructure:
         one = self.make_scenarios(1, n, seed=3)
         values = np.tile(one.values, (s, 1, 1))
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        sol_s = lp.solve(
-            mpc.build_stochastic(config, state, scen, timing, full_bounds(config))[0],
-            backend=lp.HIGHS,
-        )
-        sol_d = lp.solve(
-            mpc.build_deterministic(
-                config, state, DisturbanceTrajectory(values[0]), timing,
-                full_bounds(config),
-            )[0],
-            backend=lp.HIGHS,
+        sol_s, _ = solve_reduced(config, state, scen, timing, full_bounds(config))
+        sol_d, _ = solve_reduced(
+            config, state, DisturbanceTrajectory(values[0]), timing,
+            full_bounds(config),
         )
         assert sol_s.objective == pytest.approx(sol_d.objective, rel=1e-8)
 
@@ -208,19 +232,15 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=7)
         bounds = full_bounds(config)
-        sol_a = lp.solve(
-            mpc.build_stochastic(config, state, scen, timing, bounds)[0],
-            backend=lp.HIGHS,
-        )
+        sol_a, vmap_a = solve_reduced(config, state, scen, timing, bounds)
         perm = np.array([3, 1, 5, 0, 4, 2])
         scen_p = fc.ScenarioSet(
             values=scen.values[perm], unclamped=scen.unclamped[perm]
         )
-        prog_p, vmap_p = mpc.build_stochastic(config, state, scen_p, timing, bounds)
-        sol_b = lp.solve(prog_p, backend=lp.HIGHS)
+        sol_b, vmap_b = solve_reduced(config, state, scen_p, timing, bounds)
         assert sol_a.objective == pytest.approx(sol_b.objective, rel=1e-9)
-        a = mpc.extract_action(sol_a, vmap_p)  # same layout shape
-        b = mpc.extract_action(sol_b, vmap_p)
+        a = mpc.extract_action(sol_a, vmap_a)
+        b = mpc.extract_action(sol_b, vmap_b)
         assert np.allclose(a.action.as_array(), b.action.as_array(), atol=1e-5)
 
     def test_explicit_nonanticipativity_equivalent(self):
@@ -230,20 +250,26 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=11)
         bounds = full_bounds(config)
-        shared_prog, shared_map = mpc.build_stochastic(
-            config, state, scen, timing, bounds
-        )
-        explicit_prog, explicit_map = mpc.build_stochastic(
-            config, state, scen, timing, bounds, explicit_nonanticipativity=True
-        )
+        shared_prog, vmap = full_form.build(config, state, scen, timing, bounds)
+        explicit_prog, copies = explicit_nonanticipativity(shared_prog, vmap)
         assert explicit_prog.num_rows == shared_prog.num_rows + 7 * (s - 1)
-        sol_shared = lp.solve(shared_prog, backend=lp.HIGHS)
-        sol_explicit = lp.solve(explicit_prog, backend=lp.HIGHS)
+        sol_shared = lp.solve(shared_prog)
+        sol_explicit = lp.solve(explicit_prog)
         assert sol_shared.objective == pytest.approx(
             sol_explicit.objective, rel=1e-8
         )
-        a = mpc.extract_action(sol_shared, shared_map)
-        b = mpc.extract_action(sol_explicit, explicit_map)
+        sol_reduced, _ = solve_reduced(config, state, scen, timing, bounds)
+        assert sol_reduced.objective == pytest.approx(
+            sol_shared.objective, rel=1e-8
+        )
+        x = sol_explicit.x
+        first = vmap.layout.P[0, :, 0]
+        assert np.allclose(x[copies[:, :7]], x[first], atol=1e-6)
+        a = mpc.extract_action(sol_shared, vmap)
+        b = mpc.extract_action(
+            lp.LpSolution(sol_explicit.status, x[: shared_prog.num_vars], None),
+            vmap,
+        )
         assert np.allclose(
             a.action.as_array(), b.action.as_array(), atol=1e-4
         )
@@ -257,14 +283,11 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=13, spread=15.0)
         bounds = full_bounds(config)
-        prog_s, vmap_s = mpc.build_stochastic(config, state, scen, timing, bounds)
-        sol_s = lp.solve(prog_s, backend=lp.HIGHS)
+        prog_s, vmap_s = full_form.build(config, state, scen, timing, bounds)
+        sol_s = lp.solve(prog_s)
 
         mean_traj = DisturbanceTrajectory(scen.values.mean(axis=0))
-        prog_d, vmap_d = mpc.build_deterministic(
-            config, state, mean_traj, timing, bounds
-        )
-        sol_d = lp.solve(prog_d, backend=lp.HIGHS)
+        sol_d, vmap_d = solve_reduced(config, state, mean_traj, timing, bounds)
         det_first = mpc.extract_action(sol_d, vmap_d).action.as_array()
 
         pinned = prog_s
@@ -278,7 +301,7 @@ class TestStochasticStructure:
             row_sense=pinned.row_sense, rhs=pinned.rhs,
             a_rows=pinned.a_rows, a_cols=pinned.a_cols, a_vals=pinned.a_vals,
         )
-        sol_fixed = lp.solve(fixed, backend=lp.HIGHS)
+        sol_fixed = lp.solve(fixed)
         assert sol_fixed.is_optimal
         assert sol_s.objective <= sol_fixed.objective + 1e-6 * abs(sol_fixed.objective)
 
@@ -292,10 +315,7 @@ class TestStochasticStructure:
         for rho in (1.0, 10.0, 100.0):
             config = toy_config(rho_cw=rho, rho_hw=rho)
             traj = trajectory([0] * n, loads, [0] * n, [0.1] * n)
-            prog, _ = mpc.build_deterministic(
-                config, state, traj, timing, full_bounds(config)
-            )
-            sol = lp.solve(prog, backend=lp.EMBEDDED)
+            sol, _ = solve_reduced(config, state, traj, timing, full_bounds(config))
             assert sol.is_optimal
             objectives.append(sol.objective)
         assert objectives == sorted(objectives)
@@ -307,10 +327,7 @@ class TestStochasticStructure:
         n, s = 6, 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=17, spread=10.0)
-        prog, vmap = mpc.build_stochastic(
-            config, state, scen, timing, full_bounds(config)
-        )
-        sol = lp.solve(prog, backend=lp.HIGHS)
+        sol, vmap = solve_reduced(config, state, scen, timing, full_bounds(config))
         assert sol.is_optimal
         from plantmpc.plant import ControlAction, Disturbance
 
@@ -345,11 +362,11 @@ class TestReducedEquivalence:
         scen = fc.ScenarioSet(values=values, unclamped=values)
         bounds = full_bounds(config)
 
-        prog_full, _ = mpc.build_stochastic(config, state, scen, timing, bounds)
-        sol_full = lp.solve(prog_full, backend=lp.HIGHS)
+        prog_full, _ = full_form.build(config, state, scen, timing, bounds)
+        sol_full = lp.solve(prog_full)
         reduced = mpc.build_reduced(config, state, scen, timing, bounds)
         reduced.program.validate()
-        sol_red = reduced.expand(lp.solve(reduced.program, backend=lp.HIGHS))
+        sol_red = reduced.expand(lp.solve(reduced.program))
         assert sol_red.objective == pytest.approx(sol_full.objective, rel=1e-9)
 
         # The expanded solution must satisfy every full-form constraint.

@@ -2,14 +2,102 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from plantmpc import restoration
+from plantmpc import forecast as fc, lp, restoration, simulate
 from plantmpc.plant import (
+    UNITS,
     ControlAction,
     Disturbance,
     PlantConfig,
     PlantState,
     balance_residuals,
 )
+
+from simplex import LpBuilder, solve_simplex
+
+
+def row_form_correction(config, state, action, realized):
+    """Restoration solved on its former program by the simplex oracle.
+
+    Columns delta+ and delta- per unit are nonnegative and unbounded; the
+    unit limits and tank capacities are rows on delta+ - delta-, and the
+    balances are the same three equality rows.
+    """
+    builder = LpBuilder()
+    plus = builder.add_variables(len(UNITS), 0.0, np.inf, 1.0)
+    minus = builder.add_variables(len(UNITS), 0.0, np.inf, 1.0)
+    ui = {u: i for i, u in enumerate(UNITS)}
+
+    def delta_row(sense, rhs, coeffs):
+        cols = [ui[u] for u in coeffs]
+        vals = list(coeffs.values())
+        builder.add_row(
+            sense, rhs, np.concatenate([plus[cols], minus[cols]]),
+            np.concatenate([vals, np.negative(vals)]),
+        )
+
+    cw_res, hw_res, cond_res = balance_residuals(config, action, realized)
+    delta_row(lp.EQ, -cw_res, {"cs": 1.0, "hrc": 1.0, "cw": 1.0})
+    delta_row(lp.EQ, -hw_res, {"hrc": config.alpha_h_hrc, "hwg": 1.0,
+                               "hx": -1.0, "hw": 1.0})
+    delta_row(lp.EQ, -cond_res, {"ct": 1.0, "cs": -config.alpha_cond_cs,
+                                 "hx": -1.0})
+    for u in UNITS:
+        rate = action.rate(u)
+        if u in ("cw", "hw"):
+            lo = max(-config.pmax(u) - rate, state.storage(u) - config.cap(u) - rate)
+            hi = min(config.pmax(u) - rate, state.storage(u) - rate)
+        else:
+            lo, hi = -rate, config.pmax(u) - rate
+        delta_row(lp.GE, lo, {u: 1.0})
+        delta_row(lp.LE, hi, {u: 1.0})
+    return solve_simplex(builder.build())
+
+
+def recorded_cases(monkeypatch):
+    """Restoration inputs of a deterministic and a stochastic closed loop."""
+    cases = []
+    original = restoration.restore
+
+    def record(config, state, action, realized):
+        cases.append((config, state, action, realized))
+        return original(config, state, action, realized)
+
+    monkeypatch.setattr(restoration, "restore", record)
+    truth = fc.generate_synthetic_campus(43, days=10)
+    for controller in (simulate.ControllerSpec("det", beta=0.1),
+                       simulate.ControllerSpec("sto", beta=0.0, scenarios=4)):
+        spec = simulate.RunSpec(
+            controller=controller, sim_hours=150, horizon=6, ar_order=6,
+            history_hours=60,
+        )
+        simulate.run_closed_loop(PlantConfig(), spec, truth)
+    monkeypatch.undo()
+    return cases
+
+
+def random_cases(rng, config, count):
+    """Random states and actions, some with rates outside their limits so
+    that a unit's correction box excludes zero."""
+    cases = []
+    pmax = np.array([config.pmax(u) for u in UNITS])
+    for _ in range(count):
+        state = PlantState(
+            e_cw=float(rng.uniform(0, config.cap_cw)),
+            e_hw=float(rng.uniform(0, config.cap_hw)),
+        )
+        rates = rng.uniform(-0.2, 1.2, len(UNITS)) * pmax
+        rates[5:] = rng.uniform(-1.0, 1.0, 2) * pmax[5:]
+        if rng.random() < 0.5:  # drain a tank below empty
+            j = int(rng.integers(2))
+            rates[5 + j] = state.storage(("cw", "hw")[j]) + rng.uniform(1.0, 500.0)
+        realized = Disturbance(
+            load_elec=float(rng.uniform(0, 10_000)),
+            load_cw=float(rng.uniform(0, 9_000)),
+            load_hw=float(rng.uniform(0, 5_000)),
+            price_elec=0.06,
+        )
+        cases.append((config, state, ControlAction.from_array(rates), realized))
+    return cases
 
 
 def scipy_min_correction(config, state, action, realized):
@@ -166,6 +254,43 @@ class TestCorrected:
             assert outcome.action.within_bounds(config, tol=1e-6)
 
 
+class TestAgainstRowFormulation:
+    def test_l1_correction_matches_simplex_oracle(self, config, monkeypatch):
+        cases = recorded_cases(monkeypatch)
+        recorded = len(cases)
+        cases += random_cases(np.random.default_rng(8), config, 120)
+        solved = corrected = boxed_out = 0
+        for cfg, state, action, realized in cases:
+            outcome = restoration.restore(cfg, state, action, realized)
+            oracle = row_form_correction(cfg, state, action, realized)
+            if outcome.kind == restoration.FALLBACK:
+                assert oracle.status == lp.INFEASIBLE
+                continue
+            solved += 1
+            corrected += outcome.kind == restoration.CORRECTED
+            assert oracle.is_optimal
+            assert outcome.total_correction == pytest.approx(
+                oracle.objective, rel=1e-9, abs=1e-9
+            )
+            rates = action.as_array()
+            boxed_out += bool(
+                np.any(rates[:5] < 0)
+                or np.any(rates[:5] > [cfg.pmax(u) for u in UNITS[:5]])
+                or any(state.storage(u) - action.rate(u) < 0 for u in ("cw", "hw"))
+            )
+        assert recorded >= 300
+        assert corrected >= 200
+        assert boxed_out >= 30
+
+    def test_never_uses_the_controller_session(self, config, monkeypatch):
+        def forbidden(self, program):
+            raise AssertionError("restoration solved on a HighsSession")
+
+        monkeypatch.setattr(lp.HighsSession, "solve", forbidden)
+        for case in random_cases(np.random.default_rng(2), config, 10):
+            restoration.restore(*case)
+
+
 class TestFallback:
     def test_no_capacity_anywhere(self):
         config = PlantConfig(
@@ -178,6 +303,17 @@ class TestFallback:
         )
         assert outcome.kind == restoration.FALLBACK
         assert np.allclose(outcome.action.as_array(), 0.0)
+
+    def test_empty_correction_box(self, config):
+        # A tank holding more than capacity plus one hour's discharge
+        # cannot be brought inside its capacity by any storage rate.
+        state = PlantState(e_cw=config.cap_cw + config.pmax_cw + 100.0, e_hw=0.0)
+        realized = Disturbance(0.0, 100.0, 0.0, 0.05)
+        action = ControlAction(p_cs=100.0, p_ct=config.alpha_cond_cs * 100.0)
+        outcome = restoration.restore(config, state, action, realized)
+        assert outcome.kind == restoration.FALLBACK
+        oracle = row_form_correction(config, state, action, realized)
+        assert oracle.status == lp.INFEASIBLE
 
 
 class TestIdempotence:

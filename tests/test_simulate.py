@@ -18,10 +18,12 @@ from plantmpc.plant import (
 def scripted_step_through(config, spec, truth, forecast_fn):
     """Straight-line re-implementation of the per-hour bookkeeping.
 
-    Independent of the engine: maintains its own state variables and walks
-    the documented order (solve, restore, residuals, storage + noise,
-    fallback drain, clamp + bounds, peak/month reset) step by step using
-    only the public builder, solver, and restoration operations.
+    Independent of the engine in its bookkeeping, not its solver: it
+    maintains its own state variables and walks the documented order
+    (solve, restore, residuals, storage + noise, fallback drain, clamp +
+    bounds, peak/month reset) step by step using only the public builder,
+    its own HiGHS session, and the restoration operation.  Sharing the
+    solver path keeps degenerate LP ties from splitting the two.
     """
     h, y, n = spec.history_hours, spec.sim_hours, spec.horizon
     calendar = spec.resolved_calendar()
@@ -34,6 +36,7 @@ def scripted_step_through(config, spec, truth, forecast_fn):
     ol = {"cw": 0.0, "hw": 0.0}
     peak = 0.0
     noise, _ = simulate.precompute_storage_noise(truth, spec)
+    session = lp.HighsSession()
     rows = []
     for t in range(y):
         timing = simulate.month_timing(t, calendar, n)
@@ -42,12 +45,10 @@ def scripted_step_through(config, spec, truth, forecast_fn):
             ol_cw=ol["cw"], ol_hw=ol["hw"], peak=peak,
         )
         bounds = mpc.TankBounds(lo["cw"], hi["cw"], lo["hw"], hi["hw"])
-        program, vmap = mpc.build_deterministic(
-            config, state, forecast_fn(t), timing, bounds
-        )
-        solution = lp.solve(program, backend=lp.EMBEDDED)
+        reduced = mpc.build_reduced(config, state, forecast_fn(t), timing, bounds)
+        solution = reduced.expand(session.solve(reduced.program))
         assert solution.is_optimal
-        action = mpc.extract_action(solution, vmap).action
+        action = mpc.extract_action(solution, reduced.vmap).action
         realized = truth.at(h + t)
         outcome = restoration.restore(config, state, action, realized)
         fallback = outcome.kind == restoration.FALLBACK
@@ -154,7 +155,6 @@ def make_spec(**overrides):
     defaults = dict(
         controller=simulate.ControllerSpec("det", beta=0.1),
         sim_hours=48, horizon=6, ar_order=6, history_hours=60,
-        lp_backend=lp.EMBEDDED, lp_formulation="full",
     )
     defaults.update(overrides)
     return simulate.RunSpec(**defaults)
@@ -172,16 +172,20 @@ class TestClosedLoop:
         assert trace.violation_hours == 0
         assert np.all(trace.implemented == 0.0)
 
-    def test_scheme_matches_scripted_step_through(self):
+    @pytest.mark.parametrize("kind", ["det", "perf"])
+    def test_scheme_matches_scripted_step_through(self, kind):
         # 48-hour toy with a 6-hour horizon, realistic loads and noise.
         config = PlantConfig()
-        spec = make_spec()
+        spec = make_spec(controller=simulate.ControllerSpec(
+            kind, beta=0.1 if kind == "det" else 0.0))
         truth = fc.generate_synthetic_campus(17, days=7)
         trace = simulate.run_closed_loop(config, spec, truth)
-        forecaster = simulate.ArForecaster(truth, spec)
-        expected = scripted_step_through(
-            config, spec, truth, forecaster.mean_trajectory
+        h, n = spec.history_hours, spec.horizon
+        forecast_fn = (
+            simulate.ArForecaster(truth, spec).mean_trajectory if kind == "det"
+            else lambda t: truth.slice(h + t, h + t + n)
         )
+        expected = scripted_step_through(config, spec, truth, forecast_fn)
         got = np.column_stack(
             [trace.storage, trace.unmet, trace.overmet, trace.peak,
              trace.cost, trace.bounds_lower[:, :1], trace.bounds_upper[:, :1],
@@ -191,8 +195,7 @@ class TestClosedLoop:
         assert np.allclose(got, expected, atol=1e-9)
 
     def test_trace_reproducible(self):
-        spec = make_spec(controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=4),
-                         lp_backend=lp.HIGHS, lp_formulation="reduced")
+        spec = make_spec(controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=4))
         truth = fc.generate_synthetic_campus(23, days=7)
         a = simulate.run_closed_loop(PlantConfig(), spec, truth)
         b = simulate.run_closed_loop(PlantConfig(), spec, truth)
@@ -241,10 +244,7 @@ class TestClosedLoop:
         # controllers see identical data and produce identical costs.
         config = PlantConfig()
         truth = fc.generate_synthetic_campus(37, days=8, profile=_noiseless())
-        base = make_spec(
-            apply_storage_noise=False, lp_backend=lp.HIGHS,
-            lp_formulation="reduced", sim_hours=36,
-        )
+        base = make_spec(apply_storage_noise=False, sim_hours=36)
         costs = {}
         for spec_kind, scen in (("det", 1), ("sto", 3), ("perf", 1)):
             spec = dataclasses.replace(
@@ -277,6 +277,25 @@ class TestClosedLoop:
         summary = json.loads(summary_path.read_text())
         assert summary["hours"] == 12
         assert summary["controller"] == "det:0.1"
+
+
+class TestStorageNoise:
+    def test_draws_match_inline_reference(self):
+        # The per-tank formula precompute_storage_noise once spelled out
+        # itself, kept here as the reference for its zoh_noise draws.
+        spec = make_spec(sim_hours=40, zoh_seed=11)
+        truth = fc.generate_synthetic_campus(5, days=5)
+        noise, floor = simulate.precompute_storage_noise(truth, spec)
+
+        rng = np.random.default_rng(spec.zoh_seed)
+        h, y = spec.history_hours, spec.sim_hours
+        for j, ch in enumerate((1, 2)):
+            series = truth.values[ch]
+            var_err, var_int = fc.estimate_zoh_variances(series[:h], spec.ar_order)
+            ramp = series[h + 1 : h + y + 1] - series[h : h + y]
+            std = np.sqrt(0.25 * var_err + var_int)
+            assert np.array_equal(noise[:, j], rng.normal(-0.5 * ramp, std))
+            assert floor[j] == 4.0 * std
 
 
 def _noiseless():
