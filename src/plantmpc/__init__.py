@@ -19,22 +19,18 @@ from .forecast import (
     ArModel,
     ChannelProfile,
     DEFAULT_PROFILE,
-    ForecastDistribution,
     ScenarioSet,
     SeasonalProfile,
     estimate_zoh_variances,
     fit_ar,
     generate_synthetic_campus,
     mean_forecast,
-    sample_scenarios,
     zoh_noise,
 )
 from .lp import HighsSession, LinearProgram, LpSolution, solve
 from .mpc import (
-    FirstStage,
     HorizonTiming,
     TankBounds,
-    VariableMap,
     build_reduced,
     extract_action,
 )

@@ -257,10 +257,6 @@ class BenchmarkReport:
         se = diffs.std(ddof=1) / np.sqrt(diffs.size) if diffs.size > 1 else 0.0
         return float(diffs.mean()), float(se), diffs
 
-    def expected_vsmpc(self, det_label: str, sto_label: str) -> tuple[float, float]:
-        mean, se, _ = self.paired_difference(det_label, sto_label, "ccp")
-        return mean, se
-
     def cdf(self, label: str, name: str = "ccp") -> tuple[np.ndarray, np.ndarray]:
         values = np.sort(self.metric(label, name))
         probs = np.arange(1, values.size + 1) / values.size

@@ -1,10 +1,11 @@
-"""Autoregressive forecasting, scenario sampling, and synthetic campus data.
+"""Autoregressive forecasting, scenario sets, and synthetic campus data.
 
 Each disturbance channel (electrical load, chilled/hot water load,
 electricity price) gets its own AR(q) model fit by ordinary least squares.
 Multi-step forecasts are Gaussian: the mean follows the noise-free AR
 recursion and the covariance accumulates impulse-response weights, which
-is exact for a linear AR process.
+is exact for a linear AR process.  The closed loop draws its scenario sets
+from these forecasts (``simulate._ScenarioSampler``).
 """
 
 from __future__ import annotations
@@ -132,34 +133,6 @@ def forecast(
 
 
 @dataclass(frozen=True)
-class ForecastDistribution:
-    """Per-channel Gaussian forecast: means (4, n) and covariances (4, n, n).
-
-    Channel order follows :data:`plantmpc.plant.CHANNELS`.
-    """
-
-    means: np.ndarray
-    covariances: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.means.shape[0] != len(CHANNELS) or self.means.ndim != 2:
-            raise ValueError("means must have shape (4, n)")
-        n = self.means.shape[1]
-        if self.covariances.shape != (len(CHANNELS), n, n):
-            raise ValueError("covariances must have shape (4, n, n)")
-        if not (np.all(np.isfinite(self.means))
-                and np.all(np.isfinite(self.covariances))):
-            raise ValueError("non-finite forecast distribution")
-
-    @property
-    def horizon(self) -> int:
-        return self.means.shape[1]
-
-    def mean_trajectory(self) -> DisturbanceTrajectory:
-        return DisturbanceTrajectory(np.maximum(self.means, _load_floor(self.horizon)))
-
-
-@dataclass(frozen=True)
 class ScenarioSet:
     """Equally weighted disturbance scenarios, values shaped (s, 4, n)."""
 
@@ -205,27 +178,6 @@ def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
     raise ValueError("covariance is not PSD even after 1e-8 jitter")
-
-
-def sample_scenarios(
-    dist: ForecastDistribution, s: int, seed
-) -> ScenarioSet:
-    """Monte Carlo scenarios: mean + L z per channel, loads clamped at 0.
-
-    ``seed`` may be an int or a numpy Generator; a fixed seed yields a
-    bit-identical scenario set.
-    """
-    if s < 1:
-        raise ValueError("scenario count must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n = dist.horizon
-    raw = np.empty((s, len(CHANNELS), n))
-    for ch in range(len(CHANNELS)):
-        factor = _jittered_cholesky(dist.covariances[ch])
-        z = rng.standard_normal((s, n))
-        raw[:, ch, :] = dist.means[ch] + z @ factor.T
-    clamped = np.maximum(raw, _load_floor(n))
-    return ScenarioSet(values=clamped, unclamped=raw)
 
 
 # --- synthetic campus data ---------------------------------------------------

@@ -8,21 +8,21 @@ program replicates every recourse quantity per scenario while first-stage
 decisions (the hour-t unit loads and the hour t+1 storage levels) live in
 shared columns, which enforces nonanticipativity exactly.
 
-The program is the reduced form of the extensive-form model: residual
-demands and the unmet/overmet integrators are eliminated by substitution,
-and the cooling-tower column and condenser rows drop out when the tower
-limit can never bind.  With horizon N, S scenarios and U unit columns
-(6, or 7 when the tower stays) a single-month program has
-``U + 4 + S*((U + 6)N - U - 1)`` columns and ``(U - 1)N * S`` rows; a horizon
-spanning a month boundary adds one peak column per scenario.  For the
-default plant at N = 168 and S = 100 that is 200,910 columns and 84,000
-rows.
+The program is the reduced form of the plant model: residual demands and
+the unmet/overmet integrators are eliminated by substitution, and the
+cooling-tower column and condenser rows drop out when the tower limit can
+never bind.  With horizon N, S scenarios and U unit columns (6, or 7 when
+the tower stays) a single-month program has ``U + 4 + S*((U + 6)N - U - 1)``
+columns and ``(U - 1)N * S`` rows; a horizon spanning a month boundary adds
+one peak column per scenario.  For the default plant at N = 168 and
+S = 100 that is 200,910 columns and 84,000 rows.
 
-``ReducedProgram.expand`` maps a solution onto the extensive-form columns
-of ``VariableMap`` (``20N + 7`` for S = 1), which ``extract_action`` reads.
-The extensive-form program itself is built only by the test suite
-(``tests/full_form.py``), as the oracle the reduced program is checked
-against.
+``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
+per-scenario unit loads, slacks, storage levels and peak registers, in
+plant terms.  ``extract_action`` reads its hour-t unit loads.  The
+extensive-form program, with a column for every residual demand and
+integrator state, is built only by the test suite (``tests/full_form.py``),
+as the oracle the reduced program is checked against.
 """
 
 from __future__ import annotations
@@ -43,16 +43,6 @@ from .plant import (
     PlantConfig,
     PlantState,
     demand_discount,
-)
-
-SLACKS = ("S_un_cw", "S_ov_cw", "S_un_hw", "S_ov_hw")
-RESIDUALS = ("r_e", "r_w", "r_ng")
-
-#: Constraint-row blocks per scenario, each of horizon length, in order.
-ROW_BLOCKS = (
-    "re_def", "rw_def", "rng_def", "cond", "cw_bal", "hw_bal",
-    "e_dyn_cw", "e_dyn_hw", "ul_dyn_cw", "ul_dyn_hw", "ol_dyn_cw",
-    "ol_dyn_hw", "peak",
 )
 
 
@@ -104,132 +94,6 @@ class TankBounds:
         return getattr(self, f"upper_{unit}")
 
 
-class _Layout:
-    """Stacked column/row index arrays for all scenarios of one shape.
-
-    Arrays: P (s, 7, n), r (s, 3, n), S (s, 4, n), E/ul/ol (s, 2, n+1),
-    R1/R2 (s,), rows (s, 13, n).  Shared first-stage columns repeat across
-    the scenario axis.
-    """
-
-    def __init__(self, n: int, s: int, spans: bool):
-        self.n, self.s, self.spans = n, s, spans
-        peaks = 2 if spans else 1
-        self.peaks_per_scenario = peaks
-        self.shared = 15
-        self.block = 20 * n - 9 + peaks
-        self.num_vars = self.shared + s * self.block
-        self.num_rows = 13 * n * s
-
-        xi = np.arange(s, dtype=np.int64)
-        base = self.shared + xi * self.block  # (s,)
-        units = np.arange(7, dtype=np.int64)
-        tanks = np.arange(2, dtype=np.int64)
-
-        self.P = np.empty((s, 7, n), dtype=np.int64)
-        self.E = np.empty((s, 2, n + 1), dtype=np.int64)
-        self.ul = np.empty((s, 2, n + 1), dtype=np.int64)
-        self.ol = np.empty((s, 2, n + 1), dtype=np.int64)
-        self.P[:, :, 0] = units
-        self.E[:, :, 0] = 7 + tanks
-        self.E[:, :, 1] = 9 + tanks
-        self.ul[:, :, 0] = 11 + tanks
-        self.ol[:, :, 0] = 13 + tanks
-        k1 = np.arange(n - 1, dtype=np.int64)
-        self.P[:, :, 1:] = (
-            base[:, None, None] + units[None, :, None] * (n - 1) + k1
-        )
-        roff = base + 7 * (n - 1)
-        self.r = (
-            roff[:, None, None]
-            + np.arange(3 * n, dtype=np.int64).reshape(1, 3, n)
-        )
-        self.S = (
-            (roff + 3 * n)[:, None, None]
-            + np.arange(4 * n, dtype=np.int64).reshape(1, 4, n)
-        )
-        eoff = roff + 7 * n
-        self.E[:, :, 2:] = (
-            eoff[:, None, None] + tanks[None, :, None] * (n - 1) + k1
-        )
-        uloff = eoff + 2 * (n - 1)
-        kn = np.arange(n, dtype=np.int64)
-        self.ul[:, :, 1:] = (
-            uloff[:, None, None] + tanks[None, :, None] * n + kn
-        )
-        self.ol[:, :, 1:] = (
-            (uloff + 2 * n)[:, None, None] + tanks[None, :, None] * n + kn
-        )
-        self.R1 = base + self.block - peaks
-        self.R2 = self.R1 + 1 if spans else self.R1
-
-        self.rows = (
-            (13 * n * xi)[:, None, None]
-            + np.arange(13 * n, dtype=np.int64).reshape(1, 13, n)
-        )
-        for arr in (self.P, self.r, self.S, self.E, self.ul, self.ol,
-                    self.R1, self.R2, self.rows):
-            arr.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(n: int, s: int, spans: bool) -> _Layout:
-    return _Layout(n, s, spans)
-
-
-class VariableMap:
-    """Index lookup from (quantity, step, scenario) to LP column.
-
-    First-stage quantities (unit loads at step 0, storage at steps 0/1,
-    integrators at step 0) map to one column regardless of scenario.
-    """
-
-    def __init__(self, n: int, s: int, spans: bool):
-        self.n, self.s, self.spans = n, s, spans
-        self.layout = _layout(n, s, spans)
-        self.num_vars = self.layout.num_vars
-        self.num_rows = self.layout.num_rows
-        self.shared = self.layout.shared
-        self.block = self.layout.block
-
-    def columns(self, xi: int) -> dict[str, np.ndarray]:
-        """Column arrays for one scenario: 'P' (7, n), 'r' (3, n),
-        'S' (4, n), 'E'/'ul'/'ol' (2, n+1), scalars 'R1'/'R2'."""
-        if not 0 <= xi < self.s:
-            raise IndexError(f"scenario {xi} out of range")
-        lay = self.layout
-        out = {
-            "P": lay.P[xi], "r": lay.r[xi], "S": lay.S[xi],
-            "E": lay.E[xi], "ul": lay.ul[xi], "ol": lay.ol[xi],
-            "R1": lay.R1[xi],
-        }
-        if self.spans:
-            out["R2"] = lay.R2[xi]
-        return out
-
-    def col(self, quantity: str, k: int, xi: int = 0) -> int:
-        cols = self.columns(xi)
-        if quantity.startswith("P_"):
-            return int(cols["P"][UNITS.index(quantity[2:]), k])
-        if quantity.startswith("E_"):
-            return int(cols["E"][STORAGE_UNITS.index(quantity[2:]), k])
-        if quantity.startswith(("ul_", "ol_")):
-            kind, unit = quantity.split("_")
-            return int(cols[kind][STORAGE_UNITS.index(unit), k])
-        if quantity in RESIDUALS:
-            return int(cols["r"][RESIDUALS.index(quantity), k])
-        if quantity in SLACKS:
-            return int(cols["S"][SLACKS.index(quantity), k])
-        if quantity in ("R1", "R2"):
-            if quantity == "R2" and not self.spans:
-                raise KeyError("R2 only exists for month-spanning horizons")
-            return int(cols[quantity])
-        raise KeyError(f"unknown quantity {quantity!r}")
-
-    def row(self, block: str, k: int, xi: int = 0) -> int:
-        return int(self.layout.rows[xi, ROW_BLOCKS.index(block), k])
-
-
 def _scenario_values(forecast_or_scenarios) -> np.ndarray:
     if isinstance(forecast_or_scenarios, ScenarioSet):
         return forecast_or_scenarios.values
@@ -238,27 +102,57 @@ def _scenario_values(forecast_or_scenarios) -> np.ndarray:
     raise TypeError("expected DisturbanceTrajectory or ScenarioSet")
 
 
-# --- reduced solver form ------------------------------------------------------
+class _Triplets:
+    """Coordinate entries of a constraint matrix, in the order they are put."""
+
+    def __init__(self) -> None:
+        self.rows: list[np.ndarray] = []
+        self.cols: list[np.ndarray] = []
+        self.vals: list[np.ndarray] = []
+
+    def put(self, rows, cols, vals) -> None:
+        """One entry per element of the broadcast of the three arguments."""
+        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+        self.rows.append(rows.reshape(-1).astype(np.int64, copy=False))
+        self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
+        self.vals.append(vals.reshape(-1).astype(float))
+
+    def program(self, objective, lower, upper, sense, rhs) -> lp.LinearProgram:
+        return lp.LinearProgram(
+            objective=objective,
+            lower=lower,
+            upper=upper,
+            row_sense=sense,
+            rhs=rhs,
+            a_rows=np.concatenate(self.rows),
+            a_cols=np.concatenate(self.cols),
+            a_vals=np.concatenate(self.vals),
+        )
+
 
 class _ReducedLayout:
-    """Column/row indices for the eliminated-definition solver form.
+    """Column/row indices of the program for one shape, all scenarios stacked.
 
     Residual columns and the unmet/overmet integrators are definitional:
     the residuals substitute into the objective and peak rows, and each
     integrator chain turns into triangular weights on the slack columns
     plus a constant offset.  When the cooling-tower limit can never bind
     (``fold_ct``) its load column and the condenser rows drop out as well.
-    What remains per scenario: unit loads, four slacks, interior storage
-    states, and the peak register(s).
+    What remains per scenario: unit loads ``P`` (s, U, n) in ``units``
+    order, four slacks ``S`` (s, 4, n), storage states ``E`` (s, 2, n+1)
+    and the peak register(s) ``R`` (s, 1 or 2); ``R2`` is ``R1`` unless the
+    horizon spans a month end.  The hour-0 loads and the storage columns
+    of steps 0 and 1 are shared by all scenarios.
     """
 
     def __init__(self, n: int, s: int, spans: bool, fold_ct: bool):
         self.n, self.s, self.spans, self.fold_ct = n, s, spans, fold_ct
         self.units = tuple(u for u in UNITS if not (fold_ct and u == "ct"))
         self.unit_index = {u: i for i, u in enumerate(self.units)}
+        #: Position of each program unit in ``UNITS``.
+        self.unit_order = np.array([UNITS.index(u) for u in self.units])
         nu = len(self.units)
         peaks = 2 if spans else 1
-        self.peaks_per_scenario = peaks
         self.row_blocks = (() if fold_ct else ("cond",)) + (
             "cw_bal", "hw_bal", "e_dyn_cw", "e_dyn_hw", "peak",
         )
@@ -288,14 +182,15 @@ class _ReducedLayout:
         self.E[:, :, 2:] = (
             (soff + 4 * n)[:, None, None] + tanks[None, :, None] * (n - 1) + k1
         )
-        self.R1 = base + self.block - peaks
-        self.R2 = self.R1 + 1 if spans else self.R1
+        self.R = (base + self.block - peaks)[:, None] + np.arange(peaks)
         self.rows = (
             (nb * n * xi)[:, None, None]
             + np.arange(nb * n, dtype=np.int64).reshape(1, nb, n)
         )
-        for arr in (self.P, self.S, self.E, self.R1, self.R2, self.rows):
+        for arr in (self.P, self.S, self.E, self.R, self.rows):
             arr.setflags(write=False)
+        self.R1 = self.R[:, 0]
+        self.R2 = self.R[:, -1]
 
     def row_block(self, name: str) -> np.ndarray:
         return self.rows[:, self.row_blocks.index(name)]
@@ -312,60 +207,54 @@ def _can_fold_ct(config: PlantConfig) -> bool:
     return config.pmax_ct >= duty - 1e-9
 
 
+@dataclass(frozen=True)
+class Plan:
+    """An optimal solution of a controller program, in plant terms.
+
+    Per scenario: unit loads ``P`` (s, 7, n) in ``UNITS`` order, slacks
+    ``S`` (s, 4, n) (unmet and overmet chilled water, then hot water),
+    storage levels ``E`` (s, 2, n + 1) from the current state on, and the
+    peak registers ``peaks`` (s, 1), or (s, 2) when the horizon spans a
+    month end.  The hour-0 loads and hour-1 storage levels are the same in
+    every scenario.  ``objective`` includes the program's constant offset.
+    """
+
+    P: np.ndarray
+    S: np.ndarray
+    E: np.ndarray
+    peaks: np.ndarray
+    objective: float
+
+
 @dataclass
 class ReducedProgram:
-    """Solver-form program plus the recipe to expand solutions back."""
+    """A controller program and what it takes to decode its solutions.
+
+    ``offset`` is the constant the eliminated quantities contribute to the
+    objective.
+    """
 
     program: lp.LinearProgram
     offset: float
-    vmap: VariableMap
-    values: np.ndarray
+    layout: _ReducedLayout
     config: PlantConfig
-    state: PlantState
 
-    def expand(self, sol: lp.LpSolution) -> lp.LpSolution:
-        """Reconstruct a full-formulation solution from the reduced one."""
+    def expand(self, sol: lp.LpSolution) -> Plan:
+        """Decode an optimal solution of ``program``."""
         if not sol.is_optimal:
-            return sol
-        lay = self.vmap.layout
-        red = _reduced_layout(
-            self.vmap.n, self.vmap.s, self.vmap.spans, _can_fold_ct(self.config)
-        )
-        cfg = self.config
-        x = np.empty(self.vmap.num_vars)
-        xr = sol.x
-        s, _, n = self.values.shape
-        p = np.empty((s, 7, n))  # full unit order
-        for i, u in enumerate(UNITS):
-            if red.fold_ct and u == "ct":
-                continue
-            p[:, i] = xr[red.P[:, red.unit_index[u]]]
-        if red.fold_ct:
-            p[:, 3] = cfg.alpha_cond_cs * p[:, 0] + p[:, 4]
-        x[lay.P] = p
-        x[lay.S] = xr[red.S]
-        x[lay.E] = xr[red.E]
-        x[lay.R1] = xr[red.R1]
-        if self.vmap.spans:
-            x[lay.R2] = xr[red.R2]
-        alpha_e = np.array(
-            [cfg.alpha_e_cs, cfg.alpha_e_hrc, cfg.alpha_e_hwg, cfg.alpha_e_ct]
-        )
-        x[lay.r[:, 0]] = self.values[:, 0, :] + np.einsum(
-            "u,sun->sn", alpha_e, p[:, :4]
-        )
-        x[lay.r[:, 1]] = cfg.alpha_w_ct * p[:, 3]
-        x[lay.r[:, 2]] = cfg.alpha_ng_hwg * p[:, 2]
-        initial_ul = (self.state.ul_cw, self.state.ul_hw)
-        initial_ol = (self.state.ol_cw, self.state.ol_hw)
-        slacks = xr[red.S]  # (s, 4, n)
-        for j in range(2):
-            x[lay.ul[:, j, 0]] = initial_ul[j]
-            x[lay.ul[:, j, 1:]] = initial_ul[j] + np.cumsum(slacks[:, 2 * j], axis=1)
-            x[lay.ol[:, j, 0]] = initial_ol[j]
-            x[lay.ol[:, j, 1:]] = initial_ol[j] + np.cumsum(slacks[:, 2 * j + 1], axis=1)
-        return lp.LpSolution(
-            sol.status, x, sol.objective + self.offset, sol.iterations
+            raise ValueError(f"cannot decode a {sol.status} solution")
+        lay, x = self.layout, sol.x
+        p = np.empty((lay.s, len(UNITS), lay.n))
+        p[:, lay.unit_order] = x[lay.P]
+        if lay.fold_ct:
+            # Condenser balance: P_ct = alpha_cond * P_cs + P_hx.
+            p[:, 3] = self.config.alpha_cond_cs * p[:, 0] + p[:, 4]
+        return Plan(
+            P=p,
+            S=x[lay.S],
+            E=x[lay.E],
+            peaks=x[lay.R],
+            objective=sol.objective + self.offset,
         )
 
 
@@ -376,11 +265,12 @@ def build_reduced(
     timing: HorizonTiming,
     bounds: TankBounds,
 ) -> ReducedProgram:
-    """Build the eliminated-definition solver form of any controller LP.
+    """Build the program of any controller from its disturbance data.
 
-    Exactly equivalent to the extensive-form program: optimal values match
-    after adding the returned constant offset and expanded solutions
-    satisfy every extensive-form constraint.
+    The data is one trajectory (the mean forecast or the realized
+    disturbances) or a ``ScenarioSet``, each scenario weighted equally.
+    The optimum of the returned program plus its ``offset`` is the
+    expected cost over the horizon.
     """
     values = _scenario_values(forecast_or_scenarios)
     s, n_chan, n = values.shape
@@ -389,7 +279,6 @@ def build_reduced(
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
     fold_ct = _can_fold_ct(config)
-    vmap = VariableMap(n, s, timing.spans_two_months)
     red = _reduced_layout(n, s, timing.spans_two_months, fold_ct)
 
     obj = np.zeros(red.num_vars)
@@ -397,15 +286,8 @@ def build_reduced(
     upper = np.full(red.num_vars, np.inf)
     sense = np.empty(red.num_rows, dtype=np.int8)
     rhs = np.zeros(red.num_rows)
-    trip_r: list[np.ndarray] = []
-    trip_c: list[np.ndarray] = []
-    trip_v: list[np.ndarray] = []
-
-    def put(rows, cols, vals):
-        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        trip_r.append(rows.reshape(-1).astype(np.int64, copy=False))
-        trip_c.append(cols.reshape(-1).astype(np.int64, copy=False))
-        trip_v.append(vals.reshape(-1).astype(float))
+    matrix = _Triplets()
+    put = matrix.put
 
     steps = np.arange(n)
     in_second_month = (timing.t + steps) > timing.month_end
@@ -413,7 +295,7 @@ def build_reduced(
     demand_coeff = config.price_demand / timing.discount
     carry = state.peak if timing.t < timing.month_end else state.peak_next
     ui = red.unit_index
-    rows, P, S, E = red.rows, red.P, red.S, red.E
+    P, S, E = red.P, red.S, red.E
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
 
     if not fold_ct:
@@ -519,46 +401,10 @@ def build_reduced(
                + config.rho_hw * (state.ul_hw + state.ol_hw))
     )
 
-    program = lp.LinearProgram(
-        objective=obj,
-        lower=lower,
-        upper=upper,
-        row_sense=sense,
-        rhs=rhs,
-        a_rows=np.concatenate(trip_r),
-        a_cols=np.concatenate(trip_c),
-        a_vals=np.concatenate(trip_v),
-    )
-    return ReducedProgram(program, offset, vmap, values, config, state)
+    program = matrix.program(obj, lower, upper, sense, rhs)
+    return ReducedProgram(program, offset, red, config)
 
 
-@dataclass(frozen=True)
-class FirstStage:
-    """Committed hour-t decisions extracted from a solved program."""
-
-    action: ControlAction
-    e_cw_next: float
-    e_hw_next: float
-    peak1: float
-    peak2: float
-    slacks: tuple[float, float, float, float]
-
-
-def extract_action(solution: lp.LpSolution, vmap: VariableMap) -> FirstStage:
-    """First-stage action and predicted next states from an optimal solve."""
-    if not solution.is_optimal:
-        raise ValueError(f"cannot extract action from {solution.status} solution")
-    x = solution.x
-    lay = vmap.layout
-    action = ControlAction.from_array(x[lay.P[0, :, 0]])
-    peak1 = float(x[lay.R1].max())
-    peak2 = float(x[lay.R2].max()) if vmap.spans else 0.0
-    slacks = tuple(float(v) for v in x[lay.S[:, :, 0]].mean(axis=0))
-    return FirstStage(
-        action=action,
-        e_cw_next=float(x[lay.E[0, 0, 1]]),
-        e_hw_next=float(x[lay.E[0, 1, 1]]),
-        peak1=peak1,
-        peak2=peak2,
-        slacks=slacks,  # type: ignore[arg-type]
-    )
+def extract_action(plan: Plan) -> ControlAction:
+    """The hour-t unit loads of a decoded plan, shared by every scenario."""
+    return ControlAction.from_array(plan.P[0, :, 0])

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import lp, mpc, restoration
 from .forecast import (
-    ForecastDistribution,
     ScenarioSet,
     _jittered_cholesky,
     _load_floor,
@@ -98,7 +97,8 @@ class RunSpec:
     Every controller builds ``mpc.build_reduced`` each hour and solves it
     on one warm-started ``lp.HighsSession`` per run.  The fields set the
     controller, the horizon and AR forecast model, the billing calendar
-    (month-end hours; empty means ``default_calendar``), the scenario and
+    (strictly ascending month-end hours, the last one at or after the last
+    simulated hour; empty means ``default_calendar``), the scenario and
     storage-noise random streams, and the initial state of charge.
     """
 
@@ -118,6 +118,10 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.sim_hours < 1:
             raise ValueError("sim_hours must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.ar_order < 1:
+            raise ValueError("ar_order must be >= 1")
         if self.history_hours < 2 * self.ar_order + 1:
             raise ValueError("history too short for the AR order")
         if self.scenario_resampling not in ("run", "refit", "hourly"):
@@ -126,6 +130,14 @@ class RunSpec:
             raise ValueError("initial_soc must lie in [0, 1]")
         if self.refit_every < 1:
             raise ValueError("refit_every must be >= 1")
+        if self.calendar:
+            if any(a >= b for a, b in zip(self.calendar, self.calendar[1:])):
+                raise ValueError("calendar must be strictly ascending")
+            if self.calendar[-1] < self.sim_hours - 1:
+                raise ValueError(
+                    f"calendar ends at hour {self.calendar[-1]}, before the "
+                    f"last simulated hour {self.sim_hours - 1}"
+                )
 
     def resolved_calendar(self) -> tuple[int, ...]:
         if self.calendar:
@@ -308,7 +320,6 @@ class ArForecaster:
         self.spec = spec
         self.offset = spec.history_hours
         self._models = None
-        self._covs = None
         self._chols = None
         self._fitted_at = None
 
@@ -320,13 +331,10 @@ class ArForecaster:
         tau = self.offset + t
         window = self.values[:, tau - h : tau]
         self._models = [fit_ar(window[ch], q) for ch in range(len(CHANNELS))]
-        covs = []
         chols = []
         for ch in range(len(CHANNELS)):
             _, cov = ar_forecast(self._models[ch], window[ch][-q:], n)
-            covs.append(cov)
             chols.append(_jittered_cholesky(cov))
-        self._covs = np.array(covs)
         self._chols = chols
         self._fitted_at = t
         return True
@@ -340,9 +348,6 @@ class ArForecaster:
             recent = self.values[ch, tau - q : tau]
             out[ch] = mean_forecast(self._models[ch], recent, n)
         return out
-
-    def distribution(self, t: int) -> ForecastDistribution:
-        return ForecastDistribution(self.means(t), self._covs)
 
     def mean_trajectory(self, t: int) -> DisturbanceTrajectory:
         n = self.spec.horizon
@@ -484,9 +489,8 @@ def run_closed_loop(
         reduced = mpc.build_reduced(config, state, data, timing, tank_bounds)
         sol = session.solve(reduced.program)
         iterations += sol.iterations
-        sol = reduced.expand(sol)
         if sol.is_optimal:
-            action = mpc.extract_action(sol, reduced.vmap).action
+            action = mpc.extract_action(reduced.expand(sol))
         else:
             # Solver trouble is recorded as a fallback hour, never raised.
             fallback = True

@@ -5,43 +5,142 @@ demands, slacks, storage levels, the unmet/overmet integrators and the peak
 registers, with ``20N + 7`` columns and ``13N`` rows per single-month
 scenario.  The controllers solve ``mpc.build_reduced``, which eliminates
 the definitional quantities; the tests check that its optimum matches this
-program's and that its expanded solutions satisfy every row here.
+program's and that its decoded plans, mapped onto these columns by
+``FullForm.vector``, satisfy every row and bound here.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from plantmpc import lp, mpc
-from plantmpc.plant import CHANNELS, STORAGE_UNITS, UNITS
+from plantmpc.plant import CHANNELS, STORAGE_UNITS, UNITS, PlantConfig, PlantState
 
 
-def build(config, state, data, timing, bounds):
-    """Extensive-form program for a trajectory or a scenario set.
+class Layout:
+    """Stacked column/row index arrays for all scenarios of one shape.
 
-    Returns the program and the ``VariableMap`` of its columns.
+    Arrays: P (s, 7, n), r (s, 3, n) for r_e, r_w, r_ng, S (s, 4, n),
+    E/ul/ol (s, 2, n+1), R1/R2 (s,), rows (s, 13, n).  The hour-0 loads and
+    the step-0/1 storage and step-0 integrator columns are shared by all
+    scenarios; ``R2`` is ``R1`` unless the horizon spans a month end.
     """
+
+    def __init__(self, n: int, s: int, spans: bool):
+        self.n, self.s, self.spans = n, s, spans
+        peaks = 2 if spans else 1
+        self.shared = 15
+        self.block = 20 * n - 9 + peaks
+        self.num_vars = self.shared + s * self.block
+        self.num_rows = 13 * n * s
+
+        xi = np.arange(s, dtype=np.int64)
+        base = self.shared + xi * self.block  # (s,)
+        units = np.arange(7, dtype=np.int64)
+        tanks = np.arange(2, dtype=np.int64)
+
+        self.P = np.empty((s, 7, n), dtype=np.int64)
+        self.E = np.empty((s, 2, n + 1), dtype=np.int64)
+        self.ul = np.empty((s, 2, n + 1), dtype=np.int64)
+        self.ol = np.empty((s, 2, n + 1), dtype=np.int64)
+        self.P[:, :, 0] = units
+        self.E[:, :, 0] = 7 + tanks
+        self.E[:, :, 1] = 9 + tanks
+        self.ul[:, :, 0] = 11 + tanks
+        self.ol[:, :, 0] = 13 + tanks
+        k1 = np.arange(n - 1, dtype=np.int64)
+        self.P[:, :, 1:] = (
+            base[:, None, None] + units[None, :, None] * (n - 1) + k1
+        )
+        roff = base + 7 * (n - 1)
+        self.r = (
+            roff[:, None, None]
+            + np.arange(3 * n, dtype=np.int64).reshape(1, 3, n)
+        )
+        self.S = (
+            (roff + 3 * n)[:, None, None]
+            + np.arange(4 * n, dtype=np.int64).reshape(1, 4, n)
+        )
+        eoff = roff + 7 * n
+        self.E[:, :, 2:] = (
+            eoff[:, None, None] + tanks[None, :, None] * (n - 1) + k1
+        )
+        uloff = eoff + 2 * (n - 1)
+        kn = np.arange(n, dtype=np.int64)
+        self.ul[:, :, 1:] = (
+            uloff[:, None, None] + tanks[None, :, None] * n + kn
+        )
+        self.ol[:, :, 1:] = (
+            (uloff + 2 * n)[:, None, None] + tanks[None, :, None] * n + kn
+        )
+        self.R1 = base + self.block - peaks
+        self.R2 = self.R1 + 1 if spans else self.R1
+
+        self.rows = (
+            (13 * n * xi)[:, None, None]
+            + np.arange(13 * n, dtype=np.int64).reshape(1, 13, n)
+        )
+
+
+@dataclass
+class FullForm:
+    """The extensive-form program with the data it was built from."""
+
+    program: lp.LinearProgram
+    layout: Layout
+    config: PlantConfig
+    state: PlantState
+    values: np.ndarray
+
+    def vector(self, plan: mpc.Plan) -> np.ndarray:
+        """The column vector of a plan decoded from the reduced program.
+
+        The residual demands and the integrator states, which the reduced
+        program eliminates, follow from their definitions.
+        """
+        lay, cfg, state = self.layout, self.config, self.state
+        x = np.empty(lay.num_vars)
+        x[lay.P] = plan.P
+        x[lay.S] = plan.S
+        x[lay.E] = plan.E
+        x[lay.R1] = plan.peaks[:, 0]
+        if lay.spans:
+            x[lay.R2] = plan.peaks[:, 1]
+        alpha_e = np.array(
+            [cfg.alpha_e_cs, cfg.alpha_e_hrc, cfg.alpha_e_hwg, cfg.alpha_e_ct]
+        )
+        x[lay.r[:, 0]] = self.values[:, 0, :] + np.einsum(
+            "u,sun->sn", alpha_e, plan.P[:, :4]
+        )
+        x[lay.r[:, 1]] = cfg.alpha_w_ct * plan.P[:, 3]
+        x[lay.r[:, 2]] = cfg.alpha_ng_hwg * plan.P[:, 2]
+        initial_ul = (state.ul_cw, state.ul_hw)
+        initial_ol = (state.ol_cw, state.ol_hw)
+        for j in range(2):
+            x[lay.ul[:, j, 0]] = initial_ul[j]
+            x[lay.ul[:, j, 1:]] = initial_ul[j] + np.cumsum(plan.S[:, 2 * j], axis=1)
+            x[lay.ol[:, j, 0]] = initial_ol[j]
+            x[lay.ol[:, j, 1:]] = initial_ol[j] + np.cumsum(plan.S[:, 2 * j + 1], axis=1)
+        return x
+
+
+def build(config, state, data, timing, bounds) -> FullForm:
+    """Extensive-form program for a trajectory or a scenario set."""
     values = mpc._scenario_values(data)
     s, n_chan, n = values.shape
     if n != timing.n:
         raise ValueError(f"forecast length {n} != horizon {timing.n}")
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
-    vmap = mpc.VariableMap(n, s, timing.spans_two_months)
-    lay = vmap.layout
+    lay = Layout(n, s, timing.spans_two_months)
 
-    obj = np.zeros(vmap.num_vars)
-    lower = np.full(vmap.num_vars, -np.inf)
-    upper = np.full(vmap.num_vars, np.inf)
-    sense = np.empty(vmap.num_rows, dtype=np.int8)
-    rhs = np.zeros(vmap.num_rows)
-    trip_r: list[np.ndarray] = []
-    trip_c: list[np.ndarray] = []
-    trip_v: list[np.ndarray] = []
-
-    def put(rows, cols, vals):
-        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        trip_r.append(rows.reshape(-1).astype(np.int64, copy=False))
-        trip_c.append(cols.reshape(-1).astype(np.int64, copy=False))
-        trip_v.append(vals.reshape(-1).astype(float))
+    obj = np.zeros(lay.num_vars)
+    lower = np.full(lay.num_vars, -np.inf)
+    upper = np.full(lay.num_vars, np.inf)
+    sense = np.empty(lay.num_rows, dtype=np.int8)
+    rhs = np.zeros(lay.num_rows)
+    matrix = mpc._Triplets()
+    put = matrix.put
 
     steps = np.arange(n)
     # Steps whose absolute hour lies past the month end bill into the
@@ -140,18 +239,9 @@ def build(config, state, data, timing, bounds):
     obj[r[:, 2]] = weight * config.price_gas
     lower[lay.R1] = carry
     obj[lay.R1] = weight * demand_coeff
-    if vmap.spans:
+    if lay.spans:
         lower[lay.R2] = state.peak_next
         obj[lay.R2] = weight * demand_coeff
 
-    program = lp.LinearProgram(
-        objective=obj,
-        lower=lower,
-        upper=upper,
-        row_sense=sense,
-        rhs=rhs,
-        a_rows=np.concatenate(trip_r),
-        a_cols=np.concatenate(trip_c),
-        a_vals=np.concatenate(trip_v),
-    )
-    return program, vmap
+    program = matrix.program(obj, lower, upper, sense, rhs)
+    return FullForm(program, lay, config, state, values)

@@ -156,6 +156,19 @@ class TestNumericFlags:
         assert "lp_backend" in err and "sim_hourz" in err
         assert "horizon" not in err
 
+    @pytest.mark.parametrize("key", ["horizon", "ar_order"])
+    def test_zero_in_run_config_is_a_cli_error(self, tmp_path, data_csv, capsys, key):
+        # RunSpec once accepted it and the run failed with a traceback.
+        run_cfg = {"horizon": 6, "ar_order": 6, "history_days": 3, "sim_hours": 2}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {**run_cfg, key: 0}}))
+        code = run_cli(
+            "run", "--controller", "det", "--config", str(cfg),
+            "--data", str(data_csv), "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == 1
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+
 
 class TestBench:
     def test_single_validation_run(self, tmp_path, data_csv, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plantmpc import forecast as fc
+from plantmpc import forecast as fc, simulate
 from plantmpc.plant import CHANNELS
 
 
@@ -119,63 +119,85 @@ class TestForecast:
             fc.forecast(model, np.array([1.0]), 0)
 
 
+class GivenForecaster:
+    """Forecast source with fixed means (4, n) and Cholesky factors."""
+
+    def __init__(self, means, chols):
+        self._means = means
+        self._chols = list(chols)
+
+    def refresh(self, t):
+        return False
+
+    def means(self, t):
+        return self._means
+
+    @property
+    def cholesky_factors(self):
+        return self._chols
+
+
+def sample(means, covs, s, seed):
+    """Scenario set drawn the way the stochastic controller draws it."""
+    spec = simulate.RunSpec(
+        simulate.ControllerSpec(simulate.STOCHASTIC, scenarios=s),
+        sim_hours=1, horizon=means.shape[1], scenario_seed=seed,
+    )
+    chols = [fc._jittered_cholesky(cov) for cov in covs]
+    sampler = simulate._ScenarioSampler(GivenForecaster(means, chols), spec)
+    return sampler.scenario_set(0)
+
+
 def small_distribution(n=6, sigma=1.0):
     means = np.tile(np.linspace(50.0, 60.0, n), (4, 1))
     base = sigma * np.exp(-0.5 * np.abs(np.subtract.outer(range(n), range(n))))
-    covs = np.stack([base] * 4)
-    return fc.ForecastDistribution(means, covs)
+    return means, np.stack([base] * 4)
 
 
 class TestSampleScenarios:
     def test_zero_covariance_returns_mean(self):
         n = 8
         means = np.tile(np.arange(n, dtype=float) + 5.0, (4, 1))
-        dist = fc.ForecastDistribution(means, np.zeros((4, n, n)))
-        scen = fc.sample_scenarios(dist, 10, seed=0)
+        scen = sample(means, np.zeros((4, n, n)), 10, seed=0)
         assert np.array_equal(scen.values, np.tile(means, (10, 1, 1)))
 
     def test_seed_determinism(self):
-        dist = small_distribution()
-        a = fc.sample_scenarios(dist, 50, seed=123)
-        b = fc.sample_scenarios(dist, 50, seed=123)
+        means, covs = small_distribution()
+        a = sample(means, covs, 50, seed=123)
+        b = sample(means, covs, 50, seed=123)
         assert np.array_equal(a.values, b.values)
-        c = fc.sample_scenarios(dist, 50, seed=124)
+        c = sample(means, covs, 50, seed=124)
         assert not np.array_equal(a.values, c.values)
 
     def test_empirical_mean_clt_bound(self):
-        dist = small_distribution()
+        means, covs = small_distribution()
         s = 100_000
-        scen = fc.sample_scenarios(dist, s, seed=5)
-        std = np.sqrt(np.diagonal(dist.covariances, axis1=1, axis2=2))
+        scen = sample(means, covs, s, seed=5)
+        std = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
         bound = 3.0 * std / np.sqrt(s)
-        err = np.abs(scen.unclamped.mean(axis=0) - dist.means)
+        err = np.abs(scen.unclamped.mean(axis=0) - means)
         assert np.all(err <= bound + 1e-12)
 
     def test_empirical_covariance_frobenius(self):
-        dist = small_distribution()
+        means, covs = small_distribution()
         s = 100_000
-        scen = fc.sample_scenarios(dist, s, seed=6)
+        scen = sample(means, covs, s, seed=6)
         for ch in range(4):
             sample_cov = np.cov(scen.unclamped[:, ch, :].T)
-            target = dist.covariances[ch]
+            target = covs[ch]
             dist_f = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
             assert dist_f < 0.10
 
     def test_clamping_never_raises_loads(self):
-        means = np.zeros((4, 5))
-        covs = np.stack([np.eye(5)] * 4)
-        scen = fc.sample_scenarios(fc.ForecastDistribution(means, covs), 500, seed=1)
+        scen = sample(np.zeros((4, 5)), np.stack([np.eye(5)] * 4), 500, seed=1)
         assert np.all(scen.values[:, :3, :] >= 0.0)
         assert np.all(scen.values[:, :3, :] >= scen.unclamped[:, :3, :])
         # price channel is never clamped
         assert np.array_equal(scen.values[:, 3, :], scen.unclamped[:, 3, :])
 
     def test_non_psd_rejected(self):
-        n = 3
-        bad = np.stack([-np.eye(n)] * 4)
-        dist = fc.ForecastDistribution(np.zeros((4, n)), bad)
         with pytest.raises(ValueError, match="PSD"):
-            fc.sample_scenarios(dist, 5, seed=0)
+            fc._jittered_cholesky(-np.eye(3))
 
 
 def flat_profile(**kwargs):

@@ -19,19 +19,21 @@ def full_bounds(config):
 
 
 def solve_reduced(config, state, data, timing, bounds):
-    """Production path: reduced program, HiGHS, expanded solution."""
+    """Production path: reduced program, HiGHS, decoded plan."""
     reduced = mpc.build_reduced(config, state, data, timing, bounds)
-    return reduced.expand(lp.solve(reduced.program)), reduced.vmap
+    sol = lp.solve(reduced.program)
+    assert sol.is_optimal
+    return reduced.expand(sol)
 
 
-def explicit_nonanticipativity(prog, vmap):
+def explicit_nonanticipativity(prog, lay):
     """The extensive-form program with per-scenario first-stage columns.
 
     Scenarios 1..S-1 get their own copies of the hour-t unit loads and the
     next-hour storage levels; 7(S - 1) equality rows tie their loads to
     scenario 0's.  Sharing the columns must give the same optimum.
     """
-    lay, s = vmap.layout, vmap.s
+    s = lay.s
     first = np.concatenate([lay.P[0, :, 0], lay.E[0, :, 1]])
     copies = prog.num_vars + np.arange((s - 1) * first.size).reshape(s - 1, -1)
     row_scenario = np.empty(prog.num_rows, dtype=np.int64)
@@ -82,16 +84,16 @@ class TestZeroInstance:
         n = 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         traj = trajectory([0] * n, [0] * n, [0] * n, [0] * n)
-        sol, vmap = solve_reduced(config, state, traj, timing, full_bounds(config))
-        assert sol.is_optimal
+        plan = solve_reduced(config, state, traj, timing, full_bounds(config))
         expected = config.price_demand / timing.discount * 500.0
-        assert sol.objective == pytest.approx(expected)
-        prog, _ = full_form.build(config, state, traj, timing, full_bounds(config))
+        assert plan.objective == pytest.approx(expected)
+        prog = full_form.build(config, state, traj, timing, full_bounds(config)).program
         prog.validate()
         assert solve_simplex(prog).objective == pytest.approx(expected)
-        first = mpc.extract_action(sol, vmap)
-        assert np.allclose(first.action.as_array(), 0.0, atol=1e-9)
-        assert first.peak1 == pytest.approx(500.0)
+        action = mpc.extract_action(plan)
+        assert np.allclose(action.as_array(), 0.0, atol=1e-9)
+        assert plan.peaks.shape == (1, 1)
+        assert plan.peaks[0, 0] == pytest.approx(500.0)
 
 
 class TestAgainstGridSearch:
@@ -104,28 +106,40 @@ class TestAgainstGridSearch:
         bounds = full_bounds(config)
         traj = trajectory([0.0, 0.0], loads, [0.0, 0.0], prices)
 
-        sol, vmap = solve_reduced(config, state, traj, timing, bounds)
-        assert sol.is_optimal
-        oracle = solve_simplex(full_form.build(config, state, traj, timing, bounds)[0])
-        assert sol.objective == pytest.approx(oracle.objective, rel=1e-9)
+        plan = solve_reduced(config, state, traj, timing, bounds)
+        oracle = solve_simplex(
+            full_form.build(config, state, traj, timing, bounds).program
+        )
+        assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
 
         demand_weight = config.price_demand / timing.discount
         best_obj, best_p = grid_search_two_step(
             config, state, loads, prices, (0.0, config.cap_cw),
             demand_weight, carry=0.0, points=241,
         )
-        assert sol.objective == pytest.approx(best_obj, abs=1e-4 * (1 + abs(best_obj)))
-        first = mpc.extract_action(sol, vmap)
-        assert first.action.p_cs == pytest.approx(best_p[0], abs=0.5)
+        assert plan.objective == pytest.approx(best_obj, abs=1e-4 * (1 + abs(best_obj)))
+        assert mpc.extract_action(plan).p_cs == pytest.approx(best_p[0], abs=0.5)
 
     def test_extract_round_trip(self):
         config = toy_config()
         state = PlantState(e_cw=20.0, e_hw=0.0)
         timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
         traj = trajectory([0, 0], [50.0, 10.0], [0, 0], [0.1, 0.1])
-        sol, vmap = solve_reduced(config, state, traj, timing, full_bounds(config))
-        first = mpc.extract_action(sol, vmap)
-        assert first.e_cw_next == pytest.approx(state.e_cw - first.action.p_cw)
+        plan = solve_reduced(config, state, traj, timing, full_bounds(config))
+        e0 = np.array([state.e_cw, state.e_hw])
+        assert np.array_equal(plan.E[0, :, 0], e0)
+        assert np.allclose(plan.E[0, :, 1], e0 - plan.P[0, 5:7, 0])
+        action = mpc.extract_action(plan)
+        assert plan.E[0, 0, 1] == pytest.approx(state.e_cw - action.p_cw)
+
+    def test_expand_rejects_non_optimal(self):
+        config = toy_config()
+        state = PlantState(e_cw=20.0, e_hw=0.0)
+        timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
+        traj = trajectory([0, 0], [50.0, 10.0], [0, 0], [0.1, 0.1])
+        reduced = mpc.build_reduced(config, state, traj, timing, full_bounds(config))
+        with pytest.raises(ValueError, match="infeasible"):
+            reduced.expand(lp.LpSolution(lp.INFEASIBLE, None, None))
 
 
 class TestCountingFormulas:
@@ -144,12 +158,11 @@ class TestCountingFormulas:
             )
             assert reduced.program.num_vars == u + 4 + (u + 6) * n - u - 1
             assert reduced.program.num_rows == (u - 1) * n
-            prog, vmap = full_form.build(
+            full = full_form.build(
                 config, state, traj, timing, full_bounds(config)
             )
-            assert prog.num_vars == 20 * n + 7
-            assert prog.num_rows == 13 * n
-            assert reduced.vmap.num_vars == vmap.num_vars == prog.num_vars
+            assert full.program.num_vars == full.layout.num_vars == 20 * n + 7
+            assert full.program.num_rows == 13 * n
 
     @pytest.mark.parametrize("n,s", [(6, 3), (24, 10)])
     def test_stochastic_counts(self, n, s):
@@ -161,7 +174,7 @@ class TestCountingFormulas:
         reduced = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
         assert reduced.program.num_vars == 10 + s * (12 * n - 7)
         assert reduced.program.num_rows == 5 * n * s
-        prog, _ = full_form.build(config, state, scen, timing, full_bounds(config))
+        prog = full_form.build(config, state, scen, timing, full_bounds(config)).program
         assert prog.num_vars == 15 + s * (20 * n - 8)
         assert prog.num_rows == 13 * n * s
 
@@ -175,7 +188,7 @@ class TestCountingFormulas:
         scen = fc.ScenarioSet(values=values, unclamped=values)
         reduced = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
         assert reduced.program.num_vars == 10 + s * (12 * n - 6)
-        prog, _ = full_form.build(config, state, scen, timing, full_bounds(config))
+        prog = full_form.build(config, state, scen, timing, full_bounds(config)).program
         assert prog.num_vars == 15 + s * (20 * n - 7)
 
 
@@ -218,12 +231,12 @@ class TestStochasticStructure:
         one = self.make_scenarios(1, n, seed=3)
         values = np.tile(one.values, (s, 1, 1))
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        sol_s, _ = solve_reduced(config, state, scen, timing, full_bounds(config))
-        sol_d, _ = solve_reduced(
+        plan_s = solve_reduced(config, state, scen, timing, full_bounds(config))
+        plan_d = solve_reduced(
             config, state, DisturbanceTrajectory(values[0]), timing,
             full_bounds(config),
         )
-        assert sol_s.objective == pytest.approx(sol_d.objective, rel=1e-8)
+        assert plan_s.objective == pytest.approx(plan_d.objective, rel=1e-8)
 
     def test_scenario_order_invariance(self):
         config = PlantConfig()
@@ -232,16 +245,16 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=7)
         bounds = full_bounds(config)
-        sol_a, vmap_a = solve_reduced(config, state, scen, timing, bounds)
+        plan_a = solve_reduced(config, state, scen, timing, bounds)
         perm = np.array([3, 1, 5, 0, 4, 2])
         scen_p = fc.ScenarioSet(
             values=scen.values[perm], unclamped=scen.unclamped[perm]
         )
-        sol_b, vmap_b = solve_reduced(config, state, scen_p, timing, bounds)
-        assert sol_a.objective == pytest.approx(sol_b.objective, rel=1e-9)
-        a = mpc.extract_action(sol_a, vmap_a)
-        b = mpc.extract_action(sol_b, vmap_b)
-        assert np.allclose(a.action.as_array(), b.action.as_array(), atol=1e-5)
+        plan_b = solve_reduced(config, state, scen_p, timing, bounds)
+        assert plan_a.objective == pytest.approx(plan_b.objective, rel=1e-9)
+        a = mpc.extract_action(plan_a)
+        b = mpc.extract_action(plan_b)
+        assert np.allclose(a.as_array(), b.as_array(), atol=1e-5)
 
     def test_explicit_nonanticipativity_equivalent(self):
         config = PlantConfig()
@@ -250,29 +263,21 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=11)
         bounds = full_bounds(config)
-        shared_prog, vmap = full_form.build(config, state, scen, timing, bounds)
-        explicit_prog, copies = explicit_nonanticipativity(shared_prog, vmap)
+        full = full_form.build(config, state, scen, timing, bounds)
+        shared_prog = full.program
+        explicit_prog, copies = explicit_nonanticipativity(shared_prog, full.layout)
         assert explicit_prog.num_rows == shared_prog.num_rows + 7 * (s - 1)
         sol_shared = lp.solve(shared_prog)
         sol_explicit = lp.solve(explicit_prog)
         assert sol_shared.objective == pytest.approx(
             sol_explicit.objective, rel=1e-8
         )
-        sol_reduced, _ = solve_reduced(config, state, scen, timing, bounds)
-        assert sol_reduced.objective == pytest.approx(
-            sol_shared.objective, rel=1e-8
-        )
+        plan = solve_reduced(config, state, scen, timing, bounds)
+        assert plan.objective == pytest.approx(sol_shared.objective, rel=1e-8)
         x = sol_explicit.x
-        first = vmap.layout.P[0, :, 0]
+        first = full.layout.P[0, :, 0]
         assert np.allclose(x[copies[:, :7]], x[first], atol=1e-6)
-        a = mpc.extract_action(sol_shared, vmap)
-        b = mpc.extract_action(
-            lp.LpSolution(sol_explicit.status, x[: shared_prog.num_vars], None),
-            vmap,
-        )
-        assert np.allclose(
-            a.action.as_array(), b.action.as_array(), atol=1e-4
-        )
+        assert np.allclose(sol_shared.x[first], x[first], atol=1e-4)
 
     def test_recourse_value_nonnegative(self):
         # Fixing the deterministic first stage inside the stochastic LP can
@@ -283,15 +288,15 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=13, spread=15.0)
         bounds = full_bounds(config)
-        prog_s, vmap_s = full_form.build(config, state, scen, timing, bounds)
-        sol_s = lp.solve(prog_s)
+        full = full_form.build(config, state, scen, timing, bounds)
+        sol_s = lp.solve(full.program)
 
         mean_traj = DisturbanceTrajectory(scen.values.mean(axis=0))
-        sol_d, vmap_d = solve_reduced(config, state, mean_traj, timing, bounds)
-        det_first = mpc.extract_action(sol_d, vmap_d).action.as_array()
+        plan_d = solve_reduced(config, state, mean_traj, timing, bounds)
+        det_first = mpc.extract_action(plan_d).as_array()
 
-        pinned = prog_s
-        cols = vmap_s.columns(0)["P"][:, 0]
+        pinned = full.program
+        cols = full.layout.P[0, :, 0]
         lower = pinned.lower.copy()
         upper = pinned.upper.copy()
         lower[cols] = det_first
@@ -315,9 +320,8 @@ class TestStochasticStructure:
         for rho in (1.0, 10.0, 100.0):
             config = toy_config(rho_cw=rho, rho_hw=rho)
             traj = trajectory([0] * n, loads, [0] * n, [0.1] * n)
-            sol, _ = solve_reduced(config, state, traj, timing, full_bounds(config))
-            assert sol.is_optimal
-            objectives.append(sol.objective)
+            plan = solve_reduced(config, state, traj, timing, full_bounds(config))
+            objectives.append(plan.objective)
         assert objectives == sorted(objectives)
         assert objectives[0] < objectives[-1]
 
@@ -327,15 +331,13 @@ class TestStochasticStructure:
         n, s = 6, 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=17, spread=10.0)
-        sol, vmap = solve_reduced(config, state, scen, timing, full_bounds(config))
-        assert sol.is_optimal
+        plan = solve_reduced(config, state, scen, timing, full_bounds(config))
         from plantmpc.plant import ControlAction, Disturbance
 
         for xi in range(s):
-            cols = vmap.columns(xi)
             for k in range(n):
-                action = ControlAction.from_array(sol.x[cols["P"][:, k]])
-                slacks = tuple(sol.x[cols["S"][:, k]])
+                action = ControlAction.from_array(plan.P[xi, :, k])
+                slacks = tuple(plan.S[xi, :, k])
                 dist = Disturbance(*scen.values[xi, :, k])
                 res = balance_residuals(config, action, dist, slacks)
                 assert max(abs(r) for r in res) <= 1e-6
@@ -362,21 +364,24 @@ class TestReducedEquivalence:
         scen = fc.ScenarioSet(values=values, unclamped=values)
         bounds = full_bounds(config)
 
-        prog_full, _ = full_form.build(config, state, scen, timing, bounds)
+        full = full_form.build(config, state, scen, timing, bounds)
+        prog_full = full.program
         sol_full = lp.solve(prog_full)
         reduced = mpc.build_reduced(config, state, scen, timing, bounds)
         reduced.program.validate()
-        sol_red = reduced.expand(lp.solve(reduced.program))
-        assert sol_red.objective == pytest.approx(sol_full.objective, rel=1e-9)
+        plan = reduced.expand(lp.solve(reduced.program))
+        assert plan.objective == pytest.approx(sol_full.objective, rel=1e-9)
+        x = full.vector(plan)
+        assert prog_full.objective @ x == pytest.approx(plan.objective, rel=1e-9)
 
-        # The expanded solution must satisfy every full-form constraint.
+        # The decoded plan must satisfy every full-form constraint.
         a = prog_full.matrix()
-        residual = a @ sol_red.x - prog_full.rhs
+        residual = a @ x - prog_full.rhs
         ineq = prog_full.row_sense == lp.LE
         assert np.abs(residual[~ineq]).max() <= 1e-6
         assert residual[ineq].max(initial=0.0) <= 1e-6
-        assert np.all(sol_red.x >= prog_full.lower - 1e-9)
-        assert np.all(sol_red.x <= prog_full.upper + 1e-9)
+        assert np.all(x >= prog_full.lower - 1e-9)
+        assert np.all(x <= prog_full.upper + 1e-9)
 
 
 class TestHorizonTiming:
@@ -400,38 +405,44 @@ class TestHorizonTiming:
             mpc.HorizonTiming(t=10, n=5, month_end=9)
 
 
-class TestVariableMap:
-    def test_bijective_over_columns(self):
-        vmap = mpc.VariableMap(n=5, s=3, spans=True)
-        seen = {}
-        quantities = (
-            [f"P_{u}" for u in
-             ("cs", "hrc", "hwg", "ct", "hx", "cw", "hw")]
-        )
-        for xi in range(3):
-            for q in quantities:
-                for k in range(5):
-                    col = vmap.col(q, k, xi)
-                    key = (q, k, xi if k > 0 else -1)  # first stage shared
-                    if key in seen:
-                        assert seen[key] == col
-                    seen[key] = col
-        cols = list(seen.values())
-        assert len(set(cols)) == len(set(seen))
+class TestReducedLayout:
+    CASES = pytest.mark.parametrize(
+        "fold,spans", [(False, False), (False, True), (True, False), (True, True)]
+    )
 
-    def test_first_stage_shared_across_scenarios(self):
-        vmap = mpc.VariableMap(n=4, s=5, spans=False)
-        for q in ("P_cs", "P_hw", "E_cw", "ul_hw"):
-            k = 1 if q.startswith("E") else 0
-            cols = {vmap.col(q, k, xi) for xi in range(5)}
-            assert len(cols) == 1
+    @staticmethod
+    def layout(fold, spans, n=5, s=3):
+        return mpc._reduced_layout(n, s, spans, fold)
 
-    def test_recourse_not_shared(self):
-        vmap = mpc.VariableMap(n=4, s=5, spans=False)
-        cols = {vmap.col("P_cs", 2, xi) for xi in range(5)}
-        assert len(cols) == 5
+    @staticmethod
+    def recourse(lay):
+        """Per-scenario columns that no other scenario uses, (s, k)."""
+        parts = [lay.P[:, :, 1:], lay.S, lay.E[:, :, 2:], lay.R]
+        return np.concatenate([p.reshape(lay.s, -1) for p in parts], axis=1)
 
-    def test_r2_requires_spanning(self):
-        vmap = mpc.VariableMap(n=4, s=2, spans=False)
-        with pytest.raises(KeyError):
-            vmap.col("R2", 0, 0)
+    @CASES
+    def test_columns_used_once_except_shared_first_stage(self, fold, spans):
+        lay = self.layout(fold, spans)
+        first = np.concatenate([lay.P[0, :, 0], lay.E[0, :, :2].ravel()])
+        cols = np.concatenate([first, self.recourse(lay).ravel()])
+        assert np.array_equal(np.sort(cols), np.arange(lay.num_vars))
+        assert lay.P.shape[1] == (6 if fold else 7)
+
+    @CASES
+    def test_first_stage_shared_across_scenarios(self, fold, spans):
+        lay = self.layout(fold, spans)
+        assert np.all(lay.P[:, :, 0] == lay.P[0, :, 0])
+        assert np.all(lay.E[:, :, :2] == lay.E[0, :, :2])
+
+    @CASES
+    def test_recourse_not_shared(self, fold, spans):
+        lay = self.layout(fold, spans)
+        rec = self.recourse(lay)
+        assert np.unique(rec).size == rec.size
+
+    @CASES
+    def test_r2_own_column_only_when_spanning(self, fold, spans):
+        lay = self.layout(fold, spans)
+        assert lay.R.shape == (lay.s, 2 if spans else 1)
+        assert np.all(lay.R2 != lay.R1) == spans
+        assert np.array_equal(lay.R1, lay.R[:, 0])

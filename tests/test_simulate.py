@@ -46,9 +46,9 @@ def scripted_step_through(config, spec, truth, forecast_fn):
         )
         bounds = mpc.TankBounds(lo["cw"], hi["cw"], lo["hw"], hi["hw"])
         reduced = mpc.build_reduced(config, state, forecast_fn(t), timing, bounds)
-        solution = reduced.expand(session.solve(reduced.program))
+        solution = session.solve(reduced.program)
         assert solution.is_optimal
-        action = mpc.extract_action(solution, reduced.vmap).action
+        action = mpc.extract_action(reduced.expand(solution))
         realized = truth.at(h + t)
         outcome = restoration.restore(config, state, action, realized)
         fallback = outcome.kind == restoration.FALLBACK
@@ -160,6 +160,23 @@ def make_spec(**overrides):
     return simulate.RunSpec(**defaults)
 
 
+class TestRunSpec:
+    @pytest.mark.parametrize("field", ["horizon", "ar_order"])
+    def test_nonpositive_orders_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            make_spec(**{field: 0})
+
+    @pytest.mark.parametrize("calendar", [(30, 11), (11, 11, 60)])
+    def test_unsorted_calendar_rejected(self, calendar):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            make_spec(sim_hours=30, calendar=calendar)
+
+    def test_calendar_must_reach_the_last_hour(self):
+        with pytest.raises(ValueError, match="before the last simulated hour"):
+            make_spec(sim_hours=20, calendar=(10,))
+        assert make_spec(sim_hours=20, calendar=(10, 19)).calendar == (10, 19)
+
+
 class TestClosedLoop:
     def test_zero_disturbances_zero_cost(self):
         spec = make_spec(apply_storage_noise=False, initial_soc=0.0,
@@ -193,6 +210,29 @@ class TestClosedLoop:
         )
         assert got.shape == expected.shape
         assert np.allclose(got, expected, atol=1e-9)
+
+    def test_non_optimal_solve_books_a_fallback_hour(self, monkeypatch):
+        # Hours whose solve is not optimal commit the zero action and are
+        # booked as fallback hours; they never reach the decoder.
+        solve = lp.HighsSession.solve
+        calls = []
+
+        def every_third_infeasible(session, program):
+            calls.append(None)
+            sol = solve(session, program)
+            if len(calls) % 3 == 0:
+                return lp.LpSolution(lp.INFEASIBLE, None, None, sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp.HighsSession, "solve", every_third_infeasible)
+        spec = make_spec(sim_hours=12)
+        trace = simulate.run_closed_loop(
+            PlantConfig(), spec, fc.generate_synthetic_campus(31, days=5)
+        )
+        failed = np.arange(12) % 3 == 2
+        assert np.all(trace.violation_flags("fallback")[failed])
+        assert np.all(trace.committed[failed] == 0.0)
+        assert np.all(trace.implemented[failed] == 0.0)
 
     def test_trace_reproducible(self):
         spec = make_spec(controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=4))
