@@ -445,4 +445,3 @@ class TestReducedLayout:
         lay = self.layout(fold, spans)
         assert lay.R.shape == (lay.s, 2 if spans else 1)
         assert np.all(lay.R2 != lay.R1) == spans
-        assert np.array_equal(lay.R1, lay.R[:, 0])
