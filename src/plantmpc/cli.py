@@ -10,7 +10,6 @@ built-in defaults mirroring the reference experiment configuration
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path

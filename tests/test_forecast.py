@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from plantmpc import forecast as fc, simulate
-from plantmpc.plant import CHANNELS
 
 
 def ar_series(coeffs, intercept, noise_std, length, seed, x0=None):

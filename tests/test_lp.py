@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from plantmpc import lp
+from plantmpc import forecast as fc, lp, mpc
+from plantmpc.plant import PlantConfig, PlantState
 
 from oracles import random_box_lp, vertex_enumeration_optimum
 from simplex import BOUND_TOL, ROW_TOL, LpBuilder, solve_simplex
@@ -180,6 +181,38 @@ class TestValidation:
             builder.build(validate=True)
 
 
+class TestLoad:
+    def test_loaded_program_reads_back_exactly(self):
+        prog = lp.LinearProgram(
+            objective=np.array([1.0, -2.0, 0.5]),
+            lower=np.array([-np.inf, 0.0, -1.0]),
+            upper=np.array([np.inf, 4.0, np.inf]),
+            row_sense=np.array([lp.LE, lp.EQ, lp.GE], dtype=np.int8),
+            rhs=np.array([3.0, -1.0, 2.0]),
+            a_rows=np.array([2, 0, 1, 0, 2, 1]),
+            a_cols=np.array([0, 1, 2, 0, 2, 0]),
+            a_vals=np.array([5.0, 6.0, 7.0, 8.0, 9.0, 10.0]),
+        )
+        prog.validate()
+        h = lp._highs()
+        order, indptr, indices = lp._csc_pattern(prog)
+        lp._pass_model(h, prog, indptr, indices, prog.a_vals[order])
+
+        model = h.getLp()
+        assert (model.num_col_, model.num_row_) == (3, 3)
+        assert np.array_equal(model.col_cost_, prog.objective)
+        assert np.array_equal(model.col_lower_, prog.lower)
+        assert np.array_equal(model.col_upper_, prog.upper)
+        assert np.array_equal(model.row_lower_, [-np.inf, -1.0, 2.0])
+        assert np.array_equal(model.row_upper_, [3.0, -1.0, np.inf])
+        csc = prog.matrix().tocsc()
+        csc.sort_indices()
+        assert model.a_matrix_.format_ == lp._highs_core.MatrixFormat.kColwise
+        assert np.array_equal(model.a_matrix_.start_, csc.indptr)
+        assert np.array_equal(model.a_matrix_.index_, csc.indices)
+        assert np.array_equal(model.a_matrix_.value_, csc.data)
+
+
 class TestHighsSession:
     def test_warm_chain_matches_one_shot(self):
         rng = np.random.default_rng(21)
@@ -228,3 +261,64 @@ class TestHighsSession:
         warm = session.solve(patched)
         cold = solve_simplex(patched)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+    def test_receding_horizon_chain_across_a_month_end(self):
+        """Smoke-scale stochastic programs, hour by hour, on one session.
+
+        The horizon starts spanning the month end at t = 18 and stops at
+        the closing hour t = 40, so the shape changes twice, and while it
+        spans, the peak split moves matrix values under a fixed pattern.
+        Hour 30 gets an infeasible program of the same shape.  Each program
+        is also solved cold, with presolve, as the reference.
+        """
+        config = PlantConfig()
+        n, s, month_end, infeasible_at = 24, 3, 40, 30
+        bounds = mpc.TankBounds(0.0, config.cap_cw, 0.0, config.cap_hw)
+        base = fc.generate_synthetic_campus(5, 4).values
+        rng = np.random.default_rng(8)
+        e = 0.5 * np.array([config.cap_cw, config.cap_hw])
+        session = lp.HighsSession()
+        warm_iterations = cold_iterations = 0
+        previous = None
+        shape_changes = value_changes = 0
+        for t in range(10, 46):
+            end = month_end if t <= month_end else month_end + 720
+            values = base[:, t:t + n] * (1.0 + rng.normal(0.0, 0.05, (s, 4, n)))
+            values[:, :3] = np.maximum(values[:, :3], 0.0)
+            reduced = mpc.build_reduced(
+                config, PlantState(e_cw=e[0], e_hw=e[1], peak=9000.0),
+                fc.ScenarioSet(values=values, unclamped=values),
+                mpc.HorizonTiming(t, n, end), bounds,
+            )
+            prog = reduced.program
+            if previous is not None:
+                shape = (prog.num_rows, prog.num_vars)
+                if shape != (previous.num_rows, previous.num_vars):
+                    shape_changes += 1
+                elif (np.array_equal(prog.a_rows, previous.a_rows)
+                      and np.array_equal(prog.a_cols, previous.a_cols)
+                      and not np.array_equal(prog.a_vals, previous.a_vals)):
+                    value_changes += 1
+            previous = prog
+            if t == infeasible_at:
+                zero = np.zeros(prog.num_vars)
+                prog = lp.LinearProgram(
+                    objective=prog.objective, lower=zero, upper=zero,
+                    row_sense=prog.row_sense, rhs=prog.rhs,
+                    a_rows=prog.a_rows, a_cols=prog.a_cols, a_vals=prog.a_vals,
+                )
+                assert session.solve(prog).status == lp.INFEASIBLE
+                assert lp.solve(prog).status == lp.INFEASIBLE
+                continue
+            warm = session.solve(prog)
+            cold = lp.solve(prog)
+            assert warm.is_optimal and cold.is_optimal
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            warm_iterations += warm.iterations
+            cold_iterations += cold.iterations
+            e = reduced.expand(cold).E[0, :, 1]
+        assert shape_changes == 2
+        assert value_changes >= 10
+        # Without the saved basis the warm runs start from the slack basis
+        # and take about as many iterations as the cold ones.
+        assert warm_iterations < 0.5 * cold_iterations
