@@ -2,10 +2,12 @@
 
 Each disturbance channel (electrical load, chilled/hot water load,
 electricity price) gets its own AR(q) model fit by ordinary least squares.
-Multi-step forecasts are Gaussian: the mean follows the noise-free AR
-recursion and the covariance accumulates impulse-response weights, which
-is exact for a linear AR process.  The closed loop draws its scenario sets
-from these forecasts (``simulate._ScenarioSampler``).
+Multi-step forecasts are Gaussian.  The mean comes from one unit
+lower-triangular Toeplitz solve (``mean_forecast``), equal up to roundoff
+to running the noise-free AR recursion step by step.  The covariance
+accumulates impulse-response weights, which is exact for a linear AR
+process.  The closed loop draws its scenario sets from these forecasts
+(``simulate._ScenarioSampler``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .plant import CHANNELS, DisturbanceTrajectory
 
@@ -96,18 +99,36 @@ def impulse_weights(model: ArModel, n: int) -> np.ndarray:
 
 
 def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndarray:
-    """Noise-free continuation of the AR recursion for n steps."""
+    """Noise-free n-step continuation of the AR model, without a step loop.
+
+    The forecast y follows y_i = c + sum_k phi_k y_{i-k}, where y_{-1},
+    y_{-2}, ... are the history values x_{-1} (the last), x_{-2}, ...
+    Moving the forecast terms to the left gives the unit lower-triangular
+    Toeplitz system A y = b: A has first column
+    [1, -phi_1, ..., -phi_min(q, n-1), 0, ...], and
+    b_i = c + sum_j phi_{i+1+j} x_{-1-j} for i < min(q, n), b_i = c after
+    that.  One forward substitution solves it, so the result equals the
+    step-by-step recursion up to roundoff.
+    """
     recent = np.asarray(recent_history, dtype=float)
     q = model.order
     if len(recent) < q:
         raise ValueError(f"need at least {q} recent values")
     if n < 1:
         raise ValueError("forecast horizon must be >= 1")
-    window = np.concatenate([recent[-q:], np.zeros(n)])
-    coeffs = model.coefficients
-    for i in range(n):
-        window[q + i] = coeffs @ window[i : q + i][::-1] + model.intercept
-    return window[q:]
+    phi = model.coefficients
+    reach = min(q, n - 1)
+    column = np.zeros(n)
+    column[0] = 1.0
+    column[1 : reach + 1] = -phi[:reach]
+    # Lag i of the correlation is sum_j phi_{i+1+j} x_{-1-j}.
+    history = np.correlate(phi, recent[::-1][:q], "full")[q - 1 :]
+    rhs = np.full(n, model.intercept)
+    rhs[: min(q, n)] += history[:n]
+    return solve_triangular(
+        toeplitz(column, np.zeros(n)), rhs,
+        lower=True, unit_diagonal=True, check_finite=False,
+    )
 
 
 def forecast(

@@ -313,7 +313,14 @@ class ClosedLoopTrace:
 
 
 class ArForecaster:
-    """Refitting AR forecast source over a sliding history window."""
+    """Refitting AR forecast source over a sliding history window.
+
+    ``refresh`` refits the four channel models at the configured cadence.
+    The Cholesky factors of their forecast covariances are computed on
+    demand, on the first read of ``cholesky_factors`` after each refit.
+    Only the stochastic controller's scenario sampler reads them, so the
+    deterministic controller never computes them.
+    """
 
     def __init__(self, truth: DisturbanceTrajectory, spec: RunSpec):
         self.values = truth.values
@@ -327,15 +334,11 @@ class ArForecaster:
         """Refit at the configured cadence; returns True when refit."""
         if self._fitted_at is not None and t - self._fitted_at < self.spec.refit_every:
             return False
-        h, q, n = self.spec.history_hours, self.spec.ar_order, self.spec.horizon
+        h, q = self.spec.history_hours, self.spec.ar_order
         tau = self.offset + t
         window = self.values[:, tau - h : tau]
         self._models = [fit_ar(window[ch], q) for ch in range(len(CHANNELS))]
-        chols = []
-        for ch in range(len(CHANNELS)):
-            _, cov = ar_forecast(self._models[ch], window[ch][-q:], n)
-            chols.append(_jittered_cholesky(cov))
-        self._chols = chols
+        self._chols = None
         self._fitted_at = t
         return True
 
@@ -357,6 +360,20 @@ class ArForecaster:
 
     @property
     def cholesky_factors(self):
+        """Per-channel Cholesky factors of the n-step forecast covariance.
+
+        Computed on the first read after each refit, from the models and
+        the history window of that refit, and kept until the next refit.
+        """
+        if self._chols is None:
+            q, n = self.spec.ar_order, self.spec.horizon
+            tau = self.offset + self._fitted_at
+            chols = []
+            for ch in range(len(CHANNELS)):
+                recent = self.values[ch, tau - q : tau]
+                _, cov = ar_forecast(self._models[ch], recent, n)
+                chols.append(_jittered_cholesky(cov))
+            self._chols = chols
         return self._chols
 
 

@@ -1,7 +1,8 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the library's own solution paths: the LP oracle
-enumerates candidate vertices directly, the control oracles grid-search
+enumerates candidate vertices directly, the AR mean oracle steps the
+recursion one forecast value at a time, the control oracles grid-search
 the decision space, and the scheme oracle re-implements the per-hour
 bookkeeping as a straight-line script.
 """
@@ -87,6 +88,20 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
             rng.normal(size=cols.size),
         )
     return builder.build()
+
+
+def ar_mean_recursion(model, recent_history, n: int) -> np.ndarray:
+    """Noise-free AR continuation, one step of the recursion at a time.
+
+    Each forecast value is c + sum_k phi_k w_{i-k} over the window w of
+    the last q history values followed by the forecast so far.
+    """
+    q = model.order
+    window = np.concatenate([np.asarray(recent_history, dtype=float)[-q:],
+                             np.zeros(n)])
+    for i in range(n):
+        window[q + i] = model.coefficients @ window[i : q + i][::-1] + model.intercept
+    return window[q:]
 
 
 def grid_search_two_step(

@@ -3,6 +3,8 @@ import pytest
 
 from plantmpc import forecast as fc, simulate
 
+from oracles import ar_mean_recursion
+
 
 def ar_series(coeffs, intercept, noise_std, length, seed, x0=None):
     rng = np.random.default_rng(seed)
@@ -114,8 +116,48 @@ class TestForecast:
 
     def test_bad_horizon(self):
         model = fc.ArModel(np.array([0.5]), 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
             fc.forecast(model, np.array([1.0]), 0)
+
+
+def ar_model(q, seed, explosive=False):
+    """AR(q) model with a nonzero intercept.
+
+    Stable models scale random coefficients to an absolute sum of 0.95, so
+    every root of the characteristic polynomial lies inside the unit
+    circle.  The explosive one shrinks them to an absolute sum of 0.0475
+    and adds 1.05 to phi_1, so the coefficients sum above 1 and the
+    polynomial has a real root above 1.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, q)
+    coeffs *= 0.95 / np.abs(coeffs).sum()
+    if explosive:
+        coeffs = coeffs * 0.05
+        coeffs[0] += 1.05
+    return fc.ArModel(coeffs, float(rng.uniform(0.5, 5.0)), 1.0)
+
+
+MEAN_CASES = [(1, 1), (1, 24), (3, 24), (24, 24), (168, 24), (24, 168), (168, 168)]
+
+
+class TestMeanForecast:
+    @pytest.mark.parametrize("explosive", [False, True], ids=["stable", "explosive"])
+    @pytest.mark.parametrize("q,n", MEAN_CASES, ids=[f"q{q}-n{n}" for q, n in MEAN_CASES])
+    def test_matches_step_by_step_recursion(self, q, n, explosive):
+        model = ar_model(q, seed=q * 1000 + n, explosive=explosive)
+        largest_root = np.abs(np.roots(np.append(1.0, -model.coefficients))).max()
+        assert (largest_root > 1.0) == explosive
+        history = np.random.default_rng(n).normal(10.0, 3.0, q + 5)
+        got = fc.mean_forecast(model, history, n)
+        want = ar_mean_recursion(model, history, n)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_short_history_rejected(self):
+        model = ar_model(4, seed=2)
+        with pytest.raises(ValueError, match="need at least 4 recent values"):
+            fc.mean_forecast(model, np.ones(3), 5)
 
 
 class GivenForecaster:

@@ -319,6 +319,86 @@ class TestClosedLoop:
         assert summary["controller"] == "det:0.1"
 
 
+class EagerForecaster(simulate.ArForecaster):
+    """Forecaster that factors the forecast covariances at every refit.
+
+    Its factors come straight from ``forecast`` on the refit window: the
+    reference that the factors ``ArForecaster`` computes on demand must
+    match bit for bit.
+    """
+
+    def refresh(self, t):
+        refit = super().refresh(t)
+        if refit:
+            q, n = self.spec.ar_order, self.spec.horizon
+            tau = self.offset + t
+            window = self.values[:, tau - self.spec.history_hours : tau]
+            self._eager = []
+            for ch in range(4):
+                model = fc.fit_ar(window[ch], q)
+                _, cov = fc.forecast(model, window[ch][-q:], n)
+                self._eager.append(fc._jittered_cholesky(cov))
+        return refit
+
+    @property
+    def cholesky_factors(self):
+        return self._eager
+
+
+class TestLazyFactors:
+    """Forecast covariances are factored only when the sampler reads them."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"ar_forecast": 0, "_jittered_cholesky": 0, "refits": 0}
+
+        def spy(name):
+            original = getattr(simulate, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(simulate, name, counted)
+
+        spy("ar_forecast")
+        spy("_jittered_cholesky")
+        refresh = simulate.ArForecaster.refresh
+
+        def counted_refresh(forecaster, t):
+            refit = refresh(forecaster, t)
+            calls["refits"] += refit
+            return refit
+
+        monkeypatch.setattr(simulate.ArForecaster, "refresh", counted_refresh)
+        return calls
+
+    def test_deterministic_loop_never_factors(self, spies):
+        truth = fc.generate_synthetic_campus(43, days=7)
+        simulate.run_closed_loop(PlantConfig(), make_spec(), truth)
+        assert spies == {"ar_forecast": 0, "_jittered_cholesky": 0, "refits": 2}
+
+    def test_stochastic_loop_factors_each_channel_once_per_refit(self, spies):
+        spec = make_spec(controller=simulate.ControllerSpec("sto", scenarios=3))
+        truth = fc.generate_synthetic_campus(43, days=7)
+        simulate.run_closed_loop(PlantConfig(), spec, truth)
+        assert spies == {"ar_forecast": 8, "_jittered_cholesky": 8, "refits": 2}
+
+    @pytest.mark.parametrize("resampling", ["run", "refit", "hourly"])
+    def test_scenarios_equal_those_from_eager_factors(self, resampling):
+        spec = make_spec(
+            controller=simulate.ControllerSpec("sto", scenarios=5),
+            scenario_resampling=resampling,
+        )
+        truth = fc.generate_synthetic_campus(47, days=7)
+        lazy = simulate._ScenarioSampler(simulate.ArForecaster(truth, spec), spec)
+        eager = simulate._ScenarioSampler(EagerForecaster(truth, spec), spec)
+        for t in range(spec.sim_hours):
+            a, b = lazy.scenario_set(t), eager.scenario_set(t)
+            assert np.array_equal(a.values, b.values), t
+            assert np.array_equal(a.unclamped, b.unclamped), t
+
+
 class TestStorageNoise:
     def test_draws_match_inline_reference(self):
         # The per-tank formula precompute_storage_noise once spelled out
