@@ -46,7 +46,6 @@ from .plant import (
     demand_discount,
     residual_demands,
     stage_cost,
-    step_state,
 )
 from .restoration import RestoreOutcome, restore
 from .simulate import (

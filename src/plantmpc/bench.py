@@ -23,7 +23,6 @@ from .simulate import (
     ClosedLoopTrace,
     ControllerSpec,
     RunSpec,
-    VIOLATION_TYPES,
     run_closed_loop,
 )
 
@@ -165,10 +164,7 @@ class RunResult:
 def summarize_trace(trace: ClosedLoopTrace, scenario: int) -> RunResult:
     phi, components = annual_cost(trace)
     nocp, _ = campus_only_cost(trace)
-    counts = {
-        kind: int(trace.violations[:, i].sum())
-        for i, kind in enumerate(VIOLATION_TYPES)
-    }
+    counts = trace.violation_counts()
     return RunResult(
         scenario=scenario,
         controller=trace.controller,

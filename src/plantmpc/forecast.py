@@ -166,21 +166,6 @@ class ScenarioSet:
         if np.any(self.values[:, :3, :] < 0):
             raise ValueError("load channels must be clamped nonnegative")
 
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def probability(self) -> float:
-        return 1.0 / self.count
-
-    def scenario(self, i: int) -> DisturbanceTrajectory:
-        return DisturbanceTrajectory(self.values[i])
-
 
 def _load_floor(n: int) -> np.ndarray:
     floor = np.full((len(CHANNELS), n), -np.inf)

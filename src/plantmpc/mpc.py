@@ -50,9 +50,10 @@ from .plant import (
 class HorizonTiming:
     """Horizon placement relative to the billing calendar.
 
-    ``month_end`` is the last hour index of the month containing ``t``
-    (equal to ``t`` itself on the closing hour, in which case the carried
-    peak switches to the second-month register).
+    ``month_end`` is the last hour index of the month containing ``t``,
+    equal to ``t`` itself on the closing hour.  The horizon spans two
+    months when the month ends strictly inside it; on the closing hour it
+    does not, and every step is priced against one register.
     """
 
     t: int
@@ -293,7 +294,11 @@ def build_reduced(
     in_second_month = (timing.t + steps) > timing.month_end
     weight = 1.0 / s
     demand_coeff = config.price_demand / timing.discount
-    carry = state.peak if timing.t < timing.month_end else state.peak_next
+    # Known defect (ROADMAP item 1): on the closing hour (t == month_end)
+    # every step, step 0 included, is priced against next month's register
+    # with lower bound 0, although the closing month's bill holds step 0
+    # and its peak so far, ``state.peak``.
+    carry = state.peak if timing.t < timing.month_end else 0.0
     ui = red.unit_index
     P, S, E = red.P, red.S, red.E
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
@@ -392,7 +397,7 @@ def build_reduced(
     lower[red.R1] = carry
     obj[red.R1] = weight * demand_coeff
     if timing.spans_two_months:
-        lower[red.R2] = state.peak_next
+        lower[red.R2] = 0.0
         obj[red.R2] = weight * demand_coeff
 
     offset = float(

@@ -62,7 +62,6 @@ class PlantConfig:
     price_demand: float = 4.5
     rho_cw: float = 10.0
     rho_hw: float = 10.0
-    buffer: float = 0.1
 
     def __post_init__(self) -> None:
         nonneg = {
@@ -72,10 +71,6 @@ class PlantConfig:
         bad = [k for k, v in nonneg.items() if not math.isfinite(v) or v < 0]
         if bad:
             raise ValueError(f"negative or non-finite plant parameters: {bad}")
-        if self.buffer >= 0.5:
-            raise ValueError(
-                f"buffer {self.buffer} >= 0.5 would invert the storage bounds"
-            )
         # One hour of maximum discharge must fit inside the tank.
         if self.pmax_cw > self.cap_cw:
             raise ValueError("pmax_cw exceeds cap_cw")
@@ -143,25 +138,6 @@ class DisturbanceTrajectory:
     def __len__(self) -> int:
         return self.values.shape[1]
 
-    def channel(self, name: str) -> np.ndarray:
-        return self.values[CHANNELS.index(name)]
-
-    @property
-    def load_elec(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def load_cw(self) -> np.ndarray:
-        return self.values[1]
-
-    @property
-    def load_hw(self) -> np.ndarray:
-        return self.values[2]
-
-    @property
-    def price_elec(self) -> np.ndarray:
-        return self.values[3]
-
     def at(self, t: int) -> Disturbance:
         return Disturbance(*self.values[:, t])
 
@@ -213,11 +189,13 @@ ZERO_ACTION = ControlAction()
 
 @dataclass(frozen=True)
 class PlantState:
-    """Storage levels, unmet/overmet integrators, and carryover peak(s).
+    """Storage levels, unmet/overmet integrators and the monthly peak.
 
-    ``peak`` is the largest residual electrical demand realized so far in
-    the current month; ``peak_next`` carries the second-month peak while a
-    prediction horizon spans a month boundary (zero otherwise).
+    ``e_cw``/``e_hw`` are the tank contents in kWh.  The integrators hold
+    the energy the capacity clamp has cut since the run began: ``ul`` what
+    a tank could not deliver, ``ol`` what it could not take.  ``peak`` is
+    the largest residual electrical demand realized so far in the current
+    month; the closed loop resets it to zero after the month's last hour.
     """
 
     e_cw: float
@@ -227,13 +205,12 @@ class PlantState:
     ol_cw: float = 0.0
     ol_hw: float = 0.0
     peak: float = 0.0
-    peak_next: float = 0.0
 
     def __post_init__(self) -> None:
         if min(self.ul_cw, self.ul_hw, self.ol_cw, self.ol_hw) < 0:
             raise ValueError("unmet/overmet integrators must be nonnegative")
-        if self.peak < 0 or self.peak_next < 0:
-            raise ValueError("peaks must be nonnegative")
+        if self.peak < 0:
+            raise ValueError("peak must be nonnegative")
 
     def storage(self, unit: str) -> float:
         return getattr(self, f"e_{unit}")
@@ -308,26 +285,3 @@ def demand_discount(hours_to_month_end: int, horizon_n: int) -> float:
     raw = min(hours_to_month_end / horizon_n, 1.0)
     return max(raw, 1.0 / horizon_n)
 
-
-def step_state(
-    state: PlantState,
-    action: ControlAction,
-    realized: Disturbance,
-    noise: tuple[float, float],
-    config: PlantConfig,
-) -> PlantState:
-    """One-hour state transition before any capacity clamping.
-
-    Storage is advanced as E' = E - P + v; clamping against the tank
-    capacity and the unmet/overmet bookkeeping belong to the closed-loop
-    engine.  The monthly peak ratchets against the realized residual
-    electrical demand.
-    """
-    v_cw, v_hw = noise
-    r_e, _, _ = residual_demands(config, action, realized.load_elec)
-    return dataclasses.replace(
-        state,
-        e_cw=state.e_cw - action.p_cw + v_cw,
-        e_hw=state.e_hw - action.p_hw + v_hw,
-        peak=max(state.peak, r_e),
-    )

@@ -2,22 +2,22 @@
 
 Each simulated hour: fit/refresh the disturbance forecast, build and solve
 the controller's program against the active storage bounds, repair the
-committed action against the realized loads, advance the tanks with the
-intra-hour tracking noise, book any unmet/overmet energy from capacity
-clamps, refresh the bounds, and ratchet the monthly peak.
+committed action against the realized loads, then book the hour with
+``step``.  ``run_closed_loop`` carries one ``PlantState`` and one
+``mpc.TankBounds`` from hour to hour.
 
-Per-hour bookkeeping (documented order, mirrored by the test oracle):
+Per-hour order (mirrored by the test oracle):
 
 1. solve controller program, commit the first-stage action
 2. restore the action against realized loads (zero action on failure)
-3. realized residual demands and stage cost from the implemented action
-4. storage update E <- E - P + v
-5. on a restoration fallback the campus loads drain the tanks directly
-   (production is off but the distribution loop still draws)
-6. capacity clamp via update_storage_bounds; clamp amounts accumulate
-   into the unmet/overmet integrators and raise violation flags
-7. peak <- max(peak, realized r_e); the register resets after the last
-   hour of each month
+3. ``step``: realized residual demands and stage cost of the implemented
+   action; storage update E <- E - P + v; on a fallback hour the campus
+   loads drain the tanks directly (production is off but the distribution
+   loop still draws); capacity clamp via ``update_storage_bounds``, whose
+   clamp amounts accumulate into the unmet/overmet integrators and raise
+   violation flags; peak <- max(peak, realized r_e)
+4. after the last hour of each month the loop records the peak and resets
+   the register
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import bisect
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +45,11 @@ from .forecast import (
 )
 from .plant import (
     CHANNELS,
+    STORAGE_UNITS,
     UNITS,
     ZERO_ACTION,
+    ControlAction,
+    Disturbance,
     DisturbanceTrajectory,
     PlantConfig,
     PlantState,
@@ -163,8 +166,8 @@ def default_calendar(total_hours: int, start_month: int = 0) -> tuple[int, ...]:
 def month_timing(t: int, calendar, n: int) -> mpc.HorizonTiming:
     """Timing for the horizon starting at hour ``t``.
 
-    The month end is the smallest calendar entry >= t; on the closing hour
-    itself the carried peak comes from the second-month register.
+    The month end is the smallest calendar entry >= t, so on the closing
+    hour it is ``t`` itself and the horizon counts as one month.
     """
     cal = list(calendar)
     if cal != sorted(cal):
@@ -206,6 +209,65 @@ def update_storage_bounds(e_next: float, cap: float, beta: float) -> BoundsUpdat
     return BoundsUpdate(e_next, lo, hi, 0.0, 0.0)
 
 
+class Hour(NamedTuple):
+    """One booked hour: the next state and bounds, and what the hour cost."""
+
+    state: PlantState
+    bounds: mpc.TankBounds
+    residuals: tuple[float, float, float]
+    cost: float
+    flags: tuple[bool, ...]
+
+
+def step(
+    config: PlantConfig,
+    state: PlantState,
+    action: ControlAction,
+    realized: Disturbance,
+    noise: np.ndarray,
+    fallback: bool,
+    beta: float,
+    clamp_floor: np.ndarray,
+) -> Hour:
+    """Book one hour of the implemented ``action`` against ``realized``.
+
+    Each tank moves to E - P + v (``noise`` holds v per tank) and, on a
+    ``fallback`` hour, the campus load drains it as well.  The result is
+    clamped to the tank and the bounds refreshed by
+    ``update_storage_bounds``; clamp amounts above 1e-9 kWh grow the
+    unmet/overmet integrators and raise the tank's violation flag when
+    they exceed its ``clamp_floor``.  The peak ratchets to the realized
+    r_e; resetting it at a month end is left to the caller.
+    """
+    r_e, r_w, r_ng = residual_demands(config, action, realized.load_elec)
+    flags = [False] * len(VIOLATION_TYPES)
+    flags[_FALLBACK_IDX] = fallback
+    booked, bounds = {}, {}
+    for j, unit in enumerate(STORAGE_UNITS):
+        e_next = state.storage(unit) - action.rate(unit) + noise[j]
+        if fallback:
+            e_next = e_next - getattr(realized, f"load_{unit}")
+        upd = update_storage_bounds(e_next, config.cap(unit), beta)
+        ul, ol = getattr(state, f"ul_{unit}"), getattr(state, f"ol_{unit}")
+        # Clamp energy always accumulates; the violation flag fires only
+        # for crossings above the intra-hour tracking noise floor.
+        if upd.ul_increment > 1e-9:
+            ul += upd.ul_increment
+            flags[_DRYUP_IDX[j]] = upd.ul_increment > clamp_floor[j]
+        if upd.ol_increment > 1e-9:
+            ol += upd.ol_increment
+            flags[_OVERFLOW_IDX[j]] = upd.ol_increment > clamp_floor[j]
+        booked.update({f"e_{unit}": upd.clamped, f"ul_{unit}": ul, f"ol_{unit}": ol})
+        bounds.update({f"lower_{unit}": upd.lower, f"upper_{unit}": upd.upper})
+    return Hour(
+        state=PlantState(**booked, peak=max(state.peak, r_e)),
+        bounds=mpc.TankBounds(**bounds),
+        residuals=(r_e, r_w, r_ng),
+        cost=stage_cost(config, action, realized),
+        flags=tuple(flags),
+    )
+
+
 @dataclass
 class ClosedLoopTrace:
     """Hour-by-hour record of one closed-loop run."""
@@ -242,18 +304,21 @@ class ClosedLoopTrace:
     def violation_hours(self) -> int:
         return int(np.any(self.violations, axis=1).sum())
 
-    def summary(self) -> dict:
-        counts = {
+    def violation_counts(self) -> dict[str, int]:
+        """Flagged hours per entry of ``VIOLATION_TYPES``."""
+        return {
             kind: int(self.violations[:, i].sum())
             for i, kind in enumerate(VIOLATION_TYPES)
         }
+
+    def summary(self) -> dict:
         return {
             "controller": self.controller,
             "hours": len(self),
             "total_stage_cost": float(self.cost.sum()),
             "monthly_peaks_kw": [float(p) for p in self.monthly_peaks],
             "violation_hours": self.violation_hours,
-            "violations": counts,
+            "violations": self.violation_counts(),
             "final_storage_kwh": {
                 "cw": float(self.storage[-1, 0]),
                 "hw": float(self.storage[-1, 1]),
@@ -465,13 +530,13 @@ def run_closed_loop(
     noise, clamp_floor = precompute_storage_noise(truth, spec)
     session = lp.HighsSession()
 
-    caps = np.array([config.cap_cw, config.cap_hw])
-    e = spec.initial_soc * caps.copy()
-    lo = beta * caps
-    hi = (1.0 - beta) * caps
-    ul = np.zeros(2)
-    ol = np.zeros(2)
-    peak = 0.0
+    state = PlantState(
+        e_cw=spec.initial_soc * config.cap_cw, e_hw=spec.initial_soc * config.cap_hw
+    )
+    bounds = mpc.TankBounds(
+        beta * config.cap_cw, (1.0 - beta) * config.cap_cw,
+        beta * config.cap_hw, (1.0 - beta) * config.cap_hw,
+    )
     iterations = 0
 
     committed = np.zeros((y, len(UNITS)))
@@ -490,11 +555,6 @@ def run_closed_loop(
 
     for t in range(y):
         timing = month_timing(t, calendar, n)
-        tank_bounds = mpc.TankBounds(lo[0], hi[0], lo[1], hi[1])
-        state = PlantState(
-            e_cw=e[0], e_hw=e[1], ul_cw=ul[0], ul_hw=ul[1],
-            ol_cw=ol[0], ol_hw=ol[1], peak=peak, peak_next=0.0,
-        )
         if kind == DETERMINISTIC:
             data = forecaster.mean_trajectory(t)
         elif kind == STOCHASTIC:
@@ -503,7 +563,7 @@ def run_closed_loop(
             data = truth.slice(h + t, h + t + n)
 
         fallback = False
-        reduced = mpc.build_reduced(config, state, data, timing, tank_bounds)
+        reduced = mpc.build_reduced(config, state, data, timing, bounds)
         sol = session.solve(reduced.program)
         iterations += sol.iterations
         if sol.is_optimal:
@@ -524,49 +584,28 @@ def run_closed_loop(
                 action = outcome.action
         if fallback:
             action = ZERO_ACTION
-            violations[t, _FALLBACK_IDX] = True
 
+        hour = step(config, state, action, realized, noise[t], fallback, beta,
+                    clamp_floor)
+        state, bounds = hour.state, hour.bounds
         implemented[t] = action.as_array()
         realized_arr[t] = realized.as_array()
-        r_e, r_w, r_ng = residual_demands(config, action, realized.load_elec)
-        residuals_arr[t] = (r_e, r_w, r_ng)
-        cost_arr[t] = stage_cost(config, action, realized)
-
-        # Storage transition with intra-hour noise; on fallback the loads
-        # drain the tanks directly.
-        e = e - np.array([action.p_cw, action.p_hw]) + noise[t]
-        if fallback:
-            e = e - np.array([realized.load_cw, realized.load_hw])
-
-        for j in range(2):
-            upd = update_storage_bounds(float(e[j]), caps[j], beta)
-            e[j] = upd.clamped
-            lo[j], hi[j] = upd.lower, upd.upper
-            # Clamp energy always accumulates; the violation flag fires
-            # only for crossings above the intra-hour tracking noise floor.
-            if upd.ul_increment > 1e-9:
-                ul[j] += upd.ul_increment
-                if upd.ul_increment > clamp_floor[j]:
-                    violations[t, _DRYUP_IDX[j]] = True
-            if upd.ol_increment > 1e-9:
-                ol[j] += upd.ol_increment
-                if upd.ol_increment > clamp_floor[j]:
-                    violations[t, _OVERFLOW_IDX[j]] = True
-
-        peak = max(peak, r_e)
-        storage[t] = e
-        unmet[t] = ul
-        overmet[t] = ol
-        peak_arr[t] = peak
-        bounds_lower[t] = lo
-        bounds_upper[t] = hi
+        residuals_arr[t] = hour.residuals
+        cost_arr[t] = hour.cost
+        violations[t] = hour.flags
+        storage[t] = (state.e_cw, state.e_hw)
+        unmet[t] = (state.ul_cw, state.ul_hw)
+        overmet[t] = (state.ol_cw, state.ol_hw)
+        peak_arr[t] = state.peak
+        bounds_lower[t] = (bounds.lower_cw, bounds.lower_hw)
+        bounds_upper[t] = (bounds.upper_cw, bounds.upper_hw)
 
         if t == timing.month_end:
-            monthly_peaks.append(peak)
-            peak = 0.0
+            monthly_peaks.append(state.peak)
+            state = replace(state, peak=0.0)
 
     if not monthly_peaks or (y - 1) != calendar[len(monthly_peaks) - 1]:
-        monthly_peaks.append(peak)
+        monthly_peaks.append(state.peak)
 
     return ClosedLoopTrace(
         controller=spec.controller.label,

@@ -148,7 +148,7 @@ def build(config, state, data, timing, bounds) -> FullForm:
     in_second_month = (timing.t + steps) > timing.month_end
     weight = 1.0 / s
     demand_coeff = config.price_demand / timing.discount
-    carry = state.peak if timing.t < timing.month_end else state.peak_next
+    carry = state.peak if timing.t < timing.month_end else 0.0
 
     pmax = np.array([config.pmax(u) for u in UNITS])
     alpha_e = np.array(
@@ -240,7 +240,7 @@ def build(config, state, data, timing, bounds) -> FullForm:
     lower[lay.R1] = carry
     obj[lay.R1] = weight * demand_coeff
     if lay.spans:
-        lower[lay.R2] = state.peak_next
+        lower[lay.R2] = 0.0
         obj[lay.R2] = weight * demand_coeff
 
     program = matrix.program(obj, lower, upper, sense, rhs)

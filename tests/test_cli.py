@@ -113,6 +113,20 @@ class TestRun:
         # 12 simulated hours regardless
         assert len(out.read_text().splitlines()) == 13
 
+    def test_plant_buffer_is_a_cli_error(self, tmp_path, data_csv, capsys):
+        # The storage buffer is the controller's beta; a plant-level buffer
+        # was once accepted and silently ignored.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plant": {"buffer": 0.3}}))
+        code = run_cli(
+            "run", "--controller", "det", "--config", str(cfg),
+            "--data", str(data_csv), "--out", str(tmp_path / "t.csv"), *SMALL,
+            "--sim-hours", "2",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad plant config" in err and "buffer" in err
+
     def test_malformed_config(self, tmp_path, data_csv, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

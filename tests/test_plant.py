@@ -14,7 +14,6 @@ from plantmpc.plant import (
     demand_discount,
     residual_demands,
     stage_cost,
-    step_state,
 )
 
 
@@ -108,44 +107,7 @@ class TestDemandDiscount:
             assert demand_discount(hours - 1, n) <= value
 
 
-class TestStepState:
-    def test_discharge(self, config):
-        state = PlantState(e_cw=500.0, e_hw=0.0)
-        nxt = step_state(
-            state, ControlAction(p_cw=100.0), Disturbance(0, 0, 0, 0), (0.0, 0.0),
-            config,
-        )
-        assert nxt.e_cw == pytest.approx(400.0)
-
-    def test_peak_ratchets_up(self, config):
-        state = PlantState(e_cw=0.0, e_hw=0.0, peak=900.0)
-        nxt = step_state(
-            state, ControlAction(), Disturbance(950.0, 0, 0, 0), (0.0, 0.0), config
-        )
-        assert nxt.peak == pytest.approx(950.0)
-
-    def test_peak_holds(self, config):
-        state = PlantState(e_cw=0.0, e_hw=0.0, peak=900.0)
-        nxt = step_state(
-            state, ControlAction(), Disturbance(850.0, 0, 0, 0), (0.0, 0.0), config
-        )
-        assert nxt.peak == pytest.approx(900.0)
-
-    @given(e_cw=st.floats(0, 1e4), e_hw=st.floats(0, 1e4))
-    def test_idle_plant_keeps_storage(self, e_cw, e_hw):
-        config = PlantConfig()
-        state = PlantState(e_cw=e_cw, e_hw=e_hw)
-        nxt = step_state(
-            state, ControlAction(), Disturbance(0, 0, 0, 0), (0.0, 0.0), config
-        )
-        assert nxt.e_cw == e_cw and nxt.e_hw == e_hw
-
-
 class TestConfigValidation:
-    def test_buffer_too_large(self):
-        with pytest.raises(ValueError, match="buffer"):
-            PlantConfig(buffer=0.5)
-
     def test_discharge_exceeds_capacity(self):
         with pytest.raises(ValueError, match="pmax_cw"):
             PlantConfig(pmax_cw=1000.0, cap_cw=500.0)
@@ -166,7 +128,7 @@ class TestConfigValidation:
             "alpha_w_ct", "alpha_ng_hwg", "alpha_cond_cs", "alpha_h_hrc",
             "cap_cw", "cap_hw", "pmax_cs", "pmax_hrc", "pmax_hwg", "pmax_ct",
             "pmax_hx", "pmax_cw", "pmax_hw", "price_water", "price_gas",
-            "price_demand", "rho_cw", "rho_hw", "buffer",
+            "price_demand", "rho_cw", "rho_hw",
         }
         assert set(data) == expected
 

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from plantmpc import forecast as fc, lp, mpc, restoration, simulate
+from plantmpc import bench, forecast as fc, lp, mpc, restoration, simulate
 from plantmpc.plant import (
+    PRODUCTION_UNITS,
+    STORAGE_UNITS,
     ControlAction,
+    Disturbance,
     DisturbanceTrajectory,
     PlantConfig,
     PlantState,
@@ -121,6 +124,98 @@ class TestUpdateStorageBounds:
             simulate.update_storage_bounds(0.0, 100.0, 0.5)
 
 
+def check_hour(config, state, action, realized, noise, fallback, beta, floor):
+    """Run ``simulate.step`` and check every per-hour invariant of its result."""
+    hour = simulate.step(config, state, action, realized, noise, fallback, beta,
+                         floor)
+    nxt, bounds = hour.state, hour.bounds
+    flags = dict(zip(simulate.VIOLATION_TYPES, hour.flags))
+    for j, unit in enumerate(STORAGE_UNITS):
+        cap = config.cap(unit)
+        raw = state.storage(unit) - action.rate(unit) + noise[j]
+        if fallback:
+            raw -= getattr(realized, f"load_{unit}")
+        # Tank identity: E' = clamp(E - P + v - drain).
+        assert nxt.storage(unit) == min(max(raw, 0.0), cap)
+        # The integrators grow by exactly the clamped amount (above 1e-9).
+        unmet, overmet = max(-raw, 0.0), max(raw - cap, 0.0)
+        ul, ol = f"ul_{unit}", f"ol_{unit}"
+        assert getattr(nxt, ul) == getattr(state, ul) + (unmet if unmet > 1e-9 else 0.0)
+        assert getattr(nxt, ol) == getattr(state, ol) + (overmet if overmet > 1e-9 else 0.0)
+        assert getattr(nxt, ul) >= getattr(state, ul)
+        assert getattr(nxt, ol) >= getattr(state, ol)
+        lower, upper = bounds.lower(unit), bounds.upper(unit)
+        assert 0.0 <= lower <= nxt.storage(unit) <= upper <= cap
+        assert flags[f"dryup_{unit}"] == (unmet > 1e-9 and unmet > floor[j])
+        assert flags[f"overflow_{unit}"] == (overmet > 1e-9 and overmet > floor[j])
+    assert flags["fallback"] == fallback
+    residuals = residual_demands(config, action, realized.load_elec)
+    assert hour.residuals == residuals
+    assert nxt.peak == max(state.peak, residuals[0])
+    assert hour.cost == stage_cost(config, action, realized)
+    return hour
+
+
+@st.composite
+def hours(draw):
+    """Arguments of one ``simulate.step`` call, extremes included."""
+
+    def real(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    config = PlantConfig(cap_cw=real(5000.0, 40000.0), cap_hw=real(3000.0, 30000.0))
+    state = PlantState(
+        e_cw=real(0.0, config.cap_cw), e_hw=real(0.0, config.cap_hw),
+        ul_cw=real(0.0, 1e5), ul_hw=real(0.0, 1e5),
+        ol_cw=real(0.0, 1e5), ol_hw=real(0.0, 1e5), peak=real(0.0, 3e4),
+    )
+    rates = [real(0.0, config.pmax(u)) for u in PRODUCTION_UNITS]
+    rates += [real(-config.pmax(u), config.pmax(u)) for u in STORAGE_UNITS]
+    realized = Disturbance(
+        real(0.0, 3e4), real(0.0, 1e5), real(0.0, 1e5), real(-1.0, 1.0)
+    )
+    noise = np.array([real(-5e3, 5e3), real(-5e3, 5e3)])
+    floor = np.array([real(0.0, 1e3), real(0.0, 1e3)])
+    return (config, state, ControlAction(*rates), realized, noise,
+            draw(st.booleans()), real(0.0, 0.49), floor)
+
+
+class TestStep:
+    """``simulate.step``, the per-hour bookkeeping of the closed loop."""
+
+    @staticmethod
+    def quiet_hour(state, action=ControlAction(), realized=Disturbance(0, 0, 0, 0)):
+        """An hour on the default plant without noise, buffer or fallback."""
+        return check_hour(PlantConfig(), state, action, realized, np.zeros(2),
+                          False, 0.0, np.zeros(2))
+
+    @given(hours())
+    def test_invariants(self, args):
+        check_hour(*args)
+
+    def test_discharge(self):
+        state = PlantState(e_cw=500.0, e_hw=0.0)
+        hour = self.quiet_hour(state, ControlAction(p_cw=100.0))
+        assert hour.state.e_cw == pytest.approx(400.0)
+
+    def test_peak_ratchets_up(self):
+        state = PlantState(e_cw=0.0, e_hw=0.0, peak=900.0)
+        hour = self.quiet_hour(state, realized=Disturbance(950.0, 0, 0, 0))
+        assert hour.state.peak == pytest.approx(950.0)
+
+    def test_peak_holds(self):
+        state = PlantState(e_cw=0.0, e_hw=0.0, peak=900.0)
+        hour = self.quiet_hour(state, realized=Disturbance(850.0, 0, 0, 0))
+        assert hour.state.peak == pytest.approx(900.0)
+
+    @given(e_cw=st.floats(0, 1e4), e_hw=st.floats(0, 1e4))
+    def test_idle_plant_keeps_storage(self, e_cw, e_hw):
+        state = PlantState(e_cw=e_cw, e_hw=e_hw)
+        hour = self.quiet_hour(state)
+        assert hour.state == state
+        assert not any(hour.flags)
+
+
 class TestMonthTiming:
     def test_spanning(self):
         timing = simulate.month_timing(700, (744, 1487), 168)
@@ -189,19 +284,31 @@ class TestClosedLoop:
         assert trace.violation_hours == 0
         assert np.all(trace.implemented == 0.0)
 
-    @pytest.mark.parametrize("kind", ["det", "perf"])
+    @pytest.mark.parametrize("kind", ["det", "perf", "sto"])
     def test_scheme_matches_scripted_step_through(self, kind):
-        # 48-hour toy with a 6-hour horizon, realistic loads and noise.
+        # 48-hour toy with a 6-hour horizon, realistic loads and noise, and
+        # two month ends inside the run.
         config = PlantConfig()
-        spec = make_spec(controller=simulate.ControllerSpec(
-            kind, beta=0.1 if kind == "det" else 0.0))
+        spec = make_spec(
+            controller=simulate.ControllerSpec(
+                kind, beta=0.1 if kind == "det" else 0.0, scenarios=3
+            ),
+            calendar=(17, 35, 60),
+        )
         truth = fc.generate_synthetic_campus(17, days=7)
         trace = simulate.run_closed_loop(config, spec, truth)
+        assert len(trace.monthly_peaks) == 3
         h, n = spec.history_hours, spec.horizon
-        forecast_fn = (
-            simulate.ArForecaster(truth, spec).mean_trajectory if kind == "det"
-            else lambda t: truth.slice(h + t, h + t + n)
-        )
+        if kind == "det":
+            forecast_fn = simulate.ArForecaster(truth, spec).mean_trajectory
+        elif kind == "sto":
+            # A second sampler on the same seed draws the same scenarios.
+            forecast_fn = simulate._ScenarioSampler(
+                simulate.ArForecaster(truth, spec), spec
+            ).scenario_set
+        else:
+            def forecast_fn(t):
+                return truth.slice(h + t, h + t + n)
         expected = scripted_step_through(config, spec, truth, forecast_fn)
         got = np.column_stack(
             [trace.storage, trace.unmet, trace.overmet, trace.peak,
@@ -317,6 +424,73 @@ class TestClosedLoop:
         summary = json.loads(summary_path.read_text())
         assert summary["hours"] == 12
         assert summary["controller"] == "det:0.1"
+
+
+@st.composite
+def short_loops(draw):
+    """A short closed loop with month ends inside it and extreme hours."""
+    kind = draw(st.sampled_from(["det", "sto", "perf"]))
+    config = PlantConfig(
+        cap_cw=draw(st.floats(5000.0, 40000.0)),
+        cap_hw=draw(st.floats(3000.0, 30000.0)),
+        price_demand=draw(st.floats(0.0, 20.0)),
+        rho_cw=draw(st.floats(0.0, 50.0)),
+        rho_hw=draw(st.floats(0.0, 50.0)),
+    )
+    y, n = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    ends = draw(st.sets(st.integers(0, y - 2), min_size=1, max_size=3))
+    spec = make_spec(
+        controller=simulate.ControllerSpec(
+            kind, beta=0.0 if kind == "perf" else draw(st.floats(0.0, 0.4)),
+            scenarios=draw(st.integers(1, 3)),
+        ),
+        sim_hours=y, horizon=n, ar_order=3, history_hours=72,
+        calendar=(*sorted(ends), y - 1 + draw(st.integers(0, n))),
+        scenario_seed=draw(st.integers(0, 99)), zoh_seed=draw(st.integers(0, 99)),
+    )
+    h = spec.history_hours
+    values = fc.generate_synthetic_campus(
+        draw(st.integers(0, 99)), days=-(-spec.required_truth_hours() // 24)
+    ).values.copy()
+    for t, extreme in enumerate(draw(st.lists(
+        st.sampled_from(["none", "zero loads", "spike", "negative price"]),
+        min_size=y + n, max_size=y + n,
+    ))):
+        if extreme == "zero loads":
+            values[:3, h + t] = 0.0
+        elif extreme == "spike":
+            # Loads above what production and a full tank can serve.
+            values[:3, h + t] = (
+                3e4, 2.0 * config.cap_cw + 1e4, 2.0 * config.cap_hw + 1e4
+            )
+        elif extreme == "negative price":
+            values[3, h + t] = -abs(values[3, h + t]) - 0.05
+    return config, spec, DisturbanceTrajectory(values)
+
+
+class TestClosedLoopProperties:
+    @settings(deadline=None, max_examples=50)
+    @given(short_loops())
+    def test_bill_integrators_and_bounds(self, loop):
+        config, spec, truth = loop
+        trace = simulate.run_closed_loop(config, spec, truth)
+        demand = config.price_demand * sum(trace.monthly_peaks)
+        total, _ = bench.annual_cost(trace)
+        scale = np.abs(trace.cost).sum() + demand
+        assert total == pytest.approx(trace.cost.sum() + demand, rel=1e-9,
+                                      abs=1e-9 * scale)
+        assert trace.monthly_peaks == pytest.approx(
+            bench._monthly_peaks(trace.residuals[:, 0], trace.calendar),
+            rel=1e-12,
+        )
+        for integrator in (trace.unmet, trace.overmet):
+            assert np.all(integrator[0] >= 0.0)
+            assert np.all(np.diff(integrator, axis=0) >= 0.0)
+        caps = np.array([config.cap_cw, config.cap_hw])
+        assert np.all(0.0 <= trace.bounds_lower)
+        assert np.all(trace.bounds_lower <= trace.storage)
+        assert np.all(trace.storage <= trace.bounds_upper)
+        assert np.all(trace.bounds_upper <= caps)
 
 
 class EagerForecaster(simulate.ArForecaster):
