@@ -10,7 +10,6 @@ from .bench import (
     cost_of_central_plant,
     make_validation_set,
     run_benchmark,
-    value_of_stochastic,
     violation_rate,
 )
 # The multi-step forecast operation itself stays namespaced as
@@ -30,9 +29,9 @@ from .forecast import (
 from .lp import HighsSession, LinearProgram, LpSolution, solve
 from .mpc import (
     HorizonTiming,
-    TankBounds,
     build_reduced,
     extract_action,
+    storage_bounds,
 )
 from .plant import (
     CHANNELS,
@@ -55,7 +54,6 @@ from .simulate import (
     default_calendar,
     month_timing,
     run_closed_loop,
-    update_storage_bounds,
 )
 
 __version__ = "0.1.0"

@@ -96,10 +96,6 @@ def cost_of_central_plant(trace: ClosedLoopTrace, calendar=None) -> float:
     return phi - nocp
 
 
-def value_of_stochastic(ccp_det: float, ccp_sto: float) -> float:
-    return ccp_det - ccp_sto
-
-
 def violation_rate(trace: ClosedLoopTrace) -> float:
     """Hours with any violation flag, per 100 hours of operation."""
     return 100.0 * trace.violation_hours / len(trace)
@@ -110,7 +106,6 @@ def make_validation_set(
     count: int,
     seed: int,
     relative_amplitude: float = 0.05,
-    noise_phi: float = 0.9,
 ) -> list[DisturbanceTrajectory]:
     """Perturbed copies of the base truth for closed-loop validation.
 
@@ -121,6 +116,7 @@ def make_validation_set(
     """
     if count < 1:
         raise ValueError("validation count must be >= 1")
+    corr = 0.9  # lag-1 correlation of the perturbation
     scale = np.abs(base_truth.values).mean(axis=1) * relative_amplitude
     hours = len(base_truth)
     out = []
@@ -129,11 +125,11 @@ def make_validation_set(
         values = base_truth.values.copy()
         if relative_amplitude > 0:
             innov = rng.standard_normal((4, hours))
-            innov *= (scale * np.sqrt(1.0 - noise_phi**2))[:, None]
+            innov *= (scale * np.sqrt(1.0 - corr**2))[:, None]
             colored = np.empty((4, hours))
             colored[:, 0] = rng.standard_normal(4) * scale
             for t in range(1, hours):
-                colored[:, t] = noise_phi * colored[:, t - 1] + innov[:, t]
+                colored[:, t] = corr * colored[:, t - 1] + innov[:, t]
             values = values + colored
             values[:3] = np.maximum(values[:3], 0.0)
         out.append(DisturbanceTrajectory(values))

@@ -255,21 +255,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_data)
 
-    run = sub.add_parser("run", help="one closed-loop run, trace to CSV")
+    # Flags shared by ``run`` and ``bench``; each overrides the config file.
+    settings = argparse.ArgumentParser(add_help=False)
+    for flag, kind in (
+        ("--beta", float), ("--scenarios", _positive_int),
+        ("--horizon", _positive_int), ("--ar-order", _positive_int),
+        ("--history-days", _positive_int), ("--sim-hours", _positive_int),
+        ("--seed", int),
+    ):
+        settings.add_argument(flag, type=kind)
+
+    run = sub.add_parser(
+        "run", parents=[settings], help="one closed-loop run, trace to CSV"
+    )
     run.add_argument("--controller", required=True, help="det | sto | perf")
     run.add_argument("--config", help="JSON config (plant + run sections)")
     run.add_argument("--data", required=True, help="truth CSV")
     run.add_argument("--out", required=True, help="trace CSV path")
-    run.add_argument("--beta", type=float, default=None)
-    run.add_argument("--scenarios", type=_positive_int, default=None)
-    run.add_argument("--horizon", type=_positive_int, default=None)
-    run.add_argument("--ar-order", dest="ar_order", type=_positive_int, default=None)
-    run.add_argument("--history-days", dest="history_days", type=_positive_int, default=None)
-    run.add_argument("--sim-hours", dest="sim_hours", type=_positive_int, default=None)
-    run.add_argument("--seed", type=int, default=None)
     run.set_defaults(func=_cmd_run)
 
-    bn = sub.add_parser("bench", help="benchmark controllers on a validation set")
+    bn = sub.add_parser(
+        "bench", parents=[settings],
+        help="benchmark controllers on a validation set",
+    )
     bn.add_argument("--config", help="JSON config")
     bn.add_argument("--data", required=True, help="base truth CSV")
     bn.add_argument("--validation-count", type=_positive_int, required=True)
@@ -279,13 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bn.add_argument("--out", required=True, help="report JSON path")
     bn.add_argument("--jobs", type=_positive_int, default=1)
-    bn.add_argument("--beta", type=float, default=None)
-    bn.add_argument("--scenarios", type=_positive_int, default=None)
-    bn.add_argument("--horizon", type=_positive_int, default=None)
-    bn.add_argument("--ar-order", dest="ar_order", type=_positive_int, default=None)
-    bn.add_argument("--history-days", dest="history_days", type=_positive_int, default=None)
-    bn.add_argument("--sim-hours", dest="sim_hours", type=_positive_int, default=None)
-    bn.add_argument("--seed", type=int, default=None)
     bn.set_defaults(func=_cmd_bench)
     return parser
 

@@ -8,6 +8,10 @@ program replicates every recourse quantity per scenario while first-stage
 decisions (the hour-t unit loads and the hour t+1 storage levels) live in
 shared columns, which enforces nonanticipativity exactly.
 
+Planned storage levels stay in the box ``storage_bounds`` derives from
+the current state and the buffer beta, the same box the closed-loop trace
+records; no bounds are carried from hour to hour.
+
 The program is the reduced form of the plant model: residual demands and
 the unmet/overmet integrators are eliminated by substitution, and the
 cooling-tower column and condenser rows drop out when the tower limit can
@@ -79,20 +83,22 @@ class HorizonTiming:
         return demand_discount(self.hours_to_month_end, self.n)
 
 
-@dataclass(frozen=True)
-class TankBounds:
-    """Active storage bounds applied to every in-horizon step (kWh)."""
+def storage_bounds(
+    config: PlantConfig, state: PlantState, beta: float
+) -> list[tuple[float, float]]:
+    """Each tank's planned-level box (lower, upper), in ``STORAGE_UNITS`` order.
 
-    lower_cw: float
-    upper_cw: float
-    lower_hw: float
-    upper_hw: float
-
-    def lower(self, unit: str) -> float:
-        return getattr(self, f"lower_{unit}")
-
-    def upper(self, unit: str) -> float:
-        return getattr(self, f"upper_{unit}")
+    The buffer ``beta`` narrows a tank to [beta * cap, (1 - beta) * cap];
+    a level inside a buffer zone widens the nearer bound to itself, so the
+    box always holds the current level and an idle tank is a feasible plan.
+    """
+    if not 0.0 <= beta < 0.5:
+        raise ValueError("beta must lie in [0, 0.5)")
+    return [
+        (min(beta * config.cap(u), state.storage(u)),
+         max((1.0 - beta) * config.cap(u), state.storage(u)))
+        for u in STORAGE_UNITS
+    ]
 
 
 def _scenario_values(forecast_or_scenarios) -> np.ndarray:
@@ -264,12 +270,14 @@ def build_reduced(
     state: PlantState,
     forecast_or_scenarios,
     timing: HorizonTiming,
-    bounds: TankBounds,
+    beta: float,
 ) -> ReducedProgram:
     """Build the program of any controller from its disturbance data.
 
     The data is one trajectory (the mean forecast or the realized
     disturbances) or a ``ScenarioSet``, each scenario weighted equally.
+    The horizon starts from ``state``: its tank levels pin step 0, and
+    ``storage_bounds(config, state, beta)`` bounds every later level.
     The optimum of the returned program plus its ``offset`` is the
     expected cost over the horizon.
     """
@@ -371,10 +379,10 @@ def build_reduced(
     is_storage = np.isin(np.array(red.units), STORAGE_UNITS)
     lower[P] = np.where(is_storage, -pmax_red, 0.0)[None, :, None]
     upper[P] = pmax_red[None, :, None]
-    for j, unit in enumerate(STORAGE_UNITS):
-        lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(unit)
-        lower[E[:, j, 1:]] = bounds.lower(unit)
-        upper[E[:, j, 1:]] = bounds.upper(unit)
+    for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
+        lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(STORAGE_UNITS[j])
+        lower[E[:, j, 1:]] = lo
+        upper[E[:, j, 1:]] = hi
     lower[S] = 0.0
 
     # Objective: substituted residual costs on the unit loads, triangular

@@ -1,10 +1,10 @@
 """Receding-horizon closed-loop engine for the three controllers.
 
 Each simulated hour: fit/refresh the disturbance forecast, build and solve
-the controller's program against the active storage bounds, repair the
-committed action against the realized loads, then book the hour with
-``step``.  ``run_closed_loop`` carries one ``PlantState`` and one
-``mpc.TankBounds`` from hour to hour.
+the controller's program from the current state, repair the committed
+action against the realized loads, then book the hour with ``step``.
+``run_closed_loop`` carries only a ``PlantState`` from hour to hour: the
+storage bounds are ``mpc.storage_bounds`` of it.
 
 Per-hour order (mirrored by the test oracle):
 
@@ -13,11 +13,11 @@ Per-hour order (mirrored by the test oracle):
 3. ``step``: realized residual demands and stage cost of the implemented
    action; storage update E <- E - P + v; on a fallback hour the campus
    loads drain the tanks directly (production is off but the distribution
-   loop still draws); capacity clamp via ``update_storage_bounds``, whose
-   clamp amounts accumulate into the unmet/overmet integrators and raise
-   violation flags; peak <- max(peak, realized r_e)
-4. after the last hour of each month the loop records the peak and resets
-   the register
+   loop still draws); clamp to [0, cap], with the cut energy accumulated
+   into the unmet/overmet integrators and raising violation flags;
+   peak <- max(peak, realized r_e)
+4. the trace records the bounds of the booked state; after the last hour
+   of each month the loop records the peak and resets the register
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ class RunSpec:
         return self.history_hours + self.sim_hours + self.horizon
 
 
-def default_calendar(total_hours: int, start_month: int = 0) -> tuple[int, ...]:
+def default_calendar(total_hours: int) -> tuple[int, ...]:
     """Month-end hour indices (last hour of each month), hours from 0."""
     ends = []
     hours = 0
-    month = start_month
+    month = 0
     while hours <= total_hours:
         hours += MONTH_DAYS[month % 12] * 24
         ends.append(hours - 1)
@@ -178,42 +178,10 @@ def month_timing(t: int, calendar, n: int) -> mpc.HorizonTiming:
     return mpc.HorizonTiming(t=t, n=n, month_end=cal[idx])
 
 
-class BoundsUpdate(NamedTuple):
-    clamped: float
-    lower: float
-    upper: float
-    ul_increment: float
-    ol_increment: float
-
-
-def update_storage_bounds(e_next: float, cap: float, beta: float) -> BoundsUpdate:
-    """Post-transition storage clamp and bounds refresh (five cases).
-
-    Interior states restore the buffered box; states inside a buffer zone
-    relax the nearer bound to the state; states outside the physical tank
-    are clamped and the excess is booked as overmet/unmet energy.
-    """
-    if cap <= 0:
-        raise ValueError("capacity must be positive")
-    if not 0.0 <= beta < 0.5:
-        raise ValueError("beta must lie in [0, 0.5)")
-    lo, hi = beta * cap, (1.0 - beta) * cap
-    if e_next > cap:
-        return BoundsUpdate(cap, lo, cap, 0.0, e_next - cap)
-    if e_next < 0.0:
-        return BoundsUpdate(0.0, 0.0, hi, -e_next, 0.0)
-    if e_next > hi:
-        return BoundsUpdate(e_next, lo, e_next, 0.0, 0.0)
-    if e_next < lo:
-        return BoundsUpdate(e_next, e_next, hi, 0.0, 0.0)
-    return BoundsUpdate(e_next, lo, hi, 0.0, 0.0)
-
-
 class Hour(NamedTuple):
-    """One booked hour: the next state and bounds, and what the hour cost."""
+    """One booked hour: next state, residuals, stage cost and violation flags."""
 
     state: PlantState
-    bounds: mpc.TankBounds
     residuals: tuple[float, float, float]
     cost: float
     flags: tuple[bool, ...]
@@ -226,42 +194,41 @@ def step(
     realized: Disturbance,
     noise: np.ndarray,
     fallback: bool,
-    beta: float,
     clamp_floor: np.ndarray,
 ) -> Hour:
     """Book one hour of the implemented ``action`` against ``realized``.
 
     Each tank moves to E - P + v (``noise`` holds v per tank) and, on a
     ``fallback`` hour, the campus load drains it as well.  The result is
-    clamped to the tank and the bounds refreshed by
-    ``update_storage_bounds``; clamp amounts above 1e-9 kWh grow the
-    unmet/overmet integrators and raise the tank's violation flag when
-    they exceed its ``clamp_floor``.  The peak ratchets to the realized
-    r_e; resetting it at a month end is left to the caller.
+    clamped to [0, cap]: energy cut below empty grows the unmet
+    integrator, energy cut above full the overmet one.  Cuts above
+    1e-9 kWh are booked, and raise the tank's violation flag when they
+    exceed its ``clamp_floor``.  The peak ratchets to the realized r_e;
+    resetting it at a month end is left to the caller.
     """
     r_e, r_w, r_ng = residual_demands(config, action, realized.load_elec)
     flags = [False] * len(VIOLATION_TYPES)
     flags[_FALLBACK_IDX] = fallback
-    booked, bounds = {}, {}
+    booked = {}
     for j, unit in enumerate(STORAGE_UNITS):
         e_next = state.storage(unit) - action.rate(unit) + noise[j]
         if fallback:
             e_next = e_next - getattr(realized, f"load_{unit}")
-        upd = update_storage_bounds(e_next, config.cap(unit), beta)
+        cap = config.cap(unit)
+        unmet, overmet = max(-e_next, 0.0), max(e_next - cap, 0.0)
         ul, ol = getattr(state, f"ul_{unit}"), getattr(state, f"ol_{unit}")
         # Clamp energy always accumulates; the violation flag fires only
         # for crossings above the intra-hour tracking noise floor.
-        if upd.ul_increment > 1e-9:
-            ul += upd.ul_increment
-            flags[_DRYUP_IDX[j]] = upd.ul_increment > clamp_floor[j]
-        if upd.ol_increment > 1e-9:
-            ol += upd.ol_increment
-            flags[_OVERFLOW_IDX[j]] = upd.ol_increment > clamp_floor[j]
-        booked.update({f"e_{unit}": upd.clamped, f"ul_{unit}": ul, f"ol_{unit}": ol})
-        bounds.update({f"lower_{unit}": upd.lower, f"upper_{unit}": upd.upper})
+        if unmet > 1e-9:
+            ul += unmet
+            flags[_DRYUP_IDX[j]] = unmet > clamp_floor[j]
+        if overmet > 1e-9:
+            ol += overmet
+            flags[_OVERFLOW_IDX[j]] = overmet > clamp_floor[j]
+        booked.update({f"e_{unit}": min(max(e_next, 0.0), cap),
+                       f"ul_{unit}": ul, f"ol_{unit}": ol})
     return Hour(
         state=PlantState(**booked, peak=max(state.peak, r_e)),
-        bounds=mpc.TankBounds(**bounds),
         residuals=(r_e, r_w, r_ng),
         cost=stage_cost(config, action, realized),
         flags=tuple(flags),
@@ -533,10 +500,6 @@ def run_closed_loop(
     state = PlantState(
         e_cw=spec.initial_soc * config.cap_cw, e_hw=spec.initial_soc * config.cap_hw
     )
-    bounds = mpc.TankBounds(
-        beta * config.cap_cw, (1.0 - beta) * config.cap_cw,
-        beta * config.cap_hw, (1.0 - beta) * config.cap_hw,
-    )
     iterations = 0
 
     committed = np.zeros((y, len(UNITS)))
@@ -562,32 +525,21 @@ def run_closed_loop(
         else:
             data = truth.slice(h + t, h + t + n)
 
-        fallback = False
-        reduced = mpc.build_reduced(config, state, data, timing, bounds)
+        reduced = mpc.build_reduced(config, state, data, timing, beta)
         sol = session.solve(reduced.program)
         iterations += sol.iterations
-        if sol.is_optimal:
-            action = mpc.extract_action(reduced.expand(sol))
-        else:
-            # Solver trouble is recorded as a fallback hour, never raised.
-            fallback = True
-            action = ZERO_ACTION
-
+        # Solver trouble is recorded as a fallback hour, never raised.
+        fallback = not sol.is_optimal
+        action = ZERO_ACTION if fallback else mpc.extract_action(reduced.expand(sol))
         realized = truth.at(h + t)
         committed[t] = action.as_array()
-
         if not fallback:
             outcome = restoration.restore(config, state, action, realized)
-            if outcome.kind == restoration.FALLBACK:
-                fallback = True
-            else:
-                action = outcome.action
-        if fallback:
-            action = ZERO_ACTION
+            fallback = outcome.kind == restoration.FALLBACK
+            action = ZERO_ACTION if fallback else outcome.action
 
-        hour = step(config, state, action, realized, noise[t], fallback, beta,
-                    clamp_floor)
-        state, bounds = hour.state, hour.bounds
+        hour = step(config, state, action, realized, noise[t], fallback, clamp_floor)
+        state = hour.state
         implemented[t] = action.as_array()
         realized_arr[t] = realized.as_array()
         residuals_arr[t] = hour.residuals
@@ -597,14 +549,13 @@ def run_closed_loop(
         unmet[t] = (state.ul_cw, state.ul_hw)
         overmet[t] = (state.ol_cw, state.ol_hw)
         peak_arr[t] = state.peak
-        bounds_lower[t] = (bounds.lower_cw, bounds.lower_hw)
-        bounds_upper[t] = (bounds.upper_cw, bounds.upper_hw)
+        bounds_lower[t], bounds_upper[t] = zip(*mpc.storage_bounds(config, state, beta))
 
         if t == timing.month_end:
             monthly_peaks.append(state.peak)
             state = replace(state, peak=0.0)
 
-    if not monthly_peaks or (y - 1) != calendar[len(monthly_peaks) - 1]:
+    if timing.month_end != y - 1:
         monthly_peaks.append(state.peak)
 
     return ClosedLoopTrace(

@@ -124,8 +124,12 @@ class FullForm:
         return x
 
 
-def build(config, state, data, timing, bounds) -> FullForm:
-    """Extensive-form program for a trajectory or a scenario set."""
+def build(config, state, data, timing, beta) -> FullForm:
+    """Extensive-form program for a trajectory or a scenario set.
+
+    Planned storage levels stay in the buffered tank [beta * cap,
+    (1 - beta) * cap], widened to hold the current level.
+    """
     values = mpc._scenario_values(data)
     s, n_chan, n = values.shape
     if n != timing.n:
@@ -220,9 +224,10 @@ def build(config, state, data, timing, bounds) -> FullForm:
     initial_ul = (state.ul_cw, state.ul_hw)
     initial_ol = (state.ol_cw, state.ol_hw)
     for j, unit in enumerate(STORAGE_UNITS):
-        lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(unit)
-        lower[E[:, j, 1:]] = bounds.lower(unit)
-        upper[E[:, j, 1:]] = bounds.upper(unit)
+        level, cap = state.storage(unit), config.cap(unit)
+        lower[E[:, j, 0]] = upper[E[:, j, 0]] = level
+        lower[E[:, j, 1:]] = min(beta * cap, level)
+        upper[E[:, j, 1:]] = max((1.0 - beta) * cap, level)
         lower[ul[:, j, 0]] = upper[ul[:, j, 0]] = initial_ul[j]
         lower[ol[:, j, 0]] = upper[ol[:, j, 0]] = initial_ol[j]
         lower[ul[:, j, 1:]] = 0.0

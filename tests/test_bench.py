@@ -128,9 +128,18 @@ class TestCostOfCentralPlant:
 
 
 class TestValueOfStochastic:
+    """The value of stochastic MPC: the ccp it saves against det MPC."""
+
     def test_examples(self):
-        assert bench.value_of_stochastic(100.0, 90.0) == 10.0
-        assert bench.value_of_stochastic(55.5, 55.5) == 0.0
+        def ccp(r_e):
+            trace = synthetic_trace(np.full(48, r_e), load_e=np.full(48, 50.0),
+                                    calendar=(47,))
+            return bench.summarize_trace(trace, 0).ccp
+
+        # 10 kW less residual load for 48 h at 0.05 USD/kWh, and a 10 kW
+        # lower monthly peak at 4.5 USD/kW.
+        assert ccp(100.0) - ccp(90.0) == pytest.approx(0.05 * 10.0 * 48 + 4.5 * 10.0)
+        assert ccp(55.5) - ccp(55.5) == 0.0
 
 
 class TestViolationRate:

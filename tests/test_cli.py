@@ -127,6 +127,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bad plant config" in err and "buffer" in err
 
+    def test_plant_without_hot_water_tank_runs(self, tmp_path, data_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plant": {"cap_hw": 0, "pmax_hw": 0}}))
+        code = run_cli(
+            "run", "--controller", "det", "--config", str(cfg),
+            "--data", str(data_csv), "--out", str(tmp_path / "t.csv"), *SMALL,
+            "--sim-hours", "6",
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "t.summary.json").read_text())
+        assert summary["hours"] == 6
+        assert summary["final_storage_kwh"]["hw"] == 0.0
+
     def test_malformed_config(self, tmp_path, data_csv, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -273,7 +273,6 @@ class TestHighsSession:
         """
         config = PlantConfig()
         n, s, month_end, infeasible_at = 24, 3, 40, 30
-        bounds = mpc.TankBounds(0.0, config.cap_cw, 0.0, config.cap_hw)
         base = fc.generate_synthetic_campus(5, 4).values
         rng = np.random.default_rng(8)
         e = 0.5 * np.array([config.cap_cw, config.cap_hw])
@@ -288,7 +287,7 @@ class TestHighsSession:
             reduced = mpc.build_reduced(
                 config, PlantState(e_cw=e[0], e_hw=e[1], peak=9000.0),
                 fc.ScenarioSet(values=values, unclamped=values),
-                mpc.HorizonTiming(t, n, end), bounds,
+                mpc.HorizonTiming(t, n, end), 0.0,
             )
             prog = reduced.program
             if previous is not None:

@@ -14,13 +14,9 @@ from oracles import grid_search_two_step
 from simplex import solve_simplex
 
 
-def full_bounds(config):
-    return mpc.TankBounds(0.0, config.cap_cw, 0.0, config.cap_hw)
-
-
-def solve_reduced(config, state, data, timing, bounds):
+def solve_reduced(config, state, data, timing, beta):
     """Production path: reduced program, HiGHS, decoded plan."""
-    reduced = mpc.build_reduced(config, state, data, timing, bounds)
+    reduced = mpc.build_reduced(config, state, data, timing, beta)
     sol = lp.solve(reduced.program)
     assert sol.is_optimal
     return reduced.expand(sol)
@@ -84,10 +80,10 @@ class TestZeroInstance:
         n = 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         traj = trajectory([0] * n, [0] * n, [0] * n, [0] * n)
-        plan = solve_reduced(config, state, traj, timing, full_bounds(config))
+        plan = solve_reduced(config, state, traj, timing, 0.0)
         expected = config.price_demand / timing.discount * 500.0
         assert plan.objective == pytest.approx(expected)
-        prog = full_form.build(config, state, traj, timing, full_bounds(config)).program
+        prog = full_form.build(config, state, traj, timing, 0.0).program
         prog.validate()
         assert solve_simplex(prog).objective == pytest.approx(expected)
         action = mpc.extract_action(plan)
@@ -103,12 +99,11 @@ class TestAgainstGridSearch:
         loads = np.array([70.0, 30.0])
         prices = np.array([0.05, 0.25])
         timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
-        bounds = full_bounds(config)
         traj = trajectory([0.0, 0.0], loads, [0.0, 0.0], prices)
 
-        plan = solve_reduced(config, state, traj, timing, bounds)
+        plan = solve_reduced(config, state, traj, timing, 0.0)
         oracle = solve_simplex(
-            full_form.build(config, state, traj, timing, bounds).program
+            full_form.build(config, state, traj, timing, 0.0).program
         )
         assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
 
@@ -125,7 +120,7 @@ class TestAgainstGridSearch:
         state = PlantState(e_cw=20.0, e_hw=0.0)
         timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
         traj = trajectory([0, 0], [50.0, 10.0], [0, 0], [0.1, 0.1])
-        plan = solve_reduced(config, state, traj, timing, full_bounds(config))
+        plan = solve_reduced(config, state, traj, timing, 0.0)
         e0 = np.array([state.e_cw, state.e_hw])
         assert np.array_equal(plan.E[0, :, 0], e0)
         assert np.allclose(plan.E[0, :, 1], e0 - plan.P[0, 5:7, 0])
@@ -137,7 +132,7 @@ class TestAgainstGridSearch:
         state = PlantState(e_cw=20.0, e_hw=0.0)
         timing = mpc.HorizonTiming(t=0, n=2, month_end=743)
         traj = trajectory([0, 0], [50.0, 10.0], [0, 0], [0.1, 0.1])
-        reduced = mpc.build_reduced(config, state, traj, timing, full_bounds(config))
+        reduced = mpc.build_reduced(config, state, traj, timing, 0.0)
         with pytest.raises(ValueError, match="infeasible"):
             reduced.expand(lp.LpSolution(lp.INFEASIBLE, None, None))
 
@@ -154,12 +149,12 @@ class TestCountingFormulas:
         traj = trajectory(zeros, zeros, zeros, zeros)
         for config, u in ((PlantConfig(), 6), (PlantConfig(pmax_ct=6000.0), 7)):
             reduced = mpc.build_reduced(
-                config, state, traj, timing, full_bounds(config)
+                config, state, traj, timing, 0.0
             )
             assert reduced.program.num_vars == u + 4 + (u + 6) * n - u - 1
             assert reduced.program.num_rows == (u - 1) * n
             full = full_form.build(
-                config, state, traj, timing, full_bounds(config)
+                config, state, traj, timing, 0.0
             )
             assert full.program.num_vars == full.layout.num_vars == 20 * n + 7
             assert full.program.num_rows == 13 * n
@@ -171,10 +166,10 @@ class TestCountingFormulas:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=10_000)
         values = np.abs(np.random.default_rng(0).normal(50, 5, (s, 4, n)))
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        reduced = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
+        reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
         assert reduced.program.num_vars == 10 + s * (12 * n - 7)
         assert reduced.program.num_rows == 5 * n * s
-        prog = full_form.build(config, state, scen, timing, full_bounds(config)).program
+        prog = full_form.build(config, state, scen, timing, 0.0).program
         assert prog.num_vars == 15 + s * (20 * n - 8)
         assert prog.num_rows == 13 * n * s
 
@@ -186,9 +181,9 @@ class TestCountingFormulas:
         assert timing.spans_two_months
         values = np.full((s, 4, n), 10.0)
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        reduced = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
+        reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
         assert reduced.program.num_vars == 10 + s * (12 * n - 6)
-        prog = full_form.build(config, state, scen, timing, full_bounds(config)).program
+        prog = full_form.build(config, state, scen, timing, 0.0).program
         assert prog.num_vars == 15 + s * (20 * n - 7)
 
 
@@ -211,10 +206,10 @@ class TestStochasticStructure:
         n = 8
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(1, n)
-        red_s = mpc.build_reduced(config, state, scen, timing, full_bounds(config))
+        red_s = mpc.build_reduced(config, state, scen, timing, 0.0)
         red_d = mpc.build_reduced(
             config, state, DisturbanceTrajectory(scen.values[0]), timing,
-            full_bounds(config),
+            0.0,
         )
         assert red_s.offset == red_d.offset
         prog_s, prog_d = red_s.program, red_d.program
@@ -231,10 +226,10 @@ class TestStochasticStructure:
         one = self.make_scenarios(1, n, seed=3)
         values = np.tile(one.values, (s, 1, 1))
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        plan_s = solve_reduced(config, state, scen, timing, full_bounds(config))
+        plan_s = solve_reduced(config, state, scen, timing, 0.0)
         plan_d = solve_reduced(
             config, state, DisturbanceTrajectory(values[0]), timing,
-            full_bounds(config),
+            0.0,
         )
         assert plan_s.objective == pytest.approx(plan_d.objective, rel=1e-8)
 
@@ -244,13 +239,12 @@ class TestStochasticStructure:
         n, s = 6, 6
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=7)
-        bounds = full_bounds(config)
-        plan_a = solve_reduced(config, state, scen, timing, bounds)
+        plan_a = solve_reduced(config, state, scen, timing, 0.0)
         perm = np.array([3, 1, 5, 0, 4, 2])
         scen_p = fc.ScenarioSet(
             values=scen.values[perm], unclamped=scen.unclamped[perm]
         )
-        plan_b = solve_reduced(config, state, scen_p, timing, bounds)
+        plan_b = solve_reduced(config, state, scen_p, timing, 0.0)
         assert plan_a.objective == pytest.approx(plan_b.objective, rel=1e-9)
         a = mpc.extract_action(plan_a)
         b = mpc.extract_action(plan_b)
@@ -262,8 +256,7 @@ class TestStochasticStructure:
         n, s = 5, 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=11)
-        bounds = full_bounds(config)
-        full = full_form.build(config, state, scen, timing, bounds)
+        full = full_form.build(config, state, scen, timing, 0.0)
         shared_prog = full.program
         explicit_prog, copies = explicit_nonanticipativity(shared_prog, full.layout)
         assert explicit_prog.num_rows == shared_prog.num_rows + 7 * (s - 1)
@@ -272,7 +265,7 @@ class TestStochasticStructure:
         assert sol_shared.objective == pytest.approx(
             sol_explicit.objective, rel=1e-8
         )
-        plan = solve_reduced(config, state, scen, timing, bounds)
+        plan = solve_reduced(config, state, scen, timing, 0.0)
         assert plan.objective == pytest.approx(sol_shared.objective, rel=1e-8)
         x = sol_explicit.x
         first = full.layout.P[0, :, 0]
@@ -287,12 +280,11 @@ class TestStochasticStructure:
         n, s = 6, 8
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=13, spread=15.0)
-        bounds = full_bounds(config)
-        full = full_form.build(config, state, scen, timing, bounds)
+        full = full_form.build(config, state, scen, timing, 0.0)
         sol_s = lp.solve(full.program)
 
         mean_traj = DisturbanceTrajectory(scen.values.mean(axis=0))
-        plan_d = solve_reduced(config, state, mean_traj, timing, bounds)
+        plan_d = solve_reduced(config, state, mean_traj, timing, 0.0)
         det_first = mpc.extract_action(plan_d).as_array()
 
         pinned = full.program
@@ -320,7 +312,7 @@ class TestStochasticStructure:
         for rho in (1.0, 10.0, 100.0):
             config = toy_config(rho_cw=rho, rho_hw=rho)
             traj = trajectory([0] * n, loads, [0] * n, [0.1] * n)
-            plan = solve_reduced(config, state, traj, timing, full_bounds(config))
+            plan = solve_reduced(config, state, traj, timing, 0.0)
             objectives.append(plan.objective)
         assert objectives == sorted(objectives)
         assert objectives[0] < objectives[-1]
@@ -331,7 +323,7 @@ class TestStochasticStructure:
         n, s = 6, 4
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=17, spread=10.0)
-        plan = solve_reduced(config, state, scen, timing, full_bounds(config))
+        plan = solve_reduced(config, state, scen, timing, 0.0)
         from plantmpc.plant import ControlAction, Disturbance
 
         for xi in range(s):
@@ -362,12 +354,11 @@ class TestReducedEquivalence:
             + rng.normal(0, 300.0, (s, 4, n)) * [[1], [1], [1], [0.00001]]
         )
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        bounds = full_bounds(config)
 
-        full = full_form.build(config, state, scen, timing, bounds)
+        full = full_form.build(config, state, scen, timing, 0.0)
         prog_full = full.program
         sol_full = lp.solve(prog_full)
-        reduced = mpc.build_reduced(config, state, scen, timing, bounds)
+        reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
         reduced.program.validate()
         plan = reduced.expand(lp.solve(reduced.program))
         assert plan.objective == pytest.approx(sol_full.objective, rel=1e-9)

@@ -26,7 +26,8 @@ def scripted_step_through(config, spec, truth, forecast_fn):
     (solve, restore, residuals, storage + noise, fallback drain, clamp +
     bounds, peak/month reset) step by step using only the public builder,
     its own HiGHS session, and the restoration operation.  Sharing the
-    solver path keeps degenerate LP ties from splitting the two.
+    solver path keeps degenerate LP ties from splitting the two.  The
+    storage bounds follow their own five-case update, hour by hour.
     """
     h, y, n = spec.history_hours, spec.sim_hours, spec.horizon
     calendar = spec.resolved_calendar()
@@ -47,8 +48,7 @@ def scripted_step_through(config, spec, truth, forecast_fn):
             e_cw=e["cw"], e_hw=e["hw"], ul_cw=ul["cw"], ul_hw=ul["hw"],
             ol_cw=ol["cw"], ol_hw=ol["hw"], peak=peak,
         )
-        bounds = mpc.TankBounds(lo["cw"], hi["cw"], lo["hw"], hi["hw"])
-        reduced = mpc.build_reduced(config, state, forecast_fn(t), timing, bounds)
+        reduced = mpc.build_reduced(config, state, forecast_fn(t), timing, beta)
         solution = session.solve(reduced.program)
         assert solution.is_optimal
         action = mpc.extract_action(reduced.expand(solution))
@@ -65,11 +65,22 @@ def scripted_step_through(config, spec, truth, forecast_fn):
             e_next = e[j] - rate + v
             if fallback:
                 e_next -= load
-            upd = simulate.update_storage_bounds(e_next, caps[j], beta)
-            e[j] = upd.clamped
-            lo[j], hi[j] = upd.lower, upd.upper
-            ul[j] += upd.ul_increment
-            ol[j] += upd.ol_increment
+            # Interior levels restore the buffered box; a level inside a
+            # buffer zone relaxes the nearer bound to itself; a level
+            # outside the tank is clamped and the excess booked.
+            lo[j], hi[j] = beta * caps[j], (1 - beta) * caps[j]
+            if e_next > caps[j]:
+                ol[j] += e_next - caps[j]
+                e[j] = hi[j] = caps[j]
+            elif e_next < 0.0:
+                ul[j] += -e_next
+                e[j] = lo[j] = 0.0
+            else:
+                e[j] = e_next
+                if e_next > hi[j]:
+                    hi[j] = e_next
+                elif e_next < lo[j]:
+                    lo[j] = e_next
         peak = max(peak, r_e)
         rows.append(
             (e["cw"], e["hw"], ul["cw"], ul["hw"], ol["cw"], ol["hw"], peak,
@@ -80,56 +91,15 @@ def scripted_step_through(config, spec, truth, forecast_fn):
     return np.array(rows)
 
 
-class TestUpdateStorageBounds:
-    def test_interior(self):
-        upd = simulate.update_storage_bounds(500.0, 1000.0, 0.1)
-        assert upd == (500.0, 100.0, 900.0, 0.0, 0.0)
-
-    def test_upper_buffer_zone_relaxes_upper(self):
-        upd = simulate.update_storage_bounds(950.0, 1000.0, 0.1)
-        assert upd == (950.0, 100.0, 950.0, 0.0, 0.0)
-
-    def test_overflow_clamps_and_books_overmet(self):
-        upd = simulate.update_storage_bounds(1050.0, 1000.0, 0.1)
-        assert upd == (1000.0, 100.0, 1000.0, 0.0, 50.0)
-
-    def test_dryup_clamps_and_books_unmet(self):
-        upd = simulate.update_storage_bounds(-20.0, 1000.0, 0.1)
-        assert upd == (0.0, 0.0, 900.0, 20.0, 0.0)
-
-    def test_lower_buffer_zone_relaxes_lower(self):
-        upd = simulate.update_storage_bounds(50.0, 1000.0, 0.1)
-        assert upd == (50.0, 50.0, 900.0, 0.0, 0.0)
-
-    @given(
-        e=st.floats(-500, 1500),
-        beta=st.floats(0.0, 0.49),
-    )
-    def test_invariants(self, e, beta):
-        cap = 1000.0
-        upd = simulate.update_storage_bounds(e, cap, beta)
-        assert 0.0 <= upd.clamped <= cap
-        assert 0.0 <= upd.lower <= upd.upper <= cap
-        assert upd.lower <= upd.clamped <= upd.upper
-        assert upd.ul_increment >= 0.0 and upd.ol_increment >= 0.0
-
-    def test_beta_zero_full_box(self):
-        upd = simulate.update_storage_bounds(400.0, 1000.0, 0.0)
-        assert (upd.lower, upd.upper) == (0.0, 1000.0)
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            simulate.update_storage_bounds(0.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            simulate.update_storage_bounds(0.0, 100.0, 0.5)
-
-
 def check_hour(config, state, action, realized, noise, fallback, beta, floor):
-    """Run ``simulate.step`` and check every per-hour invariant of its result."""
-    hour = simulate.step(config, state, action, realized, noise, fallback, beta,
-                         floor)
-    nxt, bounds = hour.state, hour.bounds
+    """Run ``simulate.step`` and check every per-hour invariant of its result.
+
+    ``beta`` is the buffer of the storage bounds checked on the next state.
+    """
+    hour = simulate.step(config, state, action, realized, noise, fallback, floor)
+    nxt = hour.state
     flags = dict(zip(simulate.VIOLATION_TYPES, hour.flags))
+    bounds = mpc.storage_bounds(config, nxt, beta)
     for j, unit in enumerate(STORAGE_UNITS):
         cap = config.cap(unit)
         raw = state.storage(unit) - action.rate(unit) + noise[j]
@@ -144,7 +114,7 @@ def check_hour(config, state, action, realized, noise, fallback, beta, floor):
         assert getattr(nxt, ol) == getattr(state, ol) + (overmet if overmet > 1e-9 else 0.0)
         assert getattr(nxt, ul) >= getattr(state, ul)
         assert getattr(nxt, ol) >= getattr(state, ol)
-        lower, upper = bounds.lower(unit), bounds.upper(unit)
+        lower, upper = bounds[j]
         assert 0.0 <= lower <= nxt.storage(unit) <= upper <= cap
         assert flags[f"dryup_{unit}"] == (unmet > 1e-9 and unmet > floor[j])
         assert flags[f"overflow_{unit}"] == (overmet > 1e-9 and overmet > floor[j])
@@ -178,6 +148,75 @@ def hours(draw):
     floor = np.array([real(0.0, 1e3), real(0.0, 1e3)])
     return (config, state, ControlAction(*rates), realized, noise,
             draw(st.booleans()), real(0.0, 0.49), floor)
+
+
+class TestUpdateStorageBounds:
+    """The tank update of one hour and the storage bounds derived from it.
+
+    Each case books an hour that moves an empty 1000 kWh chilled-water
+    tank to the raw level ``e_next`` and reads the booked level, the
+    bounds ``mpc.storage_bounds`` derives from it at buffer ``beta``, and
+    the energy booked as unmet and overmet.
+    """
+
+    @staticmethod
+    def update(e_next, beta=0.1):
+        config = PlantConfig(cap_cw=1000.0, pmax_cw=100.0)
+        hour = check_hour(
+            config, PlantState(e_cw=0.0, e_hw=0.0), ControlAction(),
+            Disturbance(0, 0, 0, 0), np.array([e_next, 0.0]), False, beta,
+            np.zeros(2),
+        )
+        nxt = hour.state
+        lower, upper = mpc.storage_bounds(config, nxt, beta)[0]
+        return nxt.e_cw, lower, upper, nxt.ul_cw, nxt.ol_cw
+
+    def test_interior(self):
+        assert self.update(500.0) == (500.0, 100.0, 900.0, 0.0, 0.0)
+
+    def test_upper_buffer_zone_relaxes_upper(self):
+        assert self.update(950.0) == (950.0, 100.0, 950.0, 0.0, 0.0)
+
+    def test_overflow_clamps_and_books_overmet(self):
+        assert self.update(1050.0) == (1000.0, 100.0, 1000.0, 0.0, 50.0)
+
+    def test_dryup_clamps_and_books_unmet(self):
+        assert self.update(-20.0) == (0.0, 0.0, 900.0, 20.0, 0.0)
+
+    def test_lower_buffer_zone_relaxes_lower(self):
+        assert self.update(50.0) == (50.0, 50.0, 900.0, 0.0, 0.0)
+
+    @given(
+        e=st.floats(-500, 1500),
+        beta=st.floats(0.0, 0.49),
+    )
+    def test_invariants(self, e, beta):
+        clamped, lower, upper, unmet, overmet = self.update(e, beta)
+        assert 0.0 <= clamped <= 1000.0
+        assert 0.0 <= lower <= upper <= 1000.0
+        assert lower <= clamped <= upper
+        assert unmet >= 0.0 and overmet >= 0.0
+
+    def test_beta_zero_full_box(self):
+        assert self.update(400.0, beta=0.0)[1:3] == (0.0, 1000.0)
+
+    def test_bad_arguments(self):
+        # A negative buffer would plan below an empty tank.
+        state = PlantState(e_cw=0.0, e_hw=0.0)
+        for beta in (-0.1, 0.5):
+            with pytest.raises(ValueError, match="beta"):
+                mpc.storage_bounds(PlantConfig(), state, beta)
+
+    def test_tankless_plant(self):
+        # A plant without a hot-water tank books it at zero, in a [0, 0] box.
+        config = PlantConfig(cap_hw=0.0, pmax_hw=0.0)
+        hour = check_hour(
+            config, PlantState(e_cw=500.0, e_hw=0.0), ControlAction(),
+            Disturbance(0, 0, 0, 0), np.array([0.0, 30.0]), False, 0.1,
+            np.zeros(2),
+        )
+        assert (hour.state.e_hw, hour.state.ol_hw) == (0.0, 30.0)
+        assert mpc.storage_bounds(config, hour.state, 0.1)[1] == (0.0, 0.0)
 
 
 class TestStep:
@@ -340,6 +379,21 @@ class TestClosedLoop:
         assert np.all(trace.violation_flags("fallback")[failed])
         assert np.all(trace.committed[failed] == 0.0)
         assert np.all(trace.implemented[failed] == 0.0)
+
+    def test_full_tank_inside_the_buffer_plans_at_hour_zero(self):
+        # A full 20 000 kWh tank at beta = 0.45 lies above the buffered box
+        # [9 000, 11 000] kWh, which one hour at pmax_cw = 5 000 kW cannot
+        # reach.  The box widens to hold the level, so hour 0 is planned.
+        spec = make_spec(
+            controller=simulate.ControllerSpec("det", beta=0.45),
+            sim_hours=6, initial_soc=1.0,
+        )
+        trace = simulate.run_closed_loop(
+            PlantConfig(), spec, fc.generate_synthetic_campus(17, days=5)
+        )
+        assert not trace.violation_flags("fallback")[0]
+        assert trace.bounds_lower[0, 0] == 0.45 * 20000.0
+        assert trace.bounds_upper[0, 0] == trace.storage[0, 0] > 11000.0
 
     def test_trace_reproducible(self):
         spec = make_spec(controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=4))
