@@ -1,13 +1,21 @@
 """Autoregressive forecasting, scenario sets, and synthetic campus data.
 
 Each disturbance channel (electrical load, chilled/hot water load,
-electricity price) gets its own AR(q) model fit by ordinary least squares.
-Multi-step forecasts are Gaussian.  The mean comes from one unit
-lower-triangular Toeplitz solve (``mean_forecast``), equal up to roundoff
-to running the noise-free AR recursion step by step.  The covariance
-accumulates impulse-response weights, which is exact for a linear AR
-process.  The closed loop draws its scenario sets from these forecasts
-(``simulate._ScenarioSampler``).
+electricity price) gets its own AR(q) model fit by ordinary least squares
+over a sliding history window.  ``fit_ar`` never forms the lagged design
+matrix: it builds the (q+1) x (q+1) normal equations from lag products by
+the covariance-method recursion of linear prediction (Makhoul, "Linear
+prediction: a tutorial review", Proc. IEEE 1975), and adds a ridge only
+when their 2-norm condition number exceeds ``_COND_LIMIT``.
+
+Multi-step forecasts are Gaussian and both moments come from the unit
+lower-triangular Toeplitz matrix A of the AR recursion over the horizon
+(``_recursion_matrix``).  The mean is one forward substitution with A
+(``mean_forecast``), equal up to roundoff to running the noise-free
+recursion step by step.  A's inverse is the lower-triangular Toeplitz
+matrix T of the impulse weights (``impulse_weights``), so the covariance
+is sigma^2 T T^T, which is exact for a linear AR process.  The closed loop
+draws its scenario sets from these forecasts (``simulate._ScenarioSampler``).
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular, toeplitz
 
 from .plant import CHANNELS, DisturbanceTrajectory
@@ -45,26 +54,71 @@ class ArModel:
         return len(self.coefficients)
 
 
+def _normal_equations(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normal equations (D^T D, D^T y) of the AR(q) least-squares fit.
+
+    Row t = q..L-1 of the design D holds the lags x_{t-1}, ..., x_{t-q} and
+    a trailing 1, and y_t = x_t; neither D nor y is formed.  Counting the
+    target as lag 0, the lag products
+    phi[i, j] = sum_{t=q}^{L-1} x_{t-i} x_{t-j} (i, j = 0..q) shift along
+    each diagonal by two boundary terms,
+    phi[i+1, j+1] = phi[i, j] + x_{q-1-i} x_{q-1-j} - x_{L-1-i} x_{L-1-j}.
+    So one correlation gives the first row phi[0, d], and diagonal d is that
+    entry plus the exclusive cumulative sum of its boundary terms.  The lag
+    block of D^T D is phi[1:, 1:] and the lag moments are phi[1:, 0]; the
+    intercept entries are window sums, taken from one cumulative sum of x.
+    """
+    length, n = len(x), q + 1
+    # head[m] = x_{q-1-m} and tail[m] = x_{L-1-m} for m < q, zero after, so
+    # the Hankel views hold head[m+d] and tail[m+d] at [d, m].
+    head = np.zeros(2 * q)
+    head[:q] = x[q - 1 :: -1]
+    tail = np.zeros(2 * q)
+    tail[:q] = x[length - 1 : length - 1 - q : -1]
+    boundary = (sliding_window_view(head, q)[:q] * head[:q]
+                - sliding_window_view(tail, q)[:q] * tail[:q])
+    diagonals = np.zeros((n, n))
+    np.cumsum(boundary, axis=1, out=diagonals[:q, 1:])
+    # diagonals[d, c] = phi[c + d, c].
+    diagonals += np.correlate(x, x[q:], "valid")[::-1, None]
+    lag = np.arange(n)
+    phi = diagonals[np.abs(np.subtract.outer(lag, lag)), np.minimum.outer(lag, lag)]
+
+    sums = np.concatenate(([0.0], np.cumsum(x)))
+    gram = np.empty((n, n))
+    gram[:q, :q] = phi[1:, 1:]
+    gram[:q, q] = gram[q, :q] = sums[length - 1 - lag[:q]] - sums[q - 1 - lag[:q]]
+    gram[q, q] = length - q
+    moment = np.append(phi[1:, 0], sums[length] - sums[q])
+    return gram, moment
+
+
 def fit_ar(history: np.ndarray, q: int) -> ArModel:
-    """Least-squares AR(q) fit with a ridge fallback on singular designs."""
+    """Least-squares AR(q) fit with an intercept, from lag-product sums.
+
+    Solves the normal equations of ``_normal_equations`` for
+    (phi_1, ..., phi_q, c).  When their 2-norm condition number (largest
+    over smallest absolute eigenvalue) is not finite or exceeds
+    ``_COND_LIMIT``, a ridge of 1e-6 times the mean lag-block diagonal is
+    added to the lag coefficients, and raised tenfold while the solve
+    still fails.  The noise variance is the mean squared one-step residual
+    over the window, computed by one correlation of the history with the
+    coefficients.
+    """
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
         raise ValueError("history must be one-dimensional")
     if not np.all(np.isfinite(x)):
         raise ValueError("history contains non-finite values")
+    if q < 1:
+        raise ValueError("AR order must be >= 1")
     if len(x) < 2 * q + 1:
         raise ValueError(f"history of {len(x)} too short for AR({q}) fit")
 
-    rows = len(x) - q
-    design = np.empty((rows, q + 1))
-    for k in range(q):
-        design[:, k] = x[q - 1 - k : len(x) - 1 - k]
-    design[:, q] = 1.0
-    target = x[q:]
-
-    gram = design.T @ design
-    moment = design.T @ target
-    cond = np.linalg.cond(gram)
+    gram, moment = _normal_equations(x, q)
+    eigenvalues = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eigenvalues.max() / eigenvalues.min()
     lam = 0.0
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         lam = max(1e-6 * np.trace(gram[:q, :q]) / q, 1e-12)
@@ -79,23 +133,38 @@ def fit_ar(history: np.ndarray, q: int) -> ArModel:
     if theta is None:
         raise ValueError("AR normal equations unsolvable even with ridge")
 
-    residuals = target - design @ theta
+    fitted = np.correlate(x[:-1], theta[q - 1 :: -1], "valid") + theta[q]
     return ArModel(
         coefficients=theta[:q],
         intercept=float(theta[q]),
-        noise_variance=float(np.mean(residuals**2)),
+        noise_variance=float(np.mean((x[q:] - fitted) ** 2)),
     )
 
 
+def _recursion_matrix(model: ArModel, n: int) -> np.ndarray:
+    """Unit lower-triangular Toeplitz A of the AR recursion over n steps.
+
+    Its first column is [1, -phi_1, ..., -phi_min(q, n-1), 0, ...].
+    """
+    reach = min(model.order, n - 1)
+    column = np.zeros(n)
+    column[0] = 1.0
+    column[1 : reach + 1] = -model.coefficients[:reach]
+    return toeplitz(column, np.zeros(n))
+
+
 def impulse_weights(model: ArModel, n: int) -> np.ndarray:
-    """First n weights of the AR impulse response (psi_0 = 1)."""
-    q = model.order
-    psi = np.zeros(n)
-    psi[0] = 1.0
-    for k in range(1, n):
-        upto = min(k, q)
-        psi[k] = model.coefficients[:upto] @ psi[k - upto : k][::-1]
-    return psi
+    """First n weights of the AR impulse response (psi_0 = 1).
+
+    psi solves A psi = e_0 with A the recursion matrix, so it is the first
+    column of A's inverse.
+    """
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    return solve_triangular(
+        _recursion_matrix(model, n), unit,
+        lower=True, unit_diagonal=True, check_finite=False,
+    )
 
 
 def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndarray:
@@ -104,8 +173,7 @@ def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndar
     The forecast y follows y_i = c + sum_k phi_k y_{i-k}, where y_{-1},
     y_{-2}, ... are the history values x_{-1} (the last), x_{-2}, ...
     Moving the forecast terms to the left gives the unit lower-triangular
-    Toeplitz system A y = b: A has first column
-    [1, -phi_1, ..., -phi_min(q, n-1), 0, ...], and
+    Toeplitz system A y = b, with A from ``_recursion_matrix`` and
     b_i = c + sum_j phi_{i+1+j} x_{-1-j} for i < min(q, n), b_i = c after
     that.  One forward substitution solves it, so the result equals the
     step-by-step recursion up to roundoff.
@@ -116,17 +184,12 @@ def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndar
         raise ValueError(f"need at least {q} recent values")
     if n < 1:
         raise ValueError("forecast horizon must be >= 1")
-    phi = model.coefficients
-    reach = min(q, n - 1)
-    column = np.zeros(n)
-    column[0] = 1.0
-    column[1 : reach + 1] = -phi[:reach]
     # Lag i of the correlation is sum_j phi_{i+1+j} x_{-1-j}.
-    history = np.correlate(phi, recent[::-1][:q], "full")[q - 1 :]
+    history = np.correlate(model.coefficients, recent[::-1][:q], "full")[q - 1 :]
     rhs = np.full(n, model.intercept)
     rhs[: min(q, n)] += history[:n]
     return solve_triangular(
-        toeplitz(column, np.zeros(n)), rhs,
+        _recursion_matrix(model, n), rhs,
         lower=True, unit_diagonal=True, check_finite=False,
     )
 
@@ -136,21 +199,15 @@ def forecast(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian n-step forecast: (mean trajectory, n x n covariance).
 
-    The covariance entry for steps (i, j) is sigma^2 times the accumulated
-    product of impulse weights, cov[i, j] = sigma^2 * sum_{k<=min(i,j)}
-    psi_k psi_{k+|i-j|}.
+    The forecast error is T eps over the horizon's innovations eps, with T
+    the lower-triangular Toeplitz matrix of the impulse weights, so the
+    covariance is sigma^2 T T^T: cov[i, j] = sigma^2 *
+    sum_{k<=min(i,j)} psi_k psi_{k+|i-j|}.  For sigma > 0 its Cholesky
+    factor is sigma T.
     """
     mean = mean_forecast(model, recent_history, n)
-
-    psi = impulse_weights(model, n)
-    cov = np.zeros((n, n))
-    for lag in range(n):
-        csum = np.cumsum(psi[: n - lag] * psi[lag:])
-        idx = np.arange(n - lag)
-        cov[idx, idx + lag] = model.noise_variance * csum
-        if lag:
-            cov[idx + lag, idx] = cov[idx, idx + lag]
-    return mean, cov
+    weights = toeplitz(impulse_weights(model, n), np.zeros(n))
+    return mean, model.noise_variance * (weights @ weights.T)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Independent oracles used across the test suite.
 
 These deliberately avoid the library's own solution paths: the LP oracle
-enumerates candidate vertices directly, the AR mean oracle steps the
-recursion one forecast value at a time, the control oracles grid-search
+enumerates candidate vertices directly, the AR fit oracle forms the
+lagged design matrix and decides its ridge by an SVD condition number,
+the AR mean oracle steps the recursion one forecast value at a time, the
+AR covariance oracle accumulates impulse weights lag by lag, the control
+oracles grid-search
 the decision space, and the scheme oracle re-implements the per-hour
 bookkeeping as a straight-line script.
 """
@@ -11,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from plantmpc import lp
+from plantmpc import forecast as fc, lp
 
 from simplex import LpBuilder
 
@@ -88,6 +91,76 @@ def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6
             rng.normal(size=cols.size),
         )
     return builder.build()
+
+
+def ar_design(history, q: int):
+    """Explicit AR(q) least-squares design: (lags + intercept column, target)."""
+    x = np.asarray(history, dtype=float)
+    rows = len(x) - q
+    design = np.empty((rows, q + 1))
+    for k in range(q):
+        design[:, k] = x[q - 1 - k : len(x) - 1 - k]
+    design[:, q] = 1.0
+    return design, x[q:]
+
+
+def ar_fit_design(history, q: int) -> fc.ArModel:
+    """Least-squares AR(q) fit from the explicit design matrix.
+
+    Forms D^T D and D^T y by matrix products and adds the library's ridge
+    when ``np.linalg.cond`` (an SVD) exceeds the library's limit.
+    """
+    design, target = ar_design(history, q)
+    gram = design.T @ design
+    moment = design.T @ target
+    cond = np.linalg.cond(gram)
+    lam = 0.0
+    if not np.isfinite(cond) or cond > fc._COND_LIMIT:
+        lam = max(1e-6 * np.trace(gram[:q, :q]) / q, 1e-12)
+    theta = None
+    for _ in range(8):
+        try:
+            ridge = np.diag(np.append(np.full(q, lam), 0.0)) if lam else 0.0
+            theta = np.linalg.solve(gram + ridge, moment)
+            break
+        except np.linalg.LinAlgError:
+            lam = max(10.0 * lam, 1e-12)
+    if theta is None:
+        raise ValueError("AR normal equations unsolvable even with ridge")
+
+    residuals = target - design @ theta
+    return fc.ArModel(
+        coefficients=theta[:q],
+        intercept=float(theta[q]),
+        noise_variance=float(np.mean(residuals**2)),
+    )
+
+
+def ar_impulse_weights_loop(model, n: int) -> np.ndarray:
+    """AR impulse response psi_k = sum_m phi_m psi_{k-m}, one lag at a time."""
+    q = model.order
+    psi = np.zeros(n)
+    psi[0] = 1.0
+    for k in range(1, n):
+        upto = min(k, q)
+        psi[k] = model.coefficients[:upto] @ psi[k - upto : k][::-1]
+    return psi
+
+
+def ar_covariance_loop(model, n: int) -> np.ndarray:
+    """n-step forecast covariance, one lag (diagonal) at a time.
+
+    cov[i, i + lag] is sigma^2 times the running sum of psi_k psi_{k+lag}.
+    """
+    psi = ar_impulse_weights_loop(model, n)
+    cov = np.zeros((n, n))
+    for lag in range(n):
+        csum = np.cumsum(psi[: n - lag] * psi[lag:])
+        idx = np.arange(n - lag)
+        cov[idx, idx + lag] = model.noise_variance * csum
+        if lag:
+            cov[idx + lag, idx] = cov[idx, idx + lag]
+    return cov
 
 
 def ar_mean_recursion(model, recent_history, n: int) -> np.ndarray:

@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from plantmpc import forecast as fc, simulate
 
-from oracles import ar_mean_recursion
+from oracles import (
+    ar_covariance_loop,
+    ar_design,
+    ar_fit_design,
+    ar_impulse_weights_loop,
+    ar_mean_recursion,
+)
 
 
 def ar_series(coeffs, intercept, noise_std, length, seed, x0=None):
@@ -50,6 +59,111 @@ class TestFitAr:
         x[5] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fc.fit_ar(x, 2)
+
+    def test_zero_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            fc.fit_ar(np.arange(10.0), 0)
+
+    def test_sinusoid_takes_the_oracle_ridge(self):
+        # A sinusoid obeys x_t = 2 cos(w) x_{t-1} - x_{t-2} + const exactly:
+        # the six lag columns and the intercept column of the AR(6) design
+        # span only three directions (sine, cosine, constant).
+        x = 5.0 + 2.0 * np.sin(2 * np.pi * np.arange(400) / 24.0)
+        design, _ = ar_design(x, 6)
+        assert np.linalg.cond(design.T @ design) > fc._COND_LIMIT
+        eigenvalues = np.abs(np.linalg.eigvalsh(fc._normal_equations(x, 6)[0]))
+        assert eigenvalues.max() > fc._COND_LIMIT * eigenvalues.min()
+        got, want = fc.fit_ar(x, 6), ar_fit_design(x, 6)
+        np.testing.assert_allclose(
+            np.append(got.coefficients, got.intercept),
+            np.append(want.coefficients, want.intercept),
+            rtol=1e-8, atol=1e-8,
+        )
+        assert got.noise_variance == pytest.approx(want.noise_variance, abs=1e-8)
+
+    def test_fit_memory_stays_below_the_design_size(self):
+        # An explicit 4 248 x 169 design alone would take 5.7 MB.
+        x = fc.generate_synthetic_campus(0, days=184).values[0]
+        assert len(x) == 4416
+        tracemalloc.start()
+        try:
+            fc.fit_ar(x, 168)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+
+@st.composite
+def ar_windows(draw):
+    """(history, q): a level plus a scaled daily cycle and AR(1) noise.
+
+    Levels reach the load channels' 1e4 and scales drop to the price
+    channel's 1e-3, which makes the intercept nearly collinear with the lags.
+    """
+    q = draw(st.integers(1, 40))
+    length = draw(st.integers(2 * q + 1, 600))
+    level = draw(st.floats(0.0, 1e4))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    phi = draw(st.floats(0.0, 0.95))
+    cycle = draw(st.floats(0.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    innovations = rng.standard_normal(length)
+    noise = np.empty(length)
+    noise[0] = innovations[0]
+    for t in range(1, length):
+        noise[t] = phi * noise[t - 1] + innovations[t]
+    hours = np.arange(length)
+    return level + scale * (noise + cycle * np.sin(2 * np.pi * hours / 24.0)), q
+
+
+class TestFitAgainstDesignOracle:
+    """The lag-product fit against the explicit-design fit it replaces."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(ar_windows())
+    def test_normal_equations_match_design_products(self, window):
+        x, q = window
+        gram, moment = fc._normal_equations(x, q)
+        design, target = ar_design(x, q)
+        want_gram, want_moment = design.T @ design, design.T @ target
+        # Entry (i, j) is a sum of products bounded by sqrt(G_ii G_jj).
+        scale = np.sqrt(np.diag(want_gram))
+        assert np.all(np.abs(gram - want_gram) <= 1e-13 * np.outer(scale, scale))
+        assert np.all(
+            np.abs(moment - want_moment) <= 1e-13 * scale * np.linalg.norm(target)
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(ar_windows(), st.integers(1, 60))
+    def test_fit_and_forecast_match_oracles(self, window, n):
+        x, q = window
+        design, target = ar_design(x, q)
+        gram, moment = design.T @ design, design.T @ target
+        cond = np.linalg.cond(gram)
+        # Both fits decide the ridge on the same 2-norm condition number;
+        # a hair from the limit, roundoff may tip them apart.
+        assume(not 0.99 < cond / fc._COND_LIMIT < 1.01)
+        got, want = fc.fit_ar(x, q), ar_fit_design(x, q)
+
+        # Backward error: the fit solves the oracle's normal equations, with
+        # the oracle's ridge when the oracle adds one.
+        lam = 0.0
+        if cond > fc._COND_LIMIT:
+            lam = max(1e-6 * np.trace(gram[:q, :q]) / q, 1e-12)
+        system = gram + np.diag(np.append(np.full(q, lam), 0.0))
+        theta = np.append(got.coefficients, got.intercept)
+        residual = np.linalg.norm(system @ theta - moment)
+        bound = np.linalg.norm(system) * np.linalg.norm(theta) + np.linalg.norm(moment)
+        assert residual <= 1e-13 * bound
+        assert abs(got.noise_variance - want.noise_variance) <= 1e-12 * np.max(x**2)
+
+        recent = x[-q:]
+        mean, cov = fc.forecast(got, recent, n)
+        want_mean = ar_mean_recursion(got, recent, n)
+        assert np.max(np.abs(mean - want_mean)) <= 1e-10 * np.max(np.abs(want_mean))
+        want_cov = ar_covariance_loop(got, n)
+        assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
 
 
 class TestForecast:
@@ -153,6 +267,19 @@ class TestMeanForecast:
         want = ar_mean_recursion(model, history, n)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("explosive", [False, True], ids=["stable", "explosive"])
+    @pytest.mark.parametrize("q,n", MEAN_CASES, ids=[f"q{q}-n{n}" for q, n in MEAN_CASES])
+    def test_covariance_matches_lag_loop(self, q, n, explosive):
+        model = ar_model(q, seed=q * 1000 + n, explosive=explosive)
+        psi = ar_impulse_weights_loop(model, n)
+        np.testing.assert_allclose(fc.impulse_weights(model, n), psi,
+                                   rtol=0.0, atol=1e-13 * np.max(np.abs(psi)))
+        want = ar_covariance_loop(model, n)
+        _, cov = fc.forecast(model, np.zeros(q), n)
+        np.testing.assert_allclose(cov, want, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+        assert np.array_equal(cov, cov.T)
 
     def test_short_history_rejected(self):
         model = ar_model(4, seed=2)
