@@ -56,43 +56,38 @@ def _monthly_peaks(series: np.ndarray, calendar) -> list[float]:
     return peaks
 
 
-def annual_cost(
-    trace: ClosedLoopTrace, calendar=None
-) -> tuple[float, CostComponents]:
+def annual_cost(trace: ClosedLoopTrace) -> tuple[float, CostComponents]:
     """Total cost of the trace: energy purchases plus demand charges.
 
     Demand charges bill the realized monthly maxima of the residual
-    electrical load for every (possibly partial) month the trace covers.
+    electrical load for every (possibly partial) month of ``trace.calendar``.
     """
-    calendar = trace.calendar if calendar is None else tuple(calendar)
     price = trace.realized[:, 3]
     electricity = float(price @ trace.residuals[:, 0])
     water = float(trace.price_water * trace.residuals[:, 1].sum())
     gas = float(trace.price_gas * trace.residuals[:, 2].sum())
     demand = float(
-        trace.price_demand * sum(_monthly_peaks(trace.residuals[:, 0], calendar))
+        trace.price_demand
+        * sum(_monthly_peaks(trace.residuals[:, 0], trace.calendar))
     )
     components = CostComponents(electricity, water, gas, demand)
     return components.total, components
 
 
-def campus_only_cost(
-    trace: ClosedLoopTrace, calendar=None
-) -> tuple[float, CostComponents]:
+def campus_only_cost(trace: ClosedLoopTrace) -> tuple[float, CostComponents]:
     """Cost of serving the campus electrical load with no central plant."""
-    calendar = trace.calendar if calendar is None else tuple(calendar)
     load = trace.realized[:, 0]
     price = trace.realized[:, 3]
     electricity = float(price @ load)
-    demand = float(trace.price_demand * sum(_monthly_peaks(load, calendar)))
+    demand = float(trace.price_demand * sum(_monthly_peaks(load, trace.calendar)))
     components = CostComponents(electricity, 0.0, 0.0, demand)
     return components.total, components
 
 
-def cost_of_central_plant(trace: ClosedLoopTrace, calendar=None) -> float:
+def cost_of_central_plant(trace: ClosedLoopTrace) -> float:
     """Controller-attributable cost: total minus the campus-only cost."""
-    phi, _ = annual_cost(trace, calendar)
-    nocp, _ = campus_only_cost(trace, calendar)
+    phi, _ = annual_cost(trace)
+    nocp, _ = campus_only_cost(trace)
     return phi - nocp
 
 

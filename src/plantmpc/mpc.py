@@ -12,14 +12,14 @@ Planned storage levels stay in the box ``storage_bounds`` derives from
 the current state and the buffer beta, the same box the closed-loop trace
 records; no bounds are carried from hour to hour.
 
-The program is the reduced form of the plant model: residual demands and
-the unmet/overmet integrators are eliminated by substitution, and the
-cooling-tower column and condenser rows drop out when the tower limit can
-never bind.  With horizon N, S scenarios and U unit columns (6, or 7 when
-the tower stays) a single-month program has ``U + 4 + S*((U + 6)N - U - 1)``
-columns and ``(U - 1)N * S`` rows; a horizon spanning a month boundary adds
-one peak column per scenario.  For the default plant at N = 168 and
-S = 100 that is 200,910 columns and 84,000 rows.
+The program is the reduced form of the plant model: residual demands, the
+unmet/overmet integrators and the cooling-tower load are eliminated by
+substitution.  Every program carries two peak registers per scenario, this
+month's and next month's, and each step bills to the register of its own
+month, so for a given plant, horizon N and S scenarios the program has one
+shape for the whole run: ``10 + S(12N - 6)`` columns and ``5NS`` rows, plus
+``NS`` tower-limit rows when that limit can bind.  For the default plant at
+N = 168 and S = 100 that is 201,010 columns and 84,000 rows.
 
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
 per-scenario unit loads, slacks, storage levels and peak registers, in
@@ -55,9 +55,10 @@ class HorizonTiming:
     """Horizon placement relative to the billing calendar.
 
     ``month_end`` is the last hour index of the month containing ``t``,
-    equal to ``t`` itself on the closing hour.  The horizon spans two
-    months when the month ends strictly inside it; on the closing hour it
-    does not, and every step is priced against one register.
+    equal to ``t`` itself on the closing hour.  Step k bills to the current
+    month's peak register while t + k <= month_end and to next month's
+    after that (``next_month``), so on the closing hour step 0 alone stays
+    in the closing month.
     """
 
     t: int
@@ -71,16 +72,20 @@ class HorizonTiming:
             raise ValueError("month_end precedes current hour")
 
     @property
-    def spans_two_months(self) -> bool:
-        return self.t < self.month_end < self.t + self.n - 1
-
-    @property
-    def hours_to_month_end(self) -> int:
-        return self.month_end - self.t
+    def next_month(self) -> np.ndarray:
+        """Per step, whether it bills to next month's register."""
+        return self.t + np.arange(self.n) > self.month_end
 
     @property
     def discount(self) -> float:
-        return demand_discount(self.hours_to_month_end, self.n)
+        """The demand-charge discount; both registers are priced at
+        ``price_demand / discount``.
+
+        On the closing hour the clamp makes that N times the demand price.
+        This weight has not been checked against the paper's demand-charge
+        term: the repository holds only the paper's abstract (``PAPER.md``).
+        """
+        return demand_discount(self.month_end - self.t, self.n)
 
 
 def storage_bounds(
@@ -137,36 +142,40 @@ class _Triplets:
         )
 
 
+#: The program's unit columns: every unit but the cooling tower, whose load
+#: is substituted by the condenser balance P_ct = alpha_cond * P_cs + P_hx.
+_UNITS = tuple(u for u in UNITS if u != "ct")
+_UNIT = {u: i for i, u in enumerate(_UNITS)}
+
+
 class _ReducedLayout:
     """Column/row indices of the program for one shape, all scenarios stacked.
 
-    Residual columns and the unmet/overmet integrators are definitional:
-    the residuals substitute into the objective and peak rows, and each
-    integrator chain turns into triangular weights on the slack columns
-    plus a constant offset.  When the cooling-tower limit can never bind
-    (``fold_ct``) its load column and the condenser rows drop out as well.
-    What remains per scenario: unit loads ``P`` (s, U, n) in ``units``
-    order, four slacks ``S`` (s, 4, n), storage states ``E`` (s, 2, n+1)
-    and the peak register(s) ``R`` (s, 1 or 2); ``R2`` is ``R1`` unless the
-    horizon spans a month end.  The hour-0 loads and the storage columns
-    of steps 0 and 1 are shared by all scenarios.
+    Residual columns, the unmet/overmet integrators and the cooling-tower
+    load are definitional: the residuals and the tower load substitute into
+    the objective and peak rows, and each integrator chain turns into
+    triangular weights on the slack columns plus a constant offset.  When
+    the tower limit can bind (``tower_binds``) it is one more row block,
+    alpha_cond * P_cs + P_hx <= pmax_ct.  What remains per scenario: unit
+    loads ``P`` (s, 6, n) in ``_UNITS`` order, four slacks ``S`` (s, 4, n),
+    storage states ``E`` (s, 2, n+1) and the peak registers ``R`` (s, 2).
+    This month's ``R1`` is the last column of each scenario block; next
+    month's ``R2`` columns follow the last block.  Every program carries
+    both, so the shape is the same inside a month, across a month end and
+    on the closing hour.  The hour-0 loads and the storage columns of steps
+    0 and 1 are shared by all scenarios.
     """
 
-    def __init__(self, n: int, s: int, spans: bool, fold_ct: bool):
-        self.n, self.s, self.spans, self.fold_ct = n, s, spans, fold_ct
-        self.units = tuple(u for u in UNITS if not (fold_ct and u == "ct"))
-        self.unit_index = {u: i for i, u in enumerate(self.units)}
-        #: Position of each program unit in ``UNITS``.
-        self.unit_order = np.array([UNITS.index(u) for u in self.units])
-        nu = len(self.units)
-        peaks = 2 if spans else 1
-        self.row_blocks = (() if fold_ct else ("cond",)) + (
-            "cw_bal", "hw_bal", "e_dyn_cw", "e_dyn_hw", "peak",
+    def __init__(self, n: int, s: int, tower_binds: bool):
+        self.n, self.s = n, s
+        nu = len(_UNITS)
+        self.row_blocks = ("cw_bal", "hw_bal", "e_dyn_cw", "e_dyn_hw", "peak") + (
+            ("tower",) if tower_binds else ()
         )
         nb = len(self.row_blocks)
         self.shared = nu + 4  # first-stage loads, storage pins, next-hour
-        self.block = (nu + 6) * n - nu - 2 + peaks
-        self.num_vars = self.shared + s * self.block
+        self.block = (nu + 6) * n - nu - 1
+        self.num_vars = self.shared + s * (self.block + 1)
         self.num_rows = nb * n * s
 
         xi = np.arange(s, dtype=np.int64)
@@ -189,7 +198,9 @@ class _ReducedLayout:
         self.E[:, :, 2:] = (
             (soff + 4 * n)[:, None, None] + tanks[None, :, None] * (n - 1) + k1
         )
-        self.R = (base + self.block - peaks)[:, None] + np.arange(peaks)
+        self.R = np.stack(
+            [base + self.block - 1, self.shared + s * self.block + xi], axis=1
+        )
         self.rows = (
             (nb * n * xi)[:, None, None]
             + np.arange(nb * n, dtype=np.int64).reshape(1, nb, n)
@@ -197,21 +208,21 @@ class _ReducedLayout:
         for arr in (self.P, self.S, self.E, self.R, self.rows):
             arr.setflags(write=False)
         self.R1 = self.R[:, 0]
-        self.R2 = self.R[:, -1]
+        self.R2 = self.R[:, 1]
 
     def row_block(self, name: str) -> np.ndarray:
         return self.rows[:, self.row_blocks.index(name)]
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced_layout(n: int, s: int, spans: bool, fold_ct: bool) -> _ReducedLayout:
-    return _ReducedLayout(n, s, spans, fold_ct)
+def _reduced_layout(n: int, s: int, tower_binds: bool) -> _ReducedLayout:
+    return _ReducedLayout(n, s, tower_binds)
 
 
-def _can_fold_ct(config: PlantConfig) -> bool:
-    """The tower bound never binds if it covers max condenser duty."""
+def _tower_binds(config: PlantConfig) -> bool:
+    """Whether the tower limit can bind: it is below max condenser duty."""
     duty = config.alpha_cond_cs * config.pmax_cs + config.pmax_hx
-    return config.pmax_ct >= duty - 1e-9
+    return config.pmax_ct < duty - 1e-9
 
 
 @dataclass(frozen=True)
@@ -221,9 +232,9 @@ class Plan:
     Per scenario: unit loads ``P`` (s, 7, n) in ``UNITS`` order, slacks
     ``S`` (s, 4, n) (unmet and overmet chilled water, then hot water),
     storage levels ``E`` (s, 2, n + 1) from the current state on, and the
-    peak registers ``peaks`` (s, 1), or (s, 2) when the horizon spans a
-    month end.  The hour-0 loads and hour-1 storage levels are the same in
-    every scenario.  ``objective`` includes the program's constant offset.
+    peak registers ``peaks`` (s, 2), this month's then next month's.  The
+    hour-0 loads and hour-1 storage levels are the same in every scenario.
+    ``objective`` includes the program's constant offset.
     """
 
     P: np.ndarray
@@ -251,13 +262,10 @@ class ReducedProgram:
         if not sol.is_optimal:
             raise ValueError(f"cannot decode a {sol.status} solution")
         lay, x = self.layout, sol.x
-        p = np.empty((lay.s, len(UNITS), lay.n))
-        p[:, lay.unit_order] = x[lay.P]
-        if lay.fold_ct:
-            # Condenser balance: P_ct = alpha_cond * P_cs + P_hx.
-            p[:, 3] = self.config.alpha_cond_cs * p[:, 0] + p[:, 4]
+        p = x[lay.P]
+        ct = self.config.alpha_cond_cs * p[:, _UNIT["cs"]] + p[:, _UNIT["hx"]]
         return Plan(
-            P=p,
+            P=np.insert(p, UNITS.index("ct"), ct, axis=1),
             S=x[lay.S],
             E=x[lay.E],
             peaks=x[lay.R],
@@ -276,8 +284,9 @@ def build_reduced(
 
     The data is one trajectory (the mean forecast or the realized
     disturbances) or a ``ScenarioSet``, each scenario weighted equally.
-    The horizon starts from ``state``: its tank levels pin step 0, and
-    ``storage_bounds(config, state, beta)`` bounds every later level.
+    The horizon starts from ``state``: its tank levels pin step 0,
+    ``storage_bounds(config, state, beta)`` bounds every later level, and
+    its peak bounds this month's register from below.
     The optimum of the returned program plus its ``offset`` is the
     expected cost over the horizon.
     """
@@ -287,8 +296,8 @@ def build_reduced(
         raise ValueError(f"forecast length {n} != horizon {timing.n}")
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
-    fold_ct = _can_fold_ct(config)
-    red = _reduced_layout(n, s, timing.spans_two_months, fold_ct)
+    tower_binds = _tower_binds(config)
+    red = _reduced_layout(n, s, tower_binds)
 
     obj = np.zeros(red.num_vars)
     lower = np.full(red.num_vars, -np.inf)
@@ -298,26 +307,19 @@ def build_reduced(
     matrix = _Triplets()
     put = matrix.put
 
-    steps = np.arange(n)
-    in_second_month = (timing.t + steps) > timing.month_end
     weight = 1.0 / s
     demand_coeff = config.price_demand / timing.discount
-    # Known defect (ROADMAP item 1): on the closing hour (t == month_end)
-    # every step, step 0 included, is priced against next month's register
-    # with lower bound 0, although the closing month's bill holds step 0
-    # and its peak so far, ``state.peak``.
-    carry = state.peak if timing.t < timing.month_end else 0.0
-    ui = red.unit_index
+    ui = _UNIT
     P, S, E = red.P, red.S, red.E
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
 
-    if not fold_ct:
-        # Condenser balance: P_ct = alpha_cond * P_cs + P_hx.
-        cond = red.row_block("cond")
-        put(cond, P[:, ui["ct"]], 1.0)
-        put(cond, P[:, ui["cs"]], -config.alpha_cond_cs)
-        put(cond, P[:, ui["hx"]], -1.0)
-        sense[cond] = lp.EQ
+    if tower_binds:
+        # Tower limit on the substituted load: alpha_cond * P_cs + P_hx.
+        tower = red.row_block("tower")
+        put(tower, P[:, ui["cs"]], config.alpha_cond_cs)
+        put(tower, P[:, ui["hx"]], 1.0)
+        sense[tower] = lp.LE
+        rhs[tower] = config.pmax_ct
 
     # Chilled-water balance.
     cw_rows = red.row_block("cw_bal")
@@ -347,43 +349,37 @@ def build_reduced(
         put(dyn, P[:, ui[unit]], 1.0)
         sense[dyn] = lp.EQ
 
-    # Peak rows with the residual definition substituted in:
-    # sum(alpha_e P) - R <= -L_e.  The electric coefficient per unit picks
-    # up the tower draw when the condenser identity is folded.
+    # Peak rows with the residual definition and the tower load substituted
+    # in: sum(alpha_e P) - R <= -L_e, with R the register of the step's
+    # month.  Both registers appear in every row, one with coefficient
+    # zero, so the pattern stays the same while the split slides.
     peak_rows = red.row_block("peak")
-    elec = {u: getattr(config, f"alpha_e_{u}") for u in ("cs", "hrc", "hwg", "ct")}
-    if fold_ct:
-        peak_units = {
-            "cs": elec["cs"] + elec["ct"] * config.alpha_cond_cs,
-            "hrc": elec["hrc"],
-            "hwg": elec["hwg"],
-            "hx": elec["ct"],
-        }
-    else:
-        peak_units = {u: elec[u] for u in ("cs", "hrc", "hwg", "ct")}
+    peak_units = {
+        "cs": config.alpha_e_cs + config.alpha_e_ct * config.alpha_cond_cs,
+        "hrc": config.alpha_e_hrc,
+        "hwg": config.alpha_e_hwg,
+        "hx": config.alpha_e_ct,
+    }
     for u, a in peak_units.items():
         put(peak_rows, P[:, ui[u]], a)
-    if timing.spans_two_months:
-        # Both registers appear in every peak row (one with coefficient
-        # zero) so the sparsity pattern is stable while the split slides.
-        r1_coeff = np.where(in_second_month, 0.0, -1.0)
-        put(peak_rows, red.R1[:, None], r1_coeff[None, :])
-        put(peak_rows, red.R2[:, None], -1.0 - r1_coeff[None, :])
-    else:
-        put(peak_rows, red.R1[:, None], -1.0)
+    r1_coeff = np.where(timing.next_month, 0.0, -1.0)
+    put(peak_rows, red.R1[:, None], r1_coeff[None, :])
+    put(peak_rows, red.R2[:, None], -1.0 - r1_coeff[None, :])
     sense[peak_rows] = lp.LE
     rhs[peak_rows] = -load_e
 
     # Bounds.
-    pmax_red = np.array([config.pmax(u) for u in red.units])
-    is_storage = np.isin(np.array(red.units), STORAGE_UNITS)
-    lower[P] = np.where(is_storage, -pmax_red, 0.0)[None, :, None]
-    upper[P] = pmax_red[None, :, None]
+    pmax = np.array([config.pmax(u) for u in _UNITS])
+    is_storage = np.isin(np.array(_UNITS), STORAGE_UNITS)
+    lower[P] = np.where(is_storage, -pmax, 0.0)[None, :, None]
+    upper[P] = pmax[None, :, None]
     for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
         lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(STORAGE_UNITS[j])
         lower[E[:, j, 1:]] = lo
         upper[E[:, j, 1:]] = hi
     lower[S] = 0.0
+    lower[red.R1] = state.peak
+    lower[red.R2] = 0.0
 
     # Objective: substituted residual costs on the unit loads, triangular
     # integrator weights on the slacks, discounted demand charges.  The
@@ -392,21 +388,14 @@ def build_reduced(
     water = config.alpha_w_ct * config.price_water
     for u, a in peak_units.items():
         np.add.at(obj, P[:, ui[u]], weight * a * price_e)
-    if fold_ct:
-        np.add.at(obj, P[:, ui["cs"]], weight * water * config.alpha_cond_cs)
-        np.add.at(obj, P[:, ui["hx"]], weight * water)
-    else:
-        np.add.at(obj, P[:, ui["ct"]], weight * water)
+    np.add.at(obj, P[:, ui["cs"]], weight * water * config.alpha_cond_cs)
+    np.add.at(obj, P[:, ui["hx"]], weight * water)
     np.add.at(obj, P[:, ui["hwg"]], weight * config.alpha_ng_hwg * config.price_gas)
-    tri = (n - steps).astype(float)
+    tri = (n - np.arange(n)).astype(float)
     for j, unit in enumerate(STORAGE_UNITS):
         obj[S[:, 2 * j]] = weight * config.rho(unit) * tri
         obj[S[:, 2 * j + 1]] = weight * config.rho(unit) * tri
-    lower[red.R1] = carry
-    obj[red.R1] = weight * demand_coeff
-    if timing.spans_two_months:
-        lower[red.R2] = 0.0
-        obj[red.R2] = weight * demand_coeff
+    obj[red.R] = weight * demand_coeff
 
     offset = float(
         weight * np.sum(price_e * load_e)

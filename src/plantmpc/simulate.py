@@ -167,7 +167,8 @@ def month_timing(t: int, calendar, n: int) -> mpc.HorizonTiming:
     """Timing for the horizon starting at hour ``t``.
 
     The month end is the smallest calendar entry >= t, so on the closing
-    hour it is ``t`` itself and the horizon counts as one month.
+    hour it is ``t`` itself: step 0 bills to the closing month and every
+    later step to the next.
     """
     cal = list(calendar)
     if cal != sorted(cal):

@@ -23,7 +23,8 @@ class Layout:
     Arrays: P (s, 7, n), r (s, 3, n) for r_e, r_w, r_ng, S (s, 4, n),
     E/ul/ol (s, 2, n+1), R1/R2 (s,), rows (s, 13, n).  The hour-0 loads and
     the step-0/1 storage and step-0 integrator columns are shared by all
-    scenarios; ``R2`` is ``R1`` unless the horizon spans a month end.
+    scenarios; ``R2`` is ``R1`` unless a step of the horizon bills to next
+    month.
     """
 
     def __init__(self, n: int, s: int, spans: bool):
@@ -136,7 +137,10 @@ def build(config, state, data, timing, beta) -> FullForm:
         raise ValueError(f"forecast length {n} != horizon {timing.n}")
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
-    lay = Layout(n, s, timing.spans_two_months)
+    # Step k bills to next month's register when t + k > month_end; the
+    # second register exists only when some step does.
+    in_second_month = timing.t + np.arange(n) > timing.month_end
+    lay = Layout(n, s, bool(in_second_month.any()))
 
     obj = np.zeros(lay.num_vars)
     lower = np.full(lay.num_vars, -np.inf)
@@ -146,13 +150,8 @@ def build(config, state, data, timing, beta) -> FullForm:
     matrix = mpc._Triplets()
     put = matrix.put
 
-    steps = np.arange(n)
-    # Steps whose absolute hour lies past the month end bill into the
-    # second peak register.
-    in_second_month = (timing.t + steps) > timing.month_end
     weight = 1.0 / s
     demand_coeff = config.price_demand / timing.discount
-    carry = state.peak if timing.t < timing.month_end else 0.0
 
     pmax = np.array([config.pmax(u) for u in UNITS])
     alpha_e = np.array(
@@ -242,7 +241,7 @@ def build(config, state, data, timing, beta) -> FullForm:
     obj[r[:, 0]] = weight * price_e
     obj[r[:, 1]] = weight * config.price_water
     obj[r[:, 2]] = weight * config.price_gas
-    lower[lay.R1] = carry
+    lower[lay.R1] = state.peak
     obj[lay.R1] = weight * demand_coeff
     if lay.spans:
         lower[lay.R2] = 0.0

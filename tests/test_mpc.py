@@ -88,8 +88,8 @@ class TestZeroInstance:
         assert solve_simplex(prog).objective == pytest.approx(expected)
         action = mpc.extract_action(plan)
         assert np.allclose(action.as_array(), 0.0, atol=1e-9)
-        assert plan.peaks.shape == (1, 1)
-        assert plan.peaks[0, 0] == pytest.approx(500.0)
+        assert plan.peaks.shape == (1, 2)
+        assert plan.peaks[0] == pytest.approx([500.0, 0.0])
 
 
 class TestAgainstGridSearch:
@@ -138,8 +138,9 @@ class TestAgainstGridSearch:
 
 
 class TestCountingFormulas:
-    """Sizes documented in ``mpc``: U = 6 unit columns when the tower
-    folds (default plant), 7 otherwise; the extensive form is the oracle."""
+    """Sizes documented in ``mpc``: 10 + S(12N - 6) columns and 5NS rows,
+    plus NS tower rows when the tower limit can bind (not on the default
+    plant); the extensive form is the oracle."""
 
     @pytest.mark.parametrize("n", [6, 48, 168])
     def test_deterministic_counts(self, n):
@@ -147,12 +148,13 @@ class TestCountingFormulas:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=10_000)
         zeros = [0.0] * n
         traj = trajectory(zeros, zeros, zeros, zeros)
-        for config, u in ((PlantConfig(), 6), (PlantConfig(pmax_ct=6000.0), 7)):
+        for config, binds in ((PlantConfig(), False), (PlantConfig(pmax_ct=6000.0), True)):
+            assert mpc._tower_binds(config) == binds
             reduced = mpc.build_reduced(
                 config, state, traj, timing, 0.0
             )
-            assert reduced.program.num_vars == u + 4 + (u + 6) * n - u - 1
-            assert reduced.program.num_rows == (u - 1) * n
+            assert reduced.program.num_vars == 10 + 12 * n - 6
+            assert reduced.program.num_rows == 5 * n + (n if binds else 0)
             full = full_form.build(
                 config, state, traj, timing, 0.0
             )
@@ -167,23 +169,30 @@ class TestCountingFormulas:
         values = np.abs(np.random.default_rng(0).normal(50, 5, (s, 4, n)))
         scen = fc.ScenarioSet(values=values, unclamped=values)
         reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
-        assert reduced.program.num_vars == 10 + s * (12 * n - 7)
+        assert reduced.program.num_vars == 10 + s * (12 * n - 6)
         assert reduced.program.num_rows == 5 * n * s
         prog = full_form.build(config, state, scen, timing, 0.0).program
         assert prog.num_vars == 15 + s * (20 * n - 8)
         assert prog.num_rows == 13 * n * s
 
     def test_spanning_adds_one_peak_per_scenario(self):
+        """In the extensive form only; the reduced program always carries
+        both registers and keeps its pattern across the month end."""
         config = PlantConfig()
         state = PlantState(e_cw=0.0, e_hw=0.0)
         n, s = 6, 4
-        timing = mpc.HorizonTiming(t=0, n=n, month_end=2)
-        assert timing.spans_two_months
+        spanning = mpc.HorizonTiming(t=0, n=n, month_end=2)
+        one_month = mpc.HorizonTiming(t=0, n=n, month_end=743)
+        assert spanning.next_month.any() and not one_month.next_month.any()
         values = np.full((s, 4, n), 10.0)
         scen = fc.ScenarioSet(values=values, unclamped=values)
-        reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
-        assert reduced.program.num_vars == 10 + s * (12 * n - 6)
-        prog = full_form.build(config, state, scen, timing, 0.0).program
+        reduced = mpc.build_reduced(config, state, scen, spanning, 0.0).program
+        inside = mpc.build_reduced(config, state, scen, one_month, 0.0).program
+        assert reduced.num_vars == 10 + s * (12 * n - 6)
+        assert (reduced.num_rows, reduced.num_vars) == (inside.num_rows, inside.num_vars)
+        assert np.array_equal(reduced.a_rows, inside.a_rows)
+        assert np.array_equal(reduced.a_cols, inside.a_cols)
+        prog = full_form.build(config, state, scen, spanning, 0.0).program
         assert prog.num_vars == 15 + s * (20 * n - 7)
 
 
@@ -337,17 +346,17 @@ class TestStochasticStructure:
 
 class TestReducedEquivalence:
     @pytest.mark.parametrize("spanning", [False, True])
-    @pytest.mark.parametrize("fold", [False, True])
-    def test_matches_full_formulation(self, spanning, fold):
-        config = PlantConfig() if fold else PlantConfig(pmax_ct=6000.0)
-        assert mpc._can_fold_ct(config) == fold
+    @pytest.mark.parametrize("binds", [False, True])
+    def test_matches_full_formulation(self, spanning, binds):
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        assert mpc._tower_binds(config) == binds
         state = PlantState(
             e_cw=8000.0, e_hw=4000.0, ul_cw=2.0, ol_hw=1.0, peak=7000.0
         )
         n, s = 8, 5
         month_end = 4 if spanning else 743
         timing = mpc.HorizonTiming(t=0, n=n, month_end=month_end)
-        assert timing.spans_two_months == spanning
+        assert timing.next_month.any() == spanning
         rng = np.random.default_rng(23)
         values = np.abs(
             np.array([[9000.0], [5000.0], [3000.0], [0.07]])
@@ -375,18 +384,73 @@ class TestReducedEquivalence:
         assert np.all(x <= prog_full.upper + 1e-9)
 
 
+class TestClosingHour:
+    def test_step_zero_bills_the_closing_month(self):
+        """On the closing hour step 0 goes on this month's register, held at
+        the carried 12 000 kW, and steps 1.. on next month's.  Hour 0 then
+        costs no demand charge below 12 000 kW, so the plan runs the chiller
+        flat out and charges the tank for the next month's hours."""
+        config = PlantConfig()
+        state = PlantState(e_cw=10_000.0, e_hw=6_000.0, peak=12_000.0)
+        n = 4
+        timing = mpc.HorizonTiming(t=743, n=n, month_end=743)
+        traj = trajectory([9000.0] * n, [5000.0] * n, [3000.0] * n, [0.06] * n)
+        reduced = mpc.build_reduced(config, state, traj, timing, 0.1)
+        assert np.array_equal(reduced.program.lower[reduced.layout.R], [[12_000.0, 0.0]])
+        plan = reduced.expand(lp.solve(reduced.program))
+        assert plan.peaks[0, 0] == pytest.approx(12_000.0)
+        assert plan.peaks[0, 1] < 12_000.0
+        action = mpc.extract_action(plan)
+        assert action.p_cs == pytest.approx(config.pmax_cs, rel=1e-9)
+        assert action.p_cw < 0.0
+        oracle = lp.solve(full_form.build(config, state, traj, timing, 0.1).program)
+        assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
+
+
+class TestBindingTower:
+    def test_decoded_tower_load_meets_its_limit(self):
+        """A tower rated below the condenser duty of chiller plus dump
+        exchanger, under a chilled-water load the chiller alone could carry:
+        the tower rows cap the substituted load, as the extensive form's ct
+        column bound does."""
+        config = PlantConfig(pmax_ct=5000.0)
+        assert config.pmax_ct < config.alpha_cond_cs * config.pmax_cs + config.pmax_hx
+        assert mpc._tower_binds(config)
+        state = PlantState(e_cw=2000.0, e_hw=6000.0, peak=9000.0)
+        n, s = 6, 3
+        rng = np.random.default_rng(5)
+        values = np.abs(
+            np.array([[9000.0], [5500.0], [2500.0], [0.06]])
+            + rng.normal(0, 300.0, (s, 4, n)) * [[1], [1], [1], [0.0001]]
+        )
+        scen = fc.ScenarioSet(values=values, unclamped=values)
+        reduced = mpc.build_reduced(config, state, scen, mpc.HorizonTiming(0, n, 743), 0.0)
+        reduced.program.validate()
+        plan = reduced.expand(lp.solve(reduced.program))
+        p_ct = plan.P[:, 3]
+        assert np.all(p_ct <= config.pmax_ct + 1e-6)
+        assert np.isclose(p_ct, config.pmax_ct, rtol=0.0, atol=1e-6).any()
+        assert np.allclose(
+            p_ct, config.alpha_cond_cs * plan.P[:, 0] + plan.P[:, 4], rtol=0.0, atol=1e-9
+        )
+        full = full_form.build(config, state, scen, mpc.HorizonTiming(0, n, 743), 0.0)
+        oracle = lp.solve(full.program)
+        assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
+
+
 class TestHorizonTiming:
     def test_spanning_example(self):
         timing = mpc.HorizonTiming(t=700, n=168, month_end=744)
-        assert timing.spans_two_months
+        assert np.array_equal(timing.next_month, np.arange(168) > 44)
 
     def test_non_spanning_example(self):
         timing = mpc.HorizonTiming(t=10, n=168, month_end=744)
-        assert not timing.spans_two_months
+        assert not timing.next_month.any()
 
-    def test_closing_hour_is_single_month(self):
+    def test_closing_hour_bills_later_steps_to_next_month(self):
         timing = mpc.HorizonTiming(t=744, n=168, month_end=744)
-        assert not timing.spans_two_months
+        assert np.array_equal(timing.next_month, np.arange(168) > 0)
+        # Both registers are then priced at N times the demand price.
         assert timing.discount == pytest.approx(1.0 / 168)
 
     def test_invalid(self):
@@ -398,12 +462,20 @@ class TestHorizonTiming:
 
 class TestReducedLayout:
     CASES = pytest.mark.parametrize(
-        "fold,spans", [(False, False), (False, True), (True, False), (True, True)]
+        "binds,spans", [(False, False), (False, True), (True, False), (True, True)]
     )
 
     @staticmethod
-    def layout(fold, spans, n=5, s=3):
-        return mpc._reduced_layout(n, s, spans, fold)
+    def reduced(binds, spans, n=5, s=3):
+        """The program of a plant whose tower limit can bind or not, for a
+        horizon inside one month or across a month end."""
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        timing = mpc.HorizonTiming(t=0, n=n, month_end=2 if spans else 743)
+        values = np.full((s, 4, n), 10.0)
+        return mpc.build_reduced(
+            config, PlantState(e_cw=0.0, e_hw=0.0),
+            fc.ScenarioSet(values=values, unclamped=values), timing, 0.0,
+        )
 
     @staticmethod
     def recourse(lay):
@@ -412,27 +484,34 @@ class TestReducedLayout:
         return np.concatenate([p.reshape(lay.s, -1) for p in parts], axis=1)
 
     @CASES
-    def test_columns_used_once_except_shared_first_stage(self, fold, spans):
-        lay = self.layout(fold, spans)
+    def test_columns_used_once_except_shared_first_stage(self, binds, spans):
+        lay = self.reduced(binds, spans).layout
         first = np.concatenate([lay.P[0, :, 0], lay.E[0, :, :2].ravel()])
         cols = np.concatenate([first, self.recourse(lay).ravel()])
         assert np.array_equal(np.sort(cols), np.arange(lay.num_vars))
-        assert lay.P.shape[1] == (6 if fold else 7)
+        assert lay.P.shape[1] == 6
+        assert lay.num_rows == (6 if binds else 5) * lay.n * lay.s
 
     @CASES
-    def test_first_stage_shared_across_scenarios(self, fold, spans):
-        lay = self.layout(fold, spans)
+    def test_first_stage_shared_across_scenarios(self, binds, spans):
+        lay = self.reduced(binds, spans).layout
         assert np.all(lay.P[:, :, 0] == lay.P[0, :, 0])
         assert np.all(lay.E[:, :, :2] == lay.E[0, :, :2])
 
     @CASES
-    def test_recourse_not_shared(self, fold, spans):
-        lay = self.layout(fold, spans)
+    def test_recourse_not_shared(self, binds, spans):
+        lay = self.reduced(binds, spans).layout
         rec = self.recourse(lay)
         assert np.unique(rec).size == rec.size
 
     @CASES
-    def test_r2_own_column_only_when_spanning(self, fold, spans):
-        lay = self.layout(fold, spans)
-        assert lay.R.shape == (lay.s, 2 if spans else 1)
-        assert np.all(lay.R2 != lay.R1) == spans
+    def test_r2_own_column_only_when_spanning(self, binds, spans):
+        """R2 has its own columns, after the last scenario block, in every
+        program; only a horizon that spans a month end bills steps to it."""
+        reduced = self.reduced(binds, spans)
+        lay, prog = reduced.layout, reduced.program
+        assert lay.R.shape == (lay.s, 2)
+        assert np.array_equal(lay.R2, lay.num_vars - lay.s + np.arange(lay.s))
+        billed = prog.a_cols[prog.a_vals != 0.0]
+        assert np.isin(lay.R2, billed).all() == spans
+        assert np.isin(lay.R1, billed).all()

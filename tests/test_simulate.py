@@ -259,16 +259,19 @@ class TestMonthTiming:
     def test_spanning(self):
         timing = simulate.month_timing(700, (744, 1487), 168)
         assert timing.month_end == 744
-        assert timing.spans_two_months
+        assert timing.next_month.sum() == 168 - 45
 
     def test_not_spanning(self):
         timing = simulate.month_timing(10, (744, 1487), 168)
-        assert not timing.spans_two_months
+        assert not timing.next_month.any()
 
-    def test_closing_hour_rolls_to_single_month(self):
+    def test_closing_hour_bills_only_step_zero_to_closing_month(self):
         timing = simulate.month_timing(744, (744, 1487), 168)
         assert timing.month_end == 744
-        assert not timing.spans_two_months
+        assert np.flatnonzero(~timing.next_month).tolist() == [0]
+        # The clamped discount prices both registers at N times the demand
+        # price on the closing hour.
+        assert timing.discount == pytest.approx(1.0 / 168)
 
     def test_beyond_calendar(self):
         with pytest.raises(ValueError, match="beyond"):
@@ -394,6 +397,30 @@ class TestClosedLoop:
         assert not trace.violation_flags("fallback")[0]
         assert trace.bounds_lower[0, 0] == 0.45 * 20000.0
         assert trace.bounds_upper[0, 0] == trace.storage[0, 0] > 11000.0
+
+    def test_one_program_shape_per_run(self, monkeypatch):
+        # The horizon spans the month end at hour 30 from t = 7 on, and
+        # t = 30 is the closing hour; every hour's program still has the
+        # same size and sparsity pattern.
+        build = mpc.build_reduced
+        shapes = []
+
+        def recording(*args):
+            reduced = build(*args)
+            prog = reduced.program
+            shapes.append((prog.num_rows, prog.num_vars,
+                           prog.a_rows.tobytes(), prog.a_cols.tobytes()))
+            return reduced
+
+        monkeypatch.setattr(mpc, "build_reduced", recording)
+        spec = make_spec(horizon=24, ar_order=24, history_hours=14 * 24,
+                         sim_hours=40, calendar=(30, 100))
+        trace = simulate.run_closed_loop(
+            PlantConfig(), spec, fc.generate_synthetic_campus(37, days=18)
+        )
+        assert len(trace.monthly_peaks) == 2
+        assert len(shapes) == 40
+        assert len(set(shapes)) == 1
 
     def test_trace_reproducible(self):
         spec = make_spec(controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=4))
