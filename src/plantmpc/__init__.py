@@ -7,7 +7,6 @@ from .bench import (
     CostComponents,
     annual_cost,
     campus_only_cost,
-    cost_of_central_plant,
     make_validation_set,
     run_benchmark,
     violation_rate,

@@ -84,13 +84,6 @@ def campus_only_cost(trace: ClosedLoopTrace) -> tuple[float, CostComponents]:
     return components.total, components
 
 
-def cost_of_central_plant(trace: ClosedLoopTrace) -> float:
-    """Controller-attributable cost: total minus the campus-only cost."""
-    phi, _ = annual_cost(trace)
-    nocp, _ = campus_only_cost(trace)
-    return phi - nocp
-
-
 def violation_rate(trace: ClosedLoopTrace) -> float:
     """Hours with any violation flag, per 100 hours of operation."""
     return 100.0 * trace.violation_hours / len(trace)

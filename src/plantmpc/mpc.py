@@ -12,13 +12,19 @@ Planned storage levels stay in the box ``storage_bounds`` derives from
 the current state and the buffer beta, the same box the closed-loop trace
 records; no bounds are carried from hour to hour.
 
-The program is the reduced form of the plant model: residual demands, the
-unmet/overmet integrators and the cooling-tower load are eliminated by
-substitution.  Every program carries two peak registers per scenario, this
-month's and next month's, and each step bills to the register of its own
-month, so for a given plant, horizon N and S scenarios the program has one
-shape for the whole run: ``10 + S(12N - 6)`` columns and ``5NS`` rows, plus
-``NS`` tower-limit rows when that limit can bind.  For the default plant at
+The program is the reduced form of the linear plant model in ``plant``: the
+water-balance rows and the unit bounds are ``plant.balance_matrix`` and
+``plant.rate_bounds``, and the cooling-tower load is eliminated through the
+balance matrix's condenser row, which folds the tower's draws in
+``plant.utility_matrix`` into the other units' (these price the unit loads
+and fill the peak rows).  The residual demands and the unmet/overmet
+integrators are eliminated by substitution too.
+
+Every program carries two peak registers per scenario, this month's and
+next month's, and each step bills to the register of its own month, so
+for a given plant, horizon N and S scenarios the program has one shape for
+the whole run: ``10 + S(12N - 6)`` columns and ``5NS`` rows, plus ``NS``
+tower-limit rows when that limit can bind.  For the default plant at
 N = 168 and S = 100 that is 201,010 columns and 84,000 rows.
 
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
@@ -46,7 +52,10 @@ from .plant import (
     DisturbanceTrajectory,
     PlantConfig,
     PlantState,
+    balance_matrix,
     demand_discount,
+    rate_bounds,
+    utility_matrix,
 )
 
 
@@ -142,10 +151,16 @@ class _Triplets:
         )
 
 
-#: The program's unit columns: every unit but the cooling tower, whose load
-#: is substituted by the condenser balance P_ct = alpha_cond * P_cs + P_hx.
-_UNITS = tuple(u for u in UNITS if u != "ct")
-_UNIT = {u: i for i, u in enumerate(_UNITS)}
+#: The program's unit columns, in ``UNITS`` order: every unit but the cooling
+#: tower, whose load the condenser balance substitutes (``_tower``).
+_CT = UNITS.index("ct")
+_KEEP = [i for i in range(len(UNITS)) if i != _CT]
+
+
+def _tower(config: PlantConfig) -> np.ndarray:
+    """Coefficients with P_ct = tower @ P over the unit columns: the condenser
+    balance (row 2 of ``plant.balance_matrix``, ct coefficient 1) solved for P_ct."""
+    return -balance_matrix(config)[2, _KEEP]
 
 
 class _ReducedLayout:
@@ -156,8 +171,8 @@ class _ReducedLayout:
     the objective and peak rows, and each integrator chain turns into
     triangular weights on the slack columns plus a constant offset.  When
     the tower limit can bind (``tower_binds``) it is one more row block,
-    alpha_cond * P_cs + P_hx <= pmax_ct.  What remains per scenario: unit
-    loads ``P`` (s, 6, n) in ``_UNITS`` order, four slacks ``S`` (s, 4, n),
+    ``tower`` @ P <= pmax_ct.  What remains per scenario: unit loads ``P``
+    (s, 6, n) in ``UNITS`` order without ct, four slacks ``S`` (s, 4, n),
     storage states ``E`` (s, 2, n+1) and the peak registers ``R`` (s, 2).
     This month's ``R1`` is the last column of each scenario block; next
     month's ``R2`` columns follow the last block.  Every program carries
@@ -168,7 +183,7 @@ class _ReducedLayout:
 
     def __init__(self, n: int, s: int, tower_binds: bool):
         self.n, self.s = n, s
-        nu = len(_UNITS)
+        nu = len(_KEEP)
         self.row_blocks = ("cw_bal", "hw_bal", "e_dyn_cw", "e_dyn_hw", "peak") + (
             ("tower",) if tower_binds else ()
         )
@@ -221,8 +236,8 @@ def _reduced_layout(n: int, s: int, tower_binds: bool) -> _ReducedLayout:
 
 def _tower_binds(config: PlantConfig) -> bool:
     """Whether the tower limit can bind: it is below max condenser duty."""
-    duty = config.alpha_cond_cs * config.pmax_cs + config.pmax_hx
-    return config.pmax_ct < duty - 1e-9
+    _, upper = rate_bounds(config)
+    return upper[_CT] < _tower(config) @ upper[_KEEP] - 1e-9
 
 
 @dataclass(frozen=True)
@@ -263,9 +278,9 @@ class ReducedProgram:
             raise ValueError(f"cannot decode a {sol.status} solution")
         lay, x = self.layout, sol.x
         p = x[lay.P]
-        ct = self.config.alpha_cond_cs * p[:, _UNIT["cs"]] + p[:, _UNIT["hx"]]
+        ct = (_tower(self.config)[:, None] * p).sum(axis=1)
         return Plan(
-            P=np.insert(p, UNITS.index("ct"), ct, axis=1),
+            P=np.insert(p, _CT, ct, axis=1),
             S=x[lay.S],
             E=x[lay.E],
             peaks=x[lay.R],
@@ -305,74 +320,62 @@ def build_reduced(
     sense = np.empty(red.num_rows, dtype=np.int8)
     rhs = np.zeros(red.num_rows)
     matrix = _Triplets()
-    put = matrix.put
 
     weight = 1.0 / s
     demand_coeff = config.price_demand / timing.discount
-    ui = _UNIT
     P, S, E = red.P, red.S, red.E
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
+    balance = balance_matrix(config)[:, _KEEP]
+    tower = _tower(config)
+    # The utility draws per kW of each unit column, P_ct substituted.
+    utility = utility_matrix(config)
+    utility = utility[:, _KEEP] + np.outer(utility[:, _CT], tower)
+
+    def put_units(rows, coeffs) -> None:
+        """The nonzero unit coefficients of one row block, in column order."""
+        for i in np.flatnonzero(coeffs):
+            matrix.put(rows, P[:, i], coeffs[i])
 
     if tower_binds:
-        # Tower limit on the substituted load: alpha_cond * P_cs + P_hx.
-        tower = red.row_block("tower")
-        put(tower, P[:, ui["cs"]], config.alpha_cond_cs)
-        put(tower, P[:, ui["hx"]], 1.0)
-        sense[tower] = lp.LE
-        rhs[tower] = config.pmax_ct
+        tower_rows = red.row_block("tower")
+        put_units(tower_rows, tower)
+        sense[tower_rows] = lp.LE
+        rhs[tower_rows] = config.pmax_ct
 
-    # Chilled-water balance.
-    cw_rows = red.row_block("cw_bal")
-    for u in ("cs", "hrc", "cw"):
-        put(cw_rows, P[:, ui[u]], 1.0)
-    put(cw_rows, S[:, 0], 1.0)
-    put(cw_rows, S[:, 1], -1.0)
-    sense[cw_rows] = lp.EQ
-    rhs[cw_rows] = load_cw
+    # Water balances: the unit rows of plant.balance_matrix plus the unmet
+    # and overmet slacks, equal to the load.
+    for j, (name, load) in enumerate((("cw_bal", load_cw), ("hw_bal", load_hw))):
+        rows = red.row_block(name)
+        put_units(rows, balance[j])
+        matrix.put(rows, S[:, 2 * j], 1.0)
+        matrix.put(rows, S[:, 2 * j + 1], -1.0)
+        sense[rows] = lp.EQ
+        rhs[rows] = load
 
-    # Hot-water balance.
-    hw_rows = red.row_block("hw_bal")
-    put(hw_rows, P[:, ui["hrc"]], config.alpha_h_hrc)
-    put(hw_rows, P[:, ui["hwg"]], 1.0)
-    put(hw_rows, P[:, ui["hx"]], -1.0)
-    put(hw_rows, P[:, ui["hw"]], 1.0)
-    put(hw_rows, S[:, 2], 1.0)
-    put(hw_rows, S[:, 3], -1.0)
-    sense[hw_rows] = lp.EQ
-    rhs[hw_rows] = load_hw
-
-    # Storage dynamics.
+    # Storage dynamics; the tanks are the last unit columns, as in UNITS.
     for j, unit in enumerate(STORAGE_UNITS):
         dyn = red.row_block(f"e_dyn_{unit}")
-        put(dyn, E[:, j, 1:], 1.0)
-        put(dyn, E[:, j, :-1], -1.0)
-        put(dyn, P[:, ui[unit]], 1.0)
+        matrix.put(dyn, E[:, j, 1:], 1.0)
+        matrix.put(dyn, E[:, j, :-1], -1.0)
+        matrix.put(dyn, P[:, j - len(STORAGE_UNITS)], 1.0)
         sense[dyn] = lp.EQ
 
-    # Peak rows with the residual definition and the tower load substituted
-    # in: sum(alpha_e P) - R <= -L_e, with R the register of the step's
-    # month.  Both registers appear in every row, one with coefficient
-    # zero, so the pattern stays the same while the split slides.
+    # Peak rows: the substituted electricity draw minus R, R the register of
+    # the step's month, at most -L_e.  Both registers appear in every row,
+    # one with coefficient zero, so the pattern stays the same while the
+    # split slides.
     peak_rows = red.row_block("peak")
-    peak_units = {
-        "cs": config.alpha_e_cs + config.alpha_e_ct * config.alpha_cond_cs,
-        "hrc": config.alpha_e_hrc,
-        "hwg": config.alpha_e_hwg,
-        "hx": config.alpha_e_ct,
-    }
-    for u, a in peak_units.items():
-        put(peak_rows, P[:, ui[u]], a)
+    put_units(peak_rows, utility[0])
     r1_coeff = np.where(timing.next_month, 0.0, -1.0)
-    put(peak_rows, red.R1[:, None], r1_coeff[None, :])
-    put(peak_rows, red.R2[:, None], -1.0 - r1_coeff[None, :])
+    matrix.put(peak_rows, red.R1[:, None], r1_coeff[None, :])
+    matrix.put(peak_rows, red.R2[:, None], -1.0 - r1_coeff[None, :])
     sense[peak_rows] = lp.LE
     rhs[peak_rows] = -load_e
 
     # Bounds.
-    pmax = np.array([config.pmax(u) for u in _UNITS])
-    is_storage = np.isin(np.array(_UNITS), STORAGE_UNITS)
-    lower[P] = np.where(is_storage, -pmax, 0.0)[None, :, None]
-    upper[P] = pmax[None, :, None]
+    rate_lower, rate_upper = rate_bounds(config)
+    lower[P] = rate_lower[_KEEP][None, :, None]
+    upper[P] = rate_upper[_KEEP][None, :, None]
     for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
         lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(STORAGE_UNITS[j])
         lower[E[:, j, 1:]] = lo
@@ -381,16 +384,13 @@ def build_reduced(
     lower[red.R1] = state.peak
     lower[red.R2] = 0.0
 
-    # Objective: substituted residual costs on the unit loads, triangular
-    # integrator weights on the slacks, discounted demand charges.  The
-    # shared first-stage columns accumulate over scenarios, so use
-    # unbuffered adds.
-    water = config.alpha_w_ct * config.price_water
-    for u, a in peak_units.items():
-        np.add.at(obj, P[:, ui[u]], weight * a * price_e)
-    np.add.at(obj, P[:, ui["cs"]], weight * water * config.alpha_cond_cs)
-    np.add.at(obj, P[:, ui["hx"]], weight * water)
-    np.add.at(obj, P[:, ui["hwg"]], weight * config.alpha_ng_hwg * config.price_gas)
+    # Objective: the substituted utility purchases on the unit loads,
+    # triangular integrator weights on the slacks, discounted demand
+    # charges.  The shared first-stage columns accumulate over scenarios,
+    # so use an unbuffered add.
+    fixed = utility[1] * config.price_water + utility[2] * config.price_gas
+    np.add.at(obj, P, (weight * utility[0])[:, None] * price_e[:, None, :]
+              + (weight * fixed)[:, None])
     tri = (n - np.arange(n)).astype(float)
     for j, unit in enumerate(STORAGE_UNITS):
         obj[S[:, 2 * j]] = weight * config.rho(unit) * tri

@@ -1,10 +1,15 @@
-"""Central-plant domain types and pure energy-balance operations.
+"""Central-plant domain types and the plant's linear model.
 
 The plant couples a chiller subplant (cs), a heat-recovery chiller (hrc), a
 hot-water generator (hwg), cooling towers (ct), a dump heat exchanger (hx),
-and two thermal storage tanks (cw, hw).  Every operation here is a pure
-function of immutable inputs; all dynamics use a one-hour sampling time so
-kW and kWh interconvert with factor 1.
+and two thermal storage tanks (cw, hw).  All dynamics use a one-hour
+sampling time so kW and kWh interconvert with factor 1.
+
+The linear model is stated here once, as arrays over ``UNITS``: the balance
+rows (``balance_matrix``), the utility draws (``utility_matrix``) and the
+rate limits (``rate_bounds``).  The controller program, restoration and the
+hour's bookkeeping read it from these.  Every operation here is a pure
+function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -175,13 +180,9 @@ class ControlAction:
         return getattr(self, f"p_{unit}")
 
     def within_bounds(self, config: PlantConfig, tol: float = 1e-9) -> bool:
-        for unit in PRODUCTION_UNITS:
-            if not -tol <= self.rate(unit) <= config.pmax(unit) + tol:
-                return False
-        for unit in STORAGE_UNITS:
-            if abs(self.rate(unit)) > config.pmax(unit) + tol:
-                return False
-        return True
+        lower, upper = rate_bounds(config)
+        rates = self.as_array()
+        return bool(np.all((rates >= lower - tol) & (rates <= upper + tol)))
 
 
 ZERO_ACTION = ControlAction()
@@ -216,6 +217,33 @@ class PlantState:
         return getattr(self, f"e_{unit}")
 
 
+def balance_matrix(config: PlantConfig) -> np.ndarray:
+    """Rate coefficients (3, 7) of the chilled-water and hot-water supply and
+    of the condenser balance P_ct - alpha_cond * P_cs - P_hx."""
+    c = config
+    return np.array([[1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                     [0.0, c.alpha_h_hrc, 1.0, 0.0, -1.0, 0.0, 1.0],
+                     [-c.alpha_cond_cs, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0]])
+
+
+def utility_matrix(config: PlantConfig) -> np.ndarray:
+    """Utility draw (3, 7) per kW of each unit: electricity in kW, cooling
+    tower make-up water in gal/h and hot-water generator gas in kW."""
+    c = config
+    return np.array([[c.alpha_e_cs, c.alpha_e_hrc, c.alpha_e_hwg, c.alpha_e_ct, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, c.alpha_w_ct, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, c.alpha_ng_hwg, 0.0, 0.0, 0.0, 0.0]])
+
+
+def rate_bounds(config: PlantConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rate limits (lower, upper): production units run in [0, pmax], tanks
+    charge and discharge in [-pmax, pmax]."""
+    c = config
+    return (np.array([0.0, 0.0, 0.0, 0.0, 0.0, -c.pmax_cw, -c.pmax_hw]),
+            np.array([c.pmax_cs, c.pmax_hrc, c.pmax_hwg, c.pmax_ct, c.pmax_hx,
+                      c.pmax_cw, c.pmax_hw]))
+
+
 def residual_demands(
     config: PlantConfig, action: ControlAction, load_elec: float
 ) -> tuple[float, float, float]:
@@ -225,16 +253,8 @@ def residual_demands(
     plus equipment draw), cooling-tower make-up water in gal/h, and hot
     water generator gas in kW.
     """
-    r_e = (
-        config.alpha_e_cs * action.p_cs
-        + config.alpha_e_hrc * action.p_hrc
-        + config.alpha_e_hwg * action.p_hwg
-        + config.alpha_e_ct * action.p_ct
-        + load_elec
-    )
-    r_w = config.alpha_w_ct * action.p_ct
-    r_ng = config.alpha_ng_hwg * action.p_hwg
-    return r_e, r_w, r_ng
+    r_e, r_w, r_ng = utility_matrix(config).dot(action.as_array()).tolist()
+    return r_e + load_elec, r_w, r_ng
 
 
 def balance_residuals(
@@ -249,28 +269,26 @@ def balance_residuals(
     residuals are zero (within solver tolerance) for any feasible dispatch.
     """
     s_un_cw, s_ov_cw, s_un_hw, s_ov_hw = slacks
-    cw_res = (
-        action.p_cs + action.p_hrc + action.p_cw
-        + s_un_cw - s_ov_cw - dist.load_cw
-    )
-    hw_res = (
-        config.alpha_h_hrc * action.p_hrc + action.p_hwg - action.p_hx
-        + action.p_hw + s_un_hw - s_ov_hw - dist.load_hw
-    )
-    cond_res = action.p_ct - config.alpha_cond_cs * action.p_cs - action.p_hx
-    return cw_res, hw_res, cond_res
-
-
-def stage_cost(
-    config: PlantConfig, action: ControlAction, dist: Disturbance
-) -> float:
-    """Hourly utility cost in $/h: electricity + water + natural gas."""
-    r_e, r_w, r_ng = residual_demands(config, action, dist.load_elec)
+    cw_res, hw_res, cond_res = balance_matrix(config).dot(action.as_array()).tolist()
     return (
-        dist.price_elec * r_e
-        + config.price_water * r_w
-        + config.price_gas * r_ng
+        cw_res + s_un_cw - s_ov_cw - dist.load_cw,
+        hw_res + s_un_hw - s_ov_hw - dist.load_hw,
+        cond_res,
     )
+
+
+def stage_cost(config: PlantConfig, action: ControlAction, dist: Disturbance) -> float:
+    """Hourly utility cost in $/h: electricity + water + natural gas."""
+    residuals = residual_demands(config, action, dist.load_elec)
+    return purchase_cost(config, residuals, dist.price_elec)
+
+
+def purchase_cost(
+    config: PlantConfig, residuals: tuple[float, float, float], price_elec: float
+) -> float:
+    """Cost in $/h of the purchases ``(r_e, r_w, r_ng)`` at ``price_elec``."""
+    r_e, r_w, r_ng = residuals
+    return price_elec * r_e + config.price_water * r_w + config.price_gas * r_ng
 
 
 def demand_discount(hours_to_month_end: int, horizon_n: int) -> float:

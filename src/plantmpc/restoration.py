@@ -9,14 +9,15 @@ action for the hour and the shortfall is booked downstream.
 
 The correction is an LP with 14 columns and 3 rows.  Each unit's change
 is split as delta = delta+ - delta-, both nonnegative, and the objective
-is their sum.  The three rows are the chilled-water, hot-water and
-condenser balances.  The condenser identity is imposed inside the
-correction problem (rather than recomputed afterwards) so the tower rate
-both stays consistent and respects its own limit.  The unit limits and
-tank capacities confine each delta to a box [lo, hi]; they become the
-column bounds delta+ in [max(lo, 0), max(hi, 0)] and delta- in
-[max(-hi, 0), max(-lo, 0)], which admit exactly the deltas of the box
-also when it excludes zero.
+is their sum.  The matrix is [B, -B] with B = ``plant.balance_matrix``:
+the chilled-water, hot-water and condenser balances.  The condenser
+identity is imposed inside the correction problem (rather than recomputed
+afterwards) so the tower rate both stays consistent and respects its own
+limit.  Each delta lies in a box [lo, hi], ``plant.rate_bounds`` minus the
+committed rate, cut for the tanks to what keeps their level in [0, cap].
+The box becomes the column bounds delta+ in [max(lo, 0), max(hi, 0)] and
+delta- in [max(-hi, 0), max(-lo, 0)], which admit exactly the deltas of
+the box also when it excludes zero.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from . import lp
 from .plant import (
-    PRODUCTION_UNITS,
     STORAGE_UNITS,
     UNITS,
     ZERO_ACTION,
@@ -35,7 +35,9 @@ from .plant import (
     Disturbance,
     PlantConfig,
     PlantState,
+    balance_matrix,
     balance_residuals,
+    rate_bounds,
 )
 
 UNCHANGED = "unchanged"
@@ -84,11 +86,8 @@ def restore(
 def _storage_feasible(
     config: PlantConfig, state: PlantState, action: ControlAction
 ) -> bool:
-    for unit in STORAGE_UNITS:
-        e_next = state.storage(unit) - action.rate(unit)
-        if not -1e-9 <= e_next <= config.cap(unit) + 1e-9:
-            return False
-    return True
+    return all(-1e-9 <= state.storage(u) - action.rate(u) <= config.cap(u) + 1e-9
+               for u in STORAGE_UNITS)
 
 
 def _correction_program(
@@ -98,28 +97,17 @@ def _correction_program(
     residuals: tuple[float, float, float],
 ) -> lp.LinearProgram:
     """Columns: delta+ for every unit in UNITS order, then delta-."""
-    ui = {u: i for i, u in enumerate(UNITS)}
-    # Rate coefficients of the chilled-water, hot-water and condenser
-    # balances, as in plant.balance_residuals.
-    coeff = np.zeros((3, len(UNITS)))
-    coeff[0, [ui["cs"], ui["hrc"], ui["cw"]]] = 1.0
-    coeff[1, [ui["hrc"], ui["hwg"], ui["hx"], ui["hw"]]] = (
-        config.alpha_h_hrc, 1.0, -1.0, 1.0)
-    coeff[2, [ui["ct"], ui["cs"], ui["hx"]]] = (
-        1.0, -config.alpha_cond_cs, -1.0)
+    coeff = balance_matrix(config)
     a = np.hstack([coeff, -coeff])
     a_rows, a_cols = np.nonzero(a)
 
-    lo = np.empty(len(UNITS))
-    hi = np.empty(len(UNITS))
-    for i, u in enumerate(UNITS):
-        rate = action.rate(u)
-        if u in PRODUCTION_UNITS:
-            lo[i], hi[i] = -rate, config.pmax(u) - rate
-        else:
-            lo[i] = max(-config.pmax(u) - rate,
-                        state.storage(u) - config.cap(u) - rate)
-            hi[i] = min(config.pmax(u) - rate, state.storage(u) - rate)
+    rates = action.as_array()
+    lower, upper = rate_bounds(config)
+    lo, hi = lower - rates, upper - rates
+    for unit in STORAGE_UNITS:
+        i = UNITS.index(unit)
+        lo[i] = max(lo[i], state.storage(unit) - config.cap(unit) - rates[i])
+        hi[i] = min(hi[i], state.storage(unit) - rates[i])
 
     return lp.LinearProgram(
         objective=np.ones(2 * len(UNITS)),

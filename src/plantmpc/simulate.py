@@ -53,8 +53,8 @@ from .plant import (
     DisturbanceTrajectory,
     PlantConfig,
     PlantState,
+    purchase_cost,
     residual_demands,
-    stage_cost,
 )
 
 DETERMINISTIC = "det"
@@ -207,7 +207,7 @@ def step(
     exceed its ``clamp_floor``.  The peak ratchets to the realized r_e;
     resetting it at a month end is left to the caller.
     """
-    r_e, r_w, r_ng = residual_demands(config, action, realized.load_elec)
+    residuals = residual_demands(config, action, realized.load_elec)
     flags = [False] * len(VIOLATION_TYPES)
     flags[_FALLBACK_IDX] = fallback
     booked = {}
@@ -229,9 +229,9 @@ def step(
         booked.update({f"e_{unit}": min(max(e_next, 0.0), cap),
                        f"ul_{unit}": ul, f"ol_{unit}": ol})
     return Hour(
-        state=PlantState(**booked, peak=max(state.peak, r_e)),
-        residuals=(r_e, r_w, r_ng),
-        cost=stage_cost(config, action, realized),
+        state=PlantState(**booked, peak=max(state.peak, residuals[0])),
+        residuals=residuals,
+        cost=purchase_cost(config, residuals, realized.price_elec),
         flags=tuple(flags),
     )
 

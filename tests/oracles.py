@@ -4,10 +4,11 @@ These deliberately avoid the library's own solution paths: the LP oracle
 enumerates candidate vertices directly, the AR fit oracle forms the
 lagged design matrix and decides its ridge by an SVD condition number,
 the AR mean oracle steps the recursion one forecast value at a time, the
-AR covariance oracle accumulates impulse weights lag by lag, the control
-oracles grid-search
-the decision space, and the scheme oracle re-implements the per-hour
-bookkeeping as a straight-line script.
+AR covariance oracle accumulates impulse weights lag by lag, the plant
+oracles write the purchase and balance formulas and the rate limits out
+term by term, the control oracles grid-search the decision space, and the
+scheme oracle re-implements the per-hour bookkeeping as a straight-line
+script.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import itertools
 import numpy as np
 
 from plantmpc import forecast as fc, lp
+from plantmpc.plant import PRODUCTION_UNITS, STORAGE_UNITS
 
 from simplex import LpBuilder
 
@@ -175,6 +177,46 @@ def ar_mean_recursion(model, recent_history, n: int) -> np.ndarray:
     for i in range(n):
         window[q + i] = model.coefficients @ window[i : q + i][::-1] + model.intercept
     return window[q:]
+
+
+def residual_demands_terms(config, action, load_elec):
+    """``(r_e, r_w, r_ng)`` of ``plant.residual_demands``, term by term."""
+    r_e = (
+        config.alpha_e_cs * action.p_cs
+        + config.alpha_e_hrc * action.p_hrc
+        + config.alpha_e_hwg * action.p_hwg
+        + config.alpha_e_ct * action.p_ct
+        + load_elec
+    )
+    r_w = config.alpha_w_ct * action.p_ct
+    r_ng = config.alpha_ng_hwg * action.p_hwg
+    return r_e, r_w, r_ng
+
+
+def balance_residuals_terms(config, action, dist, slacks=(0.0, 0.0, 0.0, 0.0)):
+    """The three residuals of ``plant.balance_residuals``, term by term."""
+    s_un_cw, s_ov_cw, s_un_hw, s_ov_hw = slacks
+    cw_res = (
+        action.p_cs + action.p_hrc + action.p_cw
+        + s_un_cw - s_ov_cw - dist.load_cw
+    )
+    hw_res = (
+        config.alpha_h_hrc * action.p_hrc + action.p_hwg - action.p_hx
+        + action.p_hw + s_un_hw - s_ov_hw - dist.load_hw
+    )
+    cond_res = action.p_ct - config.alpha_cond_cs * action.p_cs - action.p_hx
+    return cw_res, hw_res, cond_res
+
+
+def within_bounds_loops(action, config, tol=1e-9):
+    """``ControlAction.within_bounds`` as one comparison per unit."""
+    for unit in PRODUCTION_UNITS:
+        if not -tol <= action.rate(unit) <= config.pmax(unit) + tol:
+            return False
+    for unit in STORAGE_UNITS:
+        if abs(action.rate(unit)) > config.pmax(unit) + tol:
+            return False
+    return True
 
 
 def grid_search_two_step(

@@ -111,7 +111,7 @@ class TestCostOfCentralPlant:
         # Residual equals the campus load when the plant does nothing.
         load = np.full(100, 120.0)
         trace = synthetic_trace(load, price=0.04, load_e=load)
-        assert bench.cost_of_central_plant(trace) == pytest.approx(0.0)
+        assert bench.summarize_trace(trace, 0).ccp == pytest.approx(0.0)
 
     def test_structure_controller_minus_campus(self):
         rng = np.random.default_rng(12)
@@ -121,7 +121,7 @@ class TestCostOfCentralPlant:
         phi, _ = bench.annual_cost(trace)
         nocp, nocp_components = bench.campus_only_cost(trace)
         assert nocp_components.water == 0.0 and nocp_components.gas == 0.0
-        assert bench.cost_of_central_plant(trace) == pytest.approx(phi - nocp)
+        assert bench.summarize_trace(trace, 0).ccp == pytest.approx(phi - nocp)
         # campus-only includes both the energy term and the demand term
         assert nocp_components.electricity == pytest.approx(0.05 * load.sum())
         assert nocp_components.demand == pytest.approx(4.5 * load.max())
@@ -211,8 +211,9 @@ class TestRunBenchmark:
             base,
         )
         phi, _ = bench.annual_cost(trace)
+        nocp, _ = bench.campus_only_cost(trace)
         assert row.phi == pytest.approx(phi, rel=1e-12)
-        assert row.ccp == pytest.approx(bench.cost_of_central_plant(trace))
+        assert row.ccp == pytest.approx(phi - nocp)
 
     def test_zero_uncertainty_vsmpc_zero(self):
         # Identical forecast data for det and sto (noiseless truth, exact

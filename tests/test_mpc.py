@@ -344,11 +344,23 @@ class TestStochasticStructure:
                 assert max(abs(r) for r in res) <= 1e-6
 
 
+#: Plants for the equivalence test, keyed by id, with whether their tower
+#: limit can bind: the default plant, a smaller tower, and a plant whose
+#: tower draws no electricity or water, with a less efficient heat-recovery
+#: chiller and a larger condenser ratio (its tower can bind at 10 500 kW).
+EQUIVALENCE_PLANTS = {
+    False: (PlantConfig(), False),
+    True: (PlantConfig(pmax_ct=6000.0), True),
+    "zero_alphas": (PlantConfig(alpha_e_ct=0.0, alpha_w_ct=0.0,
+                                alpha_h_hrc=0.8, alpha_cond_cs=1.35), True),
+}
+
+
 class TestReducedEquivalence:
     @pytest.mark.parametrize("spanning", [False, True])
-    @pytest.mark.parametrize("binds", [False, True])
-    def test_matches_full_formulation(self, spanning, binds):
-        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+    @pytest.mark.parametrize("plant", list(EQUIVALENCE_PLANTS))
+    def test_matches_full_formulation(self, spanning, plant):
+        config, binds = EQUIVALENCE_PLANTS[plant]
         assert mpc._tower_binds(config) == binds
         state = PlantState(
             e_cw=8000.0, e_hw=4000.0, ul_cw=2.0, ol_hw=1.0, peak=7000.0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plantmpc.plant import (
+    UNITS,
     ControlAction,
     Disturbance,
     DisturbanceTrajectory,
@@ -12,9 +13,12 @@ from plantmpc.plant import (
     PlantState,
     balance_residuals,
     demand_discount,
+    rate_bounds,
     residual_demands,
     stage_cost,
 )
+
+from oracles import balance_residuals_terms, residual_demands_terms, within_bounds_loops
 
 
 @pytest.fixture
@@ -83,6 +87,62 @@ class TestStageCost:
         assert stage_cost(config, scaled, dist) == pytest.approx(
             lam * stage_cost(config, base, dist), abs=1e-9
         )
+
+
+ALPHAS = ("alpha_e_cs", "alpha_e_hrc", "alpha_e_hwg", "alpha_e_ct",
+          "alpha_w_ct", "alpha_ng_hwg", "alpha_cond_cs", "alpha_h_hrc")
+TOLS = (0.0, 1e-9, 1e-6)
+
+
+@st.composite
+def model_cases(draw):
+    """A random plant, zero coefficients included, with a tolerance and an
+    action whose every rate sits on, just inside or just outside a limit,
+    or anywhere in (and a little beyond) its range."""
+    alphas = {a: draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))) for a in ALPHAS}
+    pmax = {f"pmax_{u}": draw(st.one_of(st.just(0.0), st.floats(0.0, 1e4)))
+            for u in UNITS}
+    config = PlantConfig(**alphas, **pmax, cap_cw=2e4, cap_hw=2e4)
+    tol = draw(st.sampled_from(TOLS))
+    lower, upper = rate_bounds(config)
+    nudges = st.sampled_from((0.0, 0.5, 1.0, 2.0, 1e3))
+    rates = []
+    for lo, hi in zip(lower, upper):
+        edge = st.tuples(st.sampled_from((lo, hi)), nudges, st.sampled_from((-1.0, 1.0)))
+        rate = draw(st.one_of(
+            edge.map(lambda e: e[0] + e[2] * e[1] * tol),
+            st.sampled_from((lo, hi)).map(lambda b: float(np.nextafter(b + tol, np.inf))),
+            st.floats(lo - 10.0, hi + 10.0),
+        ))
+        rates.append(rate)
+    loads = draw(st.tuples(*[st.floats(0.0, 1e5)] * 3, st.floats(-1.0, 1.0)))
+    slacks = draw(st.tuples(*[st.floats(0.0, 1e4)] * 4))
+    return config, tol, ControlAction(*rates), Disturbance(*loads), slacks
+
+
+class TestLinearModel:
+    """The matrix forms against the formulas written out term by term."""
+
+    @given(model_cases())
+    def test_matches_the_term_by_term_formulas(self, case):
+        config, tol, action, dist, slacks = case
+        scale = (1.0 + max(getattr(config, a) for a in ALPHAS)) * (
+            np.abs(action.as_array()).sum() + sum(slacks) + dist.load_elec
+            + dist.load_cw + dist.load_hw)
+        np.testing.assert_allclose(
+            residual_demands(config, action, dist.load_elec),
+            residual_demands_terms(config, action, dist.load_elec),
+            rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            balance_residuals(config, action, dist, slacks),
+            balance_residuals_terms(config, action, dist, slacks),
+            rtol=1e-12, atol=1e-12 * scale)
+        assert action.within_bounds(config, tol) == within_bounds_loops(action, config, tol)
+
+    def test_rate_bounds(self, config):
+        lower, upper = rate_bounds(config)
+        assert lower.tolist() == [0.0] * 5 + [-config.pmax_cw, -config.pmax_hw]
+        assert upper.tolist() == [config.pmax(u) for u in UNITS]
 
 
 class TestDemandDiscount:
