@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,20 +42,58 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-#: Keys the config's ``run`` section may set.
-RUN_KEYS = frozenset({
-    "beta_det", "beta_sto", "scenarios", "horizon", "ar_order",
-    "history_days", "sim_hours", "refit_every", "seed",
-    "apply_storage_noise", "scenario_resampling", "initial_soc",
-})
+#: Keys the config's ``run`` section may set, with the type each holds.
+#: ``float`` takes any finite JSON number and ``int`` a JSON integer;
+#: neither takes ``true`` or ``false``.
+RUN_KEYS = {
+    "beta_det": float, "beta_sto": float, "scenarios": int, "horizon": int,
+    "ar_order": int, "history_days": int, "sim_hours": int,
+    "refit_every": int, "seed": int, "apply_storage_noise": bool,
+    "scenario_resampling": str, "initial_soc": float,
+}
+
+#: Keys the config's ``validation`` section may set, typed as ``RUN_KEYS``.
+VALIDATION_KEYS = {"amplitude": float}
+
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
+             str: "a string"}
+
+
+def _section(cfg: dict, name: str, keys: dict) -> dict:
+    """The config's ``name`` section, each value checked against ``keys``."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError(f"config section {name!r} must be an object")
+    unknown = set(section) - keys.keys()
+    if unknown:
+        raise CliError(f"unknown {name} config fields: {sorted(unknown)}")
+    typed = {}
+    for key, value in section.items():
+        kind = keys[key]
+        if kind is float:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        else:
+            ok = isinstance(value, kind)
+        if not ok or (kind is not bool and isinstance(value, bool)):
+            raise CliError(
+                f"{name}.{key} must be {_EXPECTED[kind]}, got {json.dumps(value)}"
+            )
+        typed[key] = kind(value)
+    return typed
 
 
 def _run_config(cfg: dict) -> dict:
-    run_cfg = cfg.get("run", {})
-    unknown = set(run_cfg) - RUN_KEYS
-    if unknown:
-        raise CliError(f"unknown run config fields: {sorted(unknown)}")
+    run_cfg = _section(cfg, "run", RUN_KEYS)
+    if run_cfg.get("seed", 0) < 0:
+        raise CliError(f"run.seed must be >= 0, got {run_cfg['seed']}")
     return run_cfg
+
+
+def _validation_amplitude(cfg: dict) -> float:
+    amplitude = _section(cfg, "validation", VALIDATION_KEYS).get("amplitude", 0.05)
+    if amplitude < 0:
+        raise CliError(f"validation.amplitude must be >= 0, got {amplitude}")
+    return amplitude
 
 
 def _pick(flag, run_cfg: dict, key: str, default):
@@ -212,7 +251,7 @@ def _cmd_bench(args) -> int:
         template,
         seed=_pick(args.seed, run_cfg, "seed", 0),
         jobs=args.jobs,
-        validation_amplitude=cfg.get("validation", {}).get("amplitude", 0.05),
+        validation_amplitude=_validation_amplitude(cfg),
     )
     report.write_json(args.out)
     base = Path(args.out)
@@ -246,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="write a synthetic campus CSV")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_nonnegative_int, default=0)
     gen.add_argument("--days", type=_positive_int, required=True)
     gen.add_argument(
         "--profile", default="default",
@@ -261,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--beta", float), ("--scenarios", _positive_int),
         ("--horizon", _positive_int), ("--ar-order", _positive_int),
         ("--history-days", _positive_int), ("--sim-hours", _positive_int),
-        ("--seed", int),
+        ("--seed", _nonnegative_int),
     ):
         settings.add_argument(flag, type=kind)
 
@@ -291,11 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def main(argv=None) -> int:

@@ -167,7 +167,12 @@ def impulse_weights(model: ArModel, n: int) -> np.ndarray:
     )
 
 
-def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndarray:
+def mean_forecast(
+    model: ArModel,
+    recent_history: np.ndarray,
+    n: int,
+    recursion: np.ndarray | None = None,
+) -> np.ndarray:
     """Noise-free n-step continuation of the AR model, without a step loop.
 
     The forecast y follows y_i = c + sum_k phi_k y_{i-k}, where y_{-1},
@@ -176,7 +181,9 @@ def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndar
     Toeplitz system A y = b, with A from ``_recursion_matrix`` and
     b_i = c + sum_j phi_{i+1+j} x_{-1-j} for i < min(q, n), b_i = c after
     that.  One forward substitution solves it, so the result equals the
-    step-by-step recursion up to roundoff.
+    step-by-step recursion up to roundoff.  A caller that forecasts from
+    the same model many times passes A as ``recursion``, built once by
+    ``_recursion_matrix(model, n)``.
     """
     recent = np.asarray(recent_history, dtype=float)
     q = model.order
@@ -188,8 +195,10 @@ def mean_forecast(model: ArModel, recent_history: np.ndarray, n: int) -> np.ndar
     history = np.correlate(model.coefficients, recent[::-1][:q], "full")[q - 1 :]
     rhs = np.full(n, model.intercept)
     rhs[: min(q, n)] += history[:n]
+    if recursion is None:
+        recursion = _recursion_matrix(model, n)
     return solve_triangular(
-        _recursion_matrix(model, n), rhs,
+        recursion, rhs,
         lower=True, unit_diagonal=True, check_finite=False,
     )
 

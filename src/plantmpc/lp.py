@@ -4,7 +4,7 @@
 restarts each from the basis of the last optimal one when their shapes
 agree.  It loads every program whole through HiGHS's array ``passModel``.
 ``solve`` runs one program once, cold, with presolve: the first solve of a
-fresh session.
+fresh session, or a cold solve on a given session's instance.
 """
 
 from __future__ import annotations
@@ -157,6 +157,15 @@ def _result(h, lp: LinearProgram) -> LpSolution:
     return LpSolution(ITERATION_LIMIT, None, None, iterations)
 
 
+def _kept(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when nothing can change it, else a copy."""
+    return a if a.flags.owndata and not a.flags.writeable else a.copy()
+
+
+def _same(a: np.ndarray, kept: np.ndarray) -> bool:
+    return a is kept or np.array_equal(a, kept)
+
+
 class HighsSession:
     """Persistent HiGHS instance that warm-starts receding-horizon solves.
 
@@ -170,29 +179,36 @@ class HighsSession:
 
     def __init__(self) -> None:
         self._h = _highs()
-        self._pattern_key = None
+        self._pattern = None
         self._perm = None
         self._indptr = None
         self._indices = None
         self._basis_dims = None
 
     def _csc(self, lp: LinearProgram) -> tuple:
-        key = (
-            lp.num_rows,
-            lp.num_vars,
-            lp.a_rows.tobytes(),
-            lp.a_cols.tobytes(),
-        )
-        if key != self._pattern_key:
+        """The matrix column-wise, its entry order kept while the shape and
+        the sparsity pattern stay the same.
+
+        A pattern in read-only arrays that own their data, such as the one
+        ``mpc.build_reduced`` shares across a run, is kept by reference and
+        recognised by identity; any other is kept as a copy and compared by
+        value.
+        """
+        shape = (lp.num_rows, lp.num_vars)
+        if self._pattern is None or not (
+            shape == self._pattern[0]
+            and _same(lp.a_rows, self._pattern[1])
+            and _same(lp.a_cols, self._pattern[2])
+        ):
             self._perm, self._indptr, self._indices = _csc_pattern(lp)
-            self._pattern_key = key
+            self._pattern = (shape, _kept(lp.a_rows), _kept(lp.a_cols))
         return self._indptr, self._indices, lp.a_vals[self._perm]
 
-    def _run(self, lp: LinearProgram) -> LpSolution:
+    def _run(self, lp: LinearProgram, warm: bool = True) -> LpSolution:
         h = self._h
         indptr, indices, data = self._csc(lp)
         dims = (lp.num_rows, lp.num_vars)
-        warm = self._basis_dims == dims
+        warm = warm and self._basis_dims == dims
         if warm:
             basis = h.getBasis()
             _pass_model(h, lp, indptr, indices, data)
@@ -212,6 +228,11 @@ class HighsSession:
     solve = _run
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve one program from scratch, with presolve; deterministic."""
-    return HighsSession()._run(lp)
+def solve(lp: LinearProgram, session: HighsSession | None = None) -> LpSolution:
+    """Solve one program from scratch, with presolve; deterministic.
+
+    The program is loaded whole into ``session``'s HiGHS instance, or a
+    fresh one, and solved cold whatever that instance solved before, so a
+    caller that solves many small programs can keep one instance for them.
+    """
+    return (HighsSession() if session is None else session)._run(lp, warm=False)

@@ -27,6 +27,12 @@ the whole run: ``10 + S(12N - 6)`` columns and ``5NS`` rows, plus ``NS``
 tower-limit rows when that limit can bind.  For the default plant at
 N = 168 and S = 100 that is 201,010 columns and 84,000 rows.
 
+Because the shape is fixed, ``build_reduced`` assembles the matrix once per
+plant, N and S (``_ProgramTemplate``, cached) and each hour writes only its
+data: the register entries of the peak rows, the load right-hand sides, the
+tank pins and storage box, this month's register bound, and the unit and
+register costs.
+
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
 per-scenario unit loads, slacks, storage levels and peak registers, in
 plant terms.  ``extract_action`` reads its hour-t unit loads.  The
@@ -130,13 +136,17 @@ class _Triplets:
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
+        self.size = 0
 
-    def put(self, rows, cols, vals) -> None:
-        """One entry per element of the broadcast of the three arguments."""
+    def put(self, rows, cols, vals) -> slice:
+        """One entry per element of the broadcast of the three arguments;
+        returns where they sit in the concatenated entries."""
         rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
         self.rows.append(rows.reshape(-1).astype(np.int64, copy=False))
         self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
         self.vals.append(vals.reshape(-1).astype(float))
+        self.size += rows.size
+        return slice(self.size - rows.size, self.size)
 
     def program(self, objective, lower, upper, sense, rhs) -> lp.LinearProgram:
         return lp.LinearProgram(
@@ -288,6 +298,105 @@ class ReducedProgram:
         )
 
 
+class _ProgramTemplate:
+    """What the program of one plant, horizon N and S scenarios holds for a
+    whole run.
+
+    The triplet assembly runs once, here: the sparsity pattern, the static
+    matrix coefficients, the row senses, the static bounds (unit limits,
+    nonnegative slacks, next month's register from zero), the tower-limit
+    right-hand sides and the slack costs.  The register entries of the peak
+    rows hold a placeholder; ``r1`` and ``r2`` are where they sit in
+    ``a_vals``.  Every array is read-only: ``build_reduced`` shares the
+    pattern and the senses and copies the rest before writing an hour's
+    data into it.
+    """
+
+    def __init__(self, config: PlantConfig, n: int, s: int):
+        tower = _tower(config)
+        red = self.layout = _reduced_layout(n, s, _tower_binds(config))
+        obj = np.zeros(red.num_vars)
+        lower = np.full(red.num_vars, -np.inf)
+        upper = np.full(red.num_vars, np.inf)
+        sense = np.empty(red.num_rows, dtype=np.int8)
+        rhs = np.zeros(red.num_rows)
+        matrix = _Triplets()
+
+        weight = self.weight = 1.0 / s
+        P, S, E = red.P, red.S, red.E
+        balance = balance_matrix(config)[:, _KEEP]
+        # The utility draws per kW of each unit column, P_ct substituted.
+        utility = utility_matrix(config)
+        utility = utility[:, _KEEP] + np.outer(utility[:, _CT], tower)
+
+        def put_units(rows, coeffs) -> None:
+            """The nonzero unit coefficients of one row block, in column order."""
+            for i in np.flatnonzero(coeffs):
+                matrix.put(rows, P[:, i], coeffs[i])
+
+        if "tower" in red.row_blocks:
+            tower_rows = red.row_block("tower")
+            put_units(tower_rows, tower)
+            sense[tower_rows] = lp.LE
+            rhs[tower_rows] = config.pmax_ct
+
+        # Water balances: the unit rows of plant.balance_matrix plus the unmet
+        # and overmet slacks, equal to the load.
+        self.cw_rows, self.hw_rows = (red.row_block(b) for b in ("cw_bal", "hw_bal"))
+        for j, rows in enumerate((self.cw_rows, self.hw_rows)):
+            put_units(rows, balance[j])
+            matrix.put(rows, S[:, 2 * j], 1.0)
+            matrix.put(rows, S[:, 2 * j + 1], -1.0)
+            sense[rows] = lp.EQ
+
+        # Storage dynamics; the tanks are the last unit columns, as in UNITS.
+        for j, unit in enumerate(STORAGE_UNITS):
+            dyn = red.row_block(f"e_dyn_{unit}")
+            matrix.put(dyn, E[:, j, 1:], 1.0)
+            matrix.put(dyn, E[:, j, :-1], -1.0)
+            matrix.put(dyn, P[:, j - len(STORAGE_UNITS)], 1.0)
+            sense[dyn] = lp.EQ
+
+        # Peak rows: the substituted electricity draw minus R, R the register
+        # of the step's month, at most -L_e.  Both registers appear in every
+        # row, one with coefficient zero, so the pattern stays the same while
+        # the split slides.
+        self.peak_rows = red.row_block("peak")
+        put_units(self.peak_rows, utility[0])
+        self.r1 = matrix.put(self.peak_rows, red.R1[:, None], -1.0)
+        self.r2 = matrix.put(self.peak_rows, red.R2[:, None], 0.0)
+        sense[self.peak_rows] = lp.LE
+
+        rate_lower, rate_upper = rate_bounds(config)
+        lower[P] = rate_lower[_KEEP][None, :, None]
+        upper[P] = rate_upper[_KEEP][None, :, None]
+        lower[S] = 0.0
+        lower[red.R2] = 0.0
+
+        # Slack costs: triangular integrator weights.
+        tri = (n - np.arange(n)).astype(float)
+        for j, unit in enumerate(STORAGE_UNITS):
+            obj[S[:, 2 * j]] = weight * config.rho(unit) * tri
+            obj[S[:, 2 * j + 1]] = weight * config.rho(unit) * tri
+        # The substituted utility purchases per kW of each unit column: the
+        # electricity draw, priced per hour, and the water and gas cost.
+        self.unit_draw = weight * utility[0]
+        self.unit_fixed = weight * (
+            utility[1] * config.price_water + utility[2] * config.price_gas
+        )
+
+        self.program = matrix.program(obj, lower, upper, sense, rhs)
+        for arr in vars(self.program).values():
+            arr.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=4)
+def _program_template(config: PlantConfig, n: int, s: int) -> _ProgramTemplate:
+    """The template of ``build_reduced``'s programs; whether the tower row
+    block exists (``_tower_binds``) follows from ``config``."""
+    return _ProgramTemplate(config, n, s)
+
+
 def build_reduced(
     config: PlantConfig,
     state: PlantState,
@@ -304,6 +413,15 @@ def build_reduced(
     its peak bounds this month's register from below.
     The optimum of the returned program plus its ``offset`` is the
     expected cost over the horizon.
+
+    The hour writes only its data into copies of the run's template
+    (``_ProgramTemplate``, cached per plant, N and S): the register entries
+    of the peak rows, the balance and peak right-hand sides, the tank pins
+    and the storage box, this month's register bound, the unit and
+    register costs.  Its objective, bounds, right-hand sides and matrix
+    values are fresh writable arrays; the row senses and the sparsity
+    pattern (``a_rows``, ``a_cols``) are the template's, shared by every
+    program of the shape and read-only.
     """
     values = _scenario_values(forecast_or_scenarios)
     s, n_chan, n = values.shape
@@ -311,99 +429,52 @@ def build_reduced(
         raise ValueError(f"forecast length {n} != horizon {timing.n}")
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
-    tower_binds = _tower_binds(config)
-    red = _reduced_layout(n, s, tower_binds)
-
-    obj = np.zeros(red.num_vars)
-    lower = np.full(red.num_vars, -np.inf)
-    upper = np.full(red.num_vars, np.inf)
-    sense = np.empty(red.num_rows, dtype=np.int8)
-    rhs = np.zeros(red.num_rows)
-    matrix = _Triplets()
-
-    weight = 1.0 / s
-    demand_coeff = config.price_demand / timing.discount
-    P, S, E = red.P, red.S, red.E
+    template = _program_template(config, n, s)
+    red, shared = template.layout, template.program
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
-    balance = balance_matrix(config)[:, _KEEP]
-    tower = _tower(config)
-    # The utility draws per kW of each unit column, P_ct substituted.
-    utility = utility_matrix(config)
-    utility = utility[:, _KEEP] + np.outer(utility[:, _CT], tower)
 
-    def put_units(rows, coeffs) -> None:
-        """The nonzero unit coefficients of one row block, in column order."""
-        for i in np.flatnonzero(coeffs):
-            matrix.put(rows, P[:, i], coeffs[i])
-
-    if tower_binds:
-        tower_rows = red.row_block("tower")
-        put_units(tower_rows, tower)
-        sense[tower_rows] = lp.LE
-        rhs[tower_rows] = config.pmax_ct
-
-    # Water balances: the unit rows of plant.balance_matrix plus the unmet
-    # and overmet slacks, equal to the load.
-    for j, (name, load) in enumerate((("cw_bal", load_cw), ("hw_bal", load_hw))):
-        rows = red.row_block(name)
-        put_units(rows, balance[j])
-        matrix.put(rows, S[:, 2 * j], 1.0)
-        matrix.put(rows, S[:, 2 * j + 1], -1.0)
-        sense[rows] = lp.EQ
-        rhs[rows] = load
-
-    # Storage dynamics; the tanks are the last unit columns, as in UNITS.
-    for j, unit in enumerate(STORAGE_UNITS):
-        dyn = red.row_block(f"e_dyn_{unit}")
-        matrix.put(dyn, E[:, j, 1:], 1.0)
-        matrix.put(dyn, E[:, j, :-1], -1.0)
-        matrix.put(dyn, P[:, j - len(STORAGE_UNITS)], 1.0)
-        sense[dyn] = lp.EQ
-
-    # Peak rows: the substituted electricity draw minus R, R the register of
-    # the step's month, at most -L_e.  Both registers appear in every row,
-    # one with coefficient zero, so the pattern stays the same while the
-    # split slides.
-    peak_rows = red.row_block("peak")
-    put_units(peak_rows, utility[0])
+    # Each peak row bills to one register, the one of its step's month.
+    a_vals = shared.a_vals.copy()
     r1_coeff = np.where(timing.next_month, 0.0, -1.0)
-    matrix.put(peak_rows, red.R1[:, None], r1_coeff[None, :])
-    matrix.put(peak_rows, red.R2[:, None], -1.0 - r1_coeff[None, :])
-    sense[peak_rows] = lp.LE
-    rhs[peak_rows] = -load_e
+    a_vals[template.r1] = np.tile(r1_coeff, s)
+    a_vals[template.r2] = np.tile(-1.0 - r1_coeff, s)
 
-    # Bounds.
-    rate_lower, rate_upper = rate_bounds(config)
-    lower[P] = rate_lower[_KEEP][None, :, None]
-    upper[P] = rate_upper[_KEEP][None, :, None]
+    rhs = shared.rhs.copy()
+    rhs[template.cw_rows] = load_cw
+    rhs[template.hw_rows] = load_hw
+    rhs[template.peak_rows] = -load_e
+
+    lower, upper = shared.lower.copy(), shared.upper.copy()
+    E = red.E
     for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
         lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(STORAGE_UNITS[j])
         lower[E[:, j, 1:]] = lo
         upper[E[:, j, 1:]] = hi
-    lower[S] = 0.0
     lower[red.R1] = state.peak
-    lower[red.R2] = 0.0
 
-    # Objective: the substituted utility purchases on the unit loads,
-    # triangular integrator weights on the slacks, discounted demand
-    # charges.  The shared first-stage columns accumulate over scenarios,
-    # so use an unbuffered add.
-    fixed = utility[1] * config.price_water + utility[2] * config.price_gas
-    np.add.at(obj, P, (weight * utility[0])[:, None] * price_e[:, None, :]
-              + (weight * fixed)[:, None])
-    tri = (n - np.arange(n)).astype(float)
-    for j, unit in enumerate(STORAGE_UNITS):
-        obj[S[:, 2 * j]] = weight * config.rho(unit) * tri
-        obj[S[:, 2 * j + 1]] = weight * config.rho(unit) * tri
-    obj[red.R] = weight * demand_coeff
+    # The unit costs and the discounted demand charges.  The shared
+    # first-stage columns accumulate over scenarios, so use an unbuffered add.
+    obj = shared.objective.copy()
+    np.add.at(obj, red.P, template.unit_draw[:, None] * price_e[:, None, :]
+              + template.unit_fixed[:, None])
+    obj[red.R] = template.weight * (config.price_demand / timing.discount)
 
     offset = float(
-        weight * np.sum(price_e * load_e)
+        template.weight * np.sum(price_e * load_e)
         + n * (config.rho_cw * (state.ul_cw + state.ol_cw)
                + config.rho_hw * (state.ul_hw + state.ol_hw))
     )
 
-    program = matrix.program(obj, lower, upper, sense, rhs)
+    program = lp.LinearProgram(
+        objective=obj,
+        lower=lower,
+        upper=upper,
+        row_sense=shared.row_sense,
+        rhs=rhs,
+        a_rows=shared.a_rows,
+        a_cols=shared.a_cols,
+        a_vals=a_vals,
+    )
     return ReducedProgram(program, offset, red, config)
 
 

@@ -18,10 +18,16 @@ committed rate, cut for the tanks to what keeps their level in [0, cap].
 The box becomes the column bounds delta+ in [max(lo, 0), max(hi, 0)] and
 delta- in [max(-hi, 0), max(-lo, 0)], which admit exactly the deltas of
 the box also when it excludes zero.
+
+Every correction LP is loaded whole into one HiGHS instance, kept for the
+process apart from the controllers' warm-started sessions, and solved cold
+with presolve (``lp.solve``): the outcome is the one a fresh instance
+gives, without building an instance per hour.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +77,8 @@ def restore(
         if _storage_feasible(config, state, action):
             return RestoreOutcome(UNCHANGED, action, np.zeros(len(UNITS)))
 
-    solution = lp.solve(_correction_program(config, state, action, residuals))
+    program = _correction_program(config, state, action, residuals)
+    solution = lp.solve(program, _instance())
     if not solution.is_optimal:
         return RestoreOutcome(FALLBACK, ZERO_ACTION, np.zeros(len(UNITS)))
     plus, minus = solution.x.reshape(2, len(UNITS))
@@ -81,6 +88,18 @@ def restore(
         return RestoreOutcome(UNCHANGED, action, np.zeros(len(UNITS)))
     corrected = ControlAction.from_array(action.as_array() + deltas)
     return RestoreOutcome(CORRECTED, corrected, deltas)
+
+
+@functools.cache
+def _instance() -> lp.HighsSession:
+    """The HiGHS instance that solves every correction LP of the process.
+
+    ``lp.solve`` loads each program whole and solves it cold, so the
+    instance carries nothing from one correction to the next but its own
+    construction cost.  It is not a controller session: ``HighsSession.solve``
+    never sees a correction.
+    """
+    return lp.HighsSession()
 
 
 def _storage_feasible(

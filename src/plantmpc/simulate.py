@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lp, mpc, restoration
+from . import forecast, lp, mpc, restoration
 from .forecast import (
     ScenarioSet,
     _jittered_cholesky,
@@ -101,8 +101,9 @@ class RunSpec:
     on one warm-started ``lp.HighsSession`` per run.  The fields set the
     controller, the horizon and AR forecast model, the billing calendar
     (strictly ascending month-end hours, the last one at or after the last
-    simulated hour; empty means ``default_calendar``), the scenario and
-    storage-noise random streams, and the initial state of charge.
+    simulated hour; empty means ``default_calendar``), the seeds of the
+    scenario and storage-noise random streams (nonnegative), and the initial
+    state of charge.
     """
 
     controller: ControllerSpec
@@ -133,6 +134,9 @@ class RunSpec:
             raise ValueError("initial_soc must lie in [0, 1]")
         if self.refit_every < 1:
             raise ValueError("refit_every must be >= 1")
+        for name in ("scenario_seed", "zoh_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.calendar:
             if any(a >= b for a, b in zip(self.calendar, self.calendar[1:])):
                 raise ValueError("calendar must be strictly ascending")
@@ -348,11 +352,15 @@ class ClosedLoopTrace:
 class ArForecaster:
     """Refitting AR forecast source over a sliding history window.
 
-    ``refresh`` refits the four channel models at the configured cadence.
-    The Cholesky factors of their forecast covariances are computed on
-    demand, on the first read of ``cholesky_factors`` after each refit.
-    Only the stochastic controller's scenario sampler reads them, so the
-    deterministic controller never computes them.
+    ``refresh`` refits the four channel models at the configured cadence
+    and builds each model's recursion matrix over the horizon
+    (``forecast._recursion_matrix``) once; every hourly mean forecast until
+    the next refit reuses it, and the refit replaces it, so at most one
+    matrix per channel is held.  The Cholesky factors of the forecast
+    covariances are computed on demand, on the first read of
+    ``cholesky_factors`` after each refit.  Only the stochastic
+    controller's scenario sampler reads them, so the deterministic
+    controller never computes them.
     """
 
     def __init__(self, truth: DisturbanceTrajectory, spec: RunSpec):
@@ -360,6 +368,7 @@ class ArForecaster:
         self.spec = spec
         self.offset = spec.history_hours
         self._models = None
+        self._recursions = None
         self._chols = None
         self._fitted_at = None
 
@@ -371,6 +380,10 @@ class ArForecaster:
         tau = self.offset + t
         window = self.values[:, tau - h : tau]
         self._models = [fit_ar(window[ch], q) for ch in range(len(CHANNELS))]
+        self._recursions = [
+            forecast._recursion_matrix(model, self.spec.horizon)
+            for model in self._models
+        ]
         self._chols = None
         self._fitted_at = t
         return True
@@ -382,7 +395,8 @@ class ArForecaster:
         out = np.empty((len(CHANNELS), n))
         for ch in range(len(CHANNELS)):
             recent = self.values[ch, tau - q : tau]
-            out[ch] = mean_forecast(self._models[ch], recent, n)
+            out[ch] = mean_forecast(self._models[ch], recent, n,
+                                    self._recursions[ch])
         return out
 
     def mean_trajectory(self, t: int) -> DisturbanceTrajectory:

@@ -197,6 +197,107 @@ class TestNumericFlags:
         assert f"{key} must be >= 1" in capsys.readouterr().err
 
 
+COMMANDS = {
+    "run det": ["run", "--controller", "det", "--out", "t.csv"],
+    "run sto": ["run", "--controller", "sto", "--out", "t.csv"],
+    "bench": ["bench", "--controllers", "det", "--validation-count", "1",
+              "--out", "r.json"],
+}
+
+
+def small_run(tmp_path, data_csv, command, *extra, run_cfg=None, **sections):
+    """One small run or bench, optionally with a config file."""
+    argv = [a if a not in ("t.csv", "r.json") else str(tmp_path / a)
+            for a in COMMANDS[command]]
+    cfg = {"run": {"horizon": 6, "ar_order": 6, "history_days": 3,
+                   "sim_hours": 2, "scenarios": 2, **(run_cfg or {})},
+           **sections}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run_cli(*argv, "--config", str(path), "--data", str(data_csv), *extra)
+
+
+class TestNegativeSeed:
+    # Each once ended in numpy's "expected non-negative integer" traceback
+    # partway through the run.
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_is_a_usage_error(self, tmp_path, data_csv, command):
+        with pytest.raises(SystemExit) as err:
+            small_run(tmp_path, data_csv, command, "--seed", "-1")
+        assert err.value.code == 2
+
+    def test_gen_data_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli("gen-data", "--days", "2", "--seed", "-1",
+                    "--out", str(tmp_path / "d.csv"))
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_is_a_cli_error(self, tmp_path, data_csv, capsys, command):
+        code = small_run(tmp_path, data_csv, command, run_cfg={"seed": -1})
+        assert code == 1
+        assert "run.seed must be >= 0" in capsys.readouterr().err
+
+    def test_zero_runs(self, tmp_path, data_csv):
+        assert small_run(tmp_path, data_csv, "run sto", "--seed", "0") == 0
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("section,key,value", [
+        ("run", "horizon", "24"),
+        ("run", "horizon", 24.5),
+        ("run", "horizon", True),
+        ("run", "seed", 1.0),
+        ("run", "initial_soc", "half"),
+        ("run", "initial_soc", False),
+        ("run", "beta_det", None),
+        ("run", "apply_storage_noise", "no"),
+        ("run", "apply_storage_noise", 0),
+        ("run", "scenario_resampling", 1),
+        ("validation", "amplitude", "x"),
+        ("validation", "amplitude", True),
+    ])
+    def test_mistyped_value_is_a_cli_error_naming_the_key(
+        self, tmp_path, data_csv, capsys, section, key, value
+    ):
+        # "24", 24.5 and "half" once raised TypeError tracebacks, "x" a
+        # numpy UFuncNoLoopError, and "no" switched the storage noise on.
+        sections = {"validation": {key: value}} if section == "validation" else {}
+        run_cfg = {key: value} if section == "run" else None
+        code = small_run(tmp_path, data_csv, "bench", run_cfg=run_cfg, **sections)
+        assert code == 1
+        assert f"{section}.{key} must be" in capsys.readouterr().err
+
+    def test_negative_amplitude_is_a_cli_error(self, tmp_path, data_csv, capsys):
+        code = small_run(tmp_path, data_csv, "bench",
+                         validation={"amplitude": -0.1})
+        assert code == 1
+        assert "validation.amplitude must be >= 0" in capsys.readouterr().err
+
+    def test_unknown_validation_key_rejected(self, tmp_path, data_csv, capsys):
+        code = small_run(tmp_path, data_csv, "bench", validation={"amplitud": 0.1})
+        assert code == 1
+        assert "amplitud" in capsys.readouterr().err
+
+    def test_integers_where_numbers_are_expected(self, tmp_path, data_csv):
+        code = small_run(tmp_path, data_csv, "bench",
+                         run_cfg={"initial_soc": 1, "beta_det": 0},
+                         validation={"amplitude": 0})
+        assert code == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert set(report["aggregates"]) == {"det:0"}
+
+    def test_storage_noise_switch_is_read(self, tmp_path, data_csv):
+        finals = []
+        for flag in (True, False):
+            code = small_run(tmp_path, data_csv, "run det",
+                             run_cfg={"apply_storage_noise": flag})
+            assert code == 0
+            summary = json.loads((tmp_path / "t.summary.json").read_text())
+            finals.append(summary["final_storage_kwh"])
+        assert finals[0] != finals[1]
+
+
 class TestBench:
     def test_single_validation_run(self, tmp_path, data_csv, capsys):
         out = tmp_path / "report.json"

@@ -321,3 +321,32 @@ class TestHighsSession:
         # Without the saved basis the warm runs start from the slack basis
         # and take about as many iterations as the cold ones.
         assert warm_iterations < 0.5 * cold_iterations
+
+
+class TestPatternCache:
+    @staticmethod
+    def program(a_rows, a_cols, a_vals):
+        return lp.LinearProgram(
+            objective=np.array([1.0, 1.0]), lower=np.zeros(2),
+            upper=np.full(2, 10.0), row_sense=np.array([lp.GE, lp.GE], np.int8),
+            rhs=np.array([2.0, 3.0]), a_rows=a_rows, a_cols=a_cols, a_vals=a_vals,
+        )
+
+    def test_pattern_changed_in_place_is_reordered(self):
+        a_rows, a_cols = np.array([0, 1]), np.array([0, 1])
+        session = lp.HighsSession()
+        first = session.solve(self.program(a_rows, a_cols, np.array([1.0, 1.0])))
+        assert first.x.tolist() == [2.0, 3.0]
+        a_cols[:] = [1, 0]  # row 0 now reads x1 and row 1 x0
+        moved = self.program(a_rows, a_cols, np.array([1.0, 1.0]))
+        assert session.solve(moved).x.tolist() == lp.solve(moved).x.tolist() == [3.0, 2.0]
+
+    def test_read_only_pattern_is_kept_by_reference(self):
+        a_rows, a_cols = np.array([0, 1]), np.array([0, 1])
+        for arr in (a_rows, a_cols):
+            arr.setflags(write=False)
+        session = lp.HighsSession()
+        session.solve(self.program(a_rows, a_cols, np.array([1.0, 1.0])))
+        assert session._pattern[1] is a_rows and session._pattern[2] is a_cols
+        second = session.solve(self.program(a_rows, a_cols, np.array([2.0, 1.0])))
+        assert second.x.tolist() == [1.0, 3.0]

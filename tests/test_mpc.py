@@ -527,3 +527,84 @@ class TestReducedLayout:
         billed = prog.a_cols[prog.a_vals != 0.0]
         assert np.isin(lay.R2, billed).all() == spans
         assert np.isin(lay.R1, billed).all()
+
+
+def program_bytes(reduced):
+    """The eight arrays and the offset of a built program, as bytes."""
+    prog = reduced.program
+    return [
+        (arr.dtype.str, arr.shape, arr.tobytes())
+        for arr in (prog.objective, prog.lower, prog.upper, prog.row_sense,
+                    prog.rhs, prog.a_rows, prog.a_cols, prog.a_vals)
+    ] + [repr(reduced.offset)]
+
+
+class TestProgramTemplate:
+    """``build_reduced`` writes each hour's data into a cached template; a
+    program must not depend on what the cache held before."""
+
+    @staticmethod
+    def hours(n, s, month_end, count, binds=False):
+        """Build arguments for ``count`` hours ending just past the month
+        end, with tank levels, integrators, peaks and data that all move."""
+        rng = np.random.default_rng(n * 100 + s)
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        out = []
+        for t in range(month_end + 2 - count, month_end + 2):
+            end = month_end if t <= month_end else month_end + 720
+            values = rng.uniform(0.0, 6000.0, (s, 4, n))
+            values[:, 3] = rng.uniform(0.02, 0.12, (s, n))
+            data = (fc.ScenarioSet(values=values, unclamped=values) if s > 1
+                    else DisturbanceTrajectory(values[0]))
+            state = PlantState(
+                e_cw=float(rng.uniform(0, config.cap_cw)),
+                e_hw=float(rng.uniform(0, config.cap_hw)),
+                ul_cw=float(rng.uniform(0, 50)), ol_hw=float(rng.uniform(0, 50)),
+                peak=float(rng.uniform(0, 9000)),
+            )
+            out.append((config, state, data, mpc.HorizonTiming(t, n, end),
+                        float(rng.choice([0.0, 0.1]))))
+        return out
+
+    @staticmethod
+    def cold(args):
+        mpc._program_template.cache_clear()
+        return program_bytes(mpc.build_reduced(*args))
+
+    def test_month_end_loop_equals_cold_builds(self):
+        # The horizon spans the month end from t = 14 on; t = 20 is the
+        # closing hour and t = 21 the first hour of the next month.
+        hours = self.hours(n=8, s=1, month_end=20, count=12)
+        spans = [args[3].next_month.any() for args in hours]
+        assert spans == [False] * 4 + [True] * 7 + [False]
+        assert hours[-2][3].t == hours[-2][3].month_end
+        warm = [program_bytes(mpc.build_reduced(*args)) for args in hours]
+        assert warm == [self.cold(args) for args in hours]
+
+    @pytest.mark.parametrize("binds", [False, True], ids=["free", "binding"])
+    def test_switching_scenario_counts_equals_cold_builds(self, binds):
+        one = self.hours(n=6, s=1, month_end=30, count=3, binds=binds)
+        three = self.hours(n=6, s=3, month_end=30, count=3, binds=binds)
+        sequence = [one[0], three[0], one[1], three[1], one[2], three[2]]
+        warm = [program_bytes(mpc.build_reduced(*args)) for args in sequence]
+        assert warm == [self.cold(args) for args in sequence]
+
+    def test_mutating_a_program_leaves_the_next_unchanged(self):
+        first, second = self.hours(n=6, s=3, month_end=4, count=2)
+        expected = self.cold(second)
+        prog = mpc.build_reduced(*first).program
+        for arr in (prog.objective, prog.lower, prog.upper, prog.rhs, prog.a_vals):
+            arr[:] = 12345.0
+        assert program_bytes(mpc.build_reduced(*second)) == expected
+
+    def test_shared_arrays_are_read_only(self):
+        first, second = self.hours(n=6, s=3, month_end=4, count=2)
+        a, b = (mpc.build_reduced(*args).program for args in (first, second))
+        for name in ("row_sense", "a_rows", "a_cols"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, name)[0] = 0
+        for name in ("objective", "lower", "upper", "rhs", "a_vals"):
+            assert getattr(a, name).flags.writeable
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))

@@ -291,6 +291,56 @@ class TestAgainstRowFormulation:
             restoration.restore(*case)
 
 
+class TestReusedInstance:
+    """Every correction LP is solved on one HiGHS instance
+    (``restoration._instance``), cold, and must come out exactly as on a
+    fresh instance."""
+
+    @staticmethod
+    def program(cfg, state, action, realized):
+        residuals = balance_residuals(cfg, action, realized)
+        return restoration._correction_program(cfg, state, action, residuals)
+
+    @staticmethod
+    def infeasible_case(config):
+        # No storage rate brings this tank back inside its capacity.
+        state = PlantState(e_cw=config.cap_cw + config.pmax_cw + 100.0, e_hw=0.0)
+        action = ControlAction(p_cs=100.0, p_ct=config.alpha_cond_cs * 100.0)
+        return config, state, action, Disturbance(0.0, 100.0, 0.0, 0.05)
+
+    def test_matches_a_fresh_solve_bit_for_bit(self, config, monkeypatch):
+        cases = recorded_cases(monkeypatch)
+        cases += random_cases(np.random.default_rng(11), config, 200)
+        cases.append(self.infeasible_case(config))
+        statuses = []
+        for case in cases:
+            program = self.program(*case)
+            reused = lp.solve(program, restoration._instance())
+            fresh = lp.solve(program)
+            statuses.append(fresh.status)
+            assert (reused.status, reused.iterations) == (fresh.status, fresh.iterations)
+            if fresh.is_optimal:
+                assert reused.x.tobytes() == fresh.x.tobytes()
+                assert reused.objective == fresh.objective
+        assert statuses.count(lp.OPTIMAL) >= 450
+        assert lp.INFEASIBLE in statuses
+
+    def test_a_fallback_leaves_no_state_behind(self, config, monkeypatch):
+        feasible = random_cases(np.random.default_rng(3), config, 12)
+        blocked = self.infeasible_case(config)
+        # Reference outcomes, each on an instance of its own.
+        monkeypatch.setattr(restoration, "_instance", lp.HighsSession)
+        expected = [restoration.restore(*case) for case in feasible]
+        monkeypatch.undo()
+        assert sum(o.kind == restoration.CORRECTED for o in expected) >= 8
+        for case, reference in zip(feasible, expected):
+            assert restoration.restore(*blocked).kind == restoration.FALLBACK
+            outcome = restoration.restore(*case)
+            assert outcome.kind == reference.kind
+            assert outcome.deltas.tobytes() == reference.deltas.tobytes()
+            assert outcome.action == reference.action
+
+
 class TestFallback:
     def test_no_capacity_anywhere(self):
         config = PlantConfig(

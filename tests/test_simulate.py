@@ -308,6 +308,12 @@ class TestRunSpec:
         with pytest.raises(ValueError, match="strictly ascending"):
             make_spec(sim_hours=30, calendar=calendar)
 
+    @pytest.mark.parametrize("field", ["scenario_seed", "zoh_seed"])
+    def test_negative_seed_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            make_spec(**{field: -1})
+        make_spec(**{field: 0})
+
     def test_calendar_must_reach_the_last_hour(self):
         with pytest.raises(ValueError, match="before the last simulated hour"):
             make_spec(sim_hours=20, calendar=(10,))
@@ -638,6 +644,23 @@ class TestLazyFactors:
         truth = fc.generate_synthetic_campus(43, days=7)
         simulate.run_closed_loop(PlantConfig(), spec, truth)
         assert spies == {"ar_forecast": 8, "_jittered_cholesky": 8, "refits": 2}
+
+    def test_recursion_matrices_are_built_once_per_refit(self, monkeypatch):
+        # 48 hours at the 24-hour cadence refit twice; the hourly mean
+        # forecasts of the four channels reuse each refit's matrices.
+        built = []
+        original = fc._recursion_matrix
+
+        def counted(model, n):
+            built.append(n)
+            return original(model, n)
+
+        monkeypatch.setattr(fc, "_recursion_matrix", counted)
+        spec = make_spec()
+        truth = fc.generate_synthetic_campus(43, days=7)
+        simulate.run_closed_loop(PlantConfig(), spec, truth)
+        assert spec.sim_hours == 48 and spec.refit_every == 24
+        assert built == [spec.horizon] * 8
 
     @pytest.mark.parametrize("resampling", ["run", "refit", "hourly"])
     def test_scenarios_equal_those_from_eager_factors(self, resampling):
