@@ -10,9 +10,12 @@ as totals and net of the campus-only cost that no controller can affect.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import multiprocessing
+import operator
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -202,6 +205,24 @@ def _run_one(task) -> RunResult:
         return RunResult(scenario=scenario, controller=spec.label, error=repr(exc))
 
 
+#: The runs CSV, in column order: (column name, attribute of a ``RunResult``).
+_RUN_COLUMNS = (
+    ("scenario", "scenario"),
+    ("controller", "controller"),
+    ("phi_usd", "phi"),
+    ("phi_nocp_usd", "phi_nocp"),
+    ("ccp_usd", "ccp"),
+    ("electricity_usd", "components.electricity"),
+    ("water_usd", "components.water"),
+    ("gas_usd", "components.gas"),
+    ("demand_usd", "components.demand"),
+    ("violations_per_100h", "violation_rate"),
+    ("fallback_hours", "fallback_hours"),
+    ("runtime_seconds", "runtime_seconds"),
+    ("solver_iterations", "solver_iterations"),
+)
+
+
 @dataclass
 class BenchmarkReport:
     controllers: list[str]
@@ -303,32 +324,16 @@ class BenchmarkReport:
             fh.write("\n")
 
     def write_runs_csv(self, path) -> None:
-        import csv as _csv
-
+        names, attributes = zip(*_RUN_COLUMNS)
+        row = operator.attrgetter(*attributes)
         with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(
-                ["scenario", "controller", "phi_usd", "phi_nocp_usd", "ccp_usd",
-                 "electricity_usd", "water_usd", "gas_usd", "demand_usd",
-                 "violations_per_100h", "fallback_hours", "runtime_seconds",
-                 "solver_iterations"]
-            )
-            for r in self.runs:
-                if not r.ok:
-                    continue
-                writer.writerow(
-                    [r.scenario, r.controller, r.phi, r.phi_nocp, r.ccp,
-                     r.components.electricity, r.components.water,
-                     r.components.gas, r.components.demand,
-                     r.violation_rate, r.fallback_hours, r.runtime_seconds,
-                     r.solver_iterations]
-                )
+            writer = csv.writer(fh)
+            writer.writerow(names)
+            writer.writerows(row(r) for r in self.runs if r.ok)
 
     def write_cdf_csv(self, path, name: str = "ccp") -> None:
-        import csv as _csv
-
         with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["controller", name, "cumulative_probability"])
             for label in self.controllers:
                 values, probs = self.cdf(label, name)
@@ -351,11 +356,9 @@ def run_benchmark(
     Failed runs are reported and excluded from aggregates, never silently
     dropped.
     """
-    import time as _time
-
     if not controllers:
         raise ValueError("need at least one controller")
-    started = _time.perf_counter()
+    started = time.perf_counter()
     validation = make_validation_set(
         base_truth, validation_count, seed, validation_amplitude
     )
@@ -363,7 +366,8 @@ def run_benchmark(
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate controller labels: {labels}")
 
-    # Schedule expensive stochastic runs first for better load balance.
+    # Schedule expensive stochastic runs first for better load balance;
+    # results come back in this order whatever the number of jobs.
     tasks = [
         (scenario, spec)
         for spec in sorted(
@@ -375,11 +379,11 @@ def run_benchmark(
     if jobs > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(
-            processes=jobs,
+            processes=min(jobs, len(tasks)),
             initializer=_init_worker,
             initargs=(config, template, values, seed),
         ) as pool:
-            results = list(pool.imap_unordered(_run_one, tasks, chunksize=1))
+            results = list(pool.imap(_run_one, tasks, chunksize=1))
     else:
         _init_worker(config, template, values, seed)
         results = [_run_one(task) for task in tasks]
@@ -388,7 +392,7 @@ def run_benchmark(
         controllers=labels,
         scenario_count=validation_count,
         runs=results,
-        wall_seconds=_time.perf_counter() - started,
+        wall_seconds=time.perf_counter() - started,
     )
     for failure in report.failures():
         warnings.warn(

@@ -16,8 +16,10 @@ Per-hour order (mirrored by the test oracle):
    loop still draws); clamp to [0, cap], with the cut energy accumulated
    into the unmet/overmet integrators and raising violation flags;
    peak <- max(peak, realized r_e)
-4. the trace records the bounds of the booked state; after the last hour
-   of each month the loop records the peak and resets the register
+4. the trace books the hour, the bounds of the booked state included, in
+   its per-hour arrays: the ``_hourly`` fields of ``ClosedLoopTrace``, where
+   each is declared once with its CSV columns; after the last hour of each
+   month the loop records the peak and resets the register
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import bisect
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -240,9 +242,37 @@ def step(
     )
 
 
+def _numbers(values: np.ndarray) -> list[list[str]]:
+    """CSV cells of a per-hour array, one list per column; repr reads back exactly."""
+    columns = values.reshape(len(values), -1).T.tolist()
+    return [[repr(v) for v in column] for column in columns]
+
+
+def _flag_names(violations: np.ndarray) -> list[list[str]]:
+    """One CSV column: the names of each hour's raised flags, joined by "+"."""
+    return [["+".join(kind for kind, on in zip(VIOLATION_TYPES, row) if on)
+             for row in violations.tolist()]]
+
+
+def _hourly(*names: str, dtype=float, cells=_numbers, tankwise=False, summary=None):
+    """Declare a per-hour array of ``ClosedLoopTrace`` (one row per hour).
+
+    ``names`` are its CSV columns, which ``cells`` fills.  A ``tankwise``
+    array's columns alternate with the previous array's (the storage box is
+    written tank by tank).  ``summary`` keys its last row, per tank.
+    """
+    return field(metadata=dict(csv=names, dtype=dtype, cells=cells,
+                               tankwise=tankwise, summary=summary))
+
+
 @dataclass
 class ClosedLoopTrace:
-    """Hour-by-hour record of one closed-loop run."""
+    """Hour-by-hour record of one closed-loop run.
+
+    Each per-hour array is declared once, with ``_hourly``.  Its stacking in
+    ``run_closed_loop``, the CSV columns of ``to_csv`` and the per-tank parts
+    of ``summary`` all follow those declarations (``_HOURLY``), in order.
+    """
 
     controller: str
     horizon: int
@@ -250,18 +280,19 @@ class ClosedLoopTrace:
     price_water: float
     price_gas: float
     price_demand: float
-    committed: np.ndarray
-    implemented: np.ndarray
-    realized: np.ndarray
-    storage: np.ndarray
-    unmet: np.ndarray
-    overmet: np.ndarray
-    peak: np.ndarray
-    residuals: np.ndarray
-    cost: np.ndarray
-    violations: np.ndarray
-    bounds_lower: np.ndarray
-    bounds_upper: np.ndarray
+    committed: np.ndarray = _hourly(*(f"committed_p_{u}_kw" for u in UNITS))
+    implemented: np.ndarray = _hourly(*(f"implemented_p_{u}_kw" for u in UNITS))
+    realized: np.ndarray = _hourly("load_elec_kw", "load_cw_kw", "load_hw_kw",
+                                   "price_elec_usd_per_kwh")
+    storage: np.ndarray = _hourly("e_cw_kwh", "e_hw_kwh", summary="final_storage_kwh")
+    unmet: np.ndarray = _hourly("ul_cw_kwh", "ul_hw_kwh", summary="unmet_kwh")
+    overmet: np.ndarray = _hourly("ol_cw_kwh", "ol_hw_kwh", summary="overmet_kwh")
+    peak: np.ndarray = _hourly("peak_kw")
+    residuals: np.ndarray = _hourly("r_e_kw", "r_w_gal_per_h", "r_ng_kw")
+    cost: np.ndarray = _hourly("stage_cost_usd")
+    violations: np.ndarray = _hourly("violation", dtype=bool, cells=_flag_names)
+    bounds_lower: np.ndarray = _hourly("lower_cw_kwh", "lower_hw_kwh")
+    bounds_upper: np.ndarray = _hourly("upper_cw_kwh", "upper_hw_kwh", tankwise=True)
     monthly_peaks: list[float]
     solver_iterations: int = 0
     runtime_seconds: float = 0.0
@@ -291,17 +322,10 @@ class ClosedLoopTrace:
             "monthly_peaks_kw": [float(p) for p in self.monthly_peaks],
             "violation_hours": self.violation_hours,
             "violations": self.violation_counts(),
-            "final_storage_kwh": {
-                "cw": float(self.storage[-1, 0]),
-                "hw": float(self.storage[-1, 1]),
-            },
-            "unmet_kwh": {
-                "cw": float(self.unmet[-1, 0]),
-                "hw": float(self.unmet[-1, 1]),
-            },
-            "overmet_kwh": {
-                "cw": float(self.overmet[-1, 0]),
-                "hw": float(self.overmet[-1, 1]),
+            **{
+                f.metadata["summary"]:
+                    dict(zip(STORAGE_UNITS, getattr(self, f.name)[-1].tolist()))
+                for f in _HOURLY if f.metadata["summary"]
             },
             "solver_iterations": self.solver_iterations,
             "runtime_seconds": self.runtime_seconds,
@@ -313,40 +337,24 @@ class ClosedLoopTrace:
             fh.write("\n")
 
     def to_csv(self, path) -> None:
-        header = (
-            ["hour"]
-            + [f"committed_p_{u}_kw" for u in UNITS]
-            + [f"implemented_p_{u}_kw" for u in UNITS]
-            + ["load_elec_kw", "load_cw_kw", "load_hw_kw", "price_elec_usd_per_kwh"]
-            + ["e_cw_kwh", "e_hw_kwh", "ul_cw_kwh", "ul_hw_kwh", "ol_cw_kwh",
-               "ol_hw_kwh", "peak_kw"]
-            + ["r_e_kw", "r_w_gal_per_h", "r_ng_kw", "stage_cost_usd"]
-            + ["violation"]
-            + ["lower_cw_kwh", "upper_cw_kwh", "lower_hw_kwh", "upper_hw_kwh"]
-        )
+        columns = [("hour", range(len(self)))]
+        for f in _HOURLY:
+            cells = f.metadata["cells"](getattr(self, f.name))
+            block = list(zip(f.metadata["csv"], cells, strict=True))
+            if f.metadata["tankwise"]:
+                k = len(block)
+                columns[-k:] = [c for pair in zip(columns[-k:], block) for c in pair]
+            else:
+                columns += block
+        names, cells = zip(*columns)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(len(self)):
-                flags = [
-                    VIOLATION_TYPES[i]
-                    for i in np.flatnonzero(self.violations[t])
-                ]
-                writer.writerow(
-                    [t]
-                    + [repr(v) for v in self.committed[t]]
-                    + [repr(v) for v in self.implemented[t]]
-                    + [repr(v) for v in self.realized[t]]
-                    + [repr(self.storage[t, 0]), repr(self.storage[t, 1]),
-                       repr(self.unmet[t, 0]), repr(self.unmet[t, 1]),
-                       repr(self.overmet[t, 0]), repr(self.overmet[t, 1]),
-                       repr(self.peak[t])]
-                    + [repr(v) for v in self.residuals[t]]
-                    + [repr(self.cost[t])]
-                    + ["+".join(flags)]
-                    + [repr(self.bounds_lower[t, 0]), repr(self.bounds_upper[t, 0]),
-                       repr(self.bounds_lower[t, 1]), repr(self.bounds_upper[t, 1])]
-                )
+            writer.writerow(names)
+            writer.writerows(zip(*cells))
+
+
+#: The per-hour arrays of ``ClosedLoopTrace``, in declaration order.
+_HOURLY = tuple(f for f in fields(ClosedLoopTrace) if "csv" in f.metadata)
 
 
 class ArForecaster:
@@ -517,18 +525,7 @@ def run_closed_loop(
     )
     iterations = 0
 
-    committed = np.zeros((y, len(UNITS)))
-    implemented = np.zeros((y, len(UNITS)))
-    realized_arr = np.zeros((y, len(CHANNELS)))
-    storage = np.zeros((y, 2))
-    unmet = np.zeros((y, 2))
-    overmet = np.zeros((y, 2))
-    peak_arr = np.zeros(y)
-    residuals_arr = np.zeros((y, 3))
-    cost_arr = np.zeros(y)
-    violations = np.zeros((y, len(VIOLATION_TYPES)), dtype=bool)
-    bounds_lower = np.zeros((y, 2))
-    bounds_upper = np.zeros((y, 2))
+    booked = []
     monthly_peaks: list[float] = []
 
     for t in range(y):
@@ -547,7 +544,7 @@ def run_closed_loop(
         fallback = not sol.is_optimal
         action = ZERO_ACTION if fallback else mpc.extract_action(reduced.expand(sol))
         realized = truth.at(h + t)
-        committed[t] = action.as_array()
+        committed = action.as_array()
         if not fallback:
             outcome = restoration.restore(config, state, action, realized)
             fallback = outcome.kind == restoration.FALLBACK
@@ -555,16 +552,21 @@ def run_closed_loop(
 
         hour = step(config, state, action, realized, noise[t], fallback, clamp_floor)
         state = hour.state
-        implemented[t] = action.as_array()
-        realized_arr[t] = realized.as_array()
-        residuals_arr[t] = hour.residuals
-        cost_arr[t] = hour.cost
-        violations[t] = hour.flags
-        storage[t] = (state.e_cw, state.e_hw)
-        unmet[t] = (state.ul_cw, state.ul_hw)
-        overmet[t] = (state.ol_cw, state.ol_hw)
-        peak_arr[t] = state.peak
-        bounds_lower[t], bounds_upper[t] = zip(*mpc.storage_bounds(config, state, beta))
+        lower, upper = zip(*mpc.storage_bounds(config, state, beta))
+        booked.append({
+            "committed": committed,
+            "implemented": action.as_array(),
+            "realized": realized.as_array(),
+            "storage": (state.e_cw, state.e_hw),
+            "unmet": (state.ul_cw, state.ul_hw),
+            "overmet": (state.ol_cw, state.ol_hw),
+            "peak": state.peak,
+            "residuals": hour.residuals,
+            "cost": hour.cost,
+            "violations": hour.flags,
+            "bounds_lower": lower,
+            "bounds_upper": upper,
+        })
 
         if t == timing.month_end:
             monthly_peaks.append(state.peak)
@@ -580,18 +582,10 @@ def run_closed_loop(
         price_water=config.price_water,
         price_gas=config.price_gas,
         price_demand=config.price_demand,
-        committed=committed,
-        implemented=implemented,
-        realized=realized_arr,
-        storage=storage,
-        unmet=unmet,
-        overmet=overmet,
-        peak=peak_arr,
-        residuals=residuals_arr,
-        cost=cost_arr,
-        violations=violations,
-        bounds_lower=bounds_lower,
-        bounds_upper=bounds_upper,
+        **{
+            f.name: np.array([b[f.name] for b in booked], dtype=f.metadata["dtype"])
+            for f in _HOURLY
+        },
         monthly_peaks=monthly_peaks,
         solver_iterations=iterations,
         runtime_seconds=time.perf_counter() - started,

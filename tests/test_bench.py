@@ -255,6 +255,40 @@ class TestRunBenchmark:
             a = [r.phi for r in serial.by_controller(label)]
             b = [r.phi for r in parallel.by_controller(label)]
             assert a == pytest.approx(b, rel=1e-12)
+        # Runs come back in task order, not in order of completion.
+        assert [(r.controller, r.scenario, r.ccp) for r in serial.runs] == [
+            (r.controller, r.scenario, r.ccp) for r in parallel.runs
+        ]
+
+    def test_pool_has_no_more_workers_than_runs(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            def __init__(self, processes, initializer, initargs):
+                started.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        class InlineContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr(bench.multiprocessing, "get_context",
+                            lambda method: InlineContext)
+        report = bench.run_benchmark(
+            PlantConfig(), [simulate.ControllerSpec("perf")],
+            fc.generate_synthetic_campus(7, days=5), 2, small_template(),
+            seed=5, jobs=5000,
+        )
+        assert started == [2]
+        assert [r.scenario for r in report.runs] == [0, 1]
 
     def test_failed_runs_reported_not_silently_dropped(self, monkeypatch):
         config = PlantConfig()
@@ -302,8 +336,19 @@ class TestRunBenchmark:
         report.write_runs_csv(tmp_path / "runs.csv")
         report.write_cdf_csv(tmp_path / "cdf.csv")
         with open(tmp_path / "runs.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == [
+                "scenario", "controller", "phi_usd", "phi_nocp_usd", "ccp_usd",
+                "electricity_usd", "water_usd", "gas_usd", "demand_usd",
+                "violations_per_100h", "fallback_hours", "runtime_seconds",
+                "solver_iterations",
+            ]
+            rows = list(reader)
         assert len(rows) == 2
+        assert [float(r["ccp_usd"]) for r in rows] == [r.ccp for r in report.runs]
+        assert [float(r["water_usd"]) for r in rows] == [
+            r.components.water for r in report.runs
+        ]
         assert [int(r["solver_iterations"]) for r in rows] == iterations
 
     def test_paired_difference(self):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -78,6 +79,23 @@ class TestRun:
         sto_summary = json.loads((tmp_path / "sto.summary.json").read_text())
         assert det_summary["total_stage_cost"] == pytest.approx(
             sto_summary["total_stage_cost"], abs=1e-9
+        )
+
+    def test_trace_csv_reads_back_as_numbers(self, tmp_path, data_csv):
+        out = tmp_path / "trace.csv"
+        assert run_cli(
+            "run", "--controller", "det", "--data", str(data_csv),
+            "--out", str(out), *SMALL, "--sim-hours", "24",
+        ) == 0
+        with open(out, newline="") as fh:
+            rows = [
+                {k: float(v) for k, v in row.items() if k not in ("hour", "violation")}
+                for row in csv.DictReader(fh)
+            ]
+        assert len(rows) == 24
+        summary = json.loads((tmp_path / "trace.summary.json").read_text())
+        assert sum(r["stage_cost_usd"] for r in rows) == pytest.approx(
+            summary["total_stage_cost"], rel=1e-9
         )
 
     def test_missing_data_file_names_path(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -511,6 +512,88 @@ class TestClosedLoop:
         summary = json.loads(summary_path.read_text())
         assert summary["hours"] == 12
         assert summary["controller"] == "det:0.1"
+
+
+#: The trace CSV's columns, in order; the storage box is written tank by tank.
+TRACE_CSV_HEADER = [
+    "hour",
+    "committed_p_cs_kw", "committed_p_hrc_kw", "committed_p_hwg_kw",
+    "committed_p_ct_kw", "committed_p_hx_kw", "committed_p_cw_kw",
+    "committed_p_hw_kw",
+    "implemented_p_cs_kw", "implemented_p_hrc_kw", "implemented_p_hwg_kw",
+    "implemented_p_ct_kw", "implemented_p_hx_kw", "implemented_p_cw_kw",
+    "implemented_p_hw_kw",
+    "load_elec_kw", "load_cw_kw", "load_hw_kw", "price_elec_usd_per_kwh",
+    "e_cw_kwh", "e_hw_kwh", "ul_cw_kwh", "ul_hw_kwh", "ol_cw_kwh", "ol_hw_kwh",
+    "peak_kw",
+    "r_e_kw", "r_w_gal_per_h", "r_ng_kw", "stage_cost_usd",
+    "violation",
+    "lower_cw_kwh", "upper_cw_kwh", "lower_hw_kwh", "upper_hw_kwh",
+]
+
+
+@pytest.fixture(scope="module")
+def flagged_trace():
+    """A perfect-information loop across two month ends with flagged hours."""
+    spec = make_spec(controller=simulate.ControllerSpec("perf"), sim_hours=60,
+                     calendar=(11, 30, 47, 100))
+    trace = simulate.run_closed_loop(
+        PlantConfig(), spec, fc.generate_synthetic_campus(41, days=8)
+    )
+    assert trace.violations.any()
+    return trace
+
+
+class TestTraceOutputs:
+    def test_csv_reads_back_bit_for_bit(self, flagged_trace, tmp_path):
+        trace = flagged_trace
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == TRACE_CSV_HEADER
+            rows = list(reader)
+        assert [int(r["hour"]) for r in rows] == list(range(len(trace)))
+        assert [r["violation"] for r in rows] == [
+            "+".join(k for k, on in zip(simulate.VIOLATION_TYPES, flags) if on)
+            for flags in trace.violations
+        ]
+        numeric = [n for n in TRACE_CSV_HEADER if n not in ("hour", "violation")]
+        read = np.array([[float(r[n]) for n in numeric] for r in rows])
+        lower, upper = trace.bounds_lower, trace.bounds_upper
+        expected = np.column_stack([
+            trace.committed, trace.implemented, trace.realized, trace.storage,
+            trace.unmet, trace.overmet, trace.peak, trace.residuals, trace.cost,
+            lower[:, 0], upper[:, 0], lower[:, 1], upper[:, 1],
+        ])
+        assert read.tobytes() == expected.tobytes()
+
+    def test_summary_reads_the_last_row_per_tank(self, flagged_trace):
+        trace = flagged_trace
+        summary = trace.summary()
+        assert list(summary) == [
+            "controller", "hours", "total_stage_cost", "monthly_peaks_kw",
+            "violation_hours", "violations", "final_storage_kwh", "unmet_kwh",
+            "overmet_kwh", "solver_iterations", "runtime_seconds",
+        ]
+        for key, values in (("final_storage_kwh", trace.storage),
+                            ("unmet_kwh", trace.unmet),
+                            ("overmet_kwh", trace.overmet)):
+            assert summary[key] == {"cw": values[-1, 0], "hw": values[-1, 1]}
+            assert all(type(v) is float for v in summary[key].values())
+
+    def test_array_shapes_and_dtypes(self, flagged_trace):
+        trace, y = flagged_trace, len(flagged_trace)
+        shapes = {
+            "committed": (y, 7), "implemented": (y, 7), "realized": (y, 4),
+            "storage": (y, 2), "unmet": (y, 2), "overmet": (y, 2), "peak": (y,),
+            "residuals": (y, 3), "cost": (y,), "violations": (y, 5),
+            "bounds_lower": (y, 2), "bounds_upper": (y, 2),
+        }
+        for name, shape in shapes.items():
+            values = getattr(trace, name)
+            assert values.shape == shape, name
+            assert values.dtype == (bool if name == "violations" else np.float64)
 
 
 @st.composite
