@@ -222,6 +222,29 @@ _RUN_COLUMNS = (
     ("solver_iterations", "solver_iterations"),
 )
 
+#: A run's record in the report JSON, in key order: (key, attribute of a
+#: ``RunResult``).  The cost components are written as a dict.
+_RUN_RECORD = (
+    ("scenario", "scenario"),
+    ("controller", "controller"),
+    ("phi", "phi"),
+    ("phi_nocp", "phi_nocp"),
+    ("ccp", "ccp"),
+    ("components", "components"),
+    ("violation_rate", "violation_rate"),
+    ("violations", "violation_counts"),
+    ("monthly_peaks", "monthly_peaks"),
+    ("runtime_seconds", "runtime_seconds"),
+    ("solver_iterations", "solver_iterations"),
+)
+
+
+def _run_record(run: RunResult) -> dict:
+    record = {key: getattr(run, attribute) for key, attribute in _RUN_RECORD}
+    if record["components"] is not None:
+        record["components"] = record["components"].as_dict()
+    return record
+
 
 @dataclass
 class BenchmarkReport:
@@ -299,23 +322,7 @@ class BenchmarkReport:
                 {"scenario": r.scenario, "controller": r.controller, "error": r.error}
                 for r in self.failures()
             ],
-            "runs": [
-                {
-                    "scenario": r.scenario,
-                    "controller": r.controller,
-                    "phi": r.phi,
-                    "phi_nocp": r.phi_nocp,
-                    "ccp": r.ccp,
-                    "components": r.components.as_dict() if r.components else None,
-                    "violation_rate": r.violation_rate,
-                    "violations": r.violation_counts,
-                    "monthly_peaks": r.monthly_peaks,
-                    "runtime_seconds": r.runtime_seconds,
-                    "solver_iterations": r.solver_iterations,
-                }
-                for r in self.runs
-                if r.ok
-            ],
+            "runs": [_run_record(r) for r in self.runs if r.ok],
         }
 
     def write_json(self, path) -> None:

@@ -153,16 +153,21 @@ def _recursion_matrix(model: ArModel, n: int) -> np.ndarray:
     return toeplitz(column, np.zeros(n))
 
 
-def impulse_weights(model: ArModel, n: int) -> np.ndarray:
+def impulse_weights(
+    model: ArModel, n: int, recursion: np.ndarray | None = None
+) -> np.ndarray:
     """First n weights of the AR impulse response (psi_0 = 1).
 
     psi solves A psi = e_0 with A the recursion matrix, so it is the first
-    column of A's inverse.
+    column of A's inverse.  ``recursion`` is A when the caller holds it,
+    as in ``mean_forecast``.
     """
     unit = np.zeros(n)
     unit[0] = 1.0
+    if recursion is None:
+        recursion = _recursion_matrix(model, n)
     return solve_triangular(
-        _recursion_matrix(model, n), unit,
+        recursion, unit,
         lower=True, unit_diagonal=True, check_finite=False,
     )
 
@@ -204,7 +209,10 @@ def mean_forecast(
 
 
 def forecast(
-    model: ArModel, recent_history: np.ndarray, n: int
+    model: ArModel,
+    recent_history: np.ndarray,
+    n: int,
+    recursion: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian n-step forecast: (mean trajectory, n x n covariance).
 
@@ -212,10 +220,11 @@ def forecast(
     the lower-triangular Toeplitz matrix of the impulse weights, so the
     covariance is sigma^2 T T^T: cov[i, j] = sigma^2 *
     sum_{k<=min(i,j)} psi_k psi_{k+|i-j|}.  For sigma > 0 its Cholesky
-    factor is sigma T.
+    factor is sigma T.  ``recursion``, A when the caller holds it, is
+    passed on to ``mean_forecast`` and ``impulse_weights``.
     """
-    mean = mean_forecast(model, recent_history, n)
-    weights = toeplitz(impulse_weights(model, n), np.zeros(n))
+    mean = mean_forecast(model, recent_history, n, recursion)
+    weights = toeplitz(impulse_weights(model, n, recursion), np.zeros(n))
     return mean, model.noise_variance * (weights @ weights.T)
 
 

@@ -362,9 +362,9 @@ class ArForecaster:
 
     ``refresh`` refits the four channel models at the configured cadence
     and builds each model's recursion matrix over the horizon
-    (``forecast._recursion_matrix``) once; every hourly mean forecast until
-    the next refit reuses it, and the refit replaces it, so at most one
-    matrix per channel is held.  The Cholesky factors of the forecast
+    (``forecast._recursion_matrix``) once; every hourly mean forecast and
+    the covariance factors until the next refit reuse it, and the refit
+    replaces it, so at most one matrix per channel is held.  The Cholesky factors of the forecast
     covariances are computed on demand, on the first read of
     ``cholesky_factors`` after each refit.  Only the stochastic
     controller's scenario sampler reads them, so the deterministic
@@ -426,7 +426,8 @@ class ArForecaster:
             chols = []
             for ch in range(len(CHANNELS)):
                 recent = self.values[ch, tau - q : tau]
-                _, cov = ar_forecast(self._models[ch], recent, n)
+                _, cov = ar_forecast(self._models[ch], recent, n,
+                                     self._recursions[ch])
                 chols.append(_jittered_cholesky(cov))
             self._chols = chols
         return self._chols

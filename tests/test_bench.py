@@ -351,6 +351,26 @@ class TestRunBenchmark:
         ]
         assert [int(r["solver_iterations"]) for r in rows] == iterations
 
+    def test_report_json_bytes(self, tmp_path):
+        # The layout of the report JSON, including the run keys
+        # "violations" and "components", at fixed values; a failed run is
+        # listed under "failures" only.
+        runs = [
+            bench.RunResult(
+                scenario=1, controller="det:0.1", phi=1250.5, phi_nocp=2000.25,
+                ccp=-749.75,
+                components=bench.CostComponents(800.0, 50.5, 100.0, 300.0),
+                violation_rate=2.5, violation_counts={"fallback": 1, "unmet_cw": 0},
+                fallback_hours=1, monthly_peaks=[9000.5, 8500.0],
+                runtime_seconds=0.75, solver_iterations=42,
+            ),
+            bench.RunResult(scenario=0, controller="det:0.1", error="ValueError('x')"),
+        ]
+        report = bench.BenchmarkReport(["det:0.1"], 2, runs, wall_seconds=1.5)
+        path = tmp_path / "report.json"
+        report.write_json(path)
+        assert path.read_text() == REPORT_JSON
+
     def test_paired_difference(self):
         report = bench.BenchmarkReport(
             controllers=["a", "b"], scenario_count=3,
@@ -366,3 +386,70 @@ class TestRunBenchmark:
         assert mean == pytest.approx(5.0 / 3.0)
         assert diffs.tolist() == [1.0, 2.0, 2.0]
         assert se == pytest.approx(np.std(diffs, ddof=1) / np.sqrt(3))
+
+
+REPORT_JSON = """\
+{
+  "controllers": [
+    "det:0.1"
+  ],
+  "scenario_count": 2,
+  "wall_seconds": 1.5,
+  "aggregates": {
+    "det:0.1": {
+      "runs": 1,
+      "phi_mean": 1250.5,
+      "phi_se": 0.0,
+      "ccp_mean": -749.75,
+      "ccp_se": 0.0,
+      "violation_rate_mean": 2.5,
+      "violation_rate_se": 0.0,
+      "mean_components": {
+        "electricity": 800.0,
+        "water": 50.5,
+        "gas": 100.0,
+        "demand": 300.0
+      },
+      "ccp_cdf_values": [
+        -749.75
+      ],
+      "ccp_cdf_probs": [
+        1.0
+      ]
+    }
+  },
+  "failures": [
+    {
+      "scenario": 0,
+      "controller": "det:0.1",
+      "error": "ValueError('x')"
+    }
+  ],
+  "runs": [
+    {
+      "scenario": 1,
+      "controller": "det:0.1",
+      "phi": 1250.5,
+      "phi_nocp": 2000.25,
+      "ccp": -749.75,
+      "components": {
+        "electricity": 800.0,
+        "water": 50.5,
+        "gas": 100.0,
+        "demand": 300.0
+      },
+      "violation_rate": 2.5,
+      "violations": {
+        "fallback": 1,
+        "unmet_cw": 0
+      },
+      "monthly_peaks": [
+        9000.5,
+        8500.0
+      ],
+      "runtime_seconds": 0.75,
+      "solver_iterations": 42
+    }
+  ]
+}
+"""

@@ -323,6 +323,80 @@ class TestHighsSession:
         assert warm_iterations < 0.5 * cold_iterations
 
 
+def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3):
+    """Smoke-scale stochastic programs (N = 24), hour by hour, on ``session``.
+
+    The horizon spans the month end at t = 40 from t = 18 on.  ``peak_at``
+    gives this month's register lower bound of hour t; ``tied`` makes the
+    ``s`` scenarios identical.  Yields each program with its solution on
+    ``session``, the number of times that solve loaded a model (two when a
+    warm run fell back cold), and the program's cold solution, whose
+    storage levels start the next hour.
+    """
+    config = PlantConfig()
+    n, month_end = 24, 40
+    base = fc.generate_synthetic_campus(5, 4).values
+    rng = np.random.default_rng(8)
+    e = 0.5 * np.array([config.cap_cw, config.cap_hw])
+    for t in range(10, 34):
+        noise = rng.normal(0.0, 0.05, (1 if tied else s, 4, n))
+        values = np.broadcast_to(base[:, t:t + n] * (1.0 + noise), (s, 4, n)).copy()
+        values[:, :3] = np.maximum(values[:, :3], 0.0)
+        reduced = mpc.build_reduced(
+            config, PlantState(e_cw=e[0], e_hw=e[1], peak=peak_at(t)),
+            fc.ScenarioSet(values=values, unclamped=values),
+            mpc.HorizonTiming(t, n, month_end), 0.0,
+        )
+        prog = reduced.program
+        loads = []
+        original = lp._pass_model
+        lp._pass_model = lambda *args: (loads.append(1), original(*args))
+        try:
+            solution = session.solve(prog)
+        finally:
+            lp._pass_model = original
+        cold = lp.solve(prog)
+        yield prog, solution, len(loads), cold
+        e = reduced.expand(cold).E[0, :, 1]
+
+
+class TestWarmRestartOptions:
+    """Warm restarts run without cost perturbation; cold solves with it."""
+
+    @pytest.mark.parametrize("case", [
+        dict(tied=True),
+        # This month's register bound ratchets above the planned peak twice.
+        dict(peak_at=lambda t: 9000.0 if t < 20 else 11000.0 if t < 26 else 12500.0),
+        dict(tied=True, peak_at=lambda t: 9000.0 if t < 20 else 16000.0),
+    ], ids=["tied", "ratchet", "tied-ratchet"])
+    def test_degenerate_warm_restarts_terminate_optimal(self, case):
+        # Each warm restart ends optimal without a cold fallback, feasible
+        # to HiGHS's primal tolerance, and no worse than the cold solve by
+        # 1e-9 relative.  It may end lower: in the ratchet chain at hour 11
+        # the cold solve stops 2.0e-9 relative above the warm objective,
+        # which a cold solve at 1e-10 primal and dual tolerances reproduces.
+        session = lp.HighsSession()
+        for hour, (prog, warm, loads, cold) in enumerate(
+                receding_chain(session, **case)):
+            assert warm.is_optimal and cold.is_optimal, hour
+            assert loads == 1, hour
+            row_lower, row_upper = lp._row_sides(prog)
+            rows = prog.matrix() @ warm.x
+            assert np.all(rows >= row_lower - 1e-7), hour
+            assert np.all(rows <= row_upper + 1e-7), hour
+            assert warm.objective <= cold.objective + 1e-9 * abs(cold.objective), hour
+
+    def test_no_option_leaks_into_cold_solves(self):
+        session = lp.HighsSession()
+        programs = [prog for prog, *_ in receding_chain(session)]
+        for prog in programs[-3:]:
+            reused, fresh = lp.solve(prog, session), lp.solve(prog)
+            assert reused.is_optimal and fresh.is_optimal
+            assert reused.iterations == fresh.iterations
+            assert reused.objective == fresh.objective
+            assert reused.x.tobytes() == fresh.x.tobytes()
+
+
 class TestPatternCache:
     @staticmethod
     def program(a_rows, a_cols, a_vals):

@@ -544,6 +544,40 @@ def flagged_trace():
     return trace
 
 
+class TestWarmRestartIterations:
+    def test_stochastic_warm_restarts_stay_cheap(self, monkeypatch):
+        """Iteration guard for warm restarts without cost perturbation.
+
+        The benchmark's smoke-scale sto-paper run at seed 0 (N = q = 24,
+        S = 5, 14-day history), 24 hours long.  With HiGHS 1.12.0 (scipy
+        1.17.1) its 23 warm restarts take 1 389 simplex iterations; with
+        the cost perturbation left on they took 2 824.
+        """
+        def seed(stream):
+            return int(np.random.SeedSequence((0, stream)).generate_state(1)[0])
+
+        spec = simulate.RunSpec(
+            controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=5),
+            sim_hours=24, horizon=24, ar_order=24, history_hours=24 * 14,
+            scenario_seed=seed(1), zoh_seed=seed(2),
+        )
+        base = fc.generate_synthetic_campus(0, -(-spec.required_truth_hours() // 24))
+        truth = bench.make_validation_set(base, 1, 0)[0]
+        solved = []
+        solve = lp.HighsSession.solve
+
+        def counted(session, prog, warm=True):
+            solution = solve(session, prog, warm)
+            solved.append(solution)
+            return solution
+
+        monkeypatch.setattr(lp.HighsSession, "solve", counted)
+        simulate.run_closed_loop(PlantConfig(), spec, truth)
+        _, *warm = solved
+        assert len(warm) == 23 and all(s.is_optimal for s in warm)
+        assert sum(s.iterations for s in warm) < 2000
+
+
 class TestTraceOutputs:
     def test_csv_reads_back_bit_for_bit(self, flagged_trace, tmp_path):
         trace = flagged_trace
@@ -730,7 +764,8 @@ class TestLazyFactors:
 
     def test_recursion_matrices_are_built_once_per_refit(self, monkeypatch):
         # 48 hours at the 24-hour cadence refit twice; the hourly mean
-        # forecasts of the four channels reuse each refit's matrices.
+        # forecasts of the four channels, and the stochastic controller's
+        # covariance factors, reuse each refit's matrices.
         built = []
         original = fc._recursion_matrix
 
@@ -739,11 +774,14 @@ class TestLazyFactors:
             return original(model, n)
 
         monkeypatch.setattr(fc, "_recursion_matrix", counted)
-        spec = make_spec()
         truth = fc.generate_synthetic_campus(43, days=7)
-        simulate.run_closed_loop(PlantConfig(), spec, truth)
-        assert spec.sim_hours == 48 and spec.refit_every == 24
-        assert built == [spec.horizon] * 8
+        for controller in (simulate.ControllerSpec("det", beta=0.1),
+                           simulate.ControllerSpec("sto", scenarios=3)):
+            built.clear()
+            spec = make_spec(controller=controller)
+            simulate.run_closed_loop(PlantConfig(), spec, truth)
+            assert spec.sim_hours == 48 and spec.refit_every == 24
+            assert built == [spec.horizon] * 8, controller.kind
 
     @pytest.mark.parametrize("resampling", ["run", "refit", "hourly"])
     def test_scenarios_equal_those_from_eager_factors(self, resampling):
