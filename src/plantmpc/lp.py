@@ -3,22 +3,32 @@
 ``HighsSession`` solves a sequence of programs on one HiGHS instance and
 restarts each from the basis of the last optimal one when their shapes
 agree.  It loads every program whole through HiGHS's array ``passModel``.
-``solve`` runs one program once, cold, with presolve: the first solve of a
-fresh session, or a cold solve on a given session's instance.
+``solve`` runs one program once, cold, with HiGHS's default options, on a
+fresh instance or on a given session's.
 
-The two kinds of run differ in two options, set before each run: a cold
-run has presolve and the dual simplex's cost perturbation, a warm restart
-has neither.  The perturbation guards the dual simplex against degeneracy
-when it starts from a slack basis, but a restart from an optimal basis
-pays to undo it: removing it at the end leaves dual infeasibilities that
-a primal "perturbation cleanup" must repair.  On the paper-scale
-stochastic program (S = 100, N = 168, sto-paper inputs, seed 0, hour 2)
-a warm restart with the perturbation took 2 137 dual phase-2 iterations,
-then 1 988 cleanup iterations for 3 993 dual infeasibilities; without it
-2 031 and 1 231 for 1 532.  Over the benchmark's sto-paper window that is
-3 343 instead of 5 923 simplex iterations per warm hour (seed 0) and a
-median warm hour about a quarter shorter; the deterministic and
-perfect-information windows save 8-13 %.
+The two callers differ in two options, set before each run: a session
+runs every program, cold or warm, without presolve and without the dual
+simplex's cost perturbation; ``solve`` keeps HiGHS's defaults, presolve
+"choose" and perturbation multiplier 1.0.  The perturbation guards the
+dual simplex against degeneracy, but a restart from an optimal basis pays
+to undo it: removing it at the end leaves dual infeasibilities that a
+primal "perturbation cleanup" must repair.  On the paper-scale stochastic
+program (S = 100, N = 168, sto-paper inputs, seed 0, hour 2) a warm
+restart with the perturbation took 2 137 dual phase-2 iterations, then
+1 988 cleanup iterations for 3 993 dual infeasibilities; without it 2 031
+and 1 231 for 1 532.  Over the benchmark's sto-paper window that is 3 343
+instead of 5 923 simplex iterations per warm hour (seed 0).  From the
+slack basis the perturbation costs too: the same window's first, cold
+solve takes 80 647 iterations without both options and 104 187 with
+them, about 3.1 s instead of 8.7 s on a shared 2-CPU host (HiGHS 1.12.0).
+Presolve saves that solve no iterations, and its reduced copy of the
+program was the run's peak memory: 309 MB instead of 384 MB.
+
+One-shot solves keep the defaults because the vertex they return among
+alternate optima is what their callers were written against: the
+tie-breaks of ``tests/test_mpc.py``'s scenario-order and
+nonanticipativity comparisons, and restoration's correction LP, whose
+alternate optima move the closed loop's cost.
 """
 
 from __future__ import annotations
@@ -109,15 +119,19 @@ _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
 #: Set per run in ``HighsSession._run`` through ``setOptionValue``;
 #: scipy's ``HighsOptions`` has no attribute for it.
 _PERTURBATION = "dual_simplex_cost_perturbation_multiplier"
+#: The options of every run of a controller session, cold or warm.
+_SESSION_OPTIONS = (("presolve", "off"), (_PERTURBATION, 0.0))
+#: HiGHS's defaults, which ``solve`` keeps.
+_ONE_SHOT_OPTIONS = (("presolve", "choose"), (_PERTURBATION, 1.0))
 
 
 def _highs() -> _highs_core._Highs:
     """A HiGHS instance with the options every solve here uses.
 
     Presolve and the cost perturbation multiplier are not among them:
-    ``HighsSession._run`` sets both before every run ("choose" and 1.0,
-    HiGHS's defaults, for a cold run; "off" and 0.0 for a warm restart),
-    so no run inherits them from the last.
+    ``HighsSession._run`` sets both before every run (``_SESSION_OPTIONS``
+    for a session's own runs, ``_ONE_SHOT_OPTIONS`` for ``solve``), so no
+    run inherits them from the last.
 
     Matrix scaling is disabled: the plant matrices are naturally well
     ranged and the scaling pass both costs time and degrades basis reuse.
@@ -127,6 +141,8 @@ def _highs() -> _highs_core._Highs:
     (S = 100, N = 168) neither alternative was faster in two runs: cold
     solves took 6.4-9.3 s with devex and 9.3-10.3 s with steepest edge
     against 7.5-8.9 s, and warm iteration counts moved by at most 11 %.
+    Those cold solves ran with presolve and the cost perturbation, as
+    sessions then did; the comparison has not been repeated without them.
     """
     h = _highs_core._Highs()
     opts = _highs_core.HighsOptions()
@@ -191,13 +207,13 @@ def _same(a: np.ndarray, kept: np.ndarray) -> bool:
 class HighsSession:
     """Persistent HiGHS instance that warm-starts receding-horizon solves.
 
-    Every program is loaded whole.  When it has the shape (rows, columns)
-    of the last program solved to optimality, the solver restarts from that
-    program's optimal basis with presolve and cost perturbation off, which
-    cuts re-solve time by an order of magnitude.  Any other program, and
-    any warm run that ends non-optimal (a stale basis can mislead the
-    solver), is solved cold with presolve and cost perturbation on, as
-    ``solve`` and restoration's instance solve every program.
+    Every program is loaded whole and run with presolve and cost
+    perturbation off.  When it has the shape (rows, columns) of the last
+    program solved to optimality, the solver restarts from that program's
+    optimal basis, which cuts re-solve time by an order of magnitude.  Any
+    other program, and any warm run that ends non-optimal (a stale basis
+    can mislead the solver), is solved cold from the slack basis.  The
+    cold and warm runs differ in that basis only.
     """
 
     def __init__(self) -> None:
@@ -227,22 +243,20 @@ class HighsSession:
             self._pattern = (shape, _kept(lp.a_rows), _kept(lp.a_cols))
         return self._indptr, self._indices, lp.a_vals[self._perm]
 
-    def _run(self, lp: LinearProgram, warm: bool = True) -> LpSolution:
+    def _run(self, lp: LinearProgram, one_shot: bool = False) -> LpSolution:
         h = self._h
         indptr, indices, data = self._csc(lp)
         dims = (lp.num_rows, lp.num_vars)
-        warm = warm and self._basis_dims == dims
+        warm = not one_shot and self._basis_dims == dims
+        for name, value in _ONE_SHOT_OPTIONS if one_shot else _SESSION_OPTIONS:
+            h.setOptionValue(name, value)
         if warm:
             basis = h.getBasis()
             _pass_model(h, lp, indptr, indices, data)
-            h.setOptionValue("presolve", "off")
-            h.setOptionValue(_PERTURBATION, 0.0)
             h.setBasis(basis)
             h.run()
         if not warm or h.getModelStatus() != _STATUS.kOptimal:
             _pass_model(h, lp, indptr, indices, data)
-            h.setOptionValue("presolve", "choose")
-            h.setOptionValue(_PERTURBATION, 1.0)
             h.run()
         solution = _result(h, lp)
         self._basis_dims = dims if solution.is_optimal else None
@@ -254,10 +268,13 @@ class HighsSession:
 
 
 def solve(lp: LinearProgram, session: HighsSession | None = None) -> LpSolution:
-    """Solve one program from scratch, with presolve; deterministic.
+    """Solve one program from scratch with HiGHS's defaults; deterministic.
 
     The program is loaded whole into ``session``'s HiGHS instance, or a
-    fresh one, and solved cold whatever that instance solved before, so a
-    caller that solves many small programs can keep one instance for them.
+    fresh one, and solved cold, with presolve and cost perturbation,
+    whatever that instance solved before, so a caller that solves many
+    small programs can keep one instance for them.  It is not a session's
+    cold solve, which runs without both.
     """
-    return (HighsSession() if session is None else session)._run(lp, warm=False)
+    session = HighsSession() if session is None else session
+    return session._run(lp, one_shot=True)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from plantmpc import forecast as fc, lp, mpc
-from plantmpc.plant import PlantConfig, PlantState
+from plantmpc import forecast as fc, lp, mpc, restoration
+from plantmpc.plant import PlantConfig, PlantState, balance_residuals
 
 from oracles import random_box_lp, vertex_enumeration_optimum
 from simplex import BOUND_TOL, ROW_TOL, LpBuilder, solve_simplex
+from test_restoration import random_cases
 
 #: The in-tree simplex oracle and the production HiGHS path.
 SOLVERS = {"embedded": solve_simplex, "highs": lp.solve}
@@ -361,7 +362,8 @@ def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3):
 
 
 class TestWarmRestartOptions:
-    """Warm restarts run without cost perturbation; cold solves with it."""
+    """A session runs every program, cold or warm, without presolve and
+    cost perturbation; ``lp.solve`` keeps HiGHS's defaults."""
 
     @pytest.mark.parametrize("case", [
         dict(tied=True),
@@ -395,6 +397,57 @@ class TestWarmRestartOptions:
             assert reused.iterations == fresh.iterations
             assert reused.objective == fresh.objective
             assert reused.x.tobytes() == fresh.x.tobytes()
+
+
+class TestSessionAgreesWithOneShot:
+    """A fresh session's cold solve, without presolve and cost
+    perturbation, agrees with ``lp.solve`` on status and objective, and
+    its solution is feasible; among alternate optima it may return
+    another vertex."""
+
+    @staticmethod
+    def assert_agrees(prog):
+        cold, one_shot = lp.HighsSession().solve(prog), lp.solve(prog)
+        assert cold.status == one_shot.status
+        if not cold.is_optimal:
+            return cold
+        assert cold.objective == pytest.approx(one_shot.objective, rel=1e-9)
+        assert np.all(cold.x >= prog.lower - 1e-7)
+        assert np.all(cold.x <= prog.upper + 1e-7)
+        row_lower, row_upper = lp._row_sides(prog)
+        rows = prog.matrix() @ cold.x
+        assert np.all(rows >= row_lower - 1e-7)
+        assert np.all(rows <= row_upper + 1e-7)
+        return cold
+
+    def test_random_box_programs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            self.assert_agrees(random_box_lp(rng))
+
+    def test_correction_programs(self):
+        config = PlantConfig()
+        for cfg, state, action, realized in random_cases(
+                np.random.default_rng(11), config, 100):
+            residuals = balance_residuals(cfg, action, realized)
+            self.assert_agrees(
+                restoration._correction_program(cfg, state, action, residuals))
+
+    def test_receding_chain_programs(self):
+        for prog, *_ in receding_chain(lp.HighsSession()):
+            self.assert_agrees(prog)
+
+    def test_infeasible_and_unbounded(self):
+        builder = LpBuilder()
+        x = builder.add_variable(-np.inf, np.inf, 0.0)
+        builder.add_row(lp.LE, 1.0, [x], [1.0])
+        builder.add_row(lp.GE, 2.0, [x], [1.0])
+        infeasible = builder.build()
+        builder = LpBuilder()
+        builder.add_variable(0.0, np.inf, -1.0)
+        unbounded = builder.build()
+        assert self.assert_agrees(infeasible).status == lp.INFEASIBLE
+        assert self.assert_agrees(unbounded).status == lp.UNBOUNDED
 
 
 class TestPatternCache:

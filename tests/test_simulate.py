@@ -534,48 +534,77 @@ TRACE_CSV_HEADER = [
 
 @pytest.fixture(scope="module")
 def flagged_trace():
-    """A perfect-information loop across two month ends with flagged hours."""
+    """A perfect-information loop across two month ends with flagged hours.
+
+    The chillers and heat-recovery chillers are cut to a third of the
+    default plant's, below the campus's loads, so tanks run dry and hours
+    fall back whichever of the LPs' equal-cost vertices HiGHS returns.
+    """
     spec = make_spec(controller=simulate.ControllerSpec("perf"), sim_hours=60,
                      calendar=(11, 30, 47, 100))
     trace = simulate.run_closed_loop(
-        PlantConfig(), spec, fc.generate_synthetic_campus(41, days=8)
+        PlantConfig(pmax_cs=2000.0, pmax_hrc=500.0), spec,
+        fc.generate_synthetic_campus(41, days=8),
     )
     assert trace.violations.any()
     return trace
 
 
+@pytest.fixture(scope="module")
+def smoke_sto_solves():
+    """(program, solution) of every controller solve of the benchmark's
+    smoke-scale sto-paper run at seed 0 (N = q = 24, S = 5, 14-day
+    history), 24 hours long, in order: the first is the session's cold
+    solve, the rest its warm restarts."""
+    def seed(stream):
+        return int(np.random.SeedSequence((0, stream)).generate_state(1)[0])
+
+    spec = simulate.RunSpec(
+        controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=5),
+        sim_hours=24, horizon=24, ar_order=24, history_hours=24 * 14,
+        scenario_seed=seed(1), zoh_seed=seed(2),
+    )
+    base = fc.generate_synthetic_campus(0, -(-spec.required_truth_hours() // 24))
+    truth = bench.make_validation_set(base, 1, 0)[0]
+    solved = []
+    solve = lp.HighsSession.solve
+
+    def counted(session, prog):
+        solution = solve(session, prog)
+        solved.append((prog, solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp.HighsSession, "solve", counted)
+        simulate.run_closed_loop(PlantConfig(), spec, truth)
+    return solved
+
+
 class TestWarmRestartIterations:
-    def test_stochastic_warm_restarts_stay_cheap(self, monkeypatch):
+    def test_stochastic_warm_restarts_stay_cheap(self, smoke_sto_solves):
         """Iteration guard for warm restarts without cost perturbation.
 
-        The benchmark's smoke-scale sto-paper run at seed 0 (N = q = 24,
-        S = 5, 14-day history), 24 hours long.  With HiGHS 1.12.0 (scipy
-        1.17.1) its 23 warm restarts take 1 389 simplex iterations; with
-        the cost perturbation left on they took 2 824.
+        With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's 23 warm restarts
+        take 1 388 simplex iterations; with the cost perturbation left on
+        they took 2 824.
         """
-        def seed(stream):
-            return int(np.random.SeedSequence((0, stream)).generate_state(1)[0])
-
-        spec = simulate.RunSpec(
-            controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=5),
-            sim_hours=24, horizon=24, ar_order=24, history_hours=24 * 14,
-            scenario_seed=seed(1), zoh_seed=seed(2),
-        )
-        base = fc.generate_synthetic_campus(0, -(-spec.required_truth_hours() // 24))
-        truth = bench.make_validation_set(base, 1, 0)[0]
-        solved = []
-        solve = lp.HighsSession.solve
-
-        def counted(session, prog, warm=True):
-            solution = solve(session, prog, warm)
-            solved.append(solution)
-            return solution
-
-        monkeypatch.setattr(lp.HighsSession, "solve", counted)
-        simulate.run_closed_loop(PlantConfig(), spec, truth)
-        _, *warm = solved
+        _, *warm = (solution for _, solution in smoke_sto_solves)
         assert len(warm) == 23 and all(s.is_optimal for s in warm)
         assert sum(s.iterations for s in warm) < 2000
+
+
+class TestColdStartIterations:
+    def test_stochastic_cold_start_stays_cheap(self, smoke_sto_solves):
+        """Iteration guard for a session's cold solve without presolve and
+        cost perturbation.
+
+        With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's first solve takes
+        605 simplex iterations; with both options on, as ``lp.solve`` still
+        runs it, 686.
+        """
+        program, cold = smoke_sto_solves[0]
+        assert cold.is_optimal and cold.iterations < 650
+        assert lp.solve(program).iterations == 686
 
 
 class TestTraceOutputs:
