@@ -1,10 +1,12 @@
 """Sparse linear programs solved by HiGHS through scipy's bindings.
 
-``HighsSession`` solves a sequence of programs on one HiGHS instance and
-restarts each from the basis of the last optimal one when their shapes
-agree.  It loads every program whole through HiGHS's array ``passModel``.
-``solve`` runs one program once, cold, with HiGHS's default options, on a
-fresh instance or on a given session's.
+``HighsSession`` solves a sequence of programs on one HiGHS instance.  It
+loads every program whole through HiGHS's array ``passModel`` and runs it
+from one of three starting bases: the basis of the last optimal program
+when their shapes agree (a warm restart), else the caller's ``start``
+(a ``Basis``, which need not be consistent), else the slack basis.
+``solve`` runs one program once, from the slack basis, with HiGHS's
+default options, on a fresh instance or on a given session's.
 
 The two callers differ in two options, set before each run: a session
 runs every program, cold or warm, without presolve and without the dual
@@ -22,7 +24,10 @@ slack basis the perturbation costs too: the same window's first, cold
 solve takes 80 647 iterations without both options and 104 187 with
 them, about 3.1 s instead of 8.7 s on a shared 2-CPU host (HiGHS 1.12.0).
 Presolve saves that solve no iterations, and its reduced copy of the
-program was the run's peak memory: 309 MB instead of 384 MB.
+program was the run's peak memory: 309 MB instead of 384 MB.  Started
+from the scenario-mean program's basis (``mpc.ReducedProgram.start``),
+that cold solve takes 6 311 iterations, 786 of them the mean program's,
+and about 0.8 s instead of 3.3 s on one pinned CPU of the same host.
 
 One-shot solves keep the defaults because the vertex they return among
 alternate optima is what their callers were written against: the
@@ -34,6 +39,7 @@ alternate optima move the closed loop's cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -114,6 +120,8 @@ class LpSolution:
 
 
 _STATUS = _highs_core.HighsModelStatus
+#: ``HighsBasisStatus`` members indexed by their codes.
+_BASIS_STATUS = sorted(_highs_core.HighsBasisStatus.__members__.values(), key=int)
 _COLWISE = int(_highs_core.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
 #: Set per run in ``HighsSession._run`` through ``setOptionValue``;
@@ -123,6 +131,36 @@ _PERTURBATION = "dual_simplex_cost_perturbation_multiplier"
 _SESSION_OPTIONS = (("presolve", "off"), (_PERTURBATION, 0.0))
 #: HiGHS's defaults, which ``solve`` keeps.
 _ONE_SHOT_OPTIONS = (("presolve", "choose"), (_PERTURBATION, 1.0))
+
+
+@dataclass
+class Basis:
+    """A starting basis: one HiGHS basis status code per column and per row
+    (``HighsBasisStatus``: 0 lower, 1 basic, 2 upper, 3 zero, 4 nonbasic),
+    and the simplex iterations it took to find."""
+
+    col: np.ndarray
+    row: np.ndarray
+    iterations: int = 0
+
+    def alien(self) -> _highs_core.HighsBasis:
+        """The basis for ``setBasis``, marked alien: HiGHS then accepts one
+        whose basic count is off and repairs it itself."""
+        basis = _highs_core.HighsBasis()
+        basis.alien = True
+        basis.col_status = list(map(_BASIS_STATUS.__getitem__, self.col.tolist()))
+        basis.row_status = list(map(_BASIS_STATUS.__getitem__, self.row.tolist()))
+        return basis
+
+
+def _codes(statuses) -> np.ndarray:
+    return np.fromiter(map(int, statuses), dtype=np.int8, count=len(statuses))
+
+
+def _check(status, call: str) -> None:
+    """Raise on a HiGHS call that failed; HiGHS itself only logs it."""
+    if status == _highs_core.HighsStatus.kError:
+        raise RuntimeError(f"HiGHS {call} failed")
 
 
 def _highs() -> _highs_core._Highs:
@@ -138,11 +176,12 @@ def _highs() -> _highs_core._Highs:
 
     Dual edge weights use Dantzig pricing (0; in HiGHS 1.12 -1 chooses,
     1 is devex, 2 steepest edge).  On the paper-scale stochastic program
-    (S = 100, N = 168) neither alternative was faster in two runs: cold
-    solves took 6.4-9.3 s with devex and 9.3-10.3 s with steepest edge
-    against 7.5-8.9 s, and warm iteration counts moved by at most 11 %.
-    Those cold solves ran with presolve and the cost perturbation, as
-    sessions then did; the comparison has not been repeated without them.
+    (S = 100, N = 168, sto-paper seed 0, hour 0) neither alternative was
+    faster for a session's cold solve from the slack basis, without
+    presolve and cost perturbation, in three runs each on one pinned CPU
+    of a shared 2-CPU host: Dantzig 80 647 iterations in 2.2-2.6 s, devex
+    79 754 in 2.5-3.1 s, steepest edge 79 584 in 2.6-3.9 s.  With presolve
+    and the perturbation, warm iteration counts moved by at most 11 %.
     """
     h = _highs_core._Highs()
     opts = _highs_core.HighsOptions()
@@ -208,12 +247,15 @@ class HighsSession:
     """Persistent HiGHS instance that warm-starts receding-horizon solves.
 
     Every program is loaded whole and run with presolve and cost
-    perturbation off.  When it has the shape (rows, columns) of the last
-    program solved to optimality, the solver restarts from that program's
-    optimal basis, which cuts re-solve time by an order of magnitude.  Any
-    other program, and any warm run that ends non-optimal (a stale basis
-    can mislead the solver), is solved cold from the slack basis.  The
-    cold and warm runs differ in that basis only.
+    perturbation off, from one of three starting bases:
+
+    - the last optimal basis, when the program has the shape (rows,
+      columns) of the last program solved to optimality.  This warm
+      restart cuts re-solve time by an order of magnitude;
+    - the caller's ``start``, when there is no such basis or the warm run
+      ended non-optimal (a stale basis can mislead the solver);
+    - the slack basis, when there is no ``start``, it gives no basis, or
+      the run from it ended non-optimal.
     """
 
     def __init__(self) -> None:
@@ -243,22 +285,41 @@ class HighsSession:
             self._pattern = (shape, _kept(lp.a_rows), _kept(lp.a_cols))
         return self._indptr, self._indices, lp.a_vals[self._perm]
 
-    def _run(self, lp: LinearProgram, one_shot: bool = False) -> LpSolution:
+    def _run(self, lp: LinearProgram, one_shot: bool = False,
+             start: Callable[[], Basis | None] | None = None) -> LpSolution:
+        """Solve ``lp``; ``start`` is called only when no warm restart
+        ended optimal.
+
+        A solution from ``start``'s basis counts the iterations that found
+        the basis too.  After a fallback, the iterations are those of the
+        last run alone.
+        """
         h = self._h
         indptr, indices, data = self._csc(lp)
         dims = (lp.num_rows, lp.num_vars)
         warm = not one_shot and self._basis_dims == dims
         for name, value in _ONE_SHOT_OPTIONS if one_shot else _SESSION_OPTIONS:
-            h.setOptionValue(name, value)
+            _check(h.setOptionValue(name, value), f"setOptionValue({name!r})")
+        found, optimal = 0, False
         if warm:
             basis = h.getBasis()
             _pass_model(h, lp, indptr, indices, data)
-            h.setBasis(basis)
+            _check(h.setBasis(basis), "setBasis")
             h.run()
-        if not warm or h.getModelStatus() != _STATUS.kOptimal:
+            optimal = h.getModelStatus() == _STATUS.kOptimal
+        if not optimal and start is not None and (basis := start()) is not None:
+            _pass_model(h, lp, indptr, indices, data)
+            _check(h.setBasis(basis.alien()), "setBasis")
+            found = basis.iterations
+            del basis
+            h.run()
+            optimal = h.getModelStatus() == _STATUS.kOptimal
+        if not optimal:
+            found = 0
             _pass_model(h, lp, indptr, indices, data)
             h.run()
         solution = _result(h, lp)
+        solution.iterations += found
         self._basis_dims = dims if solution.is_optimal else None
         return solution
 
@@ -266,15 +327,20 @@ class HighsSession:
     #: this attribute (``perfbench``, tests) sees the controllers' solves only.
     solve = _run
 
+    def basis(self) -> Basis:
+        """The basis of the last run as status codes."""
+        b = self._h.getBasis()
+        return Basis(_codes(b.col_status), _codes(b.row_status))
+
 
 def solve(lp: LinearProgram, session: HighsSession | None = None) -> LpSolution:
     """Solve one program from scratch with HiGHS's defaults; deterministic.
 
     The program is loaded whole into ``session``'s HiGHS instance, or a
-    fresh one, and solved cold, with presolve and cost perturbation,
-    whatever that instance solved before, so a caller that solves many
-    small programs can keep one instance for them.  It is not a session's
-    cold solve, which runs without both.
+    fresh one, and solved cold from the slack basis, with presolve and cost
+    perturbation, whatever that instance solved before, so a caller that
+    solves many small programs can keep one instance for them.  It is not a
+    session's cold solve, which runs without both.
     """
     session = HighsSession() if session is None else session
     return session._run(lp, one_shot=True)

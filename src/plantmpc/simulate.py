@@ -539,7 +539,7 @@ def run_closed_loop(
             data = truth.slice(h + t, h + t + n)
 
         reduced = mpc.build_reduced(config, state, data, timing, beta)
-        sol = session.solve(reduced.program)
+        sol = session.solve(reduced.program, start=reduced.start)
         iterations += sol.iterations
         # Solver trouble is recorded as a fallback hour, never raised.
         fallback = not sol.is_optimal

@@ -450,6 +450,129 @@ class TestSessionAgreesWithOneShot:
         assert self.assert_agrees(unbounded).status == lp.UNBOUNDED
 
 
+class TestStart:
+    """A session's cold run starts from the caller's basis when given one,
+    and from the slack basis when that run ends non-optimal."""
+
+    @staticmethod
+    def counted(basis):
+        calls = []
+
+        def start():
+            calls.append(None)
+            return basis
+
+        return start, calls
+
+    def test_binding_accepts_alien_bases(self):
+        # HiGHS 1.12 constructs a basis as alien; ``Basis.alien`` still
+        # sets the flag, so it does not depend on that default.
+        basis = lp._highs_core.HighsBasis()
+        for flag in (False, True):
+            basis.alien = flag
+            assert basis.alien is flag
+
+    @pytest.mark.parametrize("codes", ["random", "basic"])
+    def test_random_box_programs_agree_with_the_slack_start(self, codes):
+        rng = np.random.default_rng(7)
+        for _ in range(120):
+            prog = random_box_lp(rng)
+            if codes == "random":
+                basis = lp.Basis(rng.integers(0, 3, prog.num_vars).astype(np.int8),
+                                 rng.integers(0, 3, prog.num_rows).astype(np.int8))
+            else:
+                basis = lp.Basis(np.ones(prog.num_vars, np.int8),
+                                 np.ones(prog.num_rows, np.int8))
+            start, calls = self.counted(basis)
+            started = lp.HighsSession().solve(prog, start=start)
+            slack = lp.HighsSession().solve(prog)
+            assert len(calls) == 1
+            assert started.status == slack.status
+            if slack.is_optimal:
+                assert started.objective == pytest.approx(slack.objective, rel=1e-9)
+
+    def test_found_iterations_count_into_the_solution(self):
+        prog = simple_program()
+        first = lp.HighsSession()
+        solution = first.solve(prog)
+        found = first.basis()
+        found.iterations = 1000
+        started = lp.HighsSession().solve(prog, start=lambda: found)
+        assert started.objective == solution.objective
+        assert started.iterations == 1000
+
+    def test_never_called_on_a_warm_restart(self):
+        rng = np.random.default_rng(21)
+        builder = LpBuilder()
+        x = builder.add_variables(4, 0.0, 10.0, [1.0, 2.0, 3.0, 4.0])
+        builder.add_row(lp.GE, 8.0, x, [1.0, 1.0, 1.0, 1.0])
+        base = builder.build()
+        session = lp.HighsSession()
+        start, calls = self.counted(None)
+        for _ in range(6):
+            prog = lp.LinearProgram(
+                objective=base.objective + rng.uniform(0, 1, 4),
+                lower=base.lower, upper=base.upper + rng.uniform(0, 2, 4),
+                row_sense=base.row_sense, rhs=base.rhs + rng.uniform(-1, 1),
+                a_rows=base.a_rows, a_cols=base.a_cols, a_vals=base.a_vals,
+            )
+            assert session.solve(prog, start=start).is_optimal
+        assert len(calls) == 1
+        session.solve(simple_program(), start=start)
+        assert len(calls) == 2
+
+    def test_non_optimal_start_falls_back_to_the_slack_basis(self, monkeypatch):
+        # The run from the start is cut at zero iterations, so the session
+        # must load the program again and solve it from the slack basis.
+        prog = next(receding_chain(lp.HighsSession()))[0]
+        start, calls = self.counted(
+            lp.Basis(np.ones(prog.num_vars, np.int8),
+                     np.ones(prog.num_rows, np.int8), iterations=50))
+        original, loads = lp._pass_model, []
+
+        def limited(h, *args):
+            loads.append(None)
+            limit = 0 if len(loads) == 1 else 2**31 - 1
+            h.setOptionValue("simplex_iteration_limit", limit)
+            original(h, *args)
+
+        monkeypatch.setattr(lp, "_pass_model", limited)
+        started = lp.HighsSession().solve(prog, start=start)
+        monkeypatch.setattr(lp, "_pass_model", original)
+        slack = lp.HighsSession().solve(prog)
+        assert len(calls) == 1 and len(loads) == 2
+        assert started.is_optimal
+        assert started.iterations == slack.iterations
+        assert started.x.tobytes() == slack.x.tobytes()
+
+    def test_no_basis_runs_from_the_slack_basis(self):
+        prog = next(receding_chain(lp.HighsSession()))[0]
+        start, calls = self.counted(None)
+        started = lp.HighsSession().solve(prog, start=start)
+        slack = lp.HighsSession().solve(prog)
+        assert len(calls) == 1
+        assert started.iterations == slack.iterations
+        assert started.x.tobytes() == slack.x.tobytes()
+
+
+class TestFailedCalls:
+    """A HiGHS call that fails raises instead of leaving the run to
+    HiGHS's defaults or to the slack basis."""
+
+    def test_unknown_option_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "_SESSION_OPTIONS",
+                            lp._SESSION_OPTIONS + (("no_such_option", 1),))
+        with pytest.raises(RuntimeError, match="no_such_option"):
+            lp.HighsSession().solve(simple_program())
+
+    def test_malformed_start_raises(self):
+        prog = simple_program()
+        wrong = lp.Basis(np.ones(prog.num_vars + 1, np.int8),
+                         np.ones(prog.num_rows, np.int8))
+        with pytest.raises(RuntimeError, match="setBasis"):
+            lp.HighsSession().solve(prog, start=lambda: wrong)
+
+
 class TestPatternCache:
     @staticmethod
     def program(a_rows, a_cols, a_vals):

@@ -529,6 +529,55 @@ class TestReducedLayout:
         assert np.isin(lay.R1, billed).all()
 
 
+class TestMeanStart:
+    """A multi-scenario program starts from the scenario-mean program's
+    optimal basis, copied into every scenario block."""
+
+    @staticmethod
+    def scenarios(s, n, seed=4):
+        rng = np.random.default_rng(seed)
+        values = np.array([3000.0, 4000.0, 2000.0, 0.08])[None, :, None] * (
+            1.0 + rng.normal(0.0, 0.1, (s, 4, n)))
+        return fc.ScenarioSet(values=values, unclamped=values)
+
+    def test_one_scenario_has_no_start(self):
+        config, state = PlantConfig(), PlantState(e_cw=5000.0, e_hw=3000.0)
+        timing = mpc.HorizonTiming(t=0, n=6, month_end=743)
+        one = self.scenarios(1, 6)
+        assert mpc.build_reduced(config, state, one, timing, 0.0).start is None
+        traj = DisturbanceTrajectory(one.values[0])
+        assert mpc.build_reduced(config, state, traj, timing, 0.0).start is None
+
+    @TestReducedLayout.CASES
+    def test_every_block_copies_the_mean_basis(self, binds, spans):
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        state = PlantState(e_cw=5000.0, e_hw=3000.0, peak=1000.0)
+        n, s = 8, 4
+        timing = mpc.HorizonTiming(t=0, n=n, month_end=3 if spans else 743)
+        scen = self.scenarios(s, n)
+        reduced = mpc.build_reduced(config, state, scen, timing, 0.1)
+        mean = mpc.build_reduced(
+            config, state, DisturbanceTrajectory(scen.values.mean(axis=0)),
+            timing, 0.1)
+        session = lp.HighsSession()
+        solution = session.solve(mean.program)
+        seed = session.basis()
+        basis = reduced.start()
+        assert basis.iterations == solution.iterations
+        lay, one = reduced.layout, mean.layout
+        for full, single in ((lay.P, one.P), (lay.S, one.S), (lay.E, one.E),
+                             (lay.R, one.R)):
+            for xi in range(s):
+                assert np.array_equal(basis.col[full[xi]], seed.col[single[0]])
+        for xi in range(s):
+            assert np.array_equal(basis.row[lay.rows[xi]], seed.row[one.rows[0]])
+
+        started = lp.HighsSession().solve(reduced.program, start=reduced.start)
+        slack = lp.HighsSession().solve(reduced.program)
+        assert started.is_optimal and slack.is_optimal
+        assert started.objective == pytest.approx(slack.objective, rel=1e-9)
+
+
 def program_bytes(reduced):
     """The eight arrays and the offset of a built program, as bytes."""
     prog = reduced.program

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -373,9 +374,9 @@ class TestClosedLoop:
         solve = lp.HighsSession.solve
         calls = []
 
-        def every_third_infeasible(session, program):
+        def every_third_infeasible(session, program, **kwargs):
             calls.append(None)
-            sol = solve(session, program)
+            sol = solve(session, program, **kwargs)
             if len(calls) % 3 == 0:
                 return lp.LpSolution(lp.INFEASIBLE, None, None, sol.iterations)
             return sol
@@ -550,61 +551,115 @@ def flagged_trace():
     return trace
 
 
-@pytest.fixture(scope="module")
-def smoke_sto_solves():
-    """(program, solution) of every controller solve of the benchmark's
-    smoke-scale sto-paper run at seed 0 (N = q = 24, S = 5, 14-day
-    history), 24 hours long, in order: the first is the session's cold
-    solve, the rest its warm restarts."""
+def smoke_sto_loop(sim_hours, solve=None, build=None):
+    """The benchmark's smoke-scale sto-paper run at seed 0 (N = q = 24,
+    S = 5, 14-day history), ``sim_hours`` long, with ``HighsSession.solve``
+    and ``mpc.build_reduced`` replaced by ``solve`` and ``build`` if given."""
     def seed(stream):
         return int(np.random.SeedSequence((0, stream)).generate_state(1)[0])
 
     spec = simulate.RunSpec(
         controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=5),
-        sim_hours=24, horizon=24, ar_order=24, history_hours=24 * 14,
+        sim_hours=sim_hours, horizon=24, ar_order=24, history_hours=24 * 14,
         scenario_seed=seed(1), zoh_seed=seed(2),
     )
     base = fc.generate_synthetic_campus(0, -(-spec.required_truth_hours() // 24))
     truth = bench.make_validation_set(base, 1, 0)[0]
-    solved = []
-    solve = lp.HighsSession.solve
+    with pytest.MonkeyPatch.context() as patch:
+        if solve is not None:
+            patch.setattr(lp.HighsSession, "solve", solve)
+        if build is not None:
+            patch.setattr(mpc, "build_reduced", build)
+        return simulate.run_closed_loop(PlantConfig(), spec, truth)
 
-    def counted(session, prog):
-        solution = solve(session, prog)
-        solved.append((prog, solution))
+
+@pytest.fixture(scope="module")
+def smoke_sto_run():
+    """``smoke_sto_loop`` over 24 hours: its trace, the number of programs
+    built, and (program, start, solution) of every controller solve in
+    order.  The first solve is the session's cold solve, the rest its warm
+    restarts.  The wrappers forward keyword arguments, as the loop passes
+    the program's start by name."""
+    solve, build = lp.HighsSession.solve, mpc.build_reduced
+    solved, built = [], []
+
+    def counted(session, prog, **kwargs):
+        solution = solve(session, prog, **kwargs)
+        solved.append((prog, kwargs.get("start"), solution))
         return solution
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp.HighsSession, "solve", counted)
-        simulate.run_closed_loop(PlantConfig(), spec, truth)
-    return solved
+    def building(*args, **kwargs):
+        built.append(None)
+        return build(*args, **kwargs)
+
+    trace = smoke_sto_loop(24, counted, building)
+    return SimpleNamespace(trace=trace, builds=len(built), solves=solved)
 
 
 class TestWarmRestartIterations:
-    def test_stochastic_warm_restarts_stay_cheap(self, smoke_sto_solves):
+    def test_stochastic_warm_restarts_stay_cheap(self, smoke_sto_run):
         """Iteration guard for warm restarts without cost perturbation.
 
         With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's 23 warm restarts
-        take 1 388 simplex iterations; with the cost perturbation left on
-        they took 2 824.
+        take 1 390 simplex iterations (1 388 after a slack-basis cold
+        solve); with the cost perturbation left on they took 2 824.
         """
-        _, *warm = (solution for _, solution in smoke_sto_solves)
+        _, *warm = (solution for *_, solution in smoke_sto_run.solves)
         assert len(warm) == 23 and all(s.is_optimal for s in warm)
         assert sum(s.iterations for s in warm) < 2000
 
 
 class TestColdStartIterations:
-    def test_stochastic_cold_start_stays_cheap(self, smoke_sto_solves):
-        """Iteration guard for a session's cold solve without presolve and
-        cost perturbation.
+    def test_stochastic_cold_start_stays_cheap(self, smoke_sto_run):
+        """Iteration guard for a session's cold solve from the replicated
+        scenario-mean basis, without presolve and cost perturbation.
 
         With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's first solve takes
-        605 simplex iterations; with both options on, as ``lp.solve`` still
-        runs it, 686.
+        223 simplex iterations, 130 of them the mean program's; from the
+        slack basis 605, and with presolve and cost perturbation on, as
+        ``lp.solve`` still runs it, 686.
         """
-        program, cold = smoke_sto_solves[0]
-        assert cold.is_optimal and cold.iterations < 650
+        program, _, cold = smoke_sto_run.solves[0]
+        assert cold.is_optimal and cold.iterations < 300
+        assert lp.HighsSession().solve(program).iterations == 605
         assert lp.solve(program).iterations == 686
+
+
+class TestMeanStart:
+    """The stochastic controller's cold solve starts from the scenario-mean
+    program's basis; the other controllers' programs have no start."""
+
+    def test_each_hour_builds_and_solves_once(self, smoke_sto_run):
+        assert smoke_sto_run.builds == len(smoke_sto_run.solves) == 24
+        assert all(start is not None for _, start, _ in smoke_sto_run.solves)
+
+    def test_first_action_matches_the_slack_start(self, smoke_sto_run):
+        solve = lp.HighsSession.solve
+
+        def slack(session, prog, start=None):
+            return solve(session, prog)
+
+        trace = smoke_sto_loop(1, slack)
+        assert np.allclose(trace.committed[0], smoke_sto_run.trace.committed[0],
+                           rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["det", "perf"])
+    def test_single_trajectory_programs_have_no_start(self, kind, monkeypatch):
+        build = mpc.build_reduced
+        starts = []
+
+        def recording(*args):
+            reduced = build(*args)
+            starts.append(reduced.start)
+            return reduced
+
+        monkeypatch.setattr(mpc, "build_reduced", recording)
+        simulate.run_closed_loop(
+            PlantConfig(), make_spec(controller=simulate.ControllerSpec(kind),
+                                     sim_hours=4),
+            fc.generate_synthetic_campus(3, days=5),
+        )
+        assert starts == [None] * 4
 
 
 class TestTraceOutputs:
