@@ -104,6 +104,16 @@ def fit_ar(history: np.ndarray, q: int) -> ArModel:
     still fails.  The noise variance is the mean squared one-step residual
     over the window, computed by one correlation of the history with the
     coefficients.
+
+    A ridge fit is refined once.  Without a ridge the residual sum of
+    squares is stationary at the solution, so the roundoff of the
+    lag-product sums moves the noise variance only to second order; with
+    one it moves it to first order: 6e-10 relative on a length-23 window at
+    q = 11 (condition number 1e12), against 5e-11 for a fit from the
+    explicit design (60-digit reference).  The refinement step solves the
+    same ridge system for the normal-equation residual taken from the
+    one-step residuals themselves; on that window the result is within
+    1e-13 relative.
     """
     x = np.asarray(history, dtype=float)
     if x.ndim != 1:
@@ -133,12 +143,24 @@ def fit_ar(history: np.ndarray, q: int) -> ArModel:
     if theta is None:
         raise ValueError("AR normal equations unsolvable even with ridge")
 
-    fitted = np.correlate(x[:-1], theta[q - 1 :: -1], "valid") + theta[q]
+    residuals = _residuals(x, theta)
+    if lam:
+        gradient = np.append(np.correlate(x[:-1], residuals, "valid")[::-1],
+                             residuals.sum())
+        gradient[:q] -= lam * theta[:q]
+        theta = theta + np.linalg.solve(gram + ridge, gradient)
+        residuals = _residuals(x, theta)
     return ArModel(
         coefficients=theta[:q],
         intercept=float(theta[q]),
-        noise_variance=float(np.mean((x[q:] - fitted) ** 2)),
+        noise_variance=float(np.mean(residuals**2)),
     )
+
+
+def _residuals(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """One-step residuals of the AR fit (phi_1, ..., phi_q, c) over ``x``."""
+    q = len(theta) - 1
+    return x[q:] - (np.correlate(x[:-1], theta[q - 1 :: -1], "valid") + theta[q])
 
 
 def _recursion_matrix(model: ArModel, n: int) -> np.ndarray:

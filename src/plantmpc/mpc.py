@@ -39,7 +39,19 @@ solve: the optimal basis of the one-scenario program of the scenario mean
 block is a copy of the one-scenario program's structure, so that basis is
 near-optimal for all of them; at paper scale (sto-paper, seeds 0, 1 and
 7919) it cuts the cold solve's dual simplex iterations from 80 650-81 010
-to 6 310-7 170, the mean program's included.  The single-trajectory programs have no start.
+to 6 310-7 170, the mean program's included.  It also carries its
+layout's one-step ``shift``: from one hour to the next every step moves one
+hour earlier, and so does the stochastic controller's scenario noise
+(``simulate._ScenarioSampler``), so the next program is nearly the last one
+moved one step, and the session restarts from the last optimal basis moved
+with it.  The single-trajectory programs have neither.  Shifted, their warm
+restarts took 8 iterations instead of 49 (det-monthend, seed 0) and 5
+instead of 58 (perf-monthend), but HiGHS's time on programs that small is
+mostly setup: reading, moving and writing their 2 860 statuses and
+HiGHS's repair of the alien basis added about 0.5 ms per hour, where the
+unshifted restart hands HiGHS its own basis back in 0.01 ms.  Over 10
+alternating pairs each, ``perfbench``'s ``warm_hour_ref`` rose 3.3 %
+(det-monthend, lower in 2) and 3.2 % (perf-monthend, lower in 1).
 
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
 per-scenario unit loads, slacks, storage levels and peak registers, in
@@ -247,6 +259,28 @@ class _ReducedLayout:
     def row_block(self, name: str) -> np.ndarray:
         return self.rows[:, self.row_blocks.index(name)]
 
+    @functools.cached_property
+    def shift(self) -> lp.Shift:
+        """The one-step shift from the program of hour t to that of t + 1,
+        whose step k is the physical hour of step k + 1 at hour t.
+
+        Each step's columns and rows take the statuses of the next step's,
+        and the last step keeps its own.  The shared columns (the hour-0
+        loads, the storage pins and the next-hour levels) take scenario 0's
+        next-step status; the peak registers keep theirs.
+        """
+        col = np.arange(self.num_vars, dtype=np.int32)
+        for index in (self.P, self.S, self.E):
+            steps = index.shape[2]
+            nxt = np.minimum(np.arange(1, steps + 1), steps - 1)
+            col[index] = index[:, :, nxt]
+            col[index[0]] = index[0][:, nxt]
+        nxt = np.minimum(np.arange(1, self.n + 1), self.n - 1)
+        row = self.rows[:, :, nxt].reshape(-1).astype(np.int32)
+        for arr in (col, row):
+            arr.setflags(write=False)
+        return lp.Shift(col, row)
+
 
 @functools.lru_cache(maxsize=32)
 def _reduced_layout(n: int, s: int, tower_binds: bool) -> _ReducedLayout:
@@ -283,10 +317,11 @@ class ReducedProgram:
     """A controller program and what it takes to decode its solutions.
 
     ``offset`` is the constant the eliminated quantities contribute to the
-    objective.  ``start`` is None for one scenario; for more it is
-    ``HighsSession.solve``'s ``start``, which solves the scenario-mean
-    program and returns its optimal basis copied into every scenario block
-    (``_mean_start``).
+    objective.  ``start`` and ``shift`` are None for one scenario.  For
+    more, ``start`` is ``HighsSession.solve``'s ``start``, which solves the
+    scenario-mean program and returns its optimal basis copied into every
+    scenario block (``_mean_start``), and ``shift`` is its ``shift``, the
+    layout's one-step shift (``_ReducedLayout.shift``).
     """
 
     program: lp.LinearProgram
@@ -294,6 +329,7 @@ class ReducedProgram:
     layout: _ReducedLayout
     config: PlantConfig
     start: Callable[[], lp.Basis | None] | None = None
+    shift: lp.Shift | None = None
 
     def expand(self, sol: lp.LpSolution) -> Plan:
         """Decode an optimal solution of ``program``."""
@@ -500,9 +536,10 @@ def _fill(
         a_cols=shared.a_cols,
         a_vals=a_vals,
     )
-    start = None if s == 1 else functools.partial(
-        _mean_start, red, config, state, values, timing, beta)
-    return ReducedProgram(program, offset, red, config, start)
+    if s == 1:
+        return ReducedProgram(program, offset, red, config)
+    start = functools.partial(_mean_start, red, config, state, values, timing, beta)
+    return ReducedProgram(program, offset, red, config, start, red.shift)
 
 
 def _mean_start(

@@ -105,7 +105,10 @@ class RunSpec:
     (strictly ascending month-end hours, the last one at or after the last
     simulated hour; empty means ``default_calendar``), the seeds of the
     scenario and storage-noise random streams (nonnegative), and the initial
-    state of charge.
+    state of charge.  ``scenario_resampling`` sets how the stochastic
+    controller's scenario noise moves from hour to hour: ``run`` continues
+    each scenario's path one hour per hour (``_ScenarioSampler``),
+    ``refit`` redraws it at each AR refit and ``hourly`` every hour.
     """
 
     controller: ControllerSpec
@@ -436,10 +439,18 @@ class ArForecaster:
 class _ScenarioSampler:
     """Scenario sets from the forecaster with configurable noise reuse.
 
-    ``run`` keeps one standard-normal draw for the whole run (common
-    random numbers: consecutive programs differ only through the forecast
-    mean, which keeps warm-started re-solves cheap), ``refit`` redraws
-    whenever the AR models refresh, ``hourly`` redraws every hour.
+    Hour t's scenarios are the forecast mean plus standard-normal noise
+    through the forecast covariance's factor, one (S, 4, N) noise window
+    per hour.  ``run`` keeps one path per scenario for the whole run: the
+    window of hour t holds the draws of absolute hours [t, t + N), so from
+    one hour to the next it drops its first column and appends one new
+    draw, and the noise at an absolute hour does not depend on the run's
+    length.  Each hour's set is still a sample of that hour's forecast
+    distribution; only the coupling across hours is chosen, so that
+    consecutive programs are close to one program moved one step, which
+    ``lp.HighsSession``'s shifted warm restart exploits.  ``refit`` redraws
+    the whole window whenever the AR models refresh, ``hourly`` every hour;
+    under both, ``run_closed_loop`` restarts unshifted.
     """
 
     def __init__(self, forecaster: ArForecaster, spec: RunSpec):
@@ -447,22 +458,31 @@ class _ScenarioSampler:
         self.spec = spec
         self.rng = np.random.default_rng(spec.scenario_seed)
         self._z = None
+        self._start = None
 
-    def _draw(self) -> np.ndarray:
+    def _noise(self, t: int, refit: bool) -> np.ndarray:
+        """The (S, 4, N) standard-normal window of hour t."""
         s, n = self.spec.controller.scenarios, self.spec.horizon
-        return self.rng.standard_normal((s, len(CHANNELS), n))
-
-    def scenario_set(self, t: int) -> ScenarioSet:
-        refit = self.forecaster.refresh(t)
         mode = self.spec.scenario_resampling
         if self._z is None or mode == "hourly" or (mode == "refit" and refit):
-            self._z = self._draw()
+            self._z = self.rng.standard_normal((s, len(CHANNELS), n))
+        elif mode == "run":
+            if t < self._start:
+                raise ValueError(f"hour {t} precedes the noise window of {self._start}")
+            for _ in range(t - self._start):
+                column = self.rng.standard_normal((s, len(CHANNELS)))[:, :, None]
+                self._z = np.concatenate((self._z[:, :, 1:], column), axis=2)
+        self._start = t
+        return self._z
+
+    def scenario_set(self, t: int) -> ScenarioSet:
+        z = self._noise(t, self.forecaster.refresh(t))
         means = self.forecaster.means(t)
         chols = self.forecaster.cholesky_factors
         s, n = self.spec.controller.scenarios, self.spec.horizon
         raw = np.empty((s, len(CHANNELS), n))
         for ch in range(len(CHANNELS)):
-            raw[:, ch, :] = means[ch] + self._z[:, ch, :] @ chols[ch].T
+            raw[:, ch, :] = means[ch] + z[:, ch, :] @ chols[ch].T
         clamped = np.maximum(raw, _load_floor(n))
         return ScenarioSet(values=clamped, unclamped=raw)
 
@@ -518,6 +538,9 @@ def run_closed_loop(
     if forecaster is None and kind in (DETERMINISTIC, STOCHASTIC):
         forecaster = ArForecaster(truth, spec)
     sampler = _ScenarioSampler(forecaster, spec) if kind == STOCHASTIC else None
+    # A warm restart moves the last basis one step with the horizon only
+    # when the scenario noise moves with it; redrawn noise stays at its step.
+    shifted = spec.scenario_resampling == "run"
     noise, clamp_floor = precompute_storage_noise(truth, spec)
     session = lp.HighsSession()
 
@@ -539,7 +562,8 @@ def run_closed_loop(
             data = truth.slice(h + t, h + t + n)
 
         reduced = mpc.build_reduced(config, state, data, timing, beta)
-        sol = session.solve(reduced.program, start=reduced.start)
+        sol = session.solve(reduced.program, start=reduced.start,
+                            shift=reduced.shift if shifted else None)
         iterations += sol.iterations
         # Solver trouble is recorded as a fallback hour, never raised.
         fallback = not sol.is_optimal

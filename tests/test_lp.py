@@ -324,15 +324,17 @@ class TestHighsSession:
         assert warm_iterations < 0.5 * cold_iterations
 
 
-def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3):
+def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3,
+                   shifted=False):
     """Smoke-scale stochastic programs (N = 24), hour by hour, on ``session``.
 
     The horizon spans the month end at t = 40 from t = 18 on.  ``peak_at``
     gives this month's register lower bound of hour t; ``tied`` makes the
     ``s`` scenarios identical.  Yields each program with its solution on
-    ``session``, the number of times that solve loaded a model (two when a
-    warm run fell back cold), and the program's cold solution, whose
-    storage levels start the next hour.
+    ``session`` (given the program's one-step shift when ``shifted``), the
+    number of times that solve loaded a model (two when a warm run fell
+    back cold), and the program's cold solution, whose storage levels start
+    the next hour.
     """
     config = PlantConfig()
     n, month_end = 24, 40
@@ -353,7 +355,7 @@ def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3):
         original = lp._pass_model
         lp._pass_model = lambda *args: (loads.append(1), original(*args))
         try:
-            solution = session.solve(prog)
+            solution = session.solve(prog, shift=reduced.shift if shifted else None)
         finally:
             lp._pass_model = original
         cold = lp.solve(prog)
@@ -361,16 +363,20 @@ def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3):
         e = reduced.expand(cold).E[0, :, 1]
 
 
+#: The degenerate receding chains that both warm-restart paths must solve.
+DEGENERATE_CHAINS = pytest.mark.parametrize("case", [
+    dict(tied=True),
+    # This month's register bound ratchets above the planned peak twice.
+    dict(peak_at=lambda t: 9000.0 if t < 20 else 11000.0 if t < 26 else 12500.0),
+    dict(tied=True, peak_at=lambda t: 9000.0 if t < 20 else 16000.0),
+], ids=["tied", "ratchet", "tied-ratchet"])
+
+
 class TestWarmRestartOptions:
     """A session runs every program, cold or warm, without presolve and
     cost perturbation; ``lp.solve`` keeps HiGHS's defaults."""
 
-    @pytest.mark.parametrize("case", [
-        dict(tied=True),
-        # This month's register bound ratchets above the planned peak twice.
-        dict(peak_at=lambda t: 9000.0 if t < 20 else 11000.0 if t < 26 else 12500.0),
-        dict(tied=True, peak_at=lambda t: 9000.0 if t < 20 else 16000.0),
-    ], ids=["tied", "ratchet", "tied-ratchet"])
+    @DEGENERATE_CHAINS
     def test_degenerate_warm_restarts_terminate_optimal(self, case):
         # Each warm restart ends optimal without a cold fallback, feasible
         # to HiGHS's primal tolerance, and no worse than the cold solve by
@@ -553,6 +559,157 @@ class TestStart:
         assert len(calls) == 1
         assert started.iterations == slack.iterations
         assert started.x.tobytes() == slack.x.tobytes()
+
+
+def status_codes(basis) -> lp.Basis:
+    """A binding ``HighsBasis`` as status codes, element by element."""
+    return lp.Basis(np.array([int(c) for c in basis.col_status], np.int8),
+                    np.array([int(r) for r in basis.row_status], np.int8))
+
+
+class TestShiftedRestart:
+    """A warm restart given a shift starts from the last optimal basis moved
+    one step, as an alien basis; a run from it that ends non-optimal falls
+    back to the caller's start, then to the slack basis."""
+
+    @DEGENERATE_CHAINS
+    def test_receding_chains_reach_the_one_shot_objective(self, case):
+        session = lp.HighsSession()
+        for hour, (prog, warm, loads, cold) in enumerate(
+                receding_chain(session, shifted=True, **case)):
+            assert warm.is_optimal and cold.is_optimal, hour
+            assert loads == 1, hour
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9), hour
+
+    @staticmethod
+    def assert_reads_get_basis(session, prog):
+        # Nonbasic fixed columns and equality rows may sit at either side;
+        # HiGHS does not move them, so only their nonbasic status matters.
+        read, full = session.basis(), status_codes(session._h.getBasis())
+        fixed = prog.lower == prog.upper
+        assert np.array_equal(read.col == 1, full.col == 1)
+        assert np.array_equal(read.col[~fixed], full.col[~fixed])
+        equality = prog.row_sense == lp.EQ
+        assert np.array_equal(read.row == 1, full.row == 1)
+        assert np.array_equal(read.row[~equality], full.row[~equality])
+
+    def test_basis_reads_what_get_basis_reads(self):
+        session = lp.HighsSession()
+        for prog, *_ in receding_chain(session, shifted=True):
+            self.assert_reads_get_basis(session, prog)
+
+    def test_basis_reads_one_sided_and_free_columns(self):
+        rng = np.random.default_rng(11)
+        optimal = 0
+        for _ in range(200):
+            box = random_box_lp(rng)
+            kinds = rng.integers(0, 4, box.num_vars)  # boxed, >=, <=, free
+            lower = np.where(np.isin(kinds, (2, 3)), -np.inf, box.lower)
+            upper = np.where(np.isin(kinds, (1, 3)), np.inf, box.upper)
+            prog = lp.LinearProgram(box.objective, lower, upper, box.row_sense,
+                                    box.rhs, box.a_rows, box.a_cols, box.a_vals)
+            session = lp.HighsSession()
+            if session.solve(prog).is_optimal:
+                optimal += 1
+                self.assert_reads_get_basis(session, prog)
+        assert optimal > 50
+        # A free column in no row and at no cost stays nonbasic at zero.
+        builder = LpBuilder()
+        builder.add_variable(-np.inf, np.inf, 0.0)
+        y = builder.add_variable(0.0, 1.0, 1.0)
+        builder.add_row(lp.GE, 0.5, [y], [1.0])
+        prog, session = builder.build(), lp.HighsSession()
+        assert session.solve(prog).is_optimal
+        assert session.basis().col[0] == 3
+        self.assert_reads_get_basis(session, prog)
+
+    def test_basis_needs_an_optimal_run(self):
+        session = lp.HighsSession()
+        with pytest.raises(ValueError, match="optimal"):
+            session.basis()
+        builder = LpBuilder()
+        x = builder.add_variable(0.0, 1.0, 1.0)
+        builder.add_row(lp.GE, 3.0, [x], [1.0])
+        assert session.solve(builder.build()).status == lp.INFEASIBLE
+        with pytest.raises(ValueError, match="optimal"):
+            session.basis()
+
+    def test_one_shot_run_leaves_no_basis(self):
+        prog = next(receding_chain(lp.HighsSession()))[0]
+        session = lp.HighsSession()
+        assert lp.solve(prog, session).is_optimal
+        with pytest.raises(ValueError, match="optimal"):
+            session.basis()
+        again, cold = session.solve(prog), lp.HighsSession().solve(prog)
+        assert again.iterations == cold.iterations > 0
+
+    @pytest.mark.parametrize("start_fails", [False, True])
+    def test_non_optimal_shifted_run_falls_back(self, start_fails, monkeypatch):
+        # The shifted run, and the run from the start when ``start_fails``,
+        # are cut at zero iterations.
+        chain = receding_chain(lp.HighsSession())
+        first, second = (next(chain)[0] for _ in range(2))
+        shift = mpc._reduced_layout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        basis = lp.Basis(np.ones(second.num_vars, np.int8),
+                         np.ones(second.num_rows, np.int8), iterations=50)
+        session = lp.HighsSession()
+        assert session.solve(first).is_optimal
+        start, calls = TestStart.counted(basis)
+        original, loads = lp._pass_model, []
+
+        def limited(h, *args):
+            loads.append(None)
+            cut = len(loads) == 1 or (start_fails and len(loads) == 2)
+            h.setOptionValue("simplex_iteration_limit", 0 if cut else 2**31 - 1)
+            original(h, *args)
+
+        monkeypatch.setattr(lp, "_pass_model", limited)
+        solution = session.solve(second, start=start, shift=shift)
+        monkeypatch.setattr(lp, "_pass_model", original)
+        if start_fails:
+            want = lp.HighsSession().solve(second)
+        else:
+            want = lp.HighsSession().solve(second, start=lambda: basis)
+        assert len(calls) == 1 and len(loads) == (3 if start_fails else 2)
+        assert solution.is_optimal
+        assert solution.iterations == want.iterations
+        assert solution.x.tobytes() == want.x.tobytes()
+
+    def test_restart_sets_the_last_basis_moved(self):
+        chain = receding_chain(lp.HighsSession())
+        first, second = (next(chain)[0] for _ in range(2))
+        shift = mpc._reduced_layout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        session = lp.HighsSession()
+        session.solve(first)
+        last = session.basis()
+        moved = last.shifted(shift)
+        assert not np.array_equal(moved.col, last.col)
+        set_bases = []
+
+        class Recording:
+            def __init__(self, h):
+                self.h = h
+
+            def __getattr__(self, name):
+                return getattr(self.h, name)
+
+            def setBasis(self, basis):
+                set_bases.append(basis)
+                return self.h.setBasis(basis)
+
+        session._h = Recording(session._h)
+        assert session.solve(second, shift=shift).is_optimal
+        assert len(set_bases) == 1 and set_bases[0].alien
+        assert np.array_equal(status_codes(set_bases[0]).col, moved.col)
+        assert np.array_equal(status_codes(set_bases[0]).row, moved.row)
+
+    def test_shift_is_ignored_without_a_warm_basis(self):
+        prog = next(receding_chain(lp.HighsSession()))[0]
+        shift = mpc._reduced_layout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        shifted = lp.HighsSession().solve(prog, shift=shift)
+        slack = lp.HighsSession().solve(prog)
+        assert shifted.iterations == slack.iterations
+        assert shifted.x.tobytes() == slack.x.tobytes()
 
 
 class TestFailedCalls:

@@ -544,9 +544,9 @@ class TestMeanStart:
         config, state = PlantConfig(), PlantState(e_cw=5000.0, e_hw=3000.0)
         timing = mpc.HorizonTiming(t=0, n=6, month_end=743)
         one = self.scenarios(1, 6)
-        assert mpc.build_reduced(config, state, one, timing, 0.0).start is None
-        traj = DisturbanceTrajectory(one.values[0])
-        assert mpc.build_reduced(config, state, traj, timing, 0.0).start is None
+        for data in (one, DisturbanceTrajectory(one.values[0])):
+            reduced = mpc.build_reduced(config, state, data, timing, 0.0)
+            assert reduced.start is None and reduced.shift is None
 
     @TestReducedLayout.CASES
     def test_every_block_copies_the_mean_basis(self, binds, spans):
@@ -576,6 +576,52 @@ class TestMeanStart:
         slack = lp.HighsSession().solve(reduced.program)
         assert started.is_optimal and slack.is_optimal
         assert started.objective == pytest.approx(slack.objective, rel=1e-9)
+
+
+class TestShift:
+    """The one-step shift from hour t's program to hour t + 1's: step k
+    takes the status of step k + 1, the last step keeps its own."""
+
+    @staticmethod
+    def expected(lay):
+        """The shift's maps, one column and one row at a time.  Scenario 0
+        goes last, so the shared first-stage columns end with its entry."""
+        n = lay.n
+        col = np.full(lay.num_vars, -1)
+        row = np.full(lay.num_rows, -1)
+        for xi in reversed(range(lay.s)):
+            for index, last in ((lay.P, n - 1), (lay.S, n - 1), (lay.E, n)):
+                for c in range(index.shape[1]):
+                    for k in range(last + 1):
+                        col[index[xi, c, k]] = index[xi, c, min(k + 1, last)]
+            for r in lay.R[xi]:
+                col[r] = r
+            for b in range(len(lay.row_blocks)):
+                for k in range(n):
+                    row[lay.rows[xi, b, k]] = lay.rows[xi, b, min(k + 1, n - 1)]
+        return col, row
+
+    @pytest.mark.parametrize("n", [1, 2, 24])
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("binds", [False, True])
+    def test_maps_follow_the_steps(self, n, s, binds):
+        lay = TestReducedLayout.reduced(binds, False, n=n, s=s).layout
+        shift = lay.shift
+        assert shift is lay.shift
+        col, row = self.expected(lay)
+        assert shift.col.dtype == shift.row.dtype == np.int32
+        assert not shift.col.flags.writeable and not shift.row.flags.writeable
+        assert np.array_equal(shift.col, col)
+        assert np.array_equal(shift.row, row)
+        if n > 1:
+            # The shared hour-0 loads, the pins and the next-hour levels
+            # take scenario 0's next-step statuses.
+            assert np.array_equal(shift.col[lay.P[0, :, 0]], lay.P[0, :, 1])
+            assert np.array_equal(shift.col[lay.E[0, :, :2]], lay.E[0, :, 1:3])
+
+    def test_multi_scenario_programs_carry_their_layouts_shift(self):
+        reduced = TestReducedLayout.reduced(False, True)
+        assert reduced.shift is reduced.layout.shift
 
 
 def program_bytes(reduced):

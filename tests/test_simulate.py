@@ -28,7 +28,8 @@ def scripted_step_through(config, spec, truth, forecast_fn):
     (solve, restore, residuals, storage + noise, fallback drain, clamp +
     bounds, peak/month reset) step by step using only the public builder,
     its own HiGHS session, and the restoration operation.  Sharing the
-    solver path keeps degenerate LP ties from splitting the two.  The
+    solver path, the program's start and one-step shift included, keeps
+    degenerate LP ties from splitting the two.  The
     storage bounds follow their own five-case update, hour by hour.
     """
     h, y, n = spec.history_hours, spec.sim_hours, spec.horizon
@@ -51,7 +52,8 @@ def scripted_step_through(config, spec, truth, forecast_fn):
             ol_cw=ol["cw"], ol_hw=ol["hw"], peak=peak,
         )
         reduced = mpc.build_reduced(config, state, forecast_fn(t), timing, beta)
-        solution = session.solve(reduced.program)
+        solution = session.solve(reduced.program, start=reduced.start,
+                                 shift=reduced.shift)
         assert solution.is_optimal
         action = mpc.extract_action(reduced.expand(solution))
         realized = truth.at(h + t)
@@ -576,16 +578,16 @@ def smoke_sto_loop(sim_hours, solve=None, build=None):
 @pytest.fixture(scope="module")
 def smoke_sto_run():
     """``smoke_sto_loop`` over 24 hours: its trace, the number of programs
-    built, and (program, start, solution) of every controller solve in
-    order.  The first solve is the session's cold solve, the rest its warm
-    restarts.  The wrappers forward keyword arguments, as the loop passes
-    the program's start by name."""
+    built, and (program, start, shift, solution) of every controller solve
+    in order.  The first solve is the session's cold solve, the rest its
+    warm restarts.  The wrappers forward keyword arguments, as the loop
+    passes the program's start and shift by name."""
     solve, build = lp.HighsSession.solve, mpc.build_reduced
     solved, built = [], []
 
     def counted(session, prog, **kwargs):
         solution = solve(session, prog, **kwargs)
-        solved.append((prog, kwargs.get("start"), solution))
+        solved.append((prog, kwargs.get("start"), kwargs.get("shift"), solution))
         return solution
 
     def building(*args, **kwargs):
@@ -598,15 +600,19 @@ def smoke_sto_run():
 
 class TestWarmRestartIterations:
     def test_stochastic_warm_restarts_stay_cheap(self, smoke_sto_run):
-        """Iteration guard for warm restarts without cost perturbation.
+        """Iteration guard for warm restarts from the last optimal basis
+        shifted one step, on the noise window shifted with it, without cost
+        perturbation.
 
         With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's 23 warm restarts
-        take 1 390 simplex iterations (1 388 after a slack-basis cold
-        solve); with the cost perturbation left on they took 2 824.
+        take 1 299 simplex iterations; from the unshifted basis on the same
+        noise windows 2 180.  Before the noise window moved with the
+        horizon, the unshifted restarts took 1 390, and 2 824 with the cost
+        perturbation left on.
         """
         _, *warm = (solution for *_, solution in smoke_sto_run.solves)
         assert len(warm) == 23 and all(s.is_optimal for s in warm)
-        assert sum(s.iterations for s in warm) < 2000
+        assert sum(s.iterations for s in warm) < 1500
 
 
 class TestColdStartIterations:
@@ -619,7 +625,7 @@ class TestColdStartIterations:
         slack basis 605, and with presolve and cost perturbation on, as
         ``lp.solve`` still runs it, 686.
         """
-        program, _, cold = smoke_sto_run.solves[0]
+        program, _, _, cold = smoke_sto_run.solves[0]
         assert cold.is_optimal and cold.iterations < 300
         assert lp.HighsSession().solve(program).iterations == 605
         assert lp.solve(program).iterations == 686
@@ -627,16 +633,19 @@ class TestColdStartIterations:
 
 class TestMeanStart:
     """The stochastic controller's cold solve starts from the scenario-mean
-    program's basis; the other controllers' programs have no start."""
+    program's basis and its warm restarts shift the last basis, unless the
+    scenario noise is redrawn; the other controllers' programs have neither
+    a start nor a shift."""
 
     def test_each_hour_builds_and_solves_once(self, smoke_sto_run):
         assert smoke_sto_run.builds == len(smoke_sto_run.solves) == 24
-        assert all(start is not None for _, start, _ in smoke_sto_run.solves)
+        assert all(start is not None and shift is not None
+                   for _, start, shift, _ in smoke_sto_run.solves)
 
     def test_first_action_matches_the_slack_start(self, smoke_sto_run):
         solve = lp.HighsSession.solve
 
-        def slack(session, prog, start=None):
+        def slack(session, prog, start=None, shift=None):
             return solve(session, prog)
 
         trace = smoke_sto_loop(1, slack)
@@ -650,7 +659,7 @@ class TestMeanStart:
 
         def recording(*args):
             reduced = build(*args)
-            starts.append(reduced.start)
+            starts.append((reduced.start, reduced.shift))
             return reduced
 
         monkeypatch.setattr(mpc, "build_reduced", recording)
@@ -659,7 +668,35 @@ class TestMeanStart:
                                      sim_hours=4),
             fc.generate_synthetic_campus(3, days=5),
         )
-        assert starts == [None] * 4
+        assert starts == [(None, None)] * 4
+
+    @pytest.mark.parametrize("resampling", ["run", "refit", "hourly"])
+    def test_only_sliding_noise_shifts_the_basis(self, resampling, monkeypatch):
+        # Redrawn noise stays at its step, so the loop passes no shift.
+        build, solve = mpc.build_reduced, lp.HighsSession.solve
+        built, passed = [], []
+
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def solving(session, prog, **kwargs):
+            passed.append((kwargs["start"], kwargs["shift"]))
+            return solve(session, prog, **kwargs)
+
+        monkeypatch.setattr(mpc, "build_reduced", building)
+        monkeypatch.setattr(lp.HighsSession, "solve", solving)
+        simulate.run_closed_loop(
+            PlantConfig(),
+            make_spec(controller=simulate.ControllerSpec("sto", scenarios=3),
+                      sim_hours=4, scenario_resampling=resampling),
+            fc.generate_synthetic_campus(3, days=5),
+        )
+        assert len(passed) == len(built) == 4
+        for (start, shift), reduced in zip(passed, built):
+            assert start is reduced.start is not None
+            assert shift is (reduced.shift if resampling == "run" else None)
+            assert reduced.shift is reduced.layout.shift
 
 
 class TestTraceOutputs:
@@ -880,6 +917,81 @@ class TestLazyFactors:
             a, b = lazy.scenario_set(t), eager.scenario_set(t)
             assert np.array_equal(a.values, b.values), t
             assert np.array_equal(a.unclamped, b.unclamped), t
+
+
+class NoiseForecaster:
+    """Zero means and identity covariance factors, refitting every 24
+    hours: the sampler's unclamped scenarios are its noise windows."""
+
+    def __init__(self, spec):
+        self.n = spec.horizon
+
+    def refresh(self, t):
+        return t % 24 == 0
+
+    def means(self, t):
+        return np.zeros((4, self.n))
+
+    @property
+    def cholesky_factors(self):
+        return [np.eye(self.n)] * 4
+
+
+class TestNoiseWindow:
+    """Under ``scenario_resampling="run"`` each scenario continues its own
+    noise path: hour t's window holds the draws of absolute hours
+    [t, t + N)."""
+
+    S, N = 3, 6
+
+    def windows(self, sim_hours, resampling="run"):
+        spec = make_spec(
+            controller=simulate.ControllerSpec("sto", scenarios=self.S),
+            sim_hours=sim_hours, horizon=self.N, scenario_resampling=resampling,
+        )
+        sampler = simulate._ScenarioSampler(NoiseForecaster(spec), spec)
+        return spec, [sampler.scenario_set(t).unclamped for t in range(sim_hours)]
+
+    def test_windows_slide_along_one_path(self):
+        # Hour 0 draws the whole (S, 4, N) window, as one draw for the whole
+        # run did, and each later hour one (S, 4) column from the same stream.
+        spec, windows = self.windows(30)
+        rng = np.random.default_rng(spec.scenario_seed)
+        path = np.concatenate(
+            [rng.standard_normal((self.S, 4, self.N))]
+            + [rng.standard_normal((self.S, 4))[:, :, None] for _ in range(29)],
+            axis=2,
+        )
+        for t, window in enumerate(windows):
+            assert np.array_equal(window, path[:, :, t:t + self.N]), t
+
+    def test_next_window_is_this_one_moved_one_column(self):
+        _, windows = self.windows(30)
+        for now, later in zip(windows, windows[1:]):
+            assert np.array_equal(later[:, :, :-1], now[:, :, 1:])
+            assert not np.any(later[:, :, -1] == now[:, :, -1])
+
+    def test_an_hour_draws_the_same_noise_in_a_longer_run(self):
+        _, short = self.windows(10)
+        _, long = self.windows(30)
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("resampling", ["refit", "hourly"])
+    def test_other_modes_redraw_whole_windows(self, resampling):
+        spec, windows = self.windows(30, resampling)
+        rng = np.random.default_rng(spec.scenario_seed)
+        for t, window in enumerate(windows):
+            if resampling == "hourly" or t % 24 == 0:
+                drawn = rng.standard_normal((self.S, 4, self.N))
+            assert np.array_equal(window, drawn), t
+
+    def test_window_does_not_move_back(self):
+        spec = make_spec(controller=simulate.ControllerSpec("sto", scenarios=2))
+        sampler = simulate._ScenarioSampler(NoiseForecaster(spec), spec)
+        sampler.scenario_set(3)
+        with pytest.raises(ValueError, match="precedes"):
+            sampler.scenario_set(2)
 
 
 class TestStorageNoise:
