@@ -49,14 +49,13 @@ RUN_KEYS = {
     "beta_det": float, "beta_sto": float, "scenarios": int, "horizon": int,
     "ar_order": int, "history_days": int, "sim_hours": int,
     "refit_every": int, "seed": int, "apply_storage_noise": bool,
-    "scenario_resampling": str, "initial_soc": float,
+    "initial_soc": float,
 }
 
 #: Keys the config's ``validation`` section may set, typed as ``RUN_KEYS``.
 VALIDATION_KEYS = {"amplitude": float}
 
-_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false",
-             str: "a string"}
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false"}
 
 
 def _section(cfg: dict, name: str, keys: dict) -> dict:
@@ -130,7 +129,7 @@ def _profile(arg: str) -> forecast.SeasonalProfile:
         return forecast.SeasonalProfile(
             **channels, start_weekday=data.get("start_weekday", 0)
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad profile {arg}: {exc}") from exc
 
 
@@ -193,7 +192,6 @@ def _run_template(
             scenario_seed=seed,
             zoh_seed=seed + 1,
             apply_storage_noise=run_cfg.get("apply_storage_noise", True),
-            scenario_resampling=run_cfg.get("scenario_resampling", "run"),
             initial_soc=run_cfg.get("initial_soc", 0.5),
         )
     except ValueError as exc:

@@ -21,7 +21,9 @@ draws its scenario sets from these forecasts (``simulate._ScenarioSampler``).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +257,6 @@ class ScenarioSet:
     """Equally weighted disturbance scenarios, values shaped (s, 4, n)."""
 
     values: np.ndarray
-    unclamped: np.ndarray
 
     def __post_init__(self) -> None:
         if self.values.ndim != 3 or self.values.shape[1] != len(CHANNELS):
@@ -308,6 +309,21 @@ class ChannelProfile:
     noise_clip: float | None = None
     floor: float | None = 0.0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in ("noise_clip", "floor"):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        if self.noise_std < 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not abs(self.noise_phi) < 1:
+            raise ValueError(f"noise_phi must lie in (-1, 1), got {self.noise_phi}")
+        if self.noise_clip is not None and self.noise_clip <= 0:
+            raise ValueError(f"noise_clip must be > 0, got {self.noise_clip}")
+
 
 @dataclass(frozen=True)
 class SeasonalProfile:
@@ -316,6 +332,13 @@ class SeasonalProfile:
     load_hw: ChannelProfile
     price_elec: ChannelProfile
     start_weekday: int = 0
+
+    def __post_init__(self) -> None:
+        if (isinstance(self.start_weekday, bool)
+                or not isinstance(self.start_weekday, numbers.Integral)):
+            raise ValueError(
+                f"start_weekday must be an integer, got {self.start_weekday!r}"
+            )
 
 
 #: Out-of-the-box campus: summer-peaking cooling, winter-peaking heating,

@@ -100,15 +100,13 @@ class RunSpec:
     """Everything one closed-loop run needs besides the plant and truth.
 
     Every controller builds ``mpc.build_reduced`` each hour and solves it
-    on one warm-started ``lp.HighsSession`` per run.  The fields set the
+    on one warm-started ``lp.HighsSession`` per run, passing the program's
+    one-step ``shift`` (None for one-scenario programs).  The fields set the
     controller, the horizon and AR forecast model, the billing calendar
     (strictly ascending month-end hours, the last one at or after the last
     simulated hour; empty means ``default_calendar``), the seeds of the
     scenario and storage-noise random streams (nonnegative), and the initial
-    state of charge.  ``scenario_resampling`` sets how the stochastic
-    controller's scenario noise moves from hour to hour: ``run`` continues
-    each scenario's path one hour per hour (``_ScenarioSampler``),
-    ``refit`` redraws it at each AR refit and ``hourly`` every hour.
+    state of charge.
     """
 
     controller: ControllerSpec
@@ -121,7 +119,6 @@ class RunSpec:
     scenario_seed: int = 1
     zoh_seed: int = 2
     apply_storage_noise: bool = True
-    scenario_resampling: str = "run"
     initial_soc: float = 0.5
 
     def __post_init__(self) -> None:
@@ -133,8 +130,6 @@ class RunSpec:
             raise ValueError("ar_order must be >= 1")
         if self.history_hours < 2 * self.ar_order + 1:
             raise ValueError("history too short for the AR order")
-        if self.scenario_resampling not in ("run", "refit", "hourly"):
-            raise ValueError("scenario_resampling must be run|refit|hourly")
         if not 0.0 <= self.initial_soc <= 1.0:
             raise ValueError("initial_soc must lie in [0, 1]")
         if self.refit_every < 1:
@@ -180,6 +175,8 @@ def month_timing(t: int, calendar, n: int) -> mpc.HorizonTiming:
     later step to the next.
     """
     cal = list(calendar)
+    if not cal:
+        raise ValueError("calendar is empty")
     if cal != sorted(cal):
         raise ValueError("calendar must be sorted ascending")
     idx = bisect.bisect_left(cal, t)
@@ -365,9 +362,10 @@ class ArForecaster:
 
     ``refresh`` refits the four channel models at the configured cadence
     and builds each model's recursion matrix over the horizon
-    (``forecast._recursion_matrix``) once; every hourly mean forecast and
-    the covariance factors until the next refit reuse it, and the refit
-    replaces it, so at most one matrix per channel is held.  The Cholesky factors of the forecast
+    (``forecast._recursion_matrix``) once; ``means`` refreshes first.
+    Every hourly mean forecast and the covariance factors until the next
+    refit reuse the matrix, and the refit replaces it, so at most one
+    matrix per channel is held.  The Cholesky factors of the forecast
     covariances are computed on demand, on the first read of
     ``cholesky_factors`` after each refit.  Only the stochastic
     controller's scenario sampler reads them, so the deterministic
@@ -437,20 +435,18 @@ class ArForecaster:
 
 
 class _ScenarioSampler:
-    """Scenario sets from the forecaster with configurable noise reuse.
+    """Scenario sets from the forecaster, one noise path per scenario.
 
     Hour t's scenarios are the forecast mean plus standard-normal noise
-    through the forecast covariance's factor, one (S, 4, N) noise window
-    per hour.  ``run`` keeps one path per scenario for the whole run: the
-    window of hour t holds the draws of absolute hours [t, t + N), so from
-    one hour to the next it drops its first column and appends one new
-    draw, and the noise at an absolute hour does not depend on the run's
-    length.  Each hour's set is still a sample of that hour's forecast
-    distribution; only the coupling across hours is chosen, so that
-    consecutive programs are close to one program moved one step, which
-    ``lp.HighsSession``'s shifted warm restart exploits.  ``refit`` redraws
-    the whole window whenever the AR models refresh, ``hourly`` every hour;
-    under both, ``run_closed_loop`` restarts unshifted.
+    through the forecast covariance's factor.  Each scenario keeps one
+    noise path for the whole run: the (S, 4, N) window of hour t holds the
+    draws of absolute hours [t, t + N), so from one hour to the next it
+    drops its first column and appends one new draw, and the noise at an
+    absolute hour does not depend on the run's length.  Each hour's set is
+    still a sample of that hour's forecast distribution; only the coupling
+    across hours is chosen, so that consecutive programs are close to one
+    program moved one step, which ``lp.HighsSession``'s shifted warm
+    restart exploits.
     """
 
     def __init__(self, forecaster: ArForecaster, spec: RunSpec):
@@ -460,15 +456,14 @@ class _ScenarioSampler:
         self._z = None
         self._start = None
 
-    def _noise(self, t: int, refit: bool) -> np.ndarray:
+    def _noise(self, t: int) -> np.ndarray:
         """The (S, 4, N) standard-normal window of hour t."""
         s, n = self.spec.controller.scenarios, self.spec.horizon
-        mode = self.spec.scenario_resampling
-        if self._z is None or mode == "hourly" or (mode == "refit" and refit):
+        if self._z is None:
             self._z = self.rng.standard_normal((s, len(CHANNELS), n))
-        elif mode == "run":
-            if t < self._start:
-                raise ValueError(f"hour {t} precedes the noise window of {self._start}")
+        elif t < self._start:
+            raise ValueError(f"hour {t} precedes the noise window of {self._start}")
+        else:
             for _ in range(t - self._start):
                 column = self.rng.standard_normal((s, len(CHANNELS)))[:, :, None]
                 self._z = np.concatenate((self._z[:, :, 1:], column), axis=2)
@@ -476,15 +471,14 @@ class _ScenarioSampler:
         return self._z
 
     def scenario_set(self, t: int) -> ScenarioSet:
-        z = self._noise(t, self.forecaster.refresh(t))
+        z = self._noise(t)
         means = self.forecaster.means(t)
         chols = self.forecaster.cholesky_factors
         s, n = self.spec.controller.scenarios, self.spec.horizon
         raw = np.empty((s, len(CHANNELS), n))
         for ch in range(len(CHANNELS)):
             raw[:, ch, :] = means[ch] + z[:, ch, :] @ chols[ch].T
-        clamped = np.maximum(raw, _load_floor(n))
-        return ScenarioSet(values=clamped, unclamped=raw)
+        return ScenarioSet(np.maximum(raw, _load_floor(n)))
 
 
 def precompute_storage_noise(
@@ -538,9 +532,6 @@ def run_closed_loop(
     if forecaster is None and kind in (DETERMINISTIC, STOCHASTIC):
         forecaster = ArForecaster(truth, spec)
     sampler = _ScenarioSampler(forecaster, spec) if kind == STOCHASTIC else None
-    # A warm restart moves the last basis one step with the horizon only
-    # when the scenario noise moves with it; redrawn noise stays at its step.
-    shifted = spec.scenario_resampling == "run"
     noise, clamp_floor = precompute_storage_noise(truth, spec)
     session = lp.HighsSession()
 
@@ -563,7 +554,7 @@ def run_closed_loop(
 
         reduced = mpc.build_reduced(config, state, data, timing, beta)
         sol = session.solve(reduced.program, start=reduced.start,
-                            shift=reduced.shift if shifted else None)
+                            shift=reduced.shift)
         iterations += sol.iterations
         # Solver trouble is recorded as a fallback hour, never raised.
         fallback = not sol.is_optimal

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from plantmpc import cli, forecast as fc
+from plantmpc import cli, forecast as fc, simulate
 from plantmpc.plant import DisturbanceTrajectory
 
 
@@ -47,6 +48,38 @@ class TestGenData:
         with pytest.raises(SystemExit) as err:
             run_cli("gen-data", "--days", "0", "--out", str(tmp_path / "x.csv"))
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("channel,field,value", [
+        ("load_elec", "base", "x"),
+        ("load_cw", "daily_amp", True),
+        ("load_hw", "noise_std", -5),
+        ("load_hw", "noise_phi", 2.0),
+        ("price_elec", "noise_clip", 0),
+        ("load_cw", "floor", float("nan")),
+        (None, "start_weekday", "mon"),
+    ])
+    def test_malformed_profile_is_a_cli_error(self, tmp_path, capsys,
+                                              channel, field, value):
+        # "x" and "mon" once raised numpy tracebacks, a noise_phi of 2 a
+        # non-finite trajectory, and a negative noise_std wrote a noiseless
+        # channel.
+        profile = dataclasses.asdict(fc.DEFAULT_PROFILE)
+        (profile[channel] if channel else profile)[field] = value
+        path, out = tmp_path / "p.json", tmp_path / "d.csv"
+        path.write_text(json.dumps(profile))
+        code = run_cli("gen-data", "--days", "2", "--profile", str(path),
+                       "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
+    def test_default_profile_read_back_from_json(self, tmp_path):
+        path, a, b = tmp_path / "p.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        path.write_text(json.dumps(dataclasses.asdict(fc.DEFAULT_PROFILE)))
+        run_cli("gen-data", "--days", "3", "--profile", str(path), "--out", str(a))
+        run_cli("gen-data", "--days", "3", "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestRun:
@@ -190,7 +223,8 @@ class TestNumericFlags:
     def test_unknown_run_config_key_rejected(self, tmp_path, data_csv, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "run": {"horizon": 6, "lp_backend": "embedded", "sim_hourz": 3},
+            "run": {"horizon": 6, "lp_backend": "embedded",
+                    "scenario_resampling": "run", "sim_hourz": 3},
         }))
         code = run_cli(
             "run", "--controller", "det", "--config", str(cfg),
@@ -199,6 +233,7 @@ class TestNumericFlags:
         assert code == 1
         err = capsys.readouterr().err
         assert "lp_backend" in err and "sim_hourz" in err
+        assert "scenario_resampling" in err
         assert "horizon" not in err
 
     @pytest.mark.parametrize("key", ["horizon", "ar_order"])
@@ -271,7 +306,6 @@ class TestConfigTypes:
         ("run", "beta_det", None),
         ("run", "apply_storage_noise", "no"),
         ("run", "apply_storage_noise", 0),
-        ("run", "scenario_resampling", 1),
         ("validation", "amplitude", "x"),
         ("validation", "amplitude", True),
     ])
@@ -314,6 +348,53 @@ class TestConfigTypes:
             summary = json.loads((tmp_path / "t.summary.json").read_text())
             finals.append(summary["final_storage_kwh"])
         assert finals[0] != finals[1]
+
+
+#: For each ``cli.RUN_KEYS`` key: the controller token it is read under, a
+#: value other than ``small_run``'s, and the ``RunSpec`` fields that value
+#: sets, ``controller`` holding the ``ControllerSpec`` fields.
+SET_BY_KEY = {
+    "beta_det": ("det", 0.3, {"controller": {"beta": 0.3}}),
+    "beta_sto": ("sto", 0.3, {"controller": {"beta": 0.3}}),
+    "scenarios": ("sto", 7, {"controller": {"scenarios": 7}}),
+    "horizon": ("sto", 5, {"horizon": 5}),
+    "ar_order": ("sto", 5, {"ar_order": 5}),
+    "history_days": ("sto", 4, {"history_hours": 96}),
+    "sim_hours": ("sto", 3, {"sim_hours": 3}),
+    "refit_every": ("sto", 5, {"refit_every": 5}),
+    "seed": ("sto", 9, {"scenario_seed": 9, "zoh_seed": 10}),
+    "apply_storage_noise": ("sto", False, {"apply_storage_noise": False}),
+    "initial_soc": ("sto", 0.25, {"initial_soc": 0.25}),
+}
+
+
+class TestRunKeys:
+    """Every run config key reaches the spec that ``plantmpc run`` builds."""
+
+    @staticmethod
+    def built_spec(tmp_path, data_csv, monkeypatch, kind, run_cfg=None):
+        class Built(Exception):
+            pass
+
+        def capture(config, spec, truth):
+            raise Built(spec)
+
+        monkeypatch.setattr(simulate, "run_closed_loop", capture)
+        with pytest.raises(Built) as built:
+            small_run(tmp_path, data_csv, f"run {kind}", run_cfg=run_cfg)
+        return built.value.args[0]
+
+    @pytest.mark.parametrize("key", sorted(cli.RUN_KEYS))
+    def test_key_sets_its_spec_fields(self, tmp_path, data_csv, monkeypatch, key):
+        kind, value, changes = SET_BY_KEY[key]
+        changes = dict(changes)
+        base = self.built_spec(tmp_path, data_csv, monkeypatch, kind)
+        spec = self.built_spec(tmp_path, data_csv, monkeypatch, kind, {key: value})
+        controller = dataclasses.replace(base.controller,
+                                         **changes.pop("controller", {}))
+        expected = dataclasses.replace(base, controller=controller, **changes)
+        assert spec != base
+        assert spec == expected
 
 
 class TestBench:

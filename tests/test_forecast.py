@@ -304,9 +304,6 @@ class GivenForecaster:
         self._means = means
         self._chols = list(chols)
 
-    def refresh(self, t):
-        return False
-
     def means(self, t):
         return self._means
 
@@ -353,7 +350,7 @@ class TestSampleScenarios:
         scen = sample(means, covs, s, seed=5)
         std = np.sqrt(np.diagonal(covs, axis1=1, axis2=2))
         bound = 3.0 * std / np.sqrt(s)
-        err = np.abs(scen.unclamped.mean(axis=0) - means)
+        err = np.abs(scen.values.mean(axis=0) - means)
         assert np.all(err <= bound + 1e-12)
 
     def test_empirical_covariance_frobenius(self):
@@ -361,17 +358,18 @@ class TestSampleScenarios:
         s = 100_000
         scen = sample(means, covs, s, seed=6)
         for ch in range(4):
-            sample_cov = np.cov(scen.unclamped[:, ch, :].T)
+            sample_cov = np.cov(scen.values[:, ch, :].T)
             target = covs[ch]
             dist_f = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
             assert dist_f < 0.10
 
     def test_clamping_never_raises_loads(self):
+        # Zero means and identity factors: the scenarios are the noise itself.
         scen = sample(np.zeros((4, 5)), np.stack([np.eye(5)] * 4), 500, seed=1)
-        assert np.all(scen.values[:, :3, :] >= 0.0)
-        assert np.all(scen.values[:, :3, :] >= scen.unclamped[:, :3, :])
+        noise = np.random.default_rng(1).standard_normal((500, 4, 5))
+        assert np.array_equal(scen.values[:, :3], np.maximum(noise[:, :3], 0.0))
         # price channel is never clamped
-        assert np.array_equal(scen.values[:, 3, :], scen.unclamped[:, 3, :])
+        assert np.array_equal(scen.values[:, 3], noise[:, 3])
 
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError, match="PSD"):

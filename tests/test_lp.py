@@ -287,7 +287,7 @@ class TestHighsSession:
             values[:, :3] = np.maximum(values[:, :3], 0.0)
             reduced = mpc.build_reduced(
                 config, PlantState(e_cw=e[0], e_hw=e[1], peak=9000.0),
-                fc.ScenarioSet(values=values, unclamped=values),
+                fc.ScenarioSet(values),
                 mpc.HorizonTiming(t, n, end), 0.0,
             )
             prog = reduced.program
@@ -347,7 +347,7 @@ def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3,
         values[:, :3] = np.maximum(values[:, :3], 0.0)
         reduced = mpc.build_reduced(
             config, PlantState(e_cw=e[0], e_hw=e[1], peak=peak_at(t)),
-            fc.ScenarioSet(values=values, unclamped=values),
+            fc.ScenarioSet(values),
             mpc.HorizonTiming(t, n, month_end), 0.0,
         )
         prog = reduced.program

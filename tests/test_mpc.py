@@ -167,7 +167,7 @@ class TestCountingFormulas:
         state = PlantState(e_cw=0.0, e_hw=0.0)
         timing = mpc.HorizonTiming(t=0, n=n, month_end=10_000)
         values = np.abs(np.random.default_rng(0).normal(50, 5, (s, 4, n)))
-        scen = fc.ScenarioSet(values=values, unclamped=values)
+        scen = fc.ScenarioSet(values)
         reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
         assert reduced.program.num_vars == 10 + s * (12 * n - 6)
         assert reduced.program.num_rows == 5 * n * s
@@ -185,7 +185,7 @@ class TestCountingFormulas:
         one_month = mpc.HorizonTiming(t=0, n=n, month_end=743)
         assert spanning.next_month.any() and not one_month.next_month.any()
         values = np.full((s, 4, n), 10.0)
-        scen = fc.ScenarioSet(values=values, unclamped=values)
+        scen = fc.ScenarioSet(values)
         reduced = mpc.build_reduced(config, state, scen, spanning, 0.0).program
         inside = mpc.build_reduced(config, state, scen, one_month, 0.0).program
         assert reduced.num_vars == 10 + s * (12 * n - 6)
@@ -207,7 +207,7 @@ class TestStochasticStructure:
             np.abs(base + rng.normal(0, spread, (4, n)) * [[1], [1], [1], [0.001]])
             for _ in range(s)
         ])
-        return fc.ScenarioSet(values=values, unclamped=values)
+        return fc.ScenarioSet(values)
 
     def test_single_scenario_identical_to_deterministic(self):
         config = PlantConfig()
@@ -234,7 +234,7 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         one = self.make_scenarios(1, n, seed=3)
         values = np.tile(one.values, (s, 1, 1))
-        scen = fc.ScenarioSet(values=values, unclamped=values)
+        scen = fc.ScenarioSet(values)
         plan_s = solve_reduced(config, state, scen, timing, 0.0)
         plan_d = solve_reduced(
             config, state, DisturbanceTrajectory(values[0]), timing,
@@ -250,9 +250,7 @@ class TestStochasticStructure:
         scen = self.make_scenarios(s, n, seed=7)
         plan_a = solve_reduced(config, state, scen, timing, 0.0)
         perm = np.array([3, 1, 5, 0, 4, 2])
-        scen_p = fc.ScenarioSet(
-            values=scen.values[perm], unclamped=scen.unclamped[perm]
-        )
+        scen_p = fc.ScenarioSet(scen.values[perm])
         plan_b = solve_reduced(config, state, scen_p, timing, 0.0)
         assert plan_a.objective == pytest.approx(plan_b.objective, rel=1e-9)
         a = mpc.extract_action(plan_a)
@@ -374,7 +372,7 @@ class TestReducedEquivalence:
             np.array([[9000.0], [5000.0], [3000.0], [0.07]])
             + rng.normal(0, 300.0, (s, 4, n)) * [[1], [1], [1], [0.00001]]
         )
-        scen = fc.ScenarioSet(values=values, unclamped=values)
+        scen = fc.ScenarioSet(values)
 
         full = full_form.build(config, state, scen, timing, 0.0)
         prog_full = full.program
@@ -435,7 +433,7 @@ class TestBindingTower:
             np.array([[9000.0], [5500.0], [2500.0], [0.06]])
             + rng.normal(0, 300.0, (s, 4, n)) * [[1], [1], [1], [0.0001]]
         )
-        scen = fc.ScenarioSet(values=values, unclamped=values)
+        scen = fc.ScenarioSet(values)
         reduced = mpc.build_reduced(config, state, scen, mpc.HorizonTiming(0, n, 743), 0.0)
         reduced.program.validate()
         plan = reduced.expand(lp.solve(reduced.program))
@@ -486,7 +484,7 @@ class TestReducedLayout:
         values = np.full((s, 4, n), 10.0)
         return mpc.build_reduced(
             config, PlantState(e_cw=0.0, e_hw=0.0),
-            fc.ScenarioSet(values=values, unclamped=values), timing, 0.0,
+            fc.ScenarioSet(values), timing, 0.0,
         )
 
     @staticmethod
@@ -538,7 +536,7 @@ class TestMeanStart:
         rng = np.random.default_rng(seed)
         values = np.array([3000.0, 4000.0, 2000.0, 0.08])[None, :, None] * (
             1.0 + rng.normal(0.0, 0.1, (s, 4, n)))
-        return fc.ScenarioSet(values=values, unclamped=values)
+        return fc.ScenarioSet(values)
 
     def test_one_scenario_has_no_start(self):
         config, state = PlantConfig(), PlantState(e_cw=5000.0, e_hw=3000.0)
@@ -649,7 +647,7 @@ class TestProgramTemplate:
             end = month_end if t <= month_end else month_end + 720
             values = rng.uniform(0.0, 6000.0, (s, 4, n))
             values[:, 3] = rng.uniform(0.02, 0.12, (s, n))
-            data = (fc.ScenarioSet(values=values, unclamped=values) if s > 1
+            data = (fc.ScenarioSet(values) if s > 1
                     else DisturbanceTrajectory(values[0]))
             state = PlantState(
                 e_cw=float(rng.uniform(0, config.cap_cw)),

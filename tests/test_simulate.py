@@ -285,6 +285,11 @@ class TestMonthTiming:
         with pytest.raises(ValueError, match="sorted"):
             simulate.month_timing(0, (900, 744), 24)
 
+    def test_empty_calendar(self):
+        # It once raised IndexError while naming the last month end.
+        with pytest.raises(ValueError, match="empty"):
+            simulate.month_timing(0, (), 24)
+
     def test_default_calendar_months(self):
         cal = simulate.default_calendar(24 * 365)
         assert cal[0] == 31 * 24 - 1
@@ -670,9 +675,7 @@ class TestMeanStart:
         )
         assert starts == [(None, None)] * 4
 
-    @pytest.mark.parametrize("resampling", ["run", "refit", "hourly"])
-    def test_only_sliding_noise_shifts_the_basis(self, resampling, monkeypatch):
-        # Redrawn noise stays at its step, so the loop passes no shift.
+    def test_each_solve_passes_the_program_shift(self, monkeypatch):
         build, solve = mpc.build_reduced, lp.HighsSession.solve
         built, passed = [], []
 
@@ -689,14 +692,13 @@ class TestMeanStart:
         simulate.run_closed_loop(
             PlantConfig(),
             make_spec(controller=simulate.ControllerSpec("sto", scenarios=3),
-                      sim_hours=4, scenario_resampling=resampling),
+                      sim_hours=4),
             fc.generate_synthetic_campus(3, days=5),
         )
         assert len(passed) == len(built) == 4
         for (start, shift), reduced in zip(passed, built):
             assert start is reduced.start is not None
-            assert shift is (reduced.shift if resampling == "run" else None)
-            assert reduced.shift is reduced.layout.shift
+            assert shift is reduced.shift is reduced.layout.shift
 
 
 class TestTraceOutputs:
@@ -904,53 +906,29 @@ class TestLazyFactors:
             assert spec.sim_hours == 48 and spec.refit_every == 24
             assert built == [spec.horizon] * 8, controller.kind
 
-    @pytest.mark.parametrize("resampling", ["run", "refit", "hourly"])
-    def test_scenarios_equal_those_from_eager_factors(self, resampling):
-        spec = make_spec(
-            controller=simulate.ControllerSpec("sto", scenarios=5),
-            scenario_resampling=resampling,
-        )
+    def test_scenarios_equal_those_from_eager_factors(self):
+        spec = make_spec(controller=simulate.ControllerSpec("sto", scenarios=5))
         truth = fc.generate_synthetic_campus(47, days=7)
         lazy = simulate._ScenarioSampler(simulate.ArForecaster(truth, spec), spec)
         eager = simulate._ScenarioSampler(EagerForecaster(truth, spec), spec)
         for t in range(spec.sim_hours):
             a, b = lazy.scenario_set(t), eager.scenario_set(t)
             assert np.array_equal(a.values, b.values), t
-            assert np.array_equal(a.unclamped, b.unclamped), t
-
-
-class NoiseForecaster:
-    """Zero means and identity covariance factors, refitting every 24
-    hours: the sampler's unclamped scenarios are its noise windows."""
-
-    def __init__(self, spec):
-        self.n = spec.horizon
-
-    def refresh(self, t):
-        return t % 24 == 0
-
-    def means(self, t):
-        return np.zeros((4, self.n))
-
-    @property
-    def cholesky_factors(self):
-        return [np.eye(self.n)] * 4
 
 
 class TestNoiseWindow:
-    """Under ``scenario_resampling="run"`` each scenario continues its own
-    noise path: hour t's window holds the draws of absolute hours
-    [t, t + N)."""
+    """Each scenario continues its own noise path: hour t's window holds
+    the draws of absolute hours [t, t + N)."""
 
     S, N = 3, 6
 
-    def windows(self, sim_hours, resampling="run"):
+    def windows(self, sim_hours):
         spec = make_spec(
             controller=simulate.ControllerSpec("sto", scenarios=self.S),
-            sim_hours=sim_hours, horizon=self.N, scenario_resampling=resampling,
+            sim_hours=sim_hours, horizon=self.N,
         )
-        sampler = simulate._ScenarioSampler(NoiseForecaster(spec), spec)
-        return spec, [sampler.scenario_set(t).unclamped for t in range(sim_hours)]
+        sampler = simulate._ScenarioSampler(None, spec)
+        return spec, [sampler._noise(t) for t in range(sim_hours)]
 
     def test_windows_slide_along_one_path(self):
         # Hour 0 draws the whole (S, 4, N) window, as one draw for the whole
@@ -977,21 +955,12 @@ class TestNoiseWindow:
         for a, b in zip(short, long):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("resampling", ["refit", "hourly"])
-    def test_other_modes_redraw_whole_windows(self, resampling):
-        spec, windows = self.windows(30, resampling)
-        rng = np.random.default_rng(spec.scenario_seed)
-        for t, window in enumerate(windows):
-            if resampling == "hourly" or t % 24 == 0:
-                drawn = rng.standard_normal((self.S, 4, self.N))
-            assert np.array_equal(window, drawn), t
-
     def test_window_does_not_move_back(self):
         spec = make_spec(controller=simulate.ControllerSpec("sto", scenarios=2))
-        sampler = simulate._ScenarioSampler(NoiseForecaster(spec), spec)
-        sampler.scenario_set(3)
+        sampler = simulate._ScenarioSampler(None, spec)
+        sampler._noise(3)
         with pytest.raises(ValueError, match="precedes"):
-            sampler.scenario_set(2)
+            sampler._noise(2)
 
 
 class TestStorageNoise:
@@ -1033,9 +1002,6 @@ class ExactForecaster:
         self.spec = spec
         n = spec.horizon
         self._chols = [np.zeros((n, n))] * 4
-
-    def refresh(self, t):
-        return False
 
     def means(self, t):
         tau = self.spec.history_hours + t
