@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import bench, forecast, simulate
-from .plant import PlantConfig
+from .plant import CHANNELS, PlantConfig
 
 
 class CliError(Exception):
@@ -121,11 +121,13 @@ def _profile(arg: str) -> forecast.SeasonalProfile:
     if arg == "default":
         return forecast.DEFAULT_PROFILE
     data = _load_json(arg)
+    if not isinstance(data, dict):
+        raise CliError(f"bad profile {arg}: the root must be an object")
+    unknown = set(data) - {*CHANNELS, "start_weekday"}
+    if unknown:
+        raise CliError(f"bad profile {arg}: unknown fields {sorted(unknown)}")
     try:
-        channels = {
-            name: forecast.ChannelProfile(**data[name])
-            for name in ("load_elec", "load_cw", "load_hw", "price_elec")
-        }
+        channels = {name: forecast.ChannelProfile(**data[name]) for name in CHANNELS}
         return forecast.SeasonalProfile(
             **channels, start_weekday=data.get("start_weekday", 0)
         )

@@ -429,16 +429,22 @@ def zoh_std(var_err: float, var_int: float) -> float:
 
 
 def estimate_zoh_variances(
-    history: np.ndarray, q: int, interpolation_divisor: float = 12.0
+    history: np.ndarray, q: int, interpolation_divisor: float = 12.0,
+    model: ArModel | None = None,
 ) -> tuple[float, float]:
     """Estimate (prediction-error variance, integrated-load variance).
 
-    The one-step prediction error comes from an AR(q) fit; the integrated
+    The one-step prediction error comes from an AR(q) fit of ``history``,
+    ``model`` when the caller already holds that fit; the integrated
     variance assumes linear interpolation of the hourly samples, whose
     integral over an hour has variance Var(diff)/12 (divisor overridable).
     """
     x = np.asarray(history, dtype=float)
-    var_err = fit_ar(x, q).noise_variance
+    if model is None:
+        model = fit_ar(x, q)
+    elif model.order != q:
+        raise ValueError(f"model has order {model.order}, expected {q}")
+    var_err = model.noise_variance
     var_int = float(np.var(np.diff(x)) / interpolation_divisor)
     return var_err, var_int
 

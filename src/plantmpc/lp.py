@@ -311,10 +311,10 @@ class HighsSession:
         """The matrix column-wise, its entry order kept while the shape and
         the sparsity pattern stay the same.
 
-        A pattern in read-only arrays that own their data, such as the one
-        ``mpc.build_reduced`` shares across a run, is kept by reference and
-        recognised by identity; any other is kept as a copy and compared by
-        value.
+        A pattern in read-only arrays that own their data, such as the ones
+        ``mpc.build_reduced`` and ``restoration`` share across a run, is kept
+        by reference and recognised by identity; any other is kept as a copy
+        and compared by value.
         """
         shape = (lp.num_rows, lp.num_vars)
         if self._pattern is None or not (

@@ -19,10 +19,18 @@ The box becomes the column bounds delta+ in [max(lo, 0), max(hi, 0)] and
 delta- in [max(-hi, 0), max(-lo, 0)], which admit exactly the deltas of
 the box also when it excludes zero.
 
+Only the bounds and the right-hand side change from hour to hour.  The
+rest of a plant's correction programs (the objective, the row senses and
+the matrix) and the rate limits and tank capacities the bounds start
+from are built once per ``PlantConfig`` (``_correction_template``, cached)
+and shared read-only by every program of that plant.
+
 Every correction LP is loaded whole into one HiGHS instance, kept for the
 process apart from the controllers' warm-started sessions, and solved cold
 with presolve (``lp.solve``): the outcome is the one a fresh instance
-gives, without building an instance per hour.
+gives, without building an instance per hour.  The instance keeps the
+template's sparsity pattern by identity (``lp.HighsSession._csc``), so
+from one hour to the next it compares no pattern arrays.
 """
 
 from __future__ import annotations
@@ -109,6 +117,35 @@ def _storage_feasible(
                for u in STORAGE_UNITS)
 
 
+@functools.lru_cache(maxsize=8)
+def _correction_template(
+    config: PlantConfig,
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """What every correction program of ``config`` shares, all read-only:
+    the ``lp.LinearProgram`` fields that no hour changes (objective, row
+    senses, matrix triplets), the rate limits (lower, upper) in UNITS order
+    and the tank capacities in STORAGE_UNITS order.
+
+    The arrays own their data, so ``lp.HighsSession`` keeps the pattern by
+    reference and recognises it by identity.
+    """
+    coeff = balance_matrix(config)
+    a = np.hstack([coeff, -coeff])
+    a_rows, a_cols = (idx.copy() for idx in np.nonzero(a))
+    fixed = dict(
+        objective=np.ones(2 * len(UNITS)),
+        row_sense=np.full(3, lp.EQ, dtype=np.int8),
+        a_rows=a_rows,
+        a_cols=a_cols,
+        a_vals=a[a_rows, a_cols],
+    )
+    lower, upper = rate_bounds(config)
+    cap = np.array([config.cap(unit) for unit in STORAGE_UNITS])
+    for arr in (*fixed.values(), lower, upper, cap):
+        arr.setflags(write=False)
+    return fixed, lower, upper, cap
+
+
 def _correction_program(
     config: PlantConfig,
     state: PlantState,
@@ -116,25 +153,17 @@ def _correction_program(
     residuals: tuple[float, float, float],
 ) -> lp.LinearProgram:
     """Columns: delta+ for every unit in UNITS order, then delta-."""
-    coeff = balance_matrix(config)
-    a = np.hstack([coeff, -coeff])
-    a_rows, a_cols = np.nonzero(a)
-
+    fixed, lower, upper, cap = _correction_template(config)
     rates = action.as_array()
-    lower, upper = rate_bounds(config)
     lo, hi = lower - rates, upper - rates
-    for unit in STORAGE_UNITS:
+    for j, unit in enumerate(STORAGE_UNITS):
         i = UNITS.index(unit)
-        lo[i] = max(lo[i], state.storage(unit) - config.cap(unit) - rates[i])
+        lo[i] = max(lo[i], state.storage(unit) - cap[j] - rates[i])
         hi[i] = min(hi[i], state.storage(unit) - rates[i])
 
     return lp.LinearProgram(
-        objective=np.ones(2 * len(UNITS)),
         lower=np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0)]),
         upper=np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0)]),
-        row_sense=np.full(3, lp.EQ, dtype=np.int8),
         rhs=-np.array(residuals),
-        a_rows=a_rows,
-        a_cols=a_cols,
-        a_vals=a[a_rows, a_cols],
+        **fixed,
     )

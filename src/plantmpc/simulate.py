@@ -35,6 +35,7 @@ import numpy as np
 
 from . import forecast, lp, mpc, restoration
 from .forecast import (
+    ArModel,
     ScenarioSet,
     _jittered_cholesky,
     _load_floor,
@@ -482,12 +483,17 @@ class _ScenarioSampler:
 
 
 def precompute_storage_noise(
-    truth: DisturbanceTrajectory, spec: RunSpec
+    truth: DisturbanceTrajectory, spec: RunSpec,
+    models: list[ArModel] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-hour tank tracking noise (Y, 2) and its per-tank noise floor.
 
-    Variances come from the initial history window of the truth itself, so
-    every controller sees identical draws for a given validation scenario.
+    Variances come from the initial history window [0, h) of the truth
+    itself, so every controller sees identical draws for a given validation
+    scenario.  ``var_err`` is the noise variance of the AR(q) fit of the
+    load_cw and load_hw channels over that window: ``models[ch]`` when
+    given (the per-channel fits of an ``ArForecaster``'s hour-0 refit, which
+    are of the same window), else a fit of its own.
     The mean follows the realized load ramp: the tank discharges more than
     planned when the load rises within the hour.  The second return value
     is four standard deviations per tank: capacity clamps below it are
@@ -503,7 +509,8 @@ def precompute_storage_noise(
     floor = np.empty(2)
     for j, ch in enumerate((1, 2)):  # load_cw, load_hw channels
         series = truth.values[ch]
-        var_err, var_int = estimate_zoh_variances(series[:h], spec.ar_order)
+        var_err, var_int = estimate_zoh_variances(
+            series[:h], spec.ar_order, model=None if models is None else models[ch])
         out[:, j] = zoh_noise(
             series[h : h + y], series[h + 1 : h + y + 1], var_err, var_int, rng
         )
@@ -517,7 +524,15 @@ def run_closed_loop(
     truth: DisturbanceTrajectory,
     forecaster: ArForecaster | None = None,
 ) -> ClosedLoopTrace:
-    """Simulate one controller over ``spec.sim_hours`` hours of truth."""
+    """Simulate one controller over ``spec.sim_hours`` hours of truth.
+
+    The det and sto controllers forecast with ``forecaster``, or else with
+    an ``ArForecaster`` of the run's own.  That one refits at hour 0 before
+    the loop starts, and the storage-noise estimate reuses the refit's
+    load_cw and load_hw models, so each history window is fitted once per
+    run.  A given forecaster is left to refit in the loop, and the noise
+    estimate then fits its window itself, as for the perf controller.
+    """
     started = time.perf_counter()
     h, y, n = spec.history_hours, spec.sim_hours, spec.horizon
     if len(truth) < spec.required_truth_hours():
@@ -529,10 +544,13 @@ def run_closed_loop(
     kind = spec.controller.kind
     beta = spec.controller.beta
 
+    models = None
     if forecaster is None and kind in (DETERMINISTIC, STOCHASTIC):
         forecaster = ArForecaster(truth, spec)
+        forecaster.refresh(0)
+        models = forecaster._models
     sampler = _ScenarioSampler(forecaster, spec) if kind == STOCHASTIC else None
-    noise, clamp_floor = precompute_storage_noise(truth, spec)
+    noise, clamp_floor = precompute_storage_noise(truth, spec, models)
     session = lp.HighsSession()
 
     state = PlantState(

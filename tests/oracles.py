@@ -6,9 +6,10 @@ lagged design matrix and decides its ridge by an SVD condition number,
 the AR mean oracle steps the recursion one forecast value at a time, the
 AR covariance oracle accumulates impulse weights lag by lag, the plant
 oracles write the purchase and balance formulas and the rate limits out
-term by term, the control oracles grid-search the decision space, and the
-scheme oracle re-implements the per-hour bookkeeping as a straight-line
-script.
+term by term, the restoration oracle builds the whole correction program
+from the plant on every call, the control oracles grid-search the
+decision space, and the scheme oracle re-implements the per-hour
+bookkeeping as a straight-line script.
 """
 
 import itertools
@@ -16,7 +17,13 @@ import itertools
 import numpy as np
 
 from plantmpc import forecast as fc, lp
-from plantmpc.plant import PRODUCTION_UNITS, STORAGE_UNITS
+from plantmpc.plant import (
+    PRODUCTION_UNITS,
+    STORAGE_UNITS,
+    UNITS,
+    balance_matrix,
+    rate_bounds,
+)
 
 from simplex import LpBuilder
 
@@ -206,6 +213,33 @@ def balance_residuals_terms(config, action, dist, slacks=(0.0, 0.0, 0.0, 0.0)):
     )
     cond_res = action.p_ct - config.alpha_cond_cs * action.p_cs - action.p_hx
     return cw_res, hw_res, cond_res
+
+
+def correction_program_built(config, state, action, residuals) -> lp.LinearProgram:
+    """``restoration._correction_program`` built whole from the plant, every
+    array fresh: delta+ for every unit in UNITS order, then delta-."""
+    coeff = balance_matrix(config)
+    a = np.hstack([coeff, -coeff])
+    a_rows, a_cols = np.nonzero(a)
+
+    rates = action.as_array()
+    lower, upper = rate_bounds(config)
+    lo, hi = lower - rates, upper - rates
+    for unit in STORAGE_UNITS:
+        i = UNITS.index(unit)
+        lo[i] = max(lo[i], state.storage(unit) - config.cap(unit) - rates[i])
+        hi[i] = min(hi[i], state.storage(unit) - rates[i])
+
+    return lp.LinearProgram(
+        objective=np.ones(2 * len(UNITS)),
+        lower=np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0)]),
+        upper=np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0)]),
+        row_sense=np.full(3, lp.EQ, dtype=np.int8),
+        rhs=-np.array(residuals),
+        a_rows=a_rows,
+        a_cols=a_cols,
+        a_vals=a[a_rows, a_cols],
+    )
 
 
 def within_bounds_loops(action, config, tol=1e-9):

@@ -57,12 +57,14 @@ class TestGenData:
         ("price_elec", "noise_clip", 0),
         ("load_cw", "floor", float("nan")),
         (None, "start_weekday", "mon"),
+        (None, "start_weekdy", 3),
+        (None, "load_cww", {"base": 1.0}),
     ])
     def test_malformed_profile_is_a_cli_error(self, tmp_path, capsys,
                                               channel, field, value):
         # "x" and "mon" once raised numpy tracebacks, a noise_phi of 2 a
-        # non-finite trajectory, and a negative noise_std wrote a noiseless
-        # channel.
+        # non-finite trajectory, a negative noise_std wrote a noiseless
+        # channel, and a misspelt top-level key wrote the default week.
         profile = dataclasses.asdict(fc.DEFAULT_PROFILE)
         (profile[channel] if channel else profile)[field] = value
         path, out = tmp_path / "p.json", tmp_path / "d.csv"
@@ -72,6 +74,19 @@ class TestGenData:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("profile", [
+        [dataclasses.asdict(fc.DEFAULT_PROFILE)], "default", 3,
+    ])
+    def test_profile_not_an_object_is_a_cli_error(self, tmp_path, capsys, profile):
+        path, out = tmp_path / "p.json", tmp_path / "d.csv"
+        path.write_text(json.dumps(profile))
+        code = run_cli("gen-data", "--days", "2", "--profile", str(path),
+                       "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "object" in err
         assert not out.exists()
 
     def test_default_profile_read_back_from_json(self, tmp_path):

@@ -465,6 +465,15 @@ class TestZohVarianceEstimation:
         v6 = fc.estimate_zoh_variances(x, 1, interpolation_divisor=6.0)[1]
         assert v6 == pytest.approx(2.0 * v12)
 
+    def test_given_fit_is_not_refitted(self, monkeypatch):
+        x = ar_series([0.3], 0.0, 1.0, 500, seed=3)
+        model = fc.fit_ar(x, 2)
+        expected = fc.estimate_zoh_variances(x, 2)
+        monkeypatch.setattr(fc, "fit_ar", None)
+        assert fc.estimate_zoh_variances(x, 2, model=model) == expected
+        with pytest.raises(ValueError, match="order 2"):
+            fc.estimate_zoh_variances(x, 1, model=model)
+
 
 class TestCsvInterchange:
     def test_round_trip(self, tmp_path):

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, strategies as st
 
 from plantmpc import forecast as fc, lp, restoration, simulate
 from plantmpc.plant import (
+    PRODUCTION_UNITS,
+    STORAGE_UNITS,
     UNITS,
     ControlAction,
     Disturbance,
@@ -12,6 +17,7 @@ from plantmpc.plant import (
     balance_residuals,
 )
 
+from oracles import correction_program_built
 from simplex import LpBuilder, solve_simplex
 
 
@@ -339,6 +345,72 @@ class TestReusedInstance:
             assert outcome.kind == reference.kind
             assert outcome.deltas.tobytes() == reference.deltas.tobytes()
             assert outcome.action == reference.action
+
+
+@st.composite
+def correction_inputs(draw):
+    """Arguments of one ``restoration._correction_program`` call: a plant
+    whose balance matrix may lose an entry, tanks empty, full or between,
+    rates inside and outside their limits, and any balance residuals."""
+
+    def real(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def coefficient():
+        return draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+
+    config = PlantConfig(
+        cap_cw=real(5000.0, 40000.0), cap_hw=real(3000.0, 30000.0),
+        alpha_h_hrc=coefficient(), alpha_cond_cs=coefficient(),
+    )
+    state = PlantState(**{
+        f"e_{u}": draw(st.one_of(st.just(0.0), st.just(config.cap(u)),
+                                 st.floats(0.0, config.cap(u))))
+        for u in STORAGE_UNITS
+    })
+    rates = [real(-0.2 * config.pmax(u), 1.2 * config.pmax(u)) for u in PRODUCTION_UNITS]
+    rates += [real(-1.2 * config.pmax(u), 1.2 * config.pmax(u)) for u in STORAGE_UNITS]
+    residuals = tuple(real(-1e4, 1e4) for _ in range(3))
+    return config, state, ControlAction(*rates), residuals
+
+
+class TestCorrectionTemplate:
+    """Each hour's correction program writes its bounds and right-hand side
+    into the plant's cached template (``restoration._correction_template``)."""
+
+    @given(correction_inputs())
+    def test_equals_the_program_built_whole(self, case):
+        templated = restoration._correction_program(*case)
+        built = correction_program_built(*case)
+        for f in dataclasses.fields(lp.LinearProgram):
+            a, b = getattr(templated, f.name), getattr(built, f.name)
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
+    def test_shared_arrays_are_read_only(self, config):
+        fixed, lower, upper, cap = restoration._correction_template(config)
+        for arr in (*fixed.values(), lower, upper, cap):
+            assert arr.flags.owndata and not arr.flags.writeable
+        state = PlantState(e_cw=0.0, e_hw=config.cap_hw)
+        program = restoration._correction_program(
+            config, state, ControlAction(p_cs=100.0), (1.0, 2.0, 3.0))
+        for name, arr in fixed.items():
+            assert getattr(program, name) is arr, name
+        for arr in (program.lower, program.upper, program.rhs):
+            assert arr.flags.writeable
+
+    def test_instance_keeps_the_pattern_by_identity(self, config, monkeypatch):
+        # A fresh instance: the process's own may still hold an equal
+        # pattern of a template that an earlier test's plants evicted.
+        session = lp.HighsSession()
+        monkeypatch.setattr(restoration, "_instance", lambda: session)
+        a_rows = restoration._correction_template(config)[0]["a_rows"]
+        kept = []
+        for case in random_cases(np.random.default_rng(5), config, 10):
+            if restoration.restore(*case).kind == restoration.CORRECTED:
+                kept.append(restoration._instance()._pattern[1])
+        assert len(kept) >= 2
+        assert all(rows is a_rows for rows in kept)
 
 
 class TestFallback:

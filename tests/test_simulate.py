@@ -981,6 +981,64 @@ class TestStorageNoise:
             assert np.array_equal(noise[:, j], rng.normal(-0.5 * ramp, std))
             assert floor[j] == 4.0 * std
 
+    @pytest.mark.parametrize("apply", [True, False])
+    def test_forecaster_models_give_the_same_draws(self, apply):
+        spec = make_spec(sim_hours=40, zoh_seed=11, apply_storage_noise=apply)
+        truth = fc.generate_synthetic_campus(5, days=5)
+        forecaster = simulate.ArForecaster(truth, spec)
+        forecaster.refresh(0)
+        own = simulate.precompute_storage_noise(truth, spec)
+        reused = simulate.precompute_storage_noise(truth, spec, forecaster._models)
+        for a, b in zip(own, reused, strict=True):
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+
+class TestOneFitPerWindow:
+    """A run fits each (channel, history window) once: the storage-noise
+    estimate reuses the load models of its own forecaster's hour-0 refit.
+    Smoke scale (N = q = 24, 14-day history), 60 hours at the 24-hour
+    cadence, so three refits."""
+
+    @staticmethod
+    def run(kind, apply_storage_noise=True, given_forecaster=False):
+        controller = simulate.ControllerSpec(kind, scenarios=5)
+        spec = simulate.RunSpec(
+            controller=controller, sim_hours=60, horizon=24, ar_order=24,
+            history_hours=24 * 14, apply_storage_noise=apply_storage_noise,
+        )
+        truth = fc.generate_synthetic_campus(0, 19)
+        forecaster = simulate.ArForecaster(truth, spec) if given_forecaster else None
+        return simulate.run_closed_loop(PlantConfig(), spec, truth, forecaster)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The (order, window) of every ``fit_ar`` call, in either namespace."""
+        calls = []
+        for module in (simulate, fc):
+            def counted(history, q, original=module.fit_ar):
+                calls.append((q, np.asarray(history).tobytes()))
+                return original(history, q)
+
+            monkeypatch.setattr(module, "fit_ar", counted)
+        return calls
+
+    @pytest.mark.parametrize("apply_storage_noise", [True, False])
+    @pytest.mark.parametrize("kind,refit_fits,noise_fits", [
+        ("det", 12, 0), ("sto", 12, 0), ("perf", 0, 2),
+    ])
+    def test_fit_calls(self, fits, kind, refit_fits, noise_fits, apply_storage_noise):
+        self.run(kind, apply_storage_noise)
+        assert len(fits) == refit_fits + noise_fits * apply_storage_noise
+        assert len(set(fits)) == len(fits)
+
+    def test_a_given_forecaster_leaves_the_noise_its_own_fits(self, fits):
+        own = self.run("det")
+        assert len(fits) == 12
+        given = self.run("det", given_forecaster=True)
+        assert len(fits) == 12 + 14
+        for f in simulate._HOURLY:
+            assert np.array_equal(getattr(own, f.name), getattr(given, f.name)), f.name
+
 
 def _noiseless():
     def quiet(p):
