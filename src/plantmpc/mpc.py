@@ -28,10 +28,11 @@ tower-limit rows when that limit can bind.  For the default plant at
 N = 168 and S = 100 that is 201,010 columns and 84,000 rows.
 
 Because the shape is fixed, ``build_reduced`` assembles the matrix once per
-plant, N and S (``_ProgramTemplate``, cached) and each hour writes only its
-data: the register entries of the peak rows, the load right-hand sides, the
-tank pins and storage box, this month's register bound, and the unit and
-register costs.
+plant, N and S (``_ProgramTemplate``, cached), column-major as HiGHS reads
+it, and each hour writes only its data: the load right-hand sides, the
+tank pins and storage box, this month's register bound, the unit and
+register costs, and, when the horizon crosses a month end, the register
+entries of the peak rows.
 
 A program of S > 1 scenarios carries a ``start`` for its session's cold
 solve: the optimal basis of the one-scenario program of the scenario mean
@@ -64,7 +65,7 @@ as the oracle the reduced program is checked against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -151,7 +152,7 @@ def _scenario_values(forecast_or_scenarios) -> np.ndarray:
 
 
 class _Triplets:
-    """Coordinate entries of a constraint matrix, in the order they are put."""
+    """Coordinate entries of a constraint matrix, gathered in any order."""
 
     def __init__(self) -> None:
         self.rows: list[np.ndarray] = []
@@ -161,7 +162,8 @@ class _Triplets:
 
     def put(self, rows, cols, vals) -> slice:
         """One entry per element of the broadcast of the three arguments;
-        returns where they sit in the concatenated entries."""
+        returns where they sit in the entries as put, which ``position``
+        maps to the program's order once it is built."""
         rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
         self.rows.append(rows.reshape(-1).astype(np.int64, copy=False))
         self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
@@ -170,16 +172,13 @@ class _Triplets:
         return slice(self.size - rows.size, self.size)
 
     def program(self, objective, lower, upper, sense, rhs) -> lp.LinearProgram:
-        return lp.LinearProgram(
-            objective=objective,
-            lower=lower,
-            upper=upper,
-            row_sense=sense,
-            rhs=rhs,
-            a_rows=np.concatenate(self.rows),
-            a_cols=np.concatenate(self.cols),
-            a_vals=np.concatenate(self.vals),
-        )
+        """The program of these entries, sorted column-major; ``position``
+        then holds where each entry as put sits in it."""
+        order, matrix = lp.column_major(
+            *map(np.concatenate, (self.rows, self.cols, self.vals)), objective.size)
+        self.position = np.empty_like(order)
+        self.position[order] = np.arange(order.size)
+        return lp.LinearProgram(objective, lower, upper, sense, rhs, **matrix)
 
 
 #: The program's unit columns, in ``UNITS`` order: every unit but the cooling
@@ -355,10 +354,11 @@ class _ProgramTemplate:
     matrix coefficients, the row senses, the static bounds (unit limits,
     nonnegative slacks, next month's register from zero), the tower-limit
     right-hand sides and the slack costs.  The register entries of the peak
-    rows hold a placeholder; ``r1`` and ``r2`` are where they sit in
-    ``a_vals``.  Every array is read-only: ``build_reduced`` shares the
-    pattern and the senses and copies the rest before writing an hour's
-    data into it.
+    rows bill every step to this month's register (-1 for R1, 0 for R2);
+    ``r1`` and ``r2`` are where they sit in the column-major ``a_vals``, in
+    (scenario, step) order.  Every array is read-only: ``build_reduced``
+    shares the pattern, the senses and, inside a month, the matrix values,
+    and copies the rest before writing an hour's data into it.
     """
 
     def __init__(self, config: PlantConfig, n: int, s: int):
@@ -412,8 +412,8 @@ class _ProgramTemplate:
         # the split slides.
         self.peak_rows = red.row_block("peak")
         put_units(self.peak_rows, utility[0])
-        self.r1 = matrix.put(self.peak_rows, red.R1[:, None], -1.0)
-        self.r2 = matrix.put(self.peak_rows, red.R2[:, None], 0.0)
+        r1 = matrix.put(self.peak_rows, red.R1[:, None], -1.0)
+        r2 = matrix.put(self.peak_rows, red.R2[:, None], 0.0)
         sense[self.peak_rows] = lp.LE
 
         rate_lower, rate_upper = rate_bounds(config)
@@ -435,6 +435,7 @@ class _ProgramTemplate:
         )
 
         self.program = matrix.program(obj, lower, upper, sense, rhs)
+        self.r1, self.r2 = matrix.position[r1], matrix.position[r2]
         for arr in vars(self.program).values():
             arr.setflags(write=False)
 
@@ -464,13 +465,15 @@ def build_reduced(
     expected cost over the horizon.
 
     The hour writes only its data into copies of the run's template
-    (``_ProgramTemplate``, cached per plant, N and S): the register entries
-    of the peak rows, the balance and peak right-hand sides, the tank pins
-    and the storage box, this month's register bound, the unit and
-    register costs.  Its objective, bounds, right-hand sides and matrix
-    values are fresh writable arrays; the row senses and the sparsity
-    pattern (``a_rows``, ``a_cols``) are the template's, shared by every
-    program of the shape and read-only.
+    (``_ProgramTemplate``, cached per plant, N and S): the balance and peak
+    right-hand sides, the tank pins and the storage box, this month's
+    register bound, the unit and register costs, and the register entries
+    of the peak rows when the horizon crosses a month end.  Its objective,
+    bounds and right-hand sides are fresh writable arrays; the row senses
+    and the sparsity pattern (``a_rows``, ``a_cols``, ``a_starts``) are the
+    template's, shared by every program of the shape and read-only.  So
+    are the matrix values inside a month: only a horizon with a step that
+    bills to next month gets a fresh copy of them.
     """
     values = _scenario_values(forecast_or_scenarios)
     _, n_chan, n = values.shape
@@ -494,11 +497,14 @@ def _fill(
     red, shared = template.layout, template.program
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
 
-    # Each peak row bills to one register, the one of its step's month.
-    a_vals = shared.a_vals.copy()
-    r1_coeff = np.where(timing.next_month, 0.0, -1.0)
-    a_vals[template.r1] = np.tile(r1_coeff, s)
-    a_vals[template.r2] = np.tile(-1.0 - r1_coeff, s)
+    # Each peak row bills to one register, the one of its step's month; the
+    # template's bill every step to this month's.
+    a_vals = shared.a_vals
+    if timing.next_month.any():
+        a_vals = a_vals.copy()
+        r1_coeff = np.where(timing.next_month, 0.0, -1.0)
+        a_vals[template.r1] = np.tile(r1_coeff, s)
+        a_vals[template.r2] = np.tile(-1.0 - r1_coeff, s)
 
     rhs = shared.rhs.copy()
     rhs[template.cw_rows] = load_cw
@@ -526,16 +532,8 @@ def _fill(
                + config.rho_hw * (state.ul_hw + state.ol_hw))
     )
 
-    program = lp.LinearProgram(
-        objective=obj,
-        lower=lower,
-        upper=upper,
-        row_sense=shared.row_sense,
-        rhs=rhs,
-        a_rows=shared.a_rows,
-        a_cols=shared.a_cols,
-        a_vals=a_vals,
-    )
+    program = replace(shared, objective=obj, lower=lower, upper=upper, rhs=rhs,
+                      a_vals=a_vals)
     if s == 1:
         return ReducedProgram(program, offset, red, config)
     start = functools.partial(_mean_start, red, config, state, values, timing, beta)

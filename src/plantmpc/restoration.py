@@ -28,9 +28,7 @@ and shared read-only by every program of that plant.
 Every correction LP is loaded whole into one HiGHS instance, kept for the
 process apart from the controllers' warm-started sessions, and solved cold
 with presolve (``lp.solve``): the outcome is the one a fresh instance
-gives, without building an instance per hour.  The instance keeps the
-template's sparsity pattern by identity (``lp.HighsSession._csc``), so
-from one hour to the next it compares no pattern arrays.
+gives, without building an instance per hour.
 """
 
 from __future__ import annotations
@@ -123,21 +121,16 @@ def _correction_template(
 ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
     """What every correction program of ``config`` shares, all read-only:
     the ``lp.LinearProgram`` fields that no hour changes (objective, row
-    senses, matrix triplets), the rate limits (lower, upper) in UNITS order
-    and the tank capacities in STORAGE_UNITS order.
-
-    The arrays own their data, so ``lp.HighsSession`` keeps the pattern by
-    reference and recognises it by identity.
+    senses, the column-major matrix), the rate limits (lower, upper) in
+    UNITS order and the tank capacities in STORAGE_UNITS order.
     """
     coeff = balance_matrix(config)
     a = np.hstack([coeff, -coeff])
-    a_rows, a_cols = (idx.copy() for idx in np.nonzero(a))
+    a_rows, a_cols = np.nonzero(a)
     fixed = dict(
         objective=np.ones(2 * len(UNITS)),
         row_sense=np.full(3, lp.EQ, dtype=np.int8),
-        a_rows=a_rows,
-        a_cols=a_cols,
-        a_vals=a[a_rows, a_cols],
+        **lp.column_major(a_rows, a_cols, a[a_rows, a_cols], a.shape[1])[1],
     )
     lower, upper = rate_bounds(config)
     cap = np.array([config.cap(unit) for unit in STORAGE_UNITS])

@@ -8,7 +8,8 @@ AR covariance oracle accumulates impulse weights lag by lag, the plant
 oracles write the purchase and balance formulas and the rate limits out
 term by term, the restoration oracle builds the whole correction program
 from the plant on every call, the control oracles grid-search the
-decision space, and the scheme oracle re-implements the per-hour
+decision space, the column-major oracle sorts matrix entries with its
+own lexsort, and the scheme oracle re-implements the per-hour
 bookkeeping as a straight-line script.
 """
 
@@ -81,6 +82,15 @@ def vertex_enumeration_optimum(prog: lp.LinearProgram, tol: float = 1e-7):
         return lp.INFEASIBLE, None
     objectives = points[feas] @ prog.objective
     return lp.OPTIMAL, float(objectives.min())
+
+
+def csc_pattern(prog: lp.LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column-major entry order of ``prog``'s matrix, whatever order it
+    holds its entries in: (permutation, column starts, row indices)."""
+    order = np.lexsort((prog.a_rows, prog.a_cols))
+    counts = np.bincount(prog.a_cols, minlength=prog.num_vars)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    return order, indptr, prog.a_rows[order].astype(np.int32)
 
 
 def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6):
@@ -221,6 +231,7 @@ def correction_program_built(config, state, action, residuals) -> lp.LinearProgr
     coeff = balance_matrix(config)
     a = np.hstack([coeff, -coeff])
     a_rows, a_cols = np.nonzero(a)
+    _, matrix = lp.column_major(a_rows, a_cols, a[a_rows, a_cols], a.shape[1])
 
     rates = action.as_array()
     lower, upper = rate_bounds(config)
@@ -236,9 +247,7 @@ def correction_program_built(config, state, action, residuals) -> lp.LinearProgr
         upper=np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0)]),
         row_sense=np.full(3, lp.EQ, dtype=np.int8),
         rhs=-np.array(residuals),
-        a_rows=a_rows,
-        a_cols=a_cols,
-        a_vals=a[a_rows, a_cols],
+        **matrix,
     )
 
 

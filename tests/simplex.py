@@ -21,6 +21,7 @@ from plantmpc.lp import (
     UNBOUNDED,
     LinearProgram,
     LpSolution,
+    column_major,
 )
 
 #: Absolute feasibility tolerance on variable bounds.
@@ -92,15 +93,15 @@ class LpBuilder:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(parts).astype(dtype, copy=False)
 
+        _, matrix = column_major(cat(self._rows, np.int64), cat(self._cols, np.int64),
+                                 cat(self._vals, float), self._num_vars)
         lp = LinearProgram(
             objective=cat(self._obj, float),
             lower=cat(self._lower, float),
             upper=cat(self._upper, float),
             row_sense=cat(self._senses, np.int8),
             rhs=cat(self._rhs, float),
-            a_rows=cat(self._rows, np.int64),
-            a_cols=cat(self._cols, np.int64),
-            a_vals=cat(self._vals, float),
+            **matrix,
         )
         if validate:
             lp.validate()

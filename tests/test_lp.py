@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from plantmpc import forecast as fc, lp, mpc, restoration
-from plantmpc.plant import PlantConfig, PlantState, balance_residuals
+from plantmpc.plant import (
+    ControlAction,
+    PlantConfig,
+    PlantState,
+    balance_matrix,
+    balance_residuals,
+)
 
-from oracles import random_box_lp, vertex_enumeration_optimum
+from oracles import csc_pattern, random_box_lp, vertex_enumeration_optimum
 from simplex import BOUND_TOL, ROW_TOL, LpBuilder, solve_simplex
 from test_restoration import random_cases
 
@@ -115,12 +123,7 @@ class TestSolverProperties:
         xy = builder.add_variables(2, 0.0, 10.0, [1.0, 2.0])
         builder.add_row(lp.GE, 5.0, xy, [1.0, 1.0])
         prog = builder.build()
-        prog_scaled = lp.LinearProgram(
-            objective=prog.objective * 7.5,
-            lower=prog.lower, upper=prog.upper,
-            row_sense=prog.row_sense, rhs=prog.rhs,
-            a_rows=prog.a_rows, a_cols=prog.a_cols, a_vals=prog.a_vals,
-        )
+        prog_scaled = dataclasses.replace(prog, objective=prog.objective * 7.5)
         for solve in SOLVERS.values():
             base = solve(prog)
             scaled = solve(prog_scaled)
@@ -184,20 +187,19 @@ class TestValidation:
 
 class TestLoad:
     def test_loaded_program_reads_back_exactly(self):
+        _, matrix = lp.column_major(
+            [2, 0, 1, 0, 2, 1], [0, 1, 2, 0, 2, 0], [5.0, 6.0, 7.0, 8.0, 9.0, 10.0], 3)
         prog = lp.LinearProgram(
             objective=np.array([1.0, -2.0, 0.5]),
             lower=np.array([-np.inf, 0.0, -1.0]),
             upper=np.array([np.inf, 4.0, np.inf]),
             row_sense=np.array([lp.LE, lp.EQ, lp.GE], dtype=np.int8),
             rhs=np.array([3.0, -1.0, 2.0]),
-            a_rows=np.array([2, 0, 1, 0, 2, 1]),
-            a_cols=np.array([0, 1, 2, 0, 2, 0]),
-            a_vals=np.array([5.0, 6.0, 7.0, 8.0, 9.0, 10.0]),
+            **matrix,
         )
         prog.validate()
         h = lp._highs()
-        order, indptr, indices = lp._csc_pattern(prog)
-        lp._pass_model(h, prog, indptr, indices, prog.a_vals[order])
+        lp._pass_model(h, prog)
 
         model = h.getLp()
         assert (model.num_col_, model.num_row_) == (3, 3)
@@ -223,13 +225,11 @@ class TestHighsSession:
         builder.add_row(lp.GE, 8.0, x, [1.0, 1.0, 1.0, 1.0])
         base = builder.build()
         for _ in range(6):
-            prog = lp.LinearProgram(
+            prog = dataclasses.replace(
+                base,
                 objective=base.objective + rng.uniform(0, 1, 4),
-                lower=base.lower,
                 upper=base.upper + rng.uniform(0, 2, 4),
-                row_sense=base.row_sense,
                 rhs=base.rhs + rng.uniform(-1, 1),
-                a_rows=base.a_rows, a_cols=base.a_cols, a_vals=base.a_vals,
             )
             warm = session.solve(prog)
             cold = solve_simplex(prog)
@@ -253,12 +253,7 @@ class TestHighsSession:
         prog = builder.build()
         first = session.solve(prog)
         assert first.objective == pytest.approx(2.0)  # x2 = 2 via coeff 2
-        patched = lp.LinearProgram(
-            objective=prog.objective, lower=prog.lower, upper=prog.upper,
-            row_sense=prog.row_sense, rhs=prog.rhs,
-            a_rows=prog.a_rows, a_cols=prog.a_cols,
-            a_vals=np.array([1.0, 4.0]),
-        )
+        patched = dataclasses.replace(prog, a_vals=np.array([1.0, 4.0]))
         warm = session.solve(patched)
         cold = solve_simplex(patched)
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
@@ -302,11 +297,7 @@ class TestHighsSession:
             previous = prog
             if t == infeasible_at:
                 zero = np.zeros(prog.num_vars)
-                prog = lp.LinearProgram(
-                    objective=prog.objective, lower=zero, upper=zero,
-                    row_sense=prog.row_sense, rhs=prog.rhs,
-                    a_rows=prog.a_rows, a_cols=prog.a_cols, a_vals=prog.a_vals,
-                )
+                prog = dataclasses.replace(prog, lower=zero, upper=zero)
                 assert session.solve(prog).status == lp.INFEASIBLE
                 assert lp.solve(prog).status == lp.INFEASIBLE
                 continue
@@ -516,11 +507,10 @@ class TestStart:
         session = lp.HighsSession()
         start, calls = self.counted(None)
         for _ in range(6):
-            prog = lp.LinearProgram(
-                objective=base.objective + rng.uniform(0, 1, 4),
-                lower=base.lower, upper=base.upper + rng.uniform(0, 2, 4),
-                row_sense=base.row_sense, rhs=base.rhs + rng.uniform(-1, 1),
-                a_rows=base.a_rows, a_cols=base.a_cols, a_vals=base.a_vals,
+            prog = dataclasses.replace(
+                base, objective=base.objective + rng.uniform(0, 1, 4),
+                upper=base.upper + rng.uniform(0, 2, 4),
+                rhs=base.rhs + rng.uniform(-1, 1),
             )
             assert session.solve(prog, start=start).is_optimal
         assert len(calls) == 1
@@ -606,8 +596,7 @@ class TestShiftedRestart:
             kinds = rng.integers(0, 4, box.num_vars)  # boxed, >=, <=, free
             lower = np.where(np.isin(kinds, (2, 3)), -np.inf, box.lower)
             upper = np.where(np.isin(kinds, (1, 3)), np.inf, box.upper)
-            prog = lp.LinearProgram(box.objective, lower, upper, box.row_sense,
-                                    box.rhs, box.a_rows, box.a_cols, box.a_vals)
+            prog = dataclasses.replace(box, lower=lower, upper=upper)
             session = lp.HighsSession()
             if session.solve(prog).is_optimal:
                 optimal += 1
@@ -730,30 +719,85 @@ class TestFailedCalls:
             lp.HighsSession().solve(prog, start=lambda: wrong)
 
 
-class TestPatternCache:
+class TestColumnMajor:
+    """Programs hold their matrices in the column-major order of
+    ``oracles.csc_pattern``, with the column starts it computes."""
+
     @staticmethod
-    def program(a_rows, a_cols, a_vals):
-        return lp.LinearProgram(
+    def assert_sorts_like_the_oracle(given, held):
+        """``held`` holds the matrix entries of ``given``, which come in any
+        order, where the oracle puts them."""
+        order, indptr, indices = csc_pattern(given)
+        assert held.a_rows.dtype == held.a_cols.dtype == held.a_starts.dtype == np.int32
+        assert np.array_equal(held.a_rows, indices)
+        assert np.array_equal(held.a_cols, given.a_cols[order])
+        assert held.a_vals.tobytes() == given.a_vals[order].tobytes()
+        assert np.array_equal(held.a_starts, indptr)
+        return order
+
+    def test_random_programs_sort_like_the_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            built = random_box_lp(rng)
+            shuffle = rng.permutation(built.num_entries)
+            given = dataclasses.replace(
+                built, a_rows=built.a_rows[shuffle].astype(np.int64),
+                a_cols=built.a_cols[shuffle].astype(np.int64),
+                a_vals=built.a_vals[shuffle])
+            order, matrix = lp.column_major(given.a_rows, given.a_cols,
+                                            given.a_vals, given.num_vars)
+            held = dataclasses.replace(given, **matrix)
+            assert np.array_equal(order, self.assert_sorts_like_the_oracle(given, held))
+            held.validate()
+            # ``LpBuilder`` sorts its entries the same way.
+            self.assert_sorts_like_the_oracle(given, built)
+
+    def test_paper_shape_template_sorts_like_the_oracle(self, monkeypatch):
+        column_major, put = lp.column_major, []
+
+        def spy(*entries):
+            put.append(entries[:3])
+            return column_major(*entries)
+
+        monkeypatch.setattr(lp, "column_major", spy)
+        n, s = 168, 100
+        template = mpc._ProgramTemplate(PlantConfig(), n, s)
+        (a_rows, a_cols, a_vals), = put
+        held = template.program
+        self.assert_sorts_like_the_oracle(
+            dataclasses.replace(held, a_rows=a_rows, a_cols=a_cols, a_vals=a_vals),
+            held)
+        # The register entries moved with the sort, in (scenario, step) order.
+        red = template.layout
+        peak_rows = template.peak_rows.reshape(-1)
+        for at, registers, coeff in ((template.r1, red.R1, -1.0),
+                                     (template.r2, red.R2, 0.0)):
+            assert np.array_equal(held.a_rows[at], peak_rows)
+            assert np.array_equal(held.a_cols[at], np.repeat(registers, n))
+            assert np.all(held.a_vals[at] == coeff)
+
+    def test_restoration_template_sorts_like_the_oracle(self):
+        config = PlantConfig()
+        coeff = balance_matrix(config)
+        a = np.hstack([coeff, -coeff])
+        a_rows, a_cols = np.nonzero(a)  # row by row
+        prog = restoration._correction_program(
+            config, PlantState(e_cw=0.0, e_hw=0.0), ControlAction(), (0.0, 0.0, 0.0))
+        self.assert_sorts_like_the_oracle(
+            dataclasses.replace(prog, a_rows=a_rows, a_cols=a_cols,
+                                a_vals=a[a_rows, a_cols]), prog)
+
+    def test_entries_out_of_column_order_raise(self):
+        prog = lp.LinearProgram(
             objective=np.array([1.0, 1.0]), lower=np.zeros(2),
             upper=np.full(2, 10.0), row_sense=np.array([lp.GE, lp.GE], np.int8),
-            rhs=np.array([2.0, 3.0]), a_rows=a_rows, a_cols=a_cols, a_vals=a_vals,
+            rhs=np.array([2.0, 3.0]),
+            a_rows=np.array([0, 1], np.int32), a_cols=np.array([1, 0], np.int32),
+            a_vals=np.array([1.0, 1.0]), a_starts=np.array([0, 1, 2], np.int32),
         )
-
-    def test_pattern_changed_in_place_is_reordered(self):
-        a_rows, a_cols = np.array([0, 1]), np.array([0, 1])
-        session = lp.HighsSession()
-        first = session.solve(self.program(a_rows, a_cols, np.array([1.0, 1.0])))
-        assert first.x.tolist() == [2.0, 3.0]
-        a_cols[:] = [1, 0]  # row 0 now reads x1 and row 1 x0
-        moved = self.program(a_rows, a_cols, np.array([1.0, 1.0]))
-        assert session.solve(moved).x.tolist() == lp.solve(moved).x.tolist() == [3.0, 2.0]
-
-    def test_read_only_pattern_is_kept_by_reference(self):
-        a_rows, a_cols = np.array([0, 1]), np.array([0, 1])
-        for arr in (a_rows, a_cols):
-            arr.setflags(write=False)
-        session = lp.HighsSession()
-        session.solve(self.program(a_rows, a_cols, np.array([1.0, 1.0])))
-        assert session._pattern[1] is a_rows and session._pattern[2] is a_cols
-        second = session.solve(self.program(a_rows, a_cols, np.array([2.0, 1.0])))
-        assert second.x.tolist() == [1.0, 3.0]
+        with pytest.raises(ValueError, match="column order"):
+            lp.HighsSession().solve(prog)
+        with pytest.raises(ValueError, match="column order"):
+            lp.solve(prog)
+        with pytest.raises(ValueError, match="column-major"):
+            prog.validate()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,17 +43,19 @@ def explicit_nonanticipativity(prog, lay):
     a_cols = prog.a_cols.copy()
     a_cols[moved] = copies[xi[moved] - 1, position[prog.a_cols[moved]]]
     tie = prog.num_rows + np.arange(7 * (s - 1))
+    _, matrix = lp.column_major(
+        np.concatenate([prog.a_rows, tie, tie]),
+        np.concatenate([a_cols, copies[:, :7].reshape(-1), np.tile(first[:7], s - 1)]),
+        np.concatenate([prog.a_vals, np.ones(tie.size), -np.ones(tie.size)]),
+        prog.num_vars + copies.size,
+    )
     return lp.LinearProgram(
         objective=np.concatenate([prog.objective, np.tile(prog.objective[first], s - 1)]),
         lower=np.concatenate([prog.lower, np.tile(prog.lower[first], s - 1)]),
         upper=np.concatenate([prog.upper, np.tile(prog.upper[first], s - 1)]),
         row_sense=np.concatenate([prog.row_sense, np.full(tie.size, lp.EQ, np.int8)]),
         rhs=np.concatenate([prog.rhs, np.zeros(tie.size)]),
-        a_rows=np.concatenate([prog.a_rows, tie, tie]),
-        a_cols=np.concatenate(
-            [a_cols, copies[:, :7].reshape(-1), np.tile(first[:7], s - 1)]
-        ),
-        a_vals=np.concatenate([prog.a_vals, np.ones(tie.size), -np.ones(tie.size)]),
+        **matrix,
     ), copies
 
 
@@ -300,11 +304,7 @@ class TestStochasticStructure:
         upper = pinned.upper.copy()
         lower[cols] = det_first
         upper[cols] = det_first
-        fixed = lp.LinearProgram(
-            objective=pinned.objective, lower=lower, upper=upper,
-            row_sense=pinned.row_sense, rhs=pinned.rhs,
-            a_rows=pinned.a_rows, a_cols=pinned.a_cols, a_vals=pinned.a_vals,
-        )
+        fixed = dataclasses.replace(pinned, lower=lower, upper=upper)
         sol_fixed = lp.solve(fixed)
         assert sol_fixed.is_optimal
         assert sol_s.objective <= sol_fixed.objective + 1e-6 * abs(sol_fixed.objective)
@@ -623,12 +623,12 @@ class TestShift:
 
 
 def program_bytes(reduced):
-    """The eight arrays and the offset of a built program, as bytes."""
+    """The nine arrays and the offset of a built program, as bytes."""
     prog = reduced.program
     return [
         (arr.dtype.str, arr.shape, arr.tobytes())
         for arr in (prog.objective, prog.lower, prog.upper, prog.row_sense,
-                    prog.rhs, prog.a_rows, prog.a_cols, prog.a_vals)
+                    prog.rhs, prog.a_rows, prog.a_cols, prog.a_vals, prog.a_starts)
     ] + [repr(reduced.offset)]
 
 
@@ -691,13 +691,27 @@ class TestProgramTemplate:
         assert program_bytes(mpc.build_reduced(*second)) == expected
 
     def test_shared_arrays_are_read_only(self):
-        first, second = self.hours(n=6, s=3, month_end=4, count=2)
-        a, b = (mpc.build_reduced(*args).program for args in (first, second))
-        for name in ("row_sense", "a_rows", "a_cols"):
-            assert getattr(a, name) is getattr(b, name)
-            assert not getattr(a, name).flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(a, name)[0] = 0
-        for name in ("objective", "lower", "upper", "rhs", "a_vals"):
-            assert getattr(a, name).flags.writeable
-            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+        # Hours 4 and 5 of a month that ends at 4: the first horizon crosses
+        # the month end, so its matrix values are a copy.  Hours 10 and 11 of
+        # a month that ends at 20: neither crosses, and both share the
+        # template's values.
+        crossing = self.hours(n=6, s=3, month_end=4, count=2)
+        in_month = self.hours(n=6, s=3, month_end=20, count=12)[:2]
+        assert crossing[0][3].next_month.any()
+        for first, second in (crossing, in_month):
+            assert not second[3].next_month.any()
+            a, b = (mpc.build_reduced(*args).program for args in (first, second))
+            shared = ("row_sense", "a_rows", "a_cols", "a_starts")
+            if first is in_month[0]:
+                shared += ("a_vals",)
+                template = mpc._program_template(first[0], 6, 3).program
+                assert a.a_vals is template.a_vals
+            for name in shared:
+                assert getattr(a, name) is getattr(b, name)
+                assert not getattr(a, name).flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(a, name)[0] = 0
+            for name in ("objective", "lower", "upper", "rhs", "a_vals"):
+                if name not in shared:
+                    assert getattr(a, name).flags.writeable
+                    assert not np.shares_memory(getattr(a, name), getattr(b, name))

@@ -399,19 +399,6 @@ class TestCorrectionTemplate:
         for arr in (program.lower, program.upper, program.rhs):
             assert arr.flags.writeable
 
-    def test_instance_keeps_the_pattern_by_identity(self, config, monkeypatch):
-        # A fresh instance: the process's own may still hold an equal
-        # pattern of a template that an earlier test's plants evicted.
-        session = lp.HighsSession()
-        monkeypatch.setattr(restoration, "_instance", lambda: session)
-        a_rows = restoration._correction_template(config)[0]["a_rows"]
-        kept = []
-        for case in random_cases(np.random.default_rng(5), config, 10):
-            if restoration.restore(*case).kind == restoration.CORRECTED:
-                kept.append(restoration._instance()._pattern[1])
-        assert len(kept) >= 2
-        assert all(rows is a_rows for rows in kept)
-
 
 class TestFallback:
     def test_no_capacity_anywhere(self):

@@ -558,17 +558,18 @@ def flagged_trace():
     return trace
 
 
-def smoke_sto_loop(sim_hours, solve=None, build=None):
+def smoke_sto_loop(sim_hours, solve=None, build=None, calendar=()):
     """The benchmark's smoke-scale sto-paper run at seed 0 (N = q = 24,
     S = 5, 14-day history), ``sim_hours`` long, with ``HighsSession.solve``
-    and ``mpc.build_reduced`` replaced by ``solve`` and ``build`` if given."""
+    and ``mpc.build_reduced`` replaced by ``solve`` and ``build`` if given,
+    on ``calendar`` if given."""
     def seed(stream):
         return int(np.random.SeedSequence((0, stream)).generate_state(1)[0])
 
     spec = simulate.RunSpec(
         controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=5),
         sim_hours=sim_hours, horizon=24, ar_order=24, history_hours=24 * 14,
-        scenario_seed=seed(1), zoh_seed=seed(2),
+        calendar=calendar, scenario_seed=seed(1), zoh_seed=seed(2),
     )
     base = fc.generate_synthetic_campus(0, -(-spec.required_truth_hours() // 24))
     truth = bench.make_validation_set(base, 1, 0)[0]
@@ -701,6 +702,43 @@ class TestMeanStart:
             assert shift is reduced.shift is reduced.layout.shift
 
 
+class TestProgramArrays:
+    def test_highs_loads_the_programs_own_arrays(self, monkeypatch):
+        """Every model load hands HiGHS the program's own column starts, row
+        indices and values; an in-month controller program's values are its
+        template's.
+
+        The month ends at hour 12, so the horizons of hours 0-12 cross it
+        and hours 13-15 lie inside the next month.  The loads include the
+        scenario-mean programs' and restoration's.
+        """
+        build, pass_model = mpc.build_reduced, lp._pass_model
+        built, loads = [], []
+
+        def building(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        class Loader:
+            def __init__(self, h, prog):
+                self.h, self.prog = h, prog
+
+            def passModel(self, *args):
+                loads.append((self.prog, args[11:14]))
+                return self.h.passModel(*args)
+
+        monkeypatch.setattr(lp, "_pass_model",
+                            lambda h, prog: pass_model(Loader(h, prog), prog))
+        smoke_sto_loop(16, build=building, calendar=(12, 100))
+        assert all(starts is prog.a_starts and index is prog.a_rows
+                   and value is prog.a_vals for prog, (starts, index, value) in loads)
+        template = mpc._program_template(PlantConfig(), 24, 5).program
+        controller = [next(prog for prog, *_ in loads if prog is reduced.program)
+                      for reduced in built]
+        in_month = [prog.a_vals is template.a_vals for prog in controller]
+        assert in_month == [False] * 13 + [True] * 3
+
+
 class TestTraceOutputs:
     def test_csv_reads_back_bit_for_bit(self, flagged_trace, tmp_path):
         trace = flagged_trace
@@ -818,6 +856,45 @@ class TestClosedLoopProperties:
         assert np.all(trace.bounds_lower <= trace.storage)
         assert np.all(trace.storage <= trace.bounds_upper)
         assert np.all(trace.bounds_upper <= caps)
+
+
+@st.composite
+def smoke_loops(draw):
+    """A smoke-scale closed loop of any controller (N = q = 24, S = 3) that
+    crosses one or two month ends."""
+    kind = draw(st.sampled_from(["det", "sto", "perf"]))
+    sim_hours = draw(st.integers(2, 60))
+    ends = draw(st.sets(st.integers(0, sim_hours - 2), min_size=1, max_size=2))
+    spec = make_spec(
+        controller=simulate.ControllerSpec(kind, scenarios=3),
+        sim_hours=sim_hours, horizon=24, ar_order=24, history_hours=7 * 24,
+        calendar=(*sorted(ends), sim_hours - 1 + draw(st.integers(0, 24))),
+        scenario_seed=draw(st.integers(0, 99)), zoh_seed=draw(st.integers(0, 99)),
+    )
+    values = fc.generate_synthetic_campus(
+        draw(st.integers(0, 99)), days=-(-spec.required_truth_hours() // 24)
+    ).values.copy()
+    # A month that starts lower than the last one ended: its peak register
+    # must restart, not carry the last month's.
+    values[0, spec.history_hours + min(ends) + 1:] *= draw(st.floats(0.1, 1.0))
+    return (PlantConfig(price_demand=draw(st.floats(0.0, 20.0))), spec,
+            DisturbanceTrajectory(values))
+
+
+class TestBillIdentity:
+    @settings(deadline=None, max_examples=20)
+    @given(smoke_loops())
+    def test_bill_is_energy_plus_demand_on_the_loops_peaks(self, loop):
+        """The bill ``bench.annual_cost`` recomputes from the residual
+        loads (``bench._monthly_peaks``) is the loop's own hourly costs plus
+        the demand charge on the peak registers it carried."""
+        config, spec, truth = loop
+        trace = simulate.run_closed_loop(config, spec, truth)
+        total, _ = bench.annual_cost(trace)
+        assert len(trace.monthly_peaks) > 1
+        assert total == pytest.approx(
+            trace.cost.sum() + trace.price_demand * sum(trace.monthly_peaks),
+            rel=1e-9)
 
 
 class EagerForecaster(simulate.ArForecaster):
