@@ -429,15 +429,12 @@ def zoh_std(var_err: float, var_int: float) -> float:
 
 
 def estimate_zoh_variances(
-    history: np.ndarray, q: int, interpolation_divisor: float = 12.0,
-    model: ArModel | None = None,
+    history: np.ndarray, q: int, model: ArModel | None = None,
 ) -> tuple[float, float]:
     """Estimate (prediction-error variance, integrated-load variance).
 
     The one-step prediction error comes from an AR(q) fit of ``history``,
-    ``model`` when the caller already holds that fit; the integrated
-    variance assumes linear interpolation of the hourly samples, whose
-    integral over an hour has variance Var(diff)/12 (divisor overridable).
+    ``model`` when the caller already holds that fit.
     """
     x = np.asarray(history, dtype=float)
     if model is None:
@@ -445,7 +442,9 @@ def estimate_zoh_variances(
     elif model.order != q:
         raise ValueError(f"model has order {model.order}, expected {q}")
     var_err = model.noise_variance
-    var_int = float(np.var(np.diff(x)) / interpolation_divisor)
+    # The integrated variance assumes linear interpolation of the hourly
+    # samples, whose integral over an hour has variance Var(diff)/12.
+    var_int = float(np.var(np.diff(x)) / 12.0)
     return var_err, var_int
 
 

@@ -148,19 +148,16 @@ def _starts(a_cols: np.ndarray, num_vars: int) -> np.ndarray:
     return starts
 
 
-def column_major(a_rows, a_cols, a_vals, num_vars: int) -> tuple[np.ndarray, dict]:
-    """Matrix entries given in any order, as ``LinearProgram`` holds them.
-
-    Returns ``(order, matrix)``: ``matrix`` holds the program's fields
-    ``a_rows``, ``a_cols``, ``a_vals`` and ``a_starts`` for ``num_vars``
-    columns, and sorted entry k is entry ``order[k]`` of the input.
-    """
+def column_major(a_rows, a_cols, a_vals, num_vars: int) -> dict:
+    """Matrix entries given in any order, as ``LinearProgram`` holds them:
+    the program's fields ``a_rows``, ``a_cols``, ``a_vals`` and
+    ``a_starts`` for ``num_vars`` columns."""
     a_rows, a_cols = np.asarray(a_rows), np.asarray(a_cols)
     order = np.lexsort((a_rows, a_cols))
     a_cols = a_cols[order].astype(np.int32)
-    return order, dict(a_rows=a_rows[order].astype(np.int32), a_cols=a_cols,
-                       a_vals=np.asarray(a_vals, dtype=float)[order],
-                       a_starts=_starts(a_cols, num_vars))
+    return dict(a_rows=a_rows[order].astype(np.int32), a_cols=a_cols,
+                a_vals=np.asarray(a_vals, dtype=float)[order],
+                a_starts=_starts(a_cols, num_vars))
 
 
 @dataclass

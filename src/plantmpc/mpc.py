@@ -158,26 +158,18 @@ class _Triplets:
         self.rows: list[np.ndarray] = []
         self.cols: list[np.ndarray] = []
         self.vals: list[np.ndarray] = []
-        self.size = 0
 
-    def put(self, rows, cols, vals) -> slice:
-        """One entry per element of the broadcast of the three arguments;
-        returns where they sit in the entries as put, which ``position``
-        maps to the program's order once it is built."""
+    def put(self, rows, cols, vals) -> None:
+        """One entry per element of the broadcast of the three arguments."""
         rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
         self.rows.append(rows.reshape(-1).astype(np.int64, copy=False))
         self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
         self.vals.append(vals.reshape(-1).astype(float))
-        self.size += rows.size
-        return slice(self.size - rows.size, self.size)
 
     def program(self, objective, lower, upper, sense, rhs) -> lp.LinearProgram:
-        """The program of these entries, sorted column-major; ``position``
-        then holds where each entry as put sits in it."""
-        order, matrix = lp.column_major(
+        """The program of these entries, sorted column-major."""
+        matrix = lp.column_major(
             *map(np.concatenate, (self.rows, self.cols, self.vals)), objective.size)
-        self.position = np.empty_like(order)
-        self.position[order] = np.arange(order.size)
         return lp.LinearProgram(objective, lower, upper, sense, rhs, **matrix)
 
 
@@ -412,8 +404,8 @@ class _ProgramTemplate:
         # the split slides.
         self.peak_rows = red.row_block("peak")
         put_units(self.peak_rows, utility[0])
-        r1 = matrix.put(self.peak_rows, red.R1[:, None], -1.0)
-        r2 = matrix.put(self.peak_rows, red.R2[:, None], 0.0)
+        matrix.put(self.peak_rows, red.R1[:, None], -1.0)
+        matrix.put(self.peak_rows, red.R2[:, None], 0.0)
         sense[self.peak_rows] = lp.LE
 
         rate_lower, rate_upper = rate_bounds(config)
@@ -435,7 +427,12 @@ class _ProgramTemplate:
         )
 
         self.program = matrix.program(obj, lower, upper, sense, rhs)
-        self.r1, self.r2 = matrix.position[r1], matrix.position[r2]
+        # A register column holds exactly its scenario's N peak rows, in
+        # step order.
+        self.r1, self.r2 = (
+            (self.program.a_starts[cols][:, None] + np.arange(n)).reshape(-1)
+            for cols in (red.R1, red.R2)
+        )
         for arr in vars(self.program).values():
             arr.setflags(write=False)
 

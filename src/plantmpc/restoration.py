@@ -130,7 +130,7 @@ def _correction_template(
     fixed = dict(
         objective=np.ones(2 * len(UNITS)),
         row_sense=np.full(3, lp.EQ, dtype=np.int8),
-        **lp.column_major(a_rows, a_cols, a[a_rows, a_cols], a.shape[1])[1],
+        **lp.column_major(a_rows, a_cols, a[a_rows, a_cols], a.shape[1]),
     )
     lower, upper = rate_bounds(config)
     cap = np.array([config.cap(unit) for unit in STORAGE_UNITS])

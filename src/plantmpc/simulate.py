@@ -1,8 +1,11 @@
 """Receding-horizon closed-loop engine for the three controllers.
 
-Each simulated hour: fit/refresh the disturbance forecast, build and solve
-the controller's program from the current state, repair the committed
-action against the realized loads, then book the hour with ``step``.
+The controllers differ only in the disturbance data each reads every hour
+from its one source: the mean AR forecast (det), scenario sets sampled
+around it (sto) or the realized loads (perf).  Each simulated hour: read
+the data, build and solve the program from the current state, repair the
+committed action against the realized loads, then book the hour with
+``step``.
 ``run_closed_loop`` carries only a ``PlantState`` from hour to hour: the
 storage bounds are ``mpc.storage_bounds`` of it.
 
@@ -519,19 +522,16 @@ def precompute_storage_noise(
 
 
 def run_closed_loop(
-    config: PlantConfig,
-    spec: RunSpec,
-    truth: DisturbanceTrajectory,
-    forecaster: ArForecaster | None = None,
+    config: PlantConfig, spec: RunSpec, truth: DisturbanceTrajectory
 ) -> ClosedLoopTrace:
     """Simulate one controller over ``spec.sim_hours`` hours of truth.
 
-    The det and sto controllers forecast with ``forecaster``, or else with
-    an ``ArForecaster`` of the run's own.  That one refits at hour 0 before
-    the loop starts, and the storage-noise estimate reuses the refit's
-    load_cw and load_hw models, so each history window is fitted once per
-    run.  A given forecaster is left to refit in the loop, and the noise
-    estimate then fits its window itself, as for the perf controller.
+    Each controller reads its hour's disturbance data from one source,
+    chosen before the loop: ``ArForecaster.mean_trajectory`` (det),
+    ``_ScenarioSampler.scenario_set`` (sto) or a slice of the truth
+    (perf).  The forecaster refits at hour 0 before the loop, and the
+    storage-noise estimate reuses that refit's load_cw and load_hw models,
+    so each history window is fitted once per run.
     """
     started = time.perf_counter()
     h, y, n = spec.history_hours, spec.sim_hours, spec.horizon
@@ -545,11 +545,15 @@ def run_closed_loop(
     beta = spec.controller.beta
 
     models = None
-    if forecaster is None and kind in (DETERMINISTIC, STOCHASTIC):
+    if kind == PERFECT:
+        def data(t: int) -> DisturbanceTrajectory:
+            return truth.slice(h + t, h + t + n)
+    else:
         forecaster = ArForecaster(truth, spec)
         forecaster.refresh(0)
         models = forecaster._models
-    sampler = _ScenarioSampler(forecaster, spec) if kind == STOCHASTIC else None
+        data = (forecaster.mean_trajectory if kind == DETERMINISTIC
+                else _ScenarioSampler(forecaster, spec).scenario_set)
     noise, clamp_floor = precompute_storage_noise(truth, spec, models)
     session = lp.HighsSession()
 
@@ -563,14 +567,7 @@ def run_closed_loop(
 
     for t in range(y):
         timing = month_timing(t, calendar, n)
-        if kind == DETERMINISTIC:
-            data = forecaster.mean_trajectory(t)
-        elif kind == STOCHASTIC:
-            data = sampler.scenario_set(t)
-        else:
-            data = truth.slice(h + t, h + t + n)
-
-        reduced = mpc.build_reduced(config, state, data, timing, beta)
+        reduced = mpc.build_reduced(config, state, data(t), timing, beta)
         sol = session.solve(reduced.program, start=reduced.start,
                             shift=reduced.shift)
         iterations += sol.iterations

@@ -231,7 +231,7 @@ def correction_program_built(config, state, action, residuals) -> lp.LinearProgr
     coeff = balance_matrix(config)
     a = np.hstack([coeff, -coeff])
     a_rows, a_cols = np.nonzero(a)
-    _, matrix = lp.column_major(a_rows, a_cols, a[a_rows, a_cols], a.shape[1])
+    matrix = lp.column_major(a_rows, a_cols, a[a_rows, a_cols], a.shape[1])
 
     rates = action.as_array()
     lower, upper = rate_bounds(config)

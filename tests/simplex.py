@@ -93,8 +93,8 @@ class LpBuilder:
                 return np.empty(0, dtype=dtype)
             return np.concatenate(parts).astype(dtype, copy=False)
 
-        _, matrix = column_major(cat(self._rows, np.int64), cat(self._cols, np.int64),
-                                 cat(self._vals, float), self._num_vars)
+        matrix = column_major(cat(self._rows, np.int64), cat(self._cols, np.int64),
+                              cat(self._vals, float), self._num_vars)
         lp = LinearProgram(
             objective=cat(self._obj, float),
             lower=cat(self._lower, float),

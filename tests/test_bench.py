@@ -298,11 +298,11 @@ class TestRunBenchmark:
         real = simulate.run_closed_loop
         calls = {"n": 0}
 
-        def flaky(cfg, spec, truth, forecaster=None):
+        def flaky(cfg, spec, truth):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("injected failure")
-            return real(cfg, spec, truth, forecaster)
+            return real(cfg, spec, truth)
 
         monkeypatch.setattr(bench, "run_closed_loop", flaky)
         with pytest.warns(RuntimeWarning, match="injected failure"):

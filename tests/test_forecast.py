@@ -459,12 +459,6 @@ class TestZohVarianceEstimation:
         var_err, _ = fc.estimate_zoh_variances(x, 1)
         assert var_err == pytest.approx(1.0, rel=0.10)
 
-    def test_divisor_override(self):
-        x = ar_series([0.3], 0.0, 1.0, 500, seed=3)
-        v12 = fc.estimate_zoh_variances(x, 1)[1]
-        v6 = fc.estimate_zoh_variances(x, 1, interpolation_divisor=6.0)[1]
-        assert v6 == pytest.approx(2.0 * v12)
-
     def test_given_fit_is_not_refitted(self, monkeypatch):
         x = ar_series([0.3], 0.0, 1.0, 500, seed=3)
         model = fc.fit_ar(x, 2)

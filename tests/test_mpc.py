@@ -43,7 +43,7 @@ def explicit_nonanticipativity(prog, lay):
     a_cols = prog.a_cols.copy()
     a_cols[moved] = copies[xi[moved] - 1, position[prog.a_cols[moved]]]
     tie = prog.num_rows + np.arange(7 * (s - 1))
-    _, matrix = lp.column_major(
+    matrix = lp.column_major(
         np.concatenate([prog.a_rows, tie, tie]),
         np.concatenate([a_cols, copies[:, :7].reshape(-1), np.tile(first[:7], s - 1)]),
         np.concatenate([prog.a_vals, np.ones(tie.size), -np.ones(tie.size)]),

@@ -482,9 +482,10 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="need history"):
             simulate.run_closed_loop(PlantConfig(), spec, truth)
 
-    def test_zero_uncertainty_controllers_collapse(self):
+    def test_zero_uncertainty_controllers_collapse(self, monkeypatch):
         # With exact forecasts injected and no storage noise, all three
         # controllers see identical data and produce identical costs.
+        monkeypatch.setattr(simulate, "ArForecaster", ExactForecaster)
         config = PlantConfig()
         truth = fc.generate_synthetic_campus(37, days=8, profile=_noiseless())
         base = make_spec(apply_storage_noise=False, sim_hours=36)
@@ -496,10 +497,7 @@ class TestClosedLoop:
                     spec_kind, beta=0.0, scenarios=scen
                 ),
             )
-            forecaster = (
-                ExactForecaster(truth, spec) if spec_kind != "perf" else None
-            )
-            trace = simulate.run_closed_loop(config, spec, truth, forecaster)
+            trace = simulate.run_closed_loop(config, spec, truth)
             costs[spec_kind] = trace.cost.sum()
         assert costs["det"] == pytest.approx(costs["perf"], rel=1e-6)
         assert costs["sto"] == pytest.approx(costs["perf"], rel=1e-6)
@@ -1077,15 +1075,14 @@ class TestOneFitPerWindow:
     cadence, so three refits."""
 
     @staticmethod
-    def run(kind, apply_storage_noise=True, given_forecaster=False):
+    def run(kind, apply_storage_noise=True):
         controller = simulate.ControllerSpec(kind, scenarios=5)
         spec = simulate.RunSpec(
             controller=controller, sim_hours=60, horizon=24, ar_order=24,
             history_hours=24 * 14, apply_storage_noise=apply_storage_noise,
         )
         truth = fc.generate_synthetic_campus(0, 19)
-        forecaster = simulate.ArForecaster(truth, spec) if given_forecaster else None
-        return simulate.run_closed_loop(PlantConfig(), spec, truth, forecaster)
+        return simulate.run_closed_loop(PlantConfig(), spec, truth)
 
     @pytest.fixture
     def fits(self, monkeypatch):
@@ -1108,14 +1105,6 @@ class TestOneFitPerWindow:
         assert len(fits) == refit_fits + noise_fits * apply_storage_noise
         assert len(set(fits)) == len(fits)
 
-    def test_a_given_forecaster_leaves_the_noise_its_own_fits(self, fits):
-        own = self.run("det")
-        assert len(fits) == 12
-        given = self.run("det", given_forecaster=True)
-        assert len(fits) == 12 + 14
-        for f in simulate._HOURLY:
-            assert np.array_equal(getattr(own, f.name), getattr(given, f.name)), f.name
-
 
 def _noiseless():
     def quiet(p):
@@ -1129,22 +1118,13 @@ def _noiseless():
     )
 
 
-class ExactForecaster:
+class ExactForecaster(simulate.ArForecaster):
     """Forecast source that returns the truth itself (zero error)."""
 
-    def __init__(self, truth, spec):
-        self.values = truth.values
-        self.spec = spec
-        n = spec.horizon
-        self._chols = [np.zeros((n, n))] * 4
-
     def means(self, t):
-        tau = self.spec.history_hours + t
+        tau = self.offset + t
         return self.values[:, tau : tau + self.spec.horizon].copy()
-
-    def mean_trajectory(self, t):
-        return DisturbanceTrajectory(self.means(t))
 
     @property
     def cholesky_factors(self):
-        return self._chols
+        return [np.zeros((self.spec.horizon,) * 2)] * 4
