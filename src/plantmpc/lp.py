@@ -44,11 +44,14 @@ basis of the last hour is stale in every step: its warm restart ended in
 a primal cleanup of about 1 500 dual infeasibilities.  Shifted
 (``mpc.ReducedProgram.shift``), on scenario noise that moves with the
 horizon, the same window's warm hours take 951 iterations instead of
-3 343 (seed 0).  Moving the 285 010 statuses costs about 25 ms of the
-roughly 310-340 ms warm solve: reading them (``HighsSession.basis``)
-about 7 ms, shifting them 1 ms and writing the alien basis 17 ms.  Read
-through ``getBasis``, whose statuses come as lists of binding enums, they
-took 200-270 ms.
+3 343 (seed 0).  Moving the 285 010 statuses of that program (217 808
+now) cost about 25 ms of the roughly 310-340 ms warm solve: reading them
+(``HighsSession.basis``) about 7 ms, shifting them 1 ms and writing the
+alien basis 17 ms.  Read through ``getBasis``, whose statuses come as
+lists of binding enums, they took 200-270 ms.  A nonbasic two-sided row
+(``RANGE``, the tank rate limits of ``mpc``) sits at one of two sides;
+the session finds which from the row activities of the optimum, one
+``np.bincount`` over the matrix entries.
 
 One-shot solves keep the defaults because the vertex they return among
 alternate optima is what their callers were written against: the
@@ -66,7 +69,7 @@ import numpy as np
 import scipy.sparse
 from scipy.optimize._highspy import _core as _highs_core
 
-LE, EQ, GE = -1, 0, 1
+LE, EQ, GE, RANGE = -1, 0, 1, 2
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -77,6 +80,11 @@ ITERATION_LIMIT = "iteration_limit"
 @dataclass
 class LinearProgram:
     """min cᵀx subject to sparse rows with senses and per-variable bounds.
+
+    A row of sense ``LE``, ``EQ`` or ``GE`` has one side, ``rhs``.  A
+    two-sided row (``RANGE``) lies between ``rhs_lower`` and ``rhs``;
+    ``rhs_lower`` has one entry per row and is read at ``RANGE`` rows only,
+    so a program without them may leave it None.
 
     The matrix is held in HiGHS's column layout: its entries grouped by
     column in ascending order, rows ascending inside each column, and
@@ -95,6 +103,7 @@ class LinearProgram:
     a_cols: np.ndarray
     a_vals: np.ndarray
     a_starts: np.ndarray
+    rhs_lower: np.ndarray | None = None
 
     @property
     def num_vars(self) -> int:
@@ -137,8 +146,16 @@ class LinearProgram:
                 raise ValueError("entries not in column-major order")
         if not np.array_equal(self.a_starts, _starts(self.a_cols, n)):
             raise ValueError("column starts do not match the column indices")
-        if not np.all(np.isin(self.row_sense, (LE, EQ, GE))):
+        if not np.all(np.isin(self.row_sense, (LE, EQ, GE, RANGE))):
             raise ValueError("invalid row sense")
+        ranged = self.row_sense == RANGE
+        if ranged.any():
+            if self.rhs_lower is None or self.rhs_lower.shape != self.rhs.shape:
+                raise ValueError("two-sided rows need one lower side per row")
+            if not np.all(np.isfinite(self.rhs_lower[ranged])):
+                raise ValueError("non-finite coefficients")
+            if np.any(self.rhs_lower[ranged] > self.rhs[ranged]):
+                raise ValueError("crossed row sides")
 
 
 def _starts(a_cols: np.ndarray, num_vars: int) -> np.ndarray:
@@ -153,7 +170,11 @@ def column_major(a_rows, a_cols, a_vals, num_vars: int) -> dict:
     the program's fields ``a_rows``, ``a_cols``, ``a_vals`` and
     ``a_starts`` for ``num_vars`` columns."""
     a_rows, a_cols = np.asarray(a_rows), np.asarray(a_cols)
-    order = np.lexsort((a_rows, a_cols))
+    # lexsort's order from one stable sort of one int64 key per entry:
+    # about a third of lexsort's time on the paper-scale template, whose
+    # entries come in long sorted runs.
+    num_rows = int(a_rows.max()) + 1 if a_rows.size else 1
+    order = np.argsort(a_cols.astype(np.int64) * num_rows + a_rows, kind="stable")
     a_cols = a_cols[order].astype(np.int32)
     return dict(a_rows=a_rows[order].astype(np.int32), a_cols=a_cols,
                 a_vals=np.asarray(a_vals, dtype=float)[order],
@@ -234,6 +255,21 @@ def _nonbasic_codes(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _nonbasic_row_codes(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """The status codes of ``lp``'s rows at ``x``, were they all nonbasic:
+    at the finite side of a one-sided row, the lower one of an equality,
+    and at the nearer side of the activity of a two-sided row."""
+    codes = np.multiply(lp.row_sense == LE, 2, dtype=np.int8)
+    ranged = lp.row_sense == RANGE
+    if ranged.any():
+        activity = np.bincount(lp.a_rows, weights=lp.a_vals * x[lp.a_cols],
+                               minlength=lp.num_rows)[ranged]
+        codes[ranged] = np.multiply(
+            lp.rhs[ranged] - activity < activity - lp.rhs_lower[ranged], 2,
+            dtype=np.int8)
+    return codes
+
+
 def _check(status, call: str) -> None:
     """Raise on a HiGHS call that failed; HiGHS itself only logs it."""
     if status == _highs_core.HighsStatus.kError:
@@ -271,8 +307,10 @@ def _highs() -> _highs_core._Highs:
 
 
 def _row_sides(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    return (np.where(lp.row_sense == LE, -np.inf, lp.rhs),
-            np.where(lp.row_sense == GE, np.inf, lp.rhs))
+    lower = np.where(lp.row_sense == LE, -np.inf, lp.rhs)
+    if lp.rhs_lower is not None:
+        lower = np.where(lp.row_sense == RANGE, lp.rhs_lower, lower)
+    return lower, np.where(lp.row_sense == GE, np.inf, lp.rhs)
 
 
 def _pass_model(h, lp: LinearProgram) -> None:
@@ -372,7 +410,8 @@ class HighsSession:
         # ``basis``; a one-shot run restarts nothing.  Codes, not the bounds
         # they come from: those would keep 3 MB of the last program alive
         # through the next solve at paper scale.
-        self._optimum = ((dims, _nonbasic_codes(lp, solution.x), lp.row_sense)
+        self._optimum = ((dims, _nonbasic_codes(lp, solution.x),
+                          _nonbasic_row_codes(lp, solution.x))
                          if solution.is_optimal and not one_shot else None)
         return solution
 
@@ -385,16 +424,16 @@ class HighsSession:
 
         The basic set comes from HiGHS; each nonbasic column sits at the
         bound its value is on, each nonbasic row at its finite side (the
-        lower one of an equality).  Only the sides of fixed columns and of
-        equality rows may differ from ``getBasis``, and HiGHS never moves
-        those.  ``getBasis`` returns lists of binding enums, which at paper
-        scale took 200-270 ms to read as codes against about 7 ms here.
+        lower one of an equality) or, two-sided, at the side its activity
+        is on.  Only the sides of fixed columns and of equality rows may
+        differ from ``getBasis``, and HiGHS never moves those.
+        ``getBasis`` returns lists of binding enums, which at paper scale
+        took 200-270 ms to read as codes against about 7 ms here.
         """
         if self._optimum is None:
             raise ValueError("the last run did not end optimal")
-        _, col, row_sense = self._optimum
-        col = col.copy()
-        row = np.multiply(row_sense == LE, 2, dtype=np.int8)
+        _, col, row = self._optimum
+        col, row = col.copy(), row.copy()
         status, basic = self._h.getBasicVariables()
         _check(status, "getBasicVariables")
         col[basic[basic >= 0]] = 1

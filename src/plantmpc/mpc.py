@@ -18,14 +18,23 @@ water-balance rows and the unit bounds are ``plant.balance_matrix`` and
 balance matrix's condenser row, which folds the tower's draws in
 ``plant.utility_matrix`` into the other units' (these price the unit loads
 and fill the peak rows).  The residual demands and the unmet/overmet
-integrators are eliminated by substitution too.
+integrators are eliminated by substitution too, and so are the tank rates,
+as storage differences, and the unmet slacks, as what each water balance
+falls short of its load (``_ReducedLayout``).  Those two are presolve
+reductions made once, by construction, because the controller sessions
+run without HiGHS's presolve to keep their warm starts.  At paper scale
+they removed a third of the columns, took sto-paper's peak memory from
+297 to 268 MB (medians of 10 runs each) and moved no committed action by
+more than 1.2e-9 kW (seeds 0, 1 and 7919 of the three benchmark
+workloads).
 
 Every program carries two peak registers per scenario, this month's and
 next month's, and each step bills to the register of its own month, so
 for a given plant, horizon N and S scenarios the program has one shape for
-the whole run: ``10 + S(12N - 6)`` columns and ``5NS`` rows, plus ``NS``
+the whole run: ``8 + S(8N - 4)`` columns and ``5NS - 2S`` rows, plus ``NS``
 tower-limit rows when that limit can bind.  For the default plant at
-N = 168 and S = 100 that is 201,010 columns and 84,000 rows.
+N = 168 and S = 100 that is 134 008 columns and 83 800 rows; a one-scenario
+program has 1 348 columns and 838 rows.
 
 Because the shape is fixed, ``build_reduced`` assembles the matrix once per
 plant, N and S (``_ProgramTemplate``, cached), column-major as HiGHS reads
@@ -48,11 +57,11 @@ moved one step, and the session restarts from the last optimal basis moved
 with it.  The single-trajectory programs have neither.  Shifted, their warm
 restarts took 8 iterations instead of 49 (det-monthend, seed 0) and 5
 instead of 58 (perf-monthend), but HiGHS's time on programs that small is
-mostly setup: reading, moving and writing their 2 860 statuses and
-HiGHS's repair of the alien basis added about 0.5 ms per hour, where the
-unshifted restart hands HiGHS its own basis back in 0.01 ms.  Over 10
-alternating pairs each, ``perfbench``'s ``warm_hour_ref`` rose 3.3 %
-(det-monthend, lower in 2) and 3.2 % (perf-monthend, lower in 1).
+mostly setup: reading, moving and writing their 2 860 statuses (2 186
+now) and HiGHS's repair of the alien basis added about 0.5 ms per hour,
+where the unshifted restart hands HiGHS its own basis back in 0.01 ms.
+Over 10 alternating pairs each, ``perfbench``'s ``warm_hour_ref`` rose
+3.3 % (det-monthend, lower in 2) and 3.2 % (perf-monthend, lower in 1).
 
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
 per-scenario unit loads, slacks, storage levels and peak registers, in
@@ -166,54 +175,73 @@ class _Triplets:
         self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
         self.vals.append(vals.reshape(-1).astype(float))
 
-    def program(self, objective, lower, upper, sense, rhs) -> lp.LinearProgram:
+    def program(self, objective, lower, upper, sense, rhs,
+                rhs_lower=None) -> lp.LinearProgram:
         """The program of these entries, sorted column-major."""
         matrix = lp.column_major(
             *map(np.concatenate, (self.rows, self.cols, self.vals)), objective.size)
-        return lp.LinearProgram(objective, lower, upper, sense, rhs, **matrix)
+        return lp.LinearProgram(objective, lower, upper, sense, rhs, **matrix,
+                                rhs_lower=rhs_lower)
 
 
-#: The program's unit columns, in ``UNITS`` order: every unit but the cooling
-#: tower, whose load the condenser balance substitutes (``_tower``).
+#: The program's unit columns, in ``UNITS`` order: the production units but
+#: the cooling tower, whose load the condenser balance substitutes
+#: (``_tower``).  The tanks' rates are differences of storage columns.
 _CT = UNITS.index("ct")
-_KEEP = [i for i in range(len(UNITS)) if i != _CT]
+_TANKS = [UNITS.index(u) for u in STORAGE_UNITS]
+_UNITS = [i for i in range(len(UNITS)) if i != _CT and i not in _TANKS]
 
 
 def _tower(config: PlantConfig) -> np.ndarray:
     """Coefficients with P_ct = tower @ P over the unit columns: the condenser
-    balance (row 2 of ``plant.balance_matrix``, ct coefficient 1) solved for P_ct."""
-    return -balance_matrix(config)[2, _KEEP]
+    balance (row 2 of ``plant.balance_matrix``, ct coefficient 1, no tank
+    terms) solved for P_ct."""
+    return -balance_matrix(config)[2, _UNITS]
 
 
 class _ReducedLayout:
     """Column/row indices of the program for one shape, all scenarios stacked.
 
-    Residual columns, the unmet/overmet integrators and the cooling-tower
-    load are definitional: the residuals and the tower load substitute into
-    the objective and peak rows, and each integrator chain turns into
-    triangular weights on the slack columns plus a constant offset.  When
-    the tower limit can bind (``tower_binds``) it is one more row block,
-    ``tower`` @ P <= pmax_ct.  What remains per scenario: unit loads ``P``
-    (s, 6, n) in ``UNITS`` order without ct, four slacks ``S`` (s, 4, n),
-    storage states ``E`` (s, 2, n+1) and the peak registers ``R`` (s, 2).
-    This month's ``R1`` is the last column of each scenario block; next
-    month's ``R2`` columns follow the last block.  Every program carries
-    both, so the shape is the same inside a month, across a month end and
-    on the closing hour.  The hour-0 loads and the storage columns of steps
-    0 and 1 are shared by all scenarios.
+    Residual columns, the unmet/overmet integrators, the cooling-tower load,
+    the tank rates and the unmet slacks are definitional, and two of the
+    eliminations are presolve reductions made once, here (Andersen and
+    Andersen, Presolving in linear programming, Math. Program. 71, 1995).
+    The residuals and the tower load substitute into the objective and peak
+    rows, and each integrator chain turns into triangular weights on the
+    slacks plus a constant offset.  Each tank rate is defined by its
+    dynamics row, P_k = E_k - E_{k+1}, which then turns into the rate limit
+    on that difference: a two-sided row from step 1 on, and, E_0 being
+    pinned, bounds on the shared E_1 columns at step 0.  Each unmet slack is
+    a column singleton of its water-balance row: the row becomes ``<=`` the
+    load and its penalty moves onto the row's other columns.  When the
+    tower limit can bind (``tower_binds``) it is one more row block,
+    ``tower`` @ P <= pmax_ct.
+
+    What remains per scenario: unit loads ``P`` (s, 4, n) in ``UNITS`` order
+    without ct and the tanks, the overmet slacks ``O`` (s, 2, n), chilled
+    water then hot water, storage states ``E`` (s, 2, n+1) and the peak
+    registers ``R`` (s, 2).  This month's ``R1`` is the last column of each
+    scenario block; next month's ``R2`` columns follow the last block.
+    Every program carries both, so the shape is the same inside a month,
+    across a month end and on the closing hour.  The hour-0 loads and the
+    storage columns of steps 0 and 1 are shared by all scenarios.  Each
+    scenario's rows are its ``row_blocks`` in order, one row per step, but
+    the dynamics rows start at step 1; ``row_block`` gives one block
+    (s, steps).
     """
 
     def __init__(self, n: int, s: int, tower_binds: bool):
         self.n, self.s = n, s
-        nu = len(_KEEP)
-        self.row_blocks = ("cw_bal", "hw_bal", "e_dyn_cw", "e_dyn_hw", "peak") + (
-            ("tower",) if tower_binds else ()
-        )
-        nb = len(self.row_blocks)
+        nu = len(_UNITS)
+        steps = dict(cw_bal=n, hw_bal=n, e_dyn_cw=n - 1, e_dyn_hw=n - 1, peak=n)
+        if tower_binds:
+            steps["tower"] = n
+        self.row_blocks = tuple(steps)
+        per_scenario = sum(steps.values())
         self.shared = nu + 4  # first-stage loads, storage pins, next-hour
-        self.block = (nu + 6) * n - nu - 1
+        self.block = (nu + 4) * n - nu - 1
         self.num_vars = self.shared + s * (self.block + 1)
-        self.num_rows = nb * n * s
+        self.num_rows = per_scenario * s
 
         xi = np.arange(s, dtype=np.int64)
         base = self.shared + xi * self.block
@@ -224,31 +252,35 @@ class _ReducedLayout:
         self.P = np.empty((s, nu, n), dtype=np.int64)
         self.P[:, :, 0] = units
         self.P[:, :, 1:] = base[:, None, None] + units[None, :, None] * (n - 1) + k1
-        soff = base + nu * (n - 1)
-        self.S = (
-            soff[:, None, None]
-            + np.arange(4 * n, dtype=np.int64).reshape(1, 4, n)
+        ooff = base + nu * (n - 1)
+        self.O = (
+            ooff[:, None, None]
+            + np.arange(2 * n, dtype=np.int64).reshape(1, 2, n)
         )
         self.E = np.empty((s, 2, n + 1), dtype=np.int64)
         self.E[:, :, 0] = nu + tanks
         self.E[:, :, 1] = nu + 2 + tanks
         self.E[:, :, 2:] = (
-            (soff + 4 * n)[:, None, None] + tanks[None, :, None] * (n - 1) + k1
+            (ooff + 2 * n)[:, None, None] + tanks[None, :, None] * (n - 1) + k1
         )
         self.R = np.stack(
             [base + self.block - 1, self.shared + s * self.block + xi], axis=1
         )
         self.rows = (
-            (nb * n * xi)[:, None, None]
-            + np.arange(nb * n, dtype=np.int64).reshape(1, nb, n)
+            (per_scenario * xi)[:, None]
+            + np.arange(per_scenario, dtype=np.int64)
         )
-        for arr in (self.P, self.S, self.E, self.R, self.rows):
+        bounds = np.cumsum([0, *steps.values()])
+        self._blocks = {
+            name: self.rows[:, a:b] for name, a, b in zip(steps, bounds, bounds[1:])
+        }
+        for arr in (self.P, self.O, self.E, self.R, self.rows):
             arr.setflags(write=False)
         self.R1 = self.R[:, 0]
         self.R2 = self.R[:, 1]
 
     def row_block(self, name: str) -> np.ndarray:
-        return self.rows[:, self.row_blocks.index(name)]
+        return self._blocks[name]
 
     @functools.cached_property
     def shift(self) -> lp.Shift:
@@ -261,16 +293,21 @@ class _ReducedLayout:
         next-step status; the peak registers keep theirs.
         """
         col = np.arange(self.num_vars, dtype=np.int32)
-        for index in (self.P, self.S, self.E):
-            steps = index.shape[2]
-            nxt = np.minimum(np.arange(1, steps + 1), steps - 1)
+        for index in (self.P, self.O, self.E):
+            nxt = _next_steps(index.shape[2])
             col[index] = index[:, :, nxt]
             col[index[0]] = index[0][:, nxt]
-        nxt = np.minimum(np.arange(1, self.n + 1), self.n - 1)
-        row = self.rows[:, :, nxt].reshape(-1).astype(np.int32)
+        row = np.empty(self.num_rows, dtype=np.int32)
+        for block in self._blocks.values():
+            row[block] = block[:, _next_steps(block.shape[1])]
         for arr in (col, row):
             arr.setflags(write=False)
         return lp.Shift(col, row)
+
+
+def _next_steps(steps: int) -> np.ndarray:
+    """Each step's next one, the last step its own."""
+    return np.minimum(np.arange(1, steps + 1), steps - 1)
 
 
 @functools.lru_cache(maxsize=32)
@@ -281,7 +318,7 @@ def _reduced_layout(n: int, s: int, tower_binds: bool) -> _ReducedLayout:
 def _tower_binds(config: PlantConfig) -> bool:
     """Whether the tower limit can bind: it is below max condenser duty."""
     _, upper = rate_bounds(config)
-    return upper[_CT] < _tower(config) @ upper[_KEEP] - 1e-9
+    return upper[_CT] < _tower(config) @ upper[_UNITS] - 1e-9
 
 
 @dataclass(frozen=True)
@@ -323,19 +360,38 @@ class ReducedProgram:
     shift: lp.Shift | None = None
 
     def expand(self, sol: lp.LpSolution) -> Plan:
-        """Decode an optimal solution of ``program``."""
+        """Decode an optimal solution of ``program``: the tank rates are
+        storage differences and the unmet energy is what each water
+        balance's row falls short of its load, at least zero."""
         if not sol.is_optimal:
             raise ValueError(f"cannot decode a {sol.status} solution")
         lay, x = self.layout, sol.x
-        p = x[lay.P]
-        ct = (_tower(self.config)[:, None] * p).sum(axis=1)
+        p, e, overmet = x[lay.P], x[lay.E], x[lay.O]
+        loads = np.empty((lay.s, 7, lay.n))
+        loads[:, _UNITS] = p
+        loads[:, _CT] = np.einsum("u,sun->sn", _tower(self.config), p)
+        loads[:, _TANKS] = e[:, :, :-1] - e[:, :, 1:]
+        supply = np.einsum("ju,sun->sjn", balance_matrix(self.config)[:2], loads)
+        demand = np.stack([self.program.rhs[lay.row_block(b)]
+                           for b in ("cw_bal", "hw_bal")], axis=1)
+        slacks = np.empty((lay.s, 4, lay.n))
+        slacks[:, 0::2] = np.maximum(demand - supply + overmet, 0.0)
+        slacks[:, 1::2] = overmet
         return Plan(
-            P=np.insert(p, _CT, ct, axis=1),
-            S=x[lay.S],
-            E=x[lay.E],
+            P=loads,
+            S=slacks,
+            E=e,
             peaks=x[lay.R],
             objective=sol.objective + self.offset,
         )
+
+
+def _accumulate(obj: np.ndarray, index: np.ndarray, costs) -> None:
+    """Add ``costs`` to ``obj`` at ``index``, unbuffered: the shared
+    first-stage columns accumulate over scenarios.  ``costs`` is broadcast
+    to the index's shape first; numpy 2.4's ``np.add.at`` reads values it
+    must broadcast itself wrongly past the first row of a 2-D index."""
+    np.add.at(obj, index, np.broadcast_to(costs, index.shape))
 
 
 class _ProgramTemplate:
@@ -344,13 +400,15 @@ class _ProgramTemplate:
 
     The triplet assembly runs once, here: the sparsity pattern, the static
     matrix coefficients, the row senses, the static bounds (unit limits,
-    nonnegative slacks, next month's register from zero), the tower-limit
-    right-hand sides and the slack costs.  The register entries of the peak
-    rows bill every step to this month's register (-1 for R1, 0 for R2);
-    ``r1`` and ``r2`` are where they sit in the column-major ``a_vals``, in
-    (scenario, step) order.  Every array is read-only: ``build_reduced``
-    shares the pattern, the senses and, inside a month, the matrix values,
-    and copies the rest before writing an hour's data into it.
+    nonnegative slacks, next month's register from zero), the tank rate
+    limits, the tower-limit right-hand sides and the static costs: the
+    slacks' and the unmet penalty folded onto the unit and storage
+    columns.  The register entries of the peak rows bill every step to
+    this month's register (-1 for R1, 0 for R2); ``r1`` and ``r2`` are
+    where they sit in the column-major ``a_vals``, in (scenario, step)
+    order.  Every array is read-only: ``build_reduced`` shares the pattern,
+    the senses, the rate limits and, inside a month, the matrix values, and
+    copies the rest before writing an hour's data into it.
     """
 
     def __init__(self, config: PlantConfig, n: int, s: int):
@@ -361,14 +419,17 @@ class _ProgramTemplate:
         upper = np.full(red.num_vars, np.inf)
         sense = np.empty(red.num_rows, dtype=np.int8)
         rhs = np.zeros(red.num_rows)
+        rhs_lower = np.zeros(red.num_rows)
         matrix = _Triplets()
 
         weight = self.weight = 1.0 / s
-        P, S, E = red.P, red.S, red.E
-        balance = balance_matrix(config)[:, _KEEP]
-        # The utility draws per kW of each unit column, P_ct substituted.
+        P, O, E = red.P, red.O, red.E
+        balance = balance_matrix(config)
+        # The utility draws per kW of each unit column, P_ct substituted; the
+        # tanks draw none.
         utility = utility_matrix(config)
-        utility = utility[:, _KEEP] + np.outer(utility[:, _CT], tower)
+        utility = utility[:, _UNITS] + np.outer(utility[:, _CT], tower)
+        rate_lower, rate_upper = self.rates = rate_bounds(config)
 
         def put_units(rows, coeffs) -> None:
             """The nonzero unit coefficients of one row block, in column order."""
@@ -381,22 +442,36 @@ class _ProgramTemplate:
             sense[tower_rows] = lp.LE
             rhs[tower_rows] = config.pmax_ct
 
-        # Water balances: the unit rows of plant.balance_matrix plus the unmet
-        # and overmet slacks, equal to the load.
+        # Water balances: the unit rows of plant.balance_matrix, each tank's
+        # rate as E_k - E_{k+1}, minus the overmet slack, at most the load;
+        # the unmet slack is what the row falls short of it.  Its penalty,
+        # rho times the triangular integrator weight, prices the shortfall:
+        # a constant on the load (``_fill``'s offset) less the same weight on
+        # each column of the row, the overmet slack's included.
+        tri = (n - np.arange(n)).astype(float)
         self.cw_rows, self.hw_rows = (red.row_block(b) for b in ("cw_bal", "hw_bal"))
         for j, rows in enumerate((self.cw_rows, self.hw_rows)):
-            put_units(rows, balance[j])
-            matrix.put(rows, S[:, 2 * j], 1.0)
-            matrix.put(rows, S[:, 2 * j + 1], -1.0)
-            sense[rows] = lp.EQ
+            penalty = weight * config.rho(STORAGE_UNITS[j]) * tri
+            put_units(rows, balance[j, _UNITS])
+            _accumulate(obj, P, -np.multiply.outer(balance[j, _UNITS], penalty))
+            for i in np.flatnonzero(balance[j, _TANKS]):
+                coeff = balance[j, _TANKS[i]]
+                matrix.put(rows, E[:, i, :-1], coeff)
+                matrix.put(rows, E[:, i, 1:], -coeff)
+                _accumulate(obj, E[:, i, :-1], -coeff * penalty)
+                _accumulate(obj, E[:, i, 1:], coeff * penalty)
+            matrix.put(rows, O[:, j], -1.0)
+            obj[O[:, j]] = 2.0 * penalty
+            sense[rows] = lp.LE
 
-        # Storage dynamics; the tanks are the last unit columns, as in UNITS.
+        # Tank rates from step 1 on: E_k - E_{k+1} within the rate limits.
         for j, unit in enumerate(STORAGE_UNITS):
             dyn = red.row_block(f"e_dyn_{unit}")
-            matrix.put(dyn, E[:, j, 1:], 1.0)
-            matrix.put(dyn, E[:, j, :-1], -1.0)
-            matrix.put(dyn, P[:, j - len(STORAGE_UNITS)], 1.0)
-            sense[dyn] = lp.EQ
+            matrix.put(dyn, E[:, j, 1:-1], 1.0)
+            matrix.put(dyn, E[:, j, 2:], -1.0)
+            sense[dyn] = lp.RANGE
+            rhs_lower[dyn] = rate_lower[_TANKS[j]]
+            rhs[dyn] = rate_upper[_TANKS[j]]
 
         # Peak rows: the substituted electricity draw minus R, R the register
         # of the step's month, at most -L_e.  Both registers appear in every
@@ -408,25 +483,20 @@ class _ProgramTemplate:
         matrix.put(self.peak_rows, red.R2[:, None], 0.0)
         sense[self.peak_rows] = lp.LE
 
-        rate_lower, rate_upper = rate_bounds(config)
-        lower[P] = rate_lower[_KEEP][None, :, None]
-        upper[P] = rate_upper[_KEEP][None, :, None]
-        lower[S] = 0.0
+        lower[P] = rate_lower[_UNITS][None, :, None]
+        upper[P] = rate_upper[_UNITS][None, :, None]
+        lower[O] = 0.0
         lower[red.R2] = 0.0
 
-        # Slack costs: triangular integrator weights.
-        tri = (n - np.arange(n)).astype(float)
-        for j, unit in enumerate(STORAGE_UNITS):
-            obj[S[:, 2 * j]] = weight * config.rho(unit) * tri
-            obj[S[:, 2 * j + 1]] = weight * config.rho(unit) * tri
         # The substituted utility purchases per kW of each unit column: the
         # electricity draw, priced per hour, and the water and gas cost.
         self.unit_draw = weight * utility[0]
         self.unit_fixed = weight * (
             utility[1] * config.price_water + utility[2] * config.price_gas
         )
+        self.unmet_weight = weight * tri
 
-        self.program = matrix.program(obj, lower, upper, sense, rhs)
+        self.program = matrix.program(obj, lower, upper, sense, rhs, rhs_lower)
         # A register column holds exactly its scenario's N peak rows, in
         # step order.
         self.r1, self.r2 = (
@@ -463,14 +533,16 @@ def build_reduced(
 
     The hour writes only its data into copies of the run's template
     (``_ProgramTemplate``, cached per plant, N and S): the balance and peak
-    right-hand sides, the tank pins and the storage box, this month's
-    register bound, the unit and register costs, and the register entries
-    of the peak rows when the horizon crosses a month end.  Its objective,
-    bounds and right-hand sides are fresh writable arrays; the row senses
-    and the sparsity pattern (``a_rows``, ``a_cols``, ``a_starts``) are the
-    template's, shared by every program of the shape and read-only.  So
-    are the matrix values inside a month: only a horizon with a step that
-    bills to next month gets a fresh copy of them.
+    right-hand sides, the tank pins and the storage box (with the step-0
+    rate limits on the next-hour levels), this month's register bound, the
+    unit and register costs, and the register entries of the peak rows
+    when the horizon crosses a month end.  Its objective, bounds and
+    right-hand sides are fresh writable arrays; the row senses, the lower
+    sides of the two-sided rows and the sparsity pattern (``a_rows``,
+    ``a_cols``, ``a_starts``) are the template's, shared by every program
+    of the shape and read-only.  So are the matrix values inside a month:
+    only a horizon with a step that bills to next month gets a fresh copy
+    of them.
     """
     values = _scenario_values(forecast_or_scenarios)
     _, n_chan, n = values.shape
@@ -510,21 +582,29 @@ def _fill(
 
     lower, upper = shared.lower.copy(), shared.upper.copy()
     E = red.E
+    rate_lower, rate_upper = template.rates
     for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
-        lower[E[:, j, 0]] = upper[E[:, j, 0]] = state.storage(STORAGE_UNITS[j])
+        level = state.storage(STORAGE_UNITS[j])
+        lower[E[:, j, 0]] = upper[E[:, j, 0]] = level
         lower[E[:, j, 1:]] = lo
         upper[E[:, j, 1:]] = hi
+        # The step-0 rate limit, E_0 - E_1 within the tank's rate bounds.
+        lower[E[0, j, 1]] = max(lo, level - rate_upper[_TANKS[j]])
+        upper[E[0, j, 1]] = min(hi, level - rate_lower[_TANKS[j]])
     lower[red.R1] = state.peak
 
-    # The unit costs and the discounted demand charges.  The shared
-    # first-stage columns accumulate over scenarios, so use an unbuffered add.
+    # The unit costs and the discounted demand charges.
     obj = shared.objective.copy()
-    np.add.at(obj, red.P, template.unit_draw[:, None] * price_e[:, None, :]
-              + template.unit_fixed[:, None])
+    _accumulate(obj, red.P, template.unit_draw[:, None] * price_e[:, None, :]
+                + template.unit_fixed[:, None])
     obj[red.R] = template.weight * (config.price_demand / timing.discount)
 
+    # The campus load's electricity, the unmet penalty on the water loads
+    # and the integrators' values carried into every step.
     offset = float(
         template.weight * np.sum(price_e * load_e)
+        + template.unmet_weight @ (config.rho_cw * load_cw.sum(axis=0)
+                                   + config.rho_hw * load_hw.sum(axis=0))
         + n * (config.rho_cw * (state.ul_cw + state.ol_cw)
                + config.rho_hw * (state.ul_hw + state.ol_hw))
     )
@@ -561,7 +641,7 @@ def _mean_start(
         return None
     seed, one = session.basis(), mean.layout
     col = np.empty(red.num_vars, dtype=np.int8)
-    for full, single in ((red.P, one.P), (red.S, one.S), (red.E, one.E),
+    for full, single in ((red.P, one.P), (red.O, one.O), (red.E, one.E),
                          (red.R, one.R)):
         col[full] = seed.col[single]
     row = np.empty(red.num_rows, dtype=np.int8)

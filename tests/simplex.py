@@ -3,8 +3,10 @@
 The simplex is the independent oracle that HiGHS (``lp.solve`` and
 ``lp.HighsSession``) is checked against: two-phase primal simplex on the
 equality form ``A x + s = b`` with general variable bounds, Dantzig
-pricing, and a Bland's-rule fallback after a run of degenerate pivots.  It
-keeps a dense m x m basis inverse, so it only suits small programs.
+pricing, and a Bland's-rule fallback after a run of degenerate pivots.  A
+row's slack s lies in [0, inf) for ``<=``, [0, 0] for ``=``, (-inf, 0] for
+``>=`` and [0, rhs - rhs_lower] for a two-sided row.  It keeps a dense
+m x m basis inverse, so it only suits small programs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from plantmpc.lp import (
     ITERATION_LIMIT,
     LE,
     OPTIMAL,
+    RANGE,
     UNBOUNDED,
     LinearProgram,
     LpSolution,
@@ -131,6 +134,9 @@ def solve_simplex(
     sl = np.arange(n, n + n_slack)
     lower[sl] = np.where(lp.row_sense == GE, -np.inf, 0.0)
     upper[sl] = np.where(lp.row_sense == LE, np.inf, 0.0)
+    ranged = lp.row_sense == RANGE
+    if ranged.any():
+        upper[sl[ranged]] = lp.rhs[ranged] - lp.rhs_lower[ranged]
 
     # Nonbasic rest values: the finite bound nearest zero, else zero.
     rest = np.zeros(n_total)

@@ -185,6 +185,81 @@ class TestValidation:
             builder.build(validate=True)
 
 
+def two_sided(prog, rng):
+    """``prog`` with about half its rows two-sided, each reaching down from
+    its right-hand side by up to 3."""
+    ranged = rng.random(prog.num_rows) < 0.5
+    return dataclasses.replace(
+        prog, row_sense=np.where(ranged, lp.RANGE, prog.row_sense).astype(np.int8),
+        rhs_lower=prog.rhs - rng.uniform(0.0, 3.0, prog.num_rows))
+
+
+def split(prog):
+    """``prog`` with each two-sided row as a ``<=`` row and a ``>=`` row."""
+    ranged = np.flatnonzero(prog.row_sense == lp.RANGE)
+    extra = prog.num_rows + np.arange(ranged.size)
+    copied = np.isin(prog.a_rows, ranged)
+    position = np.zeros(prog.num_rows, dtype=np.int64)
+    position[ranged] = extra
+    matrix = lp.column_major(
+        np.concatenate([prog.a_rows, position[prog.a_rows[copied]]]),
+        np.concatenate([prog.a_cols, prog.a_cols[copied]]),
+        np.concatenate([prog.a_vals, prog.a_vals[copied]]), prog.num_vars)
+    sense = np.where(prog.row_sense == lp.RANGE, lp.LE, prog.row_sense)
+    return dataclasses.replace(
+        prog, row_sense=np.concatenate([sense, np.full(ranged.size, lp.GE)]).astype(np.int8),
+        rhs=np.concatenate([prog.rhs, prog.rhs_lower[ranged]]), rhs_lower=None, **matrix)
+
+
+class TestTwoSidedRows:
+    """A ``RANGE`` row lies between ``rhs_lower`` and ``rhs``."""
+
+    def test_validate_rejects_crossed_and_missing_sides(self):
+        prog = dataclasses.replace(simple_program(), row_sense=np.array([lp.RANGE], np.int8))
+        with pytest.raises(ValueError, match="lower side"):
+            prog.validate()
+        dataclasses.replace(prog, rhs_lower=np.array([3.0])).validate()
+        with pytest.raises(ValueError, match="crossed row sides"):
+            dataclasses.replace(prog, rhs_lower=np.array([3.5])).validate()
+
+    def test_solvers_agree_with_the_split_rows(self):
+        rng = np.random.default_rng(31)
+        optimal = 0
+        for _ in range(120):
+            prog = two_sided(random_box_lp(rng), rng)
+            prog.validate()
+            oracle = solve_simplex(split(prog))
+            for solve in (solve_simplex, lp.solve, lp.HighsSession().solve):
+                sol = solve(prog)
+                assert sol.status == oracle.status
+                if oracle.is_optimal:
+                    assert sol.objective == pytest.approx(oracle.objective, rel=1e-6, abs=1e-6)
+                    rows = prog.matrix() @ sol.x
+                    row_lower, row_upper = lp._row_sides(prog)
+                    assert np.all(rows >= row_lower - 1e-6)
+                    assert np.all(rows <= row_upper + 1e-6)
+            optimal += oracle.is_optimal
+        assert optimal > 40
+
+    def test_restarts_at_the_lower_side(self):
+        """min x + 2y over 1 <= x + y <= 3: the row ends nonbasic at its
+        lower side, ``basis`` says so, and both warm restarts take no
+        iteration."""
+        builder = LpBuilder()
+        xy = builder.add_variables(2, 0.0, 10.0, [1.0, 2.0])
+        builder.add_row(lp.LE, 3.0, xy, [1.0, 1.0])
+        prog = dataclasses.replace(builder.build(), row_sense=np.array([lp.RANGE], np.int8),
+                                   rhs_lower=np.array([1.0]))
+        session = lp.HighsSession()
+        assert session.solve(prog).objective == pytest.approx(1.0)
+        assert session.basis().row[0] == 0
+        assert status_codes(session._h.getBasis()).row[0] == 0
+        assert session.solve(prog).iterations == 0
+        identity = lp.Shift(np.arange(2, dtype=np.int32), np.arange(1, dtype=np.int32))
+        assert session.solve(prog, shift=identity).iterations == 0
+        assert session.basis().row[0] == 0
+
+
 class TestLoad:
     def test_loaded_program_reads_back_exactly(self):
         matrix = lp.column_major(

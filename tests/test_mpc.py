@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plantmpc import forecast as fc, lp, mpc
 from plantmpc.plant import (
+    STORAGE_UNITS,
     DisturbanceTrajectory,
     PlantConfig,
     PlantState,
@@ -142,7 +144,7 @@ class TestAgainstGridSearch:
 
 
 class TestCountingFormulas:
-    """Sizes documented in ``mpc``: 10 + S(12N - 6) columns and 5NS rows,
+    """Sizes documented in ``mpc``: 8 + S(8N - 4) columns and 5NS - 2S rows,
     plus NS tower rows when the tower limit can bind (not on the default
     plant); the extensive form is the oracle."""
 
@@ -157,8 +159,8 @@ class TestCountingFormulas:
             reduced = mpc.build_reduced(
                 config, state, traj, timing, 0.0
             )
-            assert reduced.program.num_vars == 10 + 12 * n - 6
-            assert reduced.program.num_rows == 5 * n + (n if binds else 0)
+            assert reduced.program.num_vars == 8 + 8 * n - 4
+            assert reduced.program.num_rows == 5 * n - 2 + (n if binds else 0)
             full = full_form.build(
                 config, state, traj, timing, 0.0
             )
@@ -173,8 +175,8 @@ class TestCountingFormulas:
         values = np.abs(np.random.default_rng(0).normal(50, 5, (s, 4, n)))
         scen = fc.ScenarioSet(values)
         reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
-        assert reduced.program.num_vars == 10 + s * (12 * n - 6)
-        assert reduced.program.num_rows == 5 * n * s
+        assert reduced.program.num_vars == 8 + s * (8 * n - 4)
+        assert reduced.program.num_rows == 5 * n * s - 2 * s
         prog = full_form.build(config, state, scen, timing, 0.0).program
         assert prog.num_vars == 15 + s * (20 * n - 8)
         assert prog.num_rows == 13 * n * s
@@ -192,12 +194,19 @@ class TestCountingFormulas:
         scen = fc.ScenarioSet(values)
         reduced = mpc.build_reduced(config, state, scen, spanning, 0.0).program
         inside = mpc.build_reduced(config, state, scen, one_month, 0.0).program
-        assert reduced.num_vars == 10 + s * (12 * n - 6)
+        assert reduced.num_vars == 8 + s * (8 * n - 4)
         assert (reduced.num_rows, reduced.num_vars) == (inside.num_rows, inside.num_vars)
         assert np.array_equal(reduced.a_rows, inside.a_rows)
         assert np.array_equal(reduced.a_cols, inside.a_cols)
         prog = full_form.build(config, state, scen, spanning, 0.0).program
         assert prog.num_vars == 15 + s * (20 * n - 7)
+
+    def test_paper_shape_layout(self):
+        """N = 168 and S = 100 on the default plant, layout only."""
+        lay = mpc._reduced_layout(168, 100, mpc._tower_binds(PlantConfig()))
+        assert (lay.num_vars, lay.num_rows) == (134_008, 83_800)
+        one = mpc._reduced_layout(168, 1, False)
+        assert (one.num_vars, one.num_rows) == (1_348, 838)
 
 
 class TestStochasticStructure:
@@ -394,6 +403,80 @@ class TestReducedEquivalence:
         assert np.all(x <= prog_full.upper + 1e-9)
 
 
+def horizon_timing(kind: str, n: int) -> mpc.HorizonTiming:
+    """A horizon of n steps inside a month, across its end (from n = 2 on)
+    or on its closing hour."""
+    t = 700
+    month_end = {"in-month": 743, "spanning": t + (n - 1) // 2, "closing": t}[kind]
+    return mpc.HorizonTiming(t=t, n=n, month_end=month_end)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Controller programs for the extensive-form oracle.
+
+    The default plant or one whose tower limit binds; tanks empty, full or
+    in between; S of 1 or 3 and the three horizon timings.  Loads are noisy
+    around a typical hour, or the water loads are far above what the plant
+    and its tanks can supply ("discharge": every tank discharges at hour 0
+    as far as its rate limit and its storage box let it), or none for two
+    steps and that surge after them ("charge": an empty tank charges at its
+    rate limit at steps 0 and 1).
+    """
+    config = PlantConfig(pmax_ct=6000.0) if draw(st.booleans()) else PlantConfig()
+    fill = [draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for _ in range(2)]
+    state = PlantState(e_cw=fill[0] * config.cap_cw, e_hw=fill[1] * config.cap_hw,
+                       ul_cw=3.0, ol_hw=2.0, peak=draw(st.sampled_from([0.0, 9000.0])))
+    n, s = draw(st.integers(1, 6)), draw(st.sampled_from([1, 3]))
+    timing = horizon_timing(draw(st.sampled_from(["in-month", "spanning", "closing"])), n)
+    pattern = draw(st.sampled_from(["noise", "discharge", "charge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array([9000.0, 5000.0, 3000.0, 0.07])[None, :, None] * (
+        1.0 + rng.normal(0.0, 0.1, (s, 4, n)))
+    if pattern != "noise":
+        values[:, 1:3] = np.array([25000.0, 15000.0])[:, None]
+    if pattern == "charge":
+        values[:, 1:3, :2] = 0.0
+    data = fc.ScenarioSet(values) if s > 1 else DisturbanceTrajectory(values[0])
+    return config, state, data, timing, draw(st.sampled_from([0.0, 0.1])), pattern
+
+
+class TestAgainstTheExtensiveForm:
+    """The reduced program, solved as the controllers solve it, against the
+    extensive form of ``tests/full_form.py``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(oracle_cases())
+    def test_optimum_and_decoded_plan(self, case):
+        *args, pattern = case
+        config, state, _, _, beta = args
+        full = full_form.build(*args)
+        oracle = lp.solve(full.program)
+        reduced = mpc.build_reduced(*args)
+        reduced.program.validate()
+        solution = lp.HighsSession().solve(reduced.program, start=reduced.start)
+        assert oracle.is_optimal and solution.is_optimal
+        plan = reduced.expand(solution)
+        assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
+
+        x = full.vector(plan)
+        row_lower, row_upper = lp._row_sides(full.program)
+        rows = full.program.matrix() @ x
+        assert np.all(rows >= row_lower - 1e-6) and np.all(rows <= row_upper + 1e-6)
+        assert np.all(x >= full.program.lower - 1e-6)
+        assert np.all(x <= full.program.upper + 1e-6)
+        assert np.all(plan.S >= 0.0)
+
+        action = mpc.extract_action(plan)
+        assert action.within_bounds(config)
+        if pattern == "discharge":
+            for j, (lo, _) in enumerate(mpc.storage_bounds(config, state, beta)):
+                unit = STORAGE_UNITS[j]
+                level = state.storage(unit)
+                assert getattr(action, f"p_{unit}") == pytest.approx(
+                    min(config.pmax(unit), level - lo), rel=1e-9, abs=1e-6)
+
+
 class TestClosingHour:
     def test_step_zero_bills_the_closing_month(self):
         """On the closing hour step 0 goes on this month's register, held at
@@ -490,7 +573,7 @@ class TestReducedLayout:
     @staticmethod
     def recourse(lay):
         """Per-scenario columns that no other scenario uses, (s, k)."""
-        parts = [lay.P[:, :, 1:], lay.S, lay.E[:, :, 2:], lay.R]
+        parts = [lay.P[:, :, 1:], lay.O, lay.E[:, :, 2:], lay.R]
         return np.concatenate([p.reshape(lay.s, -1) for p in parts], axis=1)
 
     @CASES
@@ -499,8 +582,8 @@ class TestReducedLayout:
         first = np.concatenate([lay.P[0, :, 0], lay.E[0, :, :2].ravel()])
         cols = np.concatenate([first, self.recourse(lay).ravel()])
         assert np.array_equal(np.sort(cols), np.arange(lay.num_vars))
-        assert lay.P.shape[1] == 6
-        assert lay.num_rows == (6 if binds else 5) * lay.n * lay.s
+        assert lay.P.shape[1] == 4 and lay.O.shape[1] == 2
+        assert lay.num_rows == ((6 if binds else 5) * lay.n - 2) * lay.s
 
     @CASES
     def test_first_stage_shared_across_scenarios(self, binds, spans):
@@ -563,7 +646,7 @@ class TestMeanStart:
         basis = reduced.start()
         assert basis.iterations == solution.iterations
         lay, one = reduced.layout, mean.layout
-        for full, single in ((lay.P, one.P), (lay.S, one.S), (lay.E, one.E),
+        for full, single in ((lay.P, one.P), (lay.O, one.O), (lay.E, one.E),
                              (lay.R, one.R)):
             for xi in range(s):
                 assert np.array_equal(basis.col[full[xi]], seed.col[single[0]])
@@ -583,20 +666,23 @@ class TestShift:
     @staticmethod
     def expected(lay):
         """The shift's maps, one column and one row at a time.  Scenario 0
-        goes last, so the shared first-stage columns end with its entry."""
+        goes last, so the shared first-stage columns end with its entry.
+        A tank's dynamics rows start at step 1."""
         n = lay.n
         col = np.full(lay.num_vars, -1)
         row = np.full(lay.num_rows, -1)
         for xi in reversed(range(lay.s)):
-            for index, last in ((lay.P, n - 1), (lay.S, n - 1), (lay.E, n)):
+            for index, last in ((lay.P, n - 1), (lay.O, n - 1), (lay.E, n)):
                 for c in range(index.shape[1]):
                     for k in range(last + 1):
                         col[index[xi, c, k]] = index[xi, c, min(k + 1, last)]
             for r in lay.R[xi]:
                 col[r] = r
-            for b in range(len(lay.row_blocks)):
-                for k in range(n):
-                    row[lay.rows[xi, b, k]] = lay.rows[xi, b, min(k + 1, n - 1)]
+            for name in lay.row_blocks:
+                block = lay.row_block(name)[xi]
+                assert block.size == (n - 1 if name.startswith("e_dyn") else n)
+                for k in range(block.size):
+                    row[block[k]] = block[min(k + 1, block.size - 1)]
         return col, row
 
     @pytest.mark.parametrize("n", [1, 2, 24])
@@ -623,12 +709,13 @@ class TestShift:
 
 
 def program_bytes(reduced):
-    """The nine arrays and the offset of a built program, as bytes."""
+    """The ten arrays and the offset of a built program, as bytes."""
     prog = reduced.program
     return [
         (arr.dtype.str, arr.shape, arr.tobytes())
         for arr in (prog.objective, prog.lower, prog.upper, prog.row_sense,
-                    prog.rhs, prog.a_rows, prog.a_cols, prog.a_vals, prog.a_starts)
+                    prog.rhs, prog.rhs_lower, prog.a_rows, prog.a_cols,
+                    prog.a_vals, prog.a_starts)
     ] + [repr(reduced.offset)]
 
 
@@ -701,7 +788,7 @@ class TestProgramTemplate:
         for first, second in (crossing, in_month):
             assert not second[3].next_month.any()
             a, b = (mpc.build_reduced(*args).program for args in (first, second))
-            shared = ("row_sense", "a_rows", "a_cols", "a_starts")
+            shared = ("row_sense", "rhs_lower", "a_rows", "a_cols", "a_starts")
             if first is in_month[0]:
                 shared += ("a_vals",)
                 template = mpc._program_template(first[0], 6, 3).program
