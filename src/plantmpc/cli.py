@@ -5,6 +5,15 @@ subcommand); command-line flags override file values, which override the
 built-in defaults mirroring the reference experiment configuration
 (168 h horizon and AR order, 100 forecast scenarios, 184-day history,
 10% deterministic buffer, 0% stochastic buffer).
+
+A closed-loop trace depends on the BLAS thread count: sto-paper seed 1 of
+the benchmark differs by one simplex iteration and by 1e-15 relative in its
+total stage cost between one and two OpenBLAS threads.  ``run`` and
+``bench`` are bit-reproducible at one thread count, which the benchmark
+(``perfbench``) pins to one.  It has to be set in the environment
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``) before the command starts:
+``python -m plantmpc`` imports the package, and with it numpy, before any
+code of this module runs.
 """
 
 from __future__ import annotations
@@ -274,6 +283,14 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+#: The epilog of ``run`` and ``bench``.
+_THREADS_NOTE = (
+    "Outputs are bit-reproducible at one BLAS thread count only; set it in the "
+    "environment before starting, e.g. OPENBLAS_NUM_THREADS=1 "
+    "OMP_NUM_THREADS=1, as the benchmark does."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plantmpc",
@@ -305,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         settings.add_argument(flag, type=kind)
 
     run = sub.add_parser(
-        "run", parents=[settings], help="one closed-loop run, trace to CSV"
+        "run", parents=[settings], help="one closed-loop run, trace to CSV",
+        epilog=_THREADS_NOTE,
     )
     run.add_argument("--controller", required=True, help="det | sto | perf")
     run.add_argument("--config", help="JSON config (plant + run sections)")
@@ -316,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn = sub.add_parser(
         "bench", parents=[settings],
         help="benchmark controllers on a validation set",
+        epilog=_THREADS_NOTE,
     )
     bn.add_argument("--config", help="JSON config")
     bn.add_argument("--data", required=True, help="base truth CSV")

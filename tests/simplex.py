@@ -111,6 +111,12 @@ class LpBuilder:
         return lp
 
 
+def matrix(lp: LinearProgram) -> scipy.sparse.csr_matrix:
+    """The constraint matrix of ``lp`` as a sparse matrix."""
+    return scipy.sparse.csr_matrix(
+        (lp.a_vals, (lp.a_rows, lp.a_cols)), shape=(lp.num_rows, lp.num_vars))
+
+
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
 
 

@@ -13,7 +13,7 @@ from plantmpc.plant import (
 )
 
 from oracles import csc_pattern, random_box_lp, vertex_enumeration_optimum
-from simplex import BOUND_TOL, ROW_TOL, LpBuilder, solve_simplex
+from simplex import BOUND_TOL, ROW_TOL, LpBuilder, matrix, solve_simplex
 from test_restoration import random_cases
 
 #: The in-tree simplex oracle and the production HiGHS path.
@@ -99,7 +99,7 @@ class TestSolverProperties:
                 sol = solve(prog)
                 if not sol.is_optimal:
                     continue
-                a = prog.matrix().toarray()
+                a = matrix(prog).toarray()
                 samples = rng.uniform(
                     prog.lower, prog.upper, size=(400, prog.num_vars)
                 )
@@ -145,7 +145,7 @@ class TestSolverProperties:
                     continue
                 assert np.all(sol.x >= prog.lower - BOUND_TOL)
                 assert np.all(sol.x <= prog.upper + BOUND_TOL)
-                rows = prog.matrix() @ sol.x
+                rows = matrix(prog) @ sol.x
                 scale = ROW_TOL * (1.0 + np.abs(prog.rhs).max(initial=0.0))
                 for i in range(prog.num_rows):
                     if prog.row_sense[i] == lp.LE:
@@ -234,7 +234,7 @@ class TestTwoSidedRows:
                 assert sol.status == oracle.status
                 if oracle.is_optimal:
                     assert sol.objective == pytest.approx(oracle.objective, rel=1e-6, abs=1e-6)
-                    rows = prog.matrix() @ sol.x
+                    rows = matrix(prog) @ sol.x
                     row_lower, row_upper = lp._row_sides(prog)
                     assert np.all(rows >= row_lower - 1e-6)
                     assert np.all(rows <= row_upper + 1e-6)
@@ -262,7 +262,7 @@ class TestTwoSidedRows:
 
 class TestLoad:
     def test_loaded_program_reads_back_exactly(self):
-        matrix = lp.column_major(
+        entries = lp.column_major(
             [2, 0, 1, 0, 2, 1], [0, 1, 2, 0, 2, 0], [5.0, 6.0, 7.0, 8.0, 9.0, 10.0], 3)
         prog = lp.LinearProgram(
             objective=np.array([1.0, -2.0, 0.5]),
@@ -270,7 +270,7 @@ class TestLoad:
             upper=np.array([np.inf, 4.0, np.inf]),
             row_sense=np.array([lp.LE, lp.EQ, lp.GE], dtype=np.int8),
             rhs=np.array([3.0, -1.0, 2.0]),
-            **matrix,
+            **entries,
         )
         prog.validate()
         h = lp._highs()
@@ -283,7 +283,7 @@ class TestLoad:
         assert np.array_equal(model.col_upper_, prog.upper)
         assert np.array_equal(model.row_lower_, [-np.inf, -1.0, 2.0])
         assert np.array_equal(model.row_upper_, [3.0, -1.0, np.inf])
-        csc = prog.matrix().tocsc()
+        csc = matrix(prog).tocsc()
         csc.sort_indices()
         assert model.a_matrix_.format_ == lp._highs_core.MatrixFormat.kColwise
         assert np.array_equal(model.a_matrix_.start_, csc.indptr)
@@ -455,7 +455,7 @@ class TestWarmRestartOptions:
             assert warm.is_optimal and cold.is_optimal, hour
             assert loads == 1, hour
             row_lower, row_upper = lp._row_sides(prog)
-            rows = prog.matrix() @ warm.x
+            rows = matrix(prog) @ warm.x
             assert np.all(rows >= row_lower - 1e-7), hour
             assert np.all(rows <= row_upper + 1e-7), hour
             assert warm.objective <= cold.objective + 1e-9 * abs(cold.objective), hour
@@ -487,7 +487,7 @@ class TestSessionAgreesWithOneShot:
         assert np.all(cold.x >= prog.lower - 1e-7)
         assert np.all(cold.x <= prog.upper + 1e-7)
         row_lower, row_upper = lp._row_sides(prog)
-        rows = prog.matrix() @ cold.x
+        rows = matrix(prog) @ cold.x
         assert np.all(rows >= row_lower - 1e-7)
         assert np.all(rows <= row_upper + 1e-7)
         return cold

@@ -15,7 +15,7 @@ from plantmpc.plant import (
 
 import full_form
 from oracles import grid_search_two_step
-from simplex import solve_simplex
+from simplex import matrix, solve_simplex
 
 
 def solve_reduced(config, state, data, timing, beta):
@@ -394,7 +394,7 @@ class TestReducedEquivalence:
         assert prog_full.objective @ x == pytest.approx(plan.objective, rel=1e-9)
 
         # The decoded plan must satisfy every full-form constraint.
-        a = prog_full.matrix()
+        a = matrix(prog_full)
         residual = a @ x - prog_full.rhs
         ineq = prog_full.row_sense == lp.LE
         assert np.abs(residual[~ineq]).max() <= 1e-6
@@ -461,7 +461,7 @@ class TestAgainstTheExtensiveForm:
 
         x = full.vector(plan)
         row_lower, row_upper = lp._row_sides(full.program)
-        rows = full.program.matrix() @ x
+        rows = matrix(full.program) @ x
         assert np.all(rows >= row_lower - 1e-6) and np.all(rows <= row_upper + 1e-6)
         assert np.all(x >= full.program.lower - 1e-6)
         assert np.all(x <= full.program.upper + 1e-6)
