@@ -12,10 +12,17 @@ Multi-step forecasts are Gaussian and both moments come from the unit
 lower-triangular Toeplitz matrix A of the AR recursion over the horizon
 (``_recursion_matrix``).  The mean is one forward substitution with A
 (``mean_forecast``), equal up to roundoff to running the noise-free
-recursion step by step.  A's inverse is the lower-triangular Toeplitz
-matrix T of the impulse weights (``impulse_weights``), so the covariance
-is sigma^2 T T^T, which is exact for a linear AR process.  The closed loop
-draws its scenario sets from these forecasts (``simulate._ScenarioSampler``).
+recursion step by step.  The substitution is LAPACK's ``dtrtrs`` from
+scipy's extension ``scipy.linalg._flapack``, loaded from its file
+(``_extension``) because scipy.linalg's package would add 297 modules and
+about 23 MB of peak memory to every process.  ``_solve_unit_lower`` calls
+it with the arguments that ``scipy.linalg.solve_triangular`` passes it,
+and it is the function object that ``solve_triangular`` calls, so the
+forecasts have that function's roundoff, bit for bit.  A's inverse is the
+lower-triangular Toeplitz matrix T of the impulse weights
+(``impulse_weights``), so the covariance is sigma^2 T T^T, which is exact
+for a linear AR process.  The closed loop draws its scenario sets from
+these forecasts (``simulate._ScenarioSampler``).
 """
 
 from __future__ import annotations
@@ -28,9 +35,11 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_triangular, toeplitz
 
+from ._extension import load_scipy_extension
 from .plant import CHANNELS, DisturbanceTrajectory
+
+_dtrtrs = load_scipy_extension("scipy.linalg._flapack").dtrtrs
 
 #: Ill-conditioning threshold beyond which the OLS normal equations are
 #: re-solved with a ridge term.
@@ -165,6 +174,35 @@ def _residuals(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return x[q:] - (np.correlate(x[:-1], theta[q - 1 :: -1], "valid") + theta[q])
 
 
+def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
+    """C-contiguous lower-triangular Toeplitz matrix with first column ``column``.
+
+    Row i is the window of [column reversed, n - 1 zeros] that starts at
+    n - 1 - i, i.e. [column[i], ..., column[0], 0, ...].
+    """
+    n = len(column)
+    padded = np.concatenate((column[::-1], np.zeros(n - 1)))
+    return np.ascontiguousarray(sliding_window_view(padded, n)[::-1])
+
+
+def _solve_unit_lower(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b for a unit lower-triangular ``a``, by LAPACK's dtrtrs.
+
+    It makes the call that scipy 1.17's ``solve_triangular(a, b,
+    lower=True, unit_diagonal=True, check_finite=False)`` makes: dtrtrs
+    reads a Fortran-ordered matrix, so a C-ordered ``a`` is passed as its
+    transpose, an upper-triangular system solved transposed.  ``b`` may be
+    a vector or a matrix of right-hand sides.
+    """
+    if a.flags.f_contiguous:
+        x, info = _dtrtrs(a, b, lower=1, trans=0, unitdiag=1)
+    else:
+        x, info = _dtrtrs(a.T, b, lower=0, trans=1, unitdiag=1)
+    if info != 0:
+        raise ValueError(f"LAPACK dtrtrs failed with info = {info}")
+    return x
+
+
 def _recursion_matrix(model: ArModel, n: int) -> np.ndarray:
     """Unit lower-triangular Toeplitz A of the AR recursion over n steps.
 
@@ -174,7 +212,7 @@ def _recursion_matrix(model: ArModel, n: int) -> np.ndarray:
     column = np.zeros(n)
     column[0] = 1.0
     column[1 : reach + 1] = -model.coefficients[:reach]
-    return toeplitz(column, np.zeros(n))
+    return _lower_toeplitz(column)
 
 
 def impulse_weights(
@@ -190,10 +228,7 @@ def impulse_weights(
     unit[0] = 1.0
     if recursion is None:
         recursion = _recursion_matrix(model, n)
-    return solve_triangular(
-        recursion, unit,
-        lower=True, unit_diagonal=True, check_finite=False,
-    )
+    return _solve_unit_lower(recursion, unit)
 
 
 def mean_forecast(
@@ -226,10 +261,7 @@ def mean_forecast(
     rhs[: min(q, n)] += history[:n]
     if recursion is None:
         recursion = _recursion_matrix(model, n)
-    return solve_triangular(
-        recursion, rhs,
-        lower=True, unit_diagonal=True, check_finite=False,
-    )
+    return _solve_unit_lower(recursion, rhs)
 
 
 def forecast(
@@ -248,7 +280,7 @@ def forecast(
     passed on to ``mean_forecast`` and ``impulse_weights``.
     """
     mean = mean_forecast(model, recent_history, n, recursion)
-    weights = toeplitz(impulse_weights(model, n, recursion), np.zeros(n))
+    weights = _lower_toeplitz(impulse_weights(model, n, recursion))
     return mean, model.noise_variance * (weights @ weights.T)
 
 

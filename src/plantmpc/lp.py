@@ -2,13 +2,15 @@
 
 The binding is scipy's HiGHS extension, ``scipy.optimize._highspy._core``.
 This module loads it at import, from its file next to scipy's package and
-under its own name (``_load_highs_core``), so ``scipy/optimize/__init__.py``
-never runs: it loads 238 modules that nothing here uses, scipy.sparse,
-special, spatial and fft among them.  With scipy 1.17.1 "import plantmpc"
-then peaks at 61.1 MB of resident memory instead of 78.6 MB: the
-interpreter with numpy takes 27 MB of it, scipy.linalg 28 MB more and the
-extension 5.7 MB.  Loaded at import, it is no part of a closed loop's set-up
-time.
+under its own name (``_extension.load_scipy_extension``), so
+``scipy/optimize/__init__.py`` never runs: it loads 238 modules that nothing
+here uses, scipy.sparse, special, spatial and fft among them.  ``forecast``
+loads LAPACK's extension the same way.  With scipy 1.17.1 "import plantmpc"
+then peaks at 37.7 MB of resident memory (78.6 MB through both packages):
+the interpreter with numpy takes 26.9 MB of it, a bare "import scipy"
+1.2 MB more, the HiGHS binding 3.5 MB, LAPACK's extension 2.7 MB and
+plantmpc's own modules the remaining 3.4 MB.  Loaded at import, the binding
+is no part of a closed loop's set-up time.
 
 ``HighsSession`` solves a sequence of programs on one HiGHS instance.  It
 loads every program whole through HiGHS's array ``passModel`` and runs it
@@ -72,42 +74,14 @@ alternate optima move the closed loop's cost.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
+from ._extension import load_scipy_extension
 
-def _load_highs_core():
-    """scipy's HiGHS extension module, without ``scipy.optimize``'s package.
-
-    The module scipy.optimize loaded, if it is loaded; else the extension
-    loaded from its file under its own dotted name, which is the module
-    object that a later ``import scipy.optimize`` gets back from the
-    extension, so both share one set of binding types.  It is left out of
-    ``sys.modules``: that later import then loads it through the extension
-    and makes it an attribute of ``scipy.optimize._highspy``, which an
-    entry in ``sys.modules`` would skip.
-    """
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    path = (Path(scipy.__file__).parent / "optimize" / "_highspy"
-            / f"_core{importlib.machinery.EXTENSION_SUFFIXES[0]}")
-    if not path.is_file():
-        raise ImportError(f"HiGHS binding not found: {path}")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_highs_core = _load_highs_core()
+_highs_core = load_scipy_extension("scipy.optimize._highspy._core")
 
 LE, EQ, GE, RANGE = -1, 0, 1, 2
 

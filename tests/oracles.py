@@ -4,18 +4,21 @@ These deliberately avoid the library's own solution paths: the LP oracle
 enumerates candidate vertices directly, the AR fit oracle forms the
 lagged design matrix and decides its ridge by an SVD condition number,
 the AR mean oracle steps the recursion one forecast value at a time, the
-AR covariance oracle accumulates impulse weights lag by lag, the plant
-oracles write the purchase and balance formulas and the rate limits out
-term by term, the restoration oracle builds the whole correction program
-from the plant on every call, the control oracles grid-search the
-decision space, the column-major oracle sorts matrix entries with its
-own lexsort, and the scheme oracle re-implements the per-hour
-bookkeeping as a straight-line script.
+AR covariance oracle accumulates impulse weights lag by lag, the scipy
+forecast oracle runs the forecasts through scipy.linalg's ``toeplitz`` and
+``solve_triangular`` as the library did before it called LAPACK's
+``dtrtrs`` directly, the plant oracles write the purchase and balance
+formulas and the rate limits out term by term, the restoration oracle
+builds the whole correction program from the plant on every call, the
+control oracles grid-search the decision space, the column-major oracle
+sorts matrix entries with its own lexsort, and the scheme oracle
+re-implements the per-hour bookkeeping as a straight-line script.
 """
 
 import itertools
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from plantmpc import forecast as fc, lp
 from plantmpc.plant import (
@@ -194,6 +197,41 @@ def ar_mean_recursion(model, recent_history, n: int) -> np.ndarray:
     for i in range(n):
         window[q + i] = model.coefficients @ window[i : q + i][::-1] + model.intercept
     return window[q:]
+
+
+def solve_unit_lower_scipy(a, b):
+    """x with a x = b for a unit lower-triangular ``a``, by scipy.linalg."""
+    return solve_triangular(a, b, lower=True, unit_diagonal=True,
+                            check_finite=False)
+
+
+def ar_recursion_matrix_scipy(model, n: int) -> np.ndarray:
+    """The AR recursion matrix A over n steps, by ``scipy.linalg.toeplitz``."""
+    reach = min(model.order, n - 1)
+    column = np.zeros(n)
+    column[0] = 1.0
+    column[1 : reach + 1] = -model.coefficients[:reach]
+    return toeplitz(column, np.zeros(n))
+
+
+def ar_forecast_scipy(model, recent_history, n: int, recursion=None):
+    """(mean, impulse weights, covariance) of the n-step AR forecast through
+    scipy.linalg, the way ``forecast`` computed them before it called
+    LAPACK's dtrtrs directly."""
+    q = model.order
+    if recursion is None:
+        recursion = ar_recursion_matrix_scipy(model, n)
+    history = np.correlate(model.coefficients,
+                           np.asarray(recent_history, dtype=float)[::-1][:q],
+                           "full")[q - 1 :]
+    rhs = np.full(n, model.intercept)
+    rhs[: min(q, n)] += history[:n]
+    unit = np.zeros(n)
+    unit[0] = 1.0
+    mean = solve_unit_lower_scipy(recursion, rhs)
+    psi = solve_unit_lower_scipy(recursion, unit)
+    weights = toeplitz(psi, np.zeros(n))
+    return mean, psi, model.noise_variance * (weights @ weights.T)
 
 
 def residual_demands_terms(config, action, load_elec):

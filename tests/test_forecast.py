@@ -11,7 +11,10 @@ from oracles import (
     ar_design,
     ar_fit_design,
     ar_impulse_weights_loop,
+    ar_forecast_scipy,
     ar_mean_recursion,
+    ar_recursion_matrix_scipy,
+    solve_unit_lower_scipy,
 )
 
 
@@ -295,6 +298,47 @@ class TestMeanForecast:
         model = ar_model(4, seed=2)
         with pytest.raises(ValueError, match="need at least 4 recent values"):
             fc.mean_forecast(model, np.ones(3), 5)
+
+
+class TestScipyPathOracle:
+    """LAPACK's dtrtrs called directly against the scipy.linalg path it
+    replaced, bit for bit: the same function with the same arguments."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 200), st.integers(1, 200), st.booleans(),
+           st.sampled_from("CF"), st.sampled_from([None, 1, 4]),
+           st.integers(0, 2**32 - 1))
+    @example(q=168, n=168, explosive=False, order="C", columns=None, seed=0)
+    @example(q=24, n=1, explosive=False, order="C", columns=3, seed=1)
+    def test_solve_matches_solve_triangular(self, q, n, explosive, order,
+                                            columns, seed):
+        model = ar_model(q, seed, explosive)
+        a = np.asarray(fc._recursion_matrix(model, n), order=order)
+        rng = np.random.default_rng(seed)
+        b = rng.normal(10.0, 3.0, n if columns is None else (n, columns))
+        got = fc._solve_unit_lower(a, b)
+        want = solve_unit_lower_scipy(a, b)
+        assert got.shape == want.shape == b.shape
+        assert np.array_equal(got, want)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 200), st.integers(1, 200), st.sampled_from("CF"),
+           st.integers(0, 2**32 - 1))
+    def test_forecasts_match_the_scipy_path(self, q, n, order, seed):
+        model = ar_model(q, seed)
+        recursion = fc._recursion_matrix(model, n)
+        want = ar_recursion_matrix_scipy(model, n)
+        assert recursion.flags.c_contiguous
+        assert recursion.dtype == want.dtype and np.array_equal(recursion, want)
+
+        history = np.random.default_rng(seed).normal(10.0, 3.0, q)
+        # Built inside, or the caller's recursion matrix in either memory order.
+        for held in (None, np.asarray(recursion, order=order)):
+            want_mean, want_psi, want_cov = ar_forecast_scipy(model, history, n, held)
+            assert np.array_equal(fc.mean_forecast(model, history, n, held), want_mean)
+            assert np.array_equal(fc.impulse_weights(model, n, held), want_psi)
+            mean, cov = fc.forecast(model, history, n, held)
+            assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov)
 
 
 class GivenForecaster:

@@ -9,9 +9,12 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+from plantmpc._extension import load_scipy_extension
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -52,17 +55,17 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
-# The package loads no scipy subpackage it does not use.  With scipy 1.17.1
-# "import plantmpc" peaks at 61.1 MB of resident memory and the det-monthend
-# benchmark at 70.3 MB, whose peak-RSS bound is 10 %.  scipy.optimize's
-# package would add about 18 MB (238 modules, scipy.sparse, special, spatial
-# and fft among them), so ``lp`` loads the HiGHS extension from its file.
-# scipy.signal (lfilter/lfiltic would be the textbook way to continue an AR
-# recursion) would raise "import plantmpc" to 103.9 MB, as it loads
-# scipy.optimize too; the AR mean uses a triangular solve from scipy.linalg,
-# which the package loads anyway.
-UNUSED_SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.special",
-                "scipy.spatial", "scipy.fft", "scipy.signal")
+# The package loads no scipy subpackage.  With scipy 1.17.1 "import plantmpc"
+# peaks at 37.7 MB of resident memory (262 modules), the interpreter with
+# numpy 26.9 MB of it and a bare "import scipy" 1.2 MB more.  The two
+# extensions it calls, HiGHS's binding and LAPACK's ``_flapack``, are loaded
+# from their files (``plantmpc._extension``), about 3.5 and 2.7 MB.  Through
+# their packages, scipy.optimize would add 238 modules (about 18 MB) and
+# scipy.linalg 297 (about 23 MB).  scipy.signal (lfilter/lfiltic would be the
+# textbook way to continue an AR recursion) loads both.
+EXTENSIONS = ("scipy.linalg._flapack", "scipy.optimize._highspy._core")
+
+SCIPY_MODULES = "sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')"
 
 SMOKE_LOOPS = f"""
 import sys
@@ -75,7 +78,7 @@ for controller in (simulate.ControllerSpec("det"),
     spec = simulate.RunSpec(controller, sim_hours=6, horizon=6, ar_order=6,
                             history_hours=60)
     simulate.run_closed_loop(plantmpc.PlantConfig(), spec, truth)
-print(sorted(set(sys.modules) & set({UNUSED_SCIPY!r})))
+print({SCIPY_MODULES})
 """
 
 
@@ -89,8 +92,26 @@ def run_python(source: str) -> str:
     return out.stdout
 
 
-def test_closed_loop_does_not_load_scipy_signal():
-    assert run_python(SMOKE_LOOPS).strip() == "[]"
+def test_closed_loop_loads_only_bare_scipy_and_two_extensions():
+    bare = ast.literal_eval(run_python(f"import sys, scipy\nprint({SCIPY_MODULES})"))
+    loaded = ast.literal_eval(run_python(SMOKE_LOOPS))
+    extra = [name for name in loaded
+             if name not in bare and name not in EXTENSIONS
+             and not name.startswith(f"{EXTENSIONS[1]}.")]
+    assert extra == []
+
+
+def test_loader_reuses_a_loaded_module(monkeypatch):
+    loaded = types.ModuleType(EXTENSIONS[0])
+    monkeypatch.setitem(sys.modules, EXTENSIONS[0], loaded)
+    assert load_scipy_extension(EXTENSIONS[0]) is loaded
+
+
+def test_loader_names_a_missing_file():
+    name = "scipy.linalg._no_such_extension"
+    with pytest.raises(ImportError, match=r"linalg[/\\]_no_such_extension\."):
+        load_scipy_extension(name)
+    assert name not in sys.modules
 
 
 # Both import orders end with one HiGHS module object, initialised once: the
@@ -135,3 +156,33 @@ print("ok")
 ], ids=["plantmpc-first", "scipy-optimize-first"])
 def test_scipy_optimize_shares_the_highs_binding(imports):
     assert run_python(SHARED_BINDING.format(imports=imports)).strip() == "ok"
+
+
+# Both import orders share LAPACK's extension: scipy.linalg calls the
+# ``dtrtrs`` that ``forecast`` holds, and the extension is an attribute of
+# its package, which a plantmpc-first import leaves for scipy.linalg's own
+# import to set.
+SHARED_LAPACK = """
+import sys
+import numpy as np
+{imports}
+assert scipy.linalg.lapack.dtrtrs is plantmpc.forecast._dtrtrs
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+assert scipy.linalg._flapack.dtrtrs is plantmpc.forecast._dtrtrs
+
+a = np.array([[2.0, 0.0], [1.0, 3.0]])
+assert np.allclose(scipy.linalg.solve_triangular(a, [2.0, 7.0], lower=True),
+                   [1.0, 2.0])
+assert np.allclose(scipy.linalg.cholesky(a @ a.T, lower=True), a)
+model = plantmpc.forecast.ArModel(np.array([0.5]), 1.0, 1.0)
+assert np.allclose(plantmpc.mean_forecast(model, np.array([2.0]), 3), 2.0)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("imports", [
+    "import plantmpc\nassert 'scipy.linalg' not in sys.modules\nimport scipy.linalg",
+    "import scipy.linalg\nimport plantmpc",
+], ids=["plantmpc-first", "scipy-linalg-first"])
+def test_scipy_linalg_shares_lapack(imports):
+    assert run_python(SHARED_LAPACK.format(imports=imports)).strip() == "ok"
