@@ -28,6 +28,7 @@ these forecasts (``simulate._ScenarioSampler``).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -88,20 +89,39 @@ def _normal_equations(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     tail[:q] = x[length - 1 : length - 1 - q : -1]
     boundary = (sliding_window_view(head, q)[:q] * head[:q]
                 - sliding_window_view(tail, q)[:q] * tail[:q])
-    diagonals = np.zeros((n, n))
+    # work[d, c] = phi[c + d, c] for d <= q; the last row holds the
+    # intercept entries, and ``_gram_index`` gathers D^T D from it all.
+    work = np.zeros((n + 1, n))
+    diagonals = work[:n]
     np.cumsum(boundary, axis=1, out=diagonals[:q, 1:])
-    # diagonals[d, c] = phi[c + d, c].
     diagonals += np.correlate(x, x[q:], "valid")[::-1, None]
-    lag = np.arange(n)
-    phi = diagonals[np.abs(np.subtract.outer(lag, lag)), np.minimum.outer(lag, lag)]
 
     sums = np.concatenate(([0.0], np.cumsum(x)))
-    gram = np.empty((n, n))
-    gram[:q, :q] = phi[1:, 1:]
-    gram[:q, q] = gram[q, :q] = sums[length - 1 - lag[:q]] - sums[q - 1 - lag[:q]]
-    gram[q, q] = length - q
-    moment = np.append(phi[1:, 0], sums[length] - sums[q])
+    lag = np.arange(q)
+    work[n, :q] = sums[length - 1 - lag] - sums[q - 1 - lag]
+    work[n, q] = length - q
+    gram = work.ravel()[_gram_index(q)]
+    moment = np.empty(n)
+    moment[:q] = diagonals[1:, 0]
+    moment[q] = sums[length] - sums[q]
     return gram, moment
+
+
+@functools.lru_cache(maxsize=8)
+def _gram_index(q: int) -> np.ndarray:
+    """Where ``_normal_equations`` finds each entry of the AR(q) normal
+    matrix in its flattened (q + 2) x (q + 1) work array (int32): the lag
+    product of lags i and j at diagonal |i - j|, column min(i, j), and the
+    intercept entries in the last row.  Cached: at q = 168 the indices
+    would otherwise be three (q + 1)^2 temporaries per fit."""
+    n = q + 1
+    lag = np.arange(1, n, dtype=np.int32)
+    index = np.empty((n, n), dtype=np.int32)
+    index[:q, :q] = np.abs(lag[:, None] - lag) * n + np.minimum(lag[:, None], lag)
+    index[:q, q] = index[q, :q] = n * n + np.arange(q, dtype=np.int32)
+    index[q, q] = n * n + q
+    index.setflags(write=False)
+    return index
 
 
 def fit_ar(history: np.ndarray, q: int) -> ArModel:

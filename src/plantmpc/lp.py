@@ -24,11 +24,12 @@ from the slack basis, with HiGHS's default options, on a fresh instance
 or on a given session's.
 
 A ``LinearProgram`` holds its matrix in the column layout ``passModel``
-reads, starts included (``column_major``), so every load hands HiGHS the
-program's own arrays and a session keeps no sparsity pattern from run to
-run.  A program whose column indices decrease raises ValueError, a check
-of about 0.08 ms at S = 100.  Recomputed with ``np.bincount`` before each
-run, the starts took 60-90 us of a 3 ms one-scenario hour (N = 168).
+reads: column starts, row indices and values (``column_major``), so every
+load hands HiGHS the program's own arrays and a session keeps no sparsity
+pattern from run to run.  The entries' column indices are not stored:
+``a_cols`` derives them from the starts when asked, which only checks and
+tests do (1.5 MB fewer held through every solve at S = 100).  A program
+whose column starts decrease raises ValueError.
 
 The two callers differ in two options, set before each run: a session
 runs every program, cold or warm, without presolve and without the dual
@@ -103,9 +104,10 @@ class LinearProgram:
     The matrix is held in HiGHS's column layout: its entries grouped by
     column in ascending order, rows ascending inside each column, and
     ``a_starts[j]`` the position of column j's first entry (the last of
-    the ``num_vars + 1`` starts is the entry count).  Indices and starts
-    are int32.  ``column_major`` builds the four matrix fields from
-    entries given in any order.
+    the ``num_vars + 1`` starts is the entry count).  Row indices and
+    starts are int32; the column indices ``a_cols`` are derived from the
+    starts.  ``column_major`` builds the three matrix fields from entries
+    given in any order.
     """
 
     objective: np.ndarray
@@ -114,7 +116,6 @@ class LinearProgram:
     row_sense: np.ndarray
     rhs: np.ndarray
     a_rows: np.ndarray
-    a_cols: np.ndarray
     a_vals: np.ndarray
     a_starts: np.ndarray
     rhs_lower: np.ndarray | None = None
@@ -131,6 +132,13 @@ class LinearProgram:
     def num_entries(self) -> int:
         return self.a_vals.shape[0]
 
+    @property
+    def a_cols(self) -> np.ndarray:
+        """Each entry's column index (int32), a fresh array derived from the
+        starts."""
+        return np.repeat(np.arange(self.num_vars, dtype=np.int32),
+                         np.diff(self.a_starts))
+
     def validate(self) -> None:
         """Raise ValueError on malformed programs (duplicates, NaNs, ...)."""
         m, n = self.num_rows, self.num_vars
@@ -142,18 +150,21 @@ class LinearProgram:
             raise ValueError("NaN bounds")
         if np.any(self.lower > self.upper):
             raise ValueError("crossed variable bounds")
+        starts = self.a_starts
+        if (starts.shape != (n + 1,) or starts[0] != 0
+                or starts[-1] != self.num_entries
+                or self.a_rows.shape != self.a_vals.shape):
+            raise ValueError("column starts do not match the entries")
+        if np.any(starts[1:] < starts[:-1]):
+            raise ValueError("column starts decrease: entries not in column-major order")
         if self.num_entries:
             if self.a_rows.min() < 0 or self.a_rows.max() >= m:
                 raise ValueError("row index out of range")
-            if self.a_cols.min() < 0 or self.a_cols.max() >= n:
-                raise ValueError("column index out of range")
             steps = np.diff(self.a_cols.astype(np.int64) * m + self.a_rows)
             if np.any(steps == 0):
                 raise ValueError("duplicate (row, col) entries")
             if np.any(steps < 0):
                 raise ValueError("entries not in column-major order")
-        if not np.array_equal(self.a_starts, _starts(self.a_cols, n)):
-            raise ValueError("column starts do not match the column indices")
         if not np.all(np.isin(self.row_sense, (LE, EQ, GE, RANGE))):
             raise ValueError("invalid row sense")
         ranged = self.row_sense == RANGE
@@ -175,16 +186,15 @@ def _starts(a_cols: np.ndarray, num_vars: int) -> np.ndarray:
 
 def column_major(a_rows, a_cols, a_vals, num_vars: int) -> dict:
     """Matrix entries given in any order, as ``LinearProgram`` holds them:
-    the program's fields ``a_rows``, ``a_cols``, ``a_vals`` and
-    ``a_starts`` for ``num_vars`` columns."""
+    the program's fields ``a_rows``, ``a_vals`` and ``a_starts`` for
+    ``num_vars`` columns."""
     a_rows, a_cols = np.asarray(a_rows), np.asarray(a_cols)
     # lexsort's order from one stable sort of one int64 key per entry:
     # about a third of lexsort's time on the paper-scale template, whose
     # entries come in long sorted runs.
     num_rows = int(a_rows.max()) + 1 if a_rows.size else 1
     order = np.argsort(a_cols.astype(np.int64) * num_rows + a_rows, kind="stable")
-    a_cols = a_cols[order].astype(np.int32)
-    return dict(a_rows=a_rows[order].astype(np.int32), a_cols=a_cols,
+    return dict(a_rows=a_rows[order].astype(np.int32),
                 a_vals=np.asarray(a_vals, dtype=float)[order],
                 a_starts=_starts(a_cols, num_vars))
 
@@ -270,8 +280,9 @@ def _nonbasic_row_codes(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     codes = np.multiply(lp.row_sense == LE, 2, dtype=np.int8)
     ranged = lp.row_sense == RANGE
     if ranged.any():
-        activity = np.bincount(lp.a_rows, weights=lp.a_vals * x[lp.a_cols],
-                               minlength=lp.num_rows)[ranged]
+        activity = np.bincount(
+            lp.a_rows, weights=lp.a_vals * np.repeat(x, np.diff(lp.a_starts)),
+            minlength=lp.num_rows)[ranged]
         codes[ranged] = np.multiply(
             lp.rhs[ranged] - activity < activity - lp.rhs_lower[ranged], 2,
             dtype=np.int8)
@@ -384,8 +395,8 @@ class HighsSession:
         last run alone.
         """
         h = self._h
-        if (lp.a_cols[1:] < lp.a_cols[:-1]).any():
-            raise ValueError("matrix entries are not in column order")
+        if (lp.a_starts[1:] < lp.a_starts[:-1]).any():
+            raise ValueError("column starts decrease: entries not in column order")
         dims = (lp.num_rows, lp.num_vars)
         warm = not one_shot and self._optimum is not None and self._optimum[0] == dims
         for name, value in _ONE_SHOT_OPTIONS if one_shot else _SESSION_OPTIONS:

@@ -23,10 +23,9 @@ as storage differences, and the unmet slacks, as what each water balance
 falls short of its load (``_ReducedLayout``).  Those two are presolve
 reductions made once, by construction, because the controller sessions
 run without HiGHS's presolve to keep their warm starts.  At paper scale
-they removed a third of the columns, took sto-paper's peak memory from
-297 to 268 MB (medians of 10 runs each) and moved no committed action by
-more than 1.2e-9 kW (seeds 0, 1 and 7919 of the three benchmark
-workloads).
+they removed a third of the columns, took 29 MB off sto-paper's peak
+memory (medians of 10 runs each) and moved no committed action by more
+than 1.2e-9 kW (seeds 0, 1 and 7919 of the three benchmark workloads).
 
 Every program carries two peak registers per scenario, this month's and
 next month's, and each step bills to the register of its own month, so
@@ -41,7 +40,17 @@ plant, N and S (``_ProgramTemplate``, cached), column-major as HiGHS reads
 it, and each hour writes only its data: the load right-hand sides, the
 tank pins and storage box, this month's register bound, the unit and
 register costs, and, when the horizon crosses a month end, the register
-entries of the peak rows.
+entries of the peak rows.  Every scenario block is a copy of the same
+plant model and only the data differs (Birge and Louveaux, Introduction
+to Stochastic Programming, 1997), so the template keeps one block: its
+static objective, bounds and right-hand sides, broadcast into each hour's
+fresh arrays, and its column-major matrix, replicated S times without
+sorting the S blocks' entries.  sto-paper's peak memory is reached inside
+HiGHS's primal cleanup of a warm solve, and every array Python holds then
+adds to it.  Holding one block, with int32 layout indices, column indices
+derived from the starts (``lp.LinearProgram.a_cols``) and each hour's
+solution dropped before the next solve, took that peak from about 233 to
+226 MB (medians of 10 runs, seeds 0, 1 and 7919).
 
 A program of S > 1 scenarios carries a ``start`` for its session's cold
 solve: the optimal basis of the one-scenario program of the scenario mean
@@ -74,7 +83,7 @@ as the oracle the reduced program is checked against.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -175,13 +184,10 @@ class _Triplets:
         self.cols.append(cols.reshape(-1).astype(np.int64, copy=False))
         self.vals.append(vals.reshape(-1).astype(float))
 
-    def program(self, objective, lower, upper, sense, rhs,
-                rhs_lower=None) -> lp.LinearProgram:
-        """The program of these entries, sorted column-major."""
-        matrix = lp.column_major(
-            *map(np.concatenate, (self.rows, self.cols, self.vals)), objective.size)
-        return lp.LinearProgram(objective, lower, upper, sense, rhs, **matrix,
-                                rhs_lower=rhs_lower)
+    def column_major(self, num_vars: int) -> dict:
+        """These entries as ``lp.column_major`` sorts them."""
+        return lp.column_major(
+            *map(np.concatenate, (self.rows, self.cols, self.vals)), num_vars)
 
 
 #: The program's unit columns, in ``UNITS`` order: the production units but
@@ -190,6 +196,9 @@ class _Triplets:
 _CT = UNITS.index("ct")
 _TANKS = [UNITS.index(u) for u in STORAGE_UNITS]
 _UNITS = [i for i in range(len(UNITS)) if i != _CT and i not in _TANKS]
+#: The shared first-stage columns that lead every program: the hour-0
+#: unit loads, the storage pins and the next-hour levels.
+_SHARED = len(_UNITS) + 4
 
 
 def _tower(config: PlantConfig) -> np.ndarray:
@@ -228,6 +237,11 @@ class _ReducedLayout:
     scenario's rows are its ``row_blocks`` in order, one row per step, but
     the dynamics rows start at step 1; ``row_block`` gives one block
     (s, steps).
+
+    The index arrays of S > 1 scenarios are int32, half of intp's memory
+    at S = 100.  One scenario's stay intp: they are few, an hour indexes
+    with them about 20 times, and numpy casts int32 indices to intp on
+    every use, 2-3 us more each at N = 168, of a 2-3 ms hour.
     """
 
     def __init__(self, n: int, s: int, tower_binds: bool):
@@ -238,26 +252,27 @@ class _ReducedLayout:
             steps["tower"] = n
         self.row_blocks = tuple(steps)
         per_scenario = sum(steps.values())
-        self.shared = nu + 4  # first-stage loads, storage pins, next-hour
+        self.shared = _SHARED
         self.block = (nu + 4) * n - nu - 1
         self.num_vars = self.shared + s * (self.block + 1)
         self.num_rows = per_scenario * s
 
-        xi = np.arange(s, dtype=np.int64)
+        index = np.intp if s == 1 else np.int32
+        xi = np.arange(s, dtype=index)
         base = self.shared + xi * self.block
-        units = np.arange(nu, dtype=np.int64)
-        tanks = np.arange(2, dtype=np.int64)
-        k1 = np.arange(n - 1, dtype=np.int64)
+        units = np.arange(nu, dtype=index)
+        tanks = np.arange(2, dtype=index)
+        k1 = np.arange(n - 1, dtype=index)
 
-        self.P = np.empty((s, nu, n), dtype=np.int64)
+        self.P = np.empty((s, nu, n), dtype=index)
         self.P[:, :, 0] = units
         self.P[:, :, 1:] = base[:, None, None] + units[None, :, None] * (n - 1) + k1
         ooff = base + nu * (n - 1)
         self.O = (
             ooff[:, None, None]
-            + np.arange(2 * n, dtype=np.int64).reshape(1, 2, n)
+            + np.arange(2 * n, dtype=index).reshape(1, 2, n)
         )
-        self.E = np.empty((s, 2, n + 1), dtype=np.int64)
+        self.E = np.empty((s, 2, n + 1), dtype=index)
         self.E[:, :, 0] = nu + tanks
         self.E[:, :, 1] = nu + 2 + tanks
         self.E[:, :, 2:] = (
@@ -268,7 +283,7 @@ class _ReducedLayout:
         )
         self.rows = (
             (per_scenario * xi)[:, None]
-            + np.arange(per_scenario, dtype=np.int64)
+            + np.arange(per_scenario, dtype=index)
         )
         bounds = np.cumsum([0, *steps.values()])
         self._blocks = {
@@ -386,44 +401,97 @@ class ReducedProgram:
         )
 
 
-def _accumulate(obj: np.ndarray, index: np.ndarray, costs) -> None:
+def _accumulate(obj: np.ndarray, index: np.ndarray, costs, copies: int = 1) -> None:
     """Add ``costs`` to ``obj`` at ``index``, unbuffered: the shared
     first-stage columns accumulate over scenarios.  ``costs`` is broadcast
     to the index's shape first; numpy 2.4's ``np.add.at`` reads values it
-    must broadcast itself wrongly past the first row of a 2-D index."""
-    np.add.at(obj, index, np.broadcast_to(costs, index.shape))
+    must broadcast itself wrongly past the first row of a 2-D index.
+
+    With ``copies`` > 1, ``obj`` and ``index`` are one scenario block's
+    (``_ProgramTemplate``) and each shared column takes its cost ``copies``
+    times in turn, as from that many equal blocks, so the sum keeps the
+    S-scenario program's rounding.
+    """
+    costs = np.broadcast_to(costs, index.shape)
+    if copies == 1:
+        np.add.at(obj, index, costs)
+        return
+    shared = index < _SHARED
+    np.add.at(obj, index[~shared], costs[~shared])
+    np.add.at(obj, np.tile(index[shared], copies), np.tile(costs[shared], copies))
+
+
+def _replicate(block: dict, one: _ReducedLayout, s: int) -> dict:
+    """The column-major matrix of S equal scenario blocks from that of one
+    (``block``, of the one-scenario layout ``one``).
+
+    Each shared column holds its block entries once per scenario, in
+    scenario order; the block columns and next month's register repeat per
+    scenario.  Scenario xi's copies sit ``xi * one.num_rows`` rows lower,
+    so the rows stay ascending inside every column, and the arrays equal
+    those of sorting the S-scenario program's entries.
+    """
+    if s == 1:
+        return block
+    starts, rows, vals = block["a_starts"], block["a_rows"], block["a_vals"]
+    body, tail = starts[one.shared], starts[one.shared + one.block]
+    segments = [(starts[c], starts[c + 1]) for c in range(one.shared)]
+    segments += [(body, tail), (tail, starts[-1])]
+    offsets = (np.arange(s, dtype=np.int32) * one.num_rows)[:, None]
+    a_rows = np.empty(s * rows.size, dtype=np.int32)
+    a_vals = np.empty(s * rows.size)
+    at = 0
+    for lo, hi in segments:
+        end = at + s * (hi - lo)
+        a_rows[at:end].reshape(s, -1)[:] = rows[lo:hi] + offsets
+        a_vals[at:end].reshape(s, -1)[:] = vals[lo:hi]
+        at = end
+    counts = np.diff(starts)
+    a_starts = np.zeros(s * (counts.size - one.shared) + one.shared + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([s * counts[:one.shared],
+                              np.tile(counts[one.shared:-1], s),
+                              np.repeat(counts[-1], s)]), out=a_starts[1:])
+    return dict(a_rows=a_rows, a_vals=a_vals, a_starts=a_starts)
 
 
 class _ProgramTemplate:
     """What the program of one plant, horizon N and S scenarios holds for a
     whole run.
 
-    The triplet assembly runs once, here: the sparsity pattern, the static
-    matrix coefficients, the row senses, the static bounds (unit limits,
-    nonnegative slacks, next month's register from zero), the tank rate
-    limits, the tower-limit right-hand sides and the static costs: the
-    slacks' and the unmet penalty folded onto the unit and storage
-    columns.  The register entries of the peak rows bill every step to
-    this month's register (-1 for R1, 0 for R2); ``r1`` and ``r2`` are
-    where they sit in the column-major ``a_vals``, in (scenario, step)
-    order.  Every array is read-only: ``build_reduced`` shares the pattern,
-    the senses, the rate limits and, inside a month, the matrix values, and
-    copies the rest before writing an hour's data into it.
+    Every scenario block is a copy of one block, and the template keeps
+    that one: its static objective, bounds and right-hand sides (weighted
+    1/S, the shared first-stage costs summed over the S scenarios), over
+    the columns and rows of the one-scenario layout.  ``columns`` and
+    ``rows`` broadcast them into an hour's fresh S-scenario arrays.  The
+    static data: the unit limits, nonnegative slacks, next month's register
+    from zero, the tank rate limits, the tower-limit right-hand sides and
+    the static costs, the slacks' and the unmet penalty folded onto the
+    unit and storage columns.
+
+    The matrix is held whole, column-major as HiGHS reads it: the triplet
+    assembly and sort run for the one block, and S > 1 replicates its
+    arrays (``_replicate``).  The register entries of the peak rows bill
+    every step to this month's register (-1 for R1, 0 for R2); ``r1`` and
+    ``r2`` are where they sit in ``a_vals``, in (scenario, step) order.
+    Every array is read-only: ``build_reduced`` shares the matrix and the
+    row senses, and inside a month the matrix values too.
     """
 
     def __init__(self, config: PlantConfig, n: int, s: int):
         tower = _tower(config)
-        red = self.layout = _reduced_layout(n, s, _tower_binds(config))
-        obj = np.zeros(red.num_vars)
-        lower = np.full(red.num_vars, -np.inf)
-        upper = np.full(red.num_vars, np.inf)
-        sense = np.empty(red.num_rows, dtype=np.int8)
-        rhs = np.zeros(red.num_rows)
-        rhs_lower = np.zeros(red.num_rows)
+        binds = _tower_binds(config)
+        red = self.layout = _reduced_layout(n, s, binds)
+        one = _reduced_layout(n, 1, binds)
+        obj = np.zeros(one.num_vars)
+        lower = np.full(one.num_vars, -np.inf)
+        upper = np.full(one.num_vars, np.inf)
+        sense = np.empty(one.num_rows, dtype=np.int8)
+        rhs = np.zeros(one.num_rows)
+        rhs_lower = np.zeros(one.num_rows)
         matrix = _Triplets()
 
         weight = self.weight = 1.0 / s
-        P, O, E = red.P, red.O, red.E
+        P, O, E = one.P, one.O, one.E
         balance = balance_matrix(config)
         # The utility draws per kW of each unit column, P_ct substituted; the
         # tanks draw none.
@@ -436,8 +504,8 @@ class _ProgramTemplate:
             for i in np.flatnonzero(coeffs):
                 matrix.put(rows, P[:, i], coeffs[i])
 
-        if "tower" in red.row_blocks:
-            tower_rows = red.row_block("tower")
+        if "tower" in one.row_blocks:
+            tower_rows = one.row_block("tower")
             put_units(tower_rows, tower)
             sense[tower_rows] = lp.LE
             rhs[tower_rows] = config.pmax_ct
@@ -449,24 +517,24 @@ class _ProgramTemplate:
         # a constant on the load (``_fill``'s offset) less the same weight on
         # each column of the row, the overmet slack's included.
         tri = (n - np.arange(n)).astype(float)
-        self.cw_rows, self.hw_rows = (red.row_block(b) for b in ("cw_bal", "hw_bal"))
-        for j, rows in enumerate((self.cw_rows, self.hw_rows)):
+        for j, block in enumerate(("cw_bal", "hw_bal")):
+            rows = one.row_block(block)
             penalty = weight * config.rho(STORAGE_UNITS[j]) * tri
             put_units(rows, balance[j, _UNITS])
-            _accumulate(obj, P, -np.multiply.outer(balance[j, _UNITS], penalty))
+            _accumulate(obj, P, -np.multiply.outer(balance[j, _UNITS], penalty), s)
             for i in np.flatnonzero(balance[j, _TANKS]):
                 coeff = balance[j, _TANKS[i]]
                 matrix.put(rows, E[:, i, :-1], coeff)
                 matrix.put(rows, E[:, i, 1:], -coeff)
-                _accumulate(obj, E[:, i, :-1], -coeff * penalty)
-                _accumulate(obj, E[:, i, 1:], coeff * penalty)
+                _accumulate(obj, E[:, i, :-1], -coeff * penalty, s)
+                _accumulate(obj, E[:, i, 1:], coeff * penalty, s)
             matrix.put(rows, O[:, j], -1.0)
             obj[O[:, j]] = 2.0 * penalty
             sense[rows] = lp.LE
 
         # Tank rates from step 1 on: E_k - E_{k+1} within the rate limits.
         for j, unit in enumerate(STORAGE_UNITS):
-            dyn = red.row_block(f"e_dyn_{unit}")
+            dyn = one.row_block(f"e_dyn_{unit}")
             matrix.put(dyn, E[:, j, 1:-1], 1.0)
             matrix.put(dyn, E[:, j, 2:], -1.0)
             sense[dyn] = lp.RANGE
@@ -477,16 +545,16 @@ class _ProgramTemplate:
         # of the step's month, at most -L_e.  Both registers appear in every
         # row, one with coefficient zero, so the pattern stays the same while
         # the split slides.
-        self.peak_rows = red.row_block("peak")
-        put_units(self.peak_rows, utility[0])
-        matrix.put(self.peak_rows, red.R1[:, None], -1.0)
-        matrix.put(self.peak_rows, red.R2[:, None], 0.0)
-        sense[self.peak_rows] = lp.LE
+        peak_rows = one.row_block("peak")
+        put_units(peak_rows, utility[0])
+        matrix.put(peak_rows, one.R1[:, None], -1.0)
+        matrix.put(peak_rows, one.R2[:, None], 0.0)
+        sense[peak_rows] = lp.LE
 
         lower[P] = rate_lower[_UNITS][None, :, None]
         upper[P] = rate_upper[_UNITS][None, :, None]
         lower[O] = 0.0
-        lower[red.R2] = 0.0
+        lower[one.R2] = 0.0
 
         # The substituted utility purchases per kW of each unit column: the
         # electricity draw, priced per hour, and the water and gas cost.
@@ -496,15 +564,45 @@ class _ProgramTemplate:
         )
         self.unmet_weight = weight * tri
 
-        self.program = matrix.program(obj, lower, upper, sense, rhs, rhs_lower)
+        self.objective, self.lower, self.upper = obj, lower, upper
+        self.rhs, self.rhs_lower = rhs, rhs_lower
+        self.row_sense = np.tile(sense, s)
+        replicated = _replicate(matrix.column_major(one.num_vars), one, s)
+        self.a_rows, self.a_vals, self.a_starts = (
+            replicated[k] for k in ("a_rows", "a_vals", "a_starts"))
+        self.cw_rows, self.hw_rows, self.peak_rows = (
+            red.row_block(b) for b in ("cw_bal", "hw_bal", "peak"))
         # A register column holds exactly its scenario's N peak rows, in
         # step order.
         self.r1, self.r2 = (
-            (self.program.a_starts[cols][:, None] + np.arange(n)).reshape(-1)
+            (self.a_starts[cols][:, None] + np.arange(n, dtype=red.P.dtype)).reshape(-1)
             for cols in (red.R1, red.R2)
         )
-        for arr in vars(self.program).values():
-            arr.setflags(write=False)
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+    def columns(self, block: np.ndarray) -> np.ndarray:
+        """A fresh array over the program's columns from one block's: the
+        shared head, the block repeated per scenario, then next month's
+        register of each scenario."""
+        red = self.layout
+        if red.s == 1:
+            return block.copy()
+        head, end = red.shared, red.shared + red.s * red.block
+        out = np.empty(red.num_vars)
+        out[:head] = block[:head]
+        out[head:end].reshape(red.s, red.block)[:] = block[head:-1]
+        out[end:] = block[-1]
+        return out
+
+    def rows(self, block: np.ndarray) -> np.ndarray:
+        """A fresh array over the program's rows: one block's, per scenario."""
+        if self.layout.s == 1:
+            return block.copy()
+        out = np.empty(self.layout.num_rows)
+        out.reshape(self.layout.s, -1)[:] = block
+        return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -531,15 +629,15 @@ def build_reduced(
     The optimum of the returned program plus its ``offset`` is the
     expected cost over the horizon.
 
-    The hour writes only its data into copies of the run's template
-    (``_ProgramTemplate``, cached per plant, N and S): the balance and peak
-    right-hand sides, the tank pins and the storage box (with the step-0
-    rate limits on the next-hour levels), this month's register bound, the
-    unit and register costs, and the register entries of the peak rows
-    when the horizon crosses a month end.  Its objective, bounds and
-    right-hand sides are fresh writable arrays; the row senses, the lower
-    sides of the two-sided rows and the sparsity pattern (``a_rows``,
-    ``a_cols``, ``a_starts``) are the template's, shared by every program
+    The hour writes only its data into arrays broadcast from the run's
+    template (``_ProgramTemplate``, cached per plant, N and S): the balance
+    and peak right-hand sides, the tank pins and the storage box (with the
+    step-0 rate limits on the next-hour levels), this month's register
+    bound, the unit and register costs, and the register entries of the
+    peak rows when the horizon crosses a month end.  Its objective, bounds and
+    right-hand sides, the lower sides of the two-sided rows among them,
+    are fresh writable arrays; the row senses and the sparsity pattern
+    (``a_rows``, ``a_starts``) are the template's, shared by every program
     of the shape and read-only.  So are the matrix values inside a month:
     only a horizon with a step that bills to next month gets a fresh copy
     of them.
@@ -563,24 +661,24 @@ def _fill(
     """``build_reduced`` on checked (S, 4, N) disturbance values."""
     s, _, n = values.shape
     template = _program_template(config, n, s)
-    red, shared = template.layout, template.program
+    red = template.layout
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
 
     # Each peak row bills to one register, the one of its step's month; the
     # template's bill every step to this month's.
-    a_vals = shared.a_vals
+    a_vals = template.a_vals
     if timing.next_month.any():
         a_vals = a_vals.copy()
         r1_coeff = np.where(timing.next_month, 0.0, -1.0)
         a_vals[template.r1] = np.tile(r1_coeff, s)
         a_vals[template.r2] = np.tile(-1.0 - r1_coeff, s)
 
-    rhs = shared.rhs.copy()
+    rhs = template.rows(template.rhs)
     rhs[template.cw_rows] = load_cw
     rhs[template.hw_rows] = load_hw
     rhs[template.peak_rows] = -load_e
 
-    lower, upper = shared.lower.copy(), shared.upper.copy()
+    lower, upper = template.columns(template.lower), template.columns(template.upper)
     E = red.E
     rate_lower, rate_upper = template.rates
     for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
@@ -594,7 +692,7 @@ def _fill(
     lower[red.R1] = state.peak
 
     # The unit costs and the discounted demand charges.
-    obj = shared.objective.copy()
+    obj = template.columns(template.objective)
     _accumulate(obj, red.P, template.unit_draw[:, None] * price_e[:, None, :]
                 + template.unit_fixed[:, None])
     obj[red.R] = template.weight * (config.price_demand / timing.discount)
@@ -609,8 +707,9 @@ def _fill(
                + config.rho_hw * (state.ul_hw + state.ol_hw))
     )
 
-    program = replace(shared, objective=obj, lower=lower, upper=upper, rhs=rhs,
-                      a_vals=a_vals)
+    program = lp.LinearProgram(
+        obj, lower, upper, template.row_sense, rhs, template.a_rows, a_vals,
+        template.a_starts, rhs_lower=template.rows(template.rhs_lower))
     if s == 1:
         return ReducedProgram(program, offset, red, config)
     start = functools.partial(_mean_start, red, config, state, values, timing, beta)

@@ -15,7 +15,6 @@ function of immutable inputs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,17 +89,6 @@ class PlantConfig:
 
     def rho(self, unit: str) -> float:
         return getattr(self, f"rho_{unit}")
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PlantConfig":
-        data = json.loads(text)
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown plant config fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -574,6 +574,9 @@ def run_closed_loop(
         # Solver trouble is recorded as a fallback hour, never raised.
         fallback = not sol.is_optimal
         action = ZERO_ACTION if fallback else mpc.extract_action(reduced.expand(sol))
+        # Dropped before the next hour's solve, whose peak memory it would
+        # otherwise add to (1 MB at S = 100).
+        del sol
         realized = truth.at(h + t)
         committed = action.as_array()
         if not fallback:

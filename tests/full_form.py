@@ -247,5 +247,6 @@ def build(config, state, data, timing, beta) -> FullForm:
         lower[lay.R2] = 0.0
         obj[lay.R2] = weight * demand_coeff
 
-    program = matrix.program(obj, lower, upper, sense, rhs)
+    program = lp.LinearProgram(obj, lower, upper, sense, rhs,
+                               **matrix.column_major(obj.size))
     return FullForm(program, lay, config, state, values)

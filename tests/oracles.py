@@ -3,6 +3,8 @@
 These deliberately avoid the library's own solution paths: the LP oracle
 enumerates candidate vertices directly, the AR fit oracle forms the
 lagged design matrix and decides its ridge by an SVD condition number,
+the outer-index AR fit keeps the normal equations' gather as it was before
+its indices were cached,
 the AR mean oracle steps the recursion one forecast value at a time, the
 AR covariance oracle accumulates impulse weights lag by lag, the scipy
 forecast oracle runs the forecasts through scipy.linalg's ``toeplitz`` and
@@ -18,6 +20,7 @@ re-implements the per-hour bookkeeping as a straight-line script.
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular, toeplitz
 
 from plantmpc import forecast as fc, lp
@@ -87,13 +90,13 @@ def vertex_enumeration_optimum(prog: lp.LinearProgram, tol: float = 1e-7):
     return lp.OPTIMAL, float(objectives.min())
 
 
-def csc_pattern(prog: lp.LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column-major entry order of ``prog``'s matrix, whatever order it
-    holds its entries in: (permutation, column starts, row indices)."""
-    order = np.lexsort((prog.a_rows, prog.a_cols))
-    counts = np.bincount(prog.a_cols, minlength=prog.num_vars)
+def csc_pattern(a_rows, a_cols, num_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column-major order of matrix entries given in any order:
+    (permutation, column starts, row indices)."""
+    order = np.lexsort((a_rows, a_cols))
+    counts = np.bincount(a_cols, minlength=num_vars)
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-    return order, indptr, prog.a_rows[order].astype(np.int32)
+    return order, indptr, np.asarray(a_rows)[order].astype(np.int32)
 
 
 def random_box_lp(rng: np.random.Generator, max_vars: int = 6, max_rows: int = 6):
@@ -124,6 +127,65 @@ def ar_design(history, q: int):
         design[:, k] = x[q - 1 - k : len(x) - 1 - k]
     design[:, q] = 1.0
     return design, x[q:]
+
+
+def ar_normal_equations_outer(x: np.ndarray, q: int):
+    """``forecast._normal_equations`` as it gathered the lag products
+    before it cached its indices: through per-call ``np.subtract.outer``
+    and ``np.minimum.outer`` index arrays and the whole gathered phi."""
+    length, n = len(x), q + 1
+    head = np.zeros(2 * q)
+    head[:q] = x[q - 1 :: -1]
+    tail = np.zeros(2 * q)
+    tail[:q] = x[length - 1 : length - 1 - q : -1]
+    boundary = (sliding_window_view(head, q)[:q] * head[:q]
+                - sliding_window_view(tail, q)[:q] * tail[:q])
+    diagonals = np.zeros((n, n))
+    np.cumsum(boundary, axis=1, out=diagonals[:q, 1:])
+    diagonals += np.correlate(x, x[q:], "valid")[::-1, None]
+    lag = np.arange(n)
+    phi = diagonals[np.abs(np.subtract.outer(lag, lag)), np.minimum.outer(lag, lag)]
+
+    sums = np.concatenate(([0.0], np.cumsum(x)))
+    gram = np.empty((n, n))
+    gram[:q, :q] = phi[1:, 1:]
+    gram[:q, q] = gram[q, :q] = sums[length - 1 - lag[:q]] - sums[q - 1 - lag[:q]]
+    gram[q, q] = length - q
+    moment = np.append(phi[1:, 0], sums[length] - sums[q])
+    return gram, moment
+
+
+def ar_fit_outer(history, q: int) -> fc.ArModel:
+    """``forecast.fit_ar`` on the normal equations of
+    ``ar_normal_equations_outer``, as it was before it cached its indices."""
+    x = np.asarray(history, dtype=float)
+    gram, moment = ar_normal_equations_outer(x, q)
+    eigenvalues = np.abs(np.linalg.eigvalsh(gram))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = eigenvalues.max() / eigenvalues.min()
+    lam = 0.0
+    if not np.isfinite(cond) or cond > fc._COND_LIMIT:
+        lam = max(1e-6 * np.trace(gram[:q, :q]) / q, 1e-12)
+    theta = None
+    for _ in range(8):
+        try:
+            ridge = np.diag(np.append(np.full(q, lam), 0.0)) if lam else 0.0
+            theta = np.linalg.solve(gram + ridge, moment)
+            break
+        except np.linalg.LinAlgError:
+            lam = max(10.0 * lam, 1e-12)
+    residuals = fc._residuals(x, theta)
+    if lam:
+        gradient = np.append(np.correlate(x[:-1], residuals, "valid")[::-1],
+                             residuals.sum())
+        gradient[:q] -= lam * theta[:q]
+        theta = theta + np.linalg.solve(gram + ridge, gradient)
+        residuals = fc._residuals(x, theta)
+    return fc.ArModel(
+        coefficients=theta[:q],
+        intercept=float(theta[q]),
+        noise_variance=float(np.mean(residuals**2)),
+    )
 
 
 def ar_fit_design(history, q: int) -> fc.ArModel:

@@ -10,9 +10,11 @@ from oracles import (
     ar_covariance_loop,
     ar_design,
     ar_fit_design,
+    ar_fit_outer,
     ar_impulse_weights_loop,
     ar_forecast_scipy,
     ar_mean_recursion,
+    ar_normal_equations_outer,
     ar_recursion_matrix_scipy,
     solve_unit_lower_scipy,
 )
@@ -120,22 +122,52 @@ def ar_windows(draw):
     return level + scale * (noise + cycle * np.sin(2 * np.pi * hours / 24.0)), q
 
 
+def recursion_terms(x, q):
+    """Per entry of ``_normal_equations``'s (gram, moment), the sum of the
+    absolute values of the terms it accumulates: for the lag product of
+    lags i and j (diagonal d = |i - j|, column c = min(i, j)) the |x|
+    correlation at lag d plus the first c |boundary| products of both ends;
+    for the window sums the two |x| prefix sums they subtract."""
+    length, n = len(x), q + 1
+    ax = np.abs(x)
+    corr = np.correlate(ax, ax[q:], "valid")[::-1]
+    head, tail = np.zeros(2 * q), np.zeros(2 * q)
+    head[:q], tail[:q] = ax[q - 1 :: -1], ax[length - 1 : length - 1 - q : -1]
+    boundary = np.array([[head[m + d] * head[m] + tail[m + d] * tail[m]
+                          for m in range(q)] for d in range(n)])
+    cumulative = np.zeros((n, n))
+    cumulative[:, 1:] = np.cumsum(boundary, axis=1)
+    lag = np.arange(1, n)
+    d, c = np.abs(lag[:, None] - lag), np.minimum(lag[:, None], lag)
+    prefix = np.concatenate(([0.0], np.cumsum(ax)))
+    gram = np.zeros((n, n))
+    gram[:q, :q] = corr[d] + cumulative[d, c]
+    gram[:q, q] = gram[q, :q] = prefix[length - lag] + prefix[q - lag]
+    moment = np.append(corr[1:], prefix[length] + prefix[q])
+    return gram, moment
+
+
 class TestFitAgainstDesignOracle:
     """The lag-product fit against the explicit-design fit it replaces."""
 
     @settings(deadline=None, max_examples=100)
     @given(ar_windows())
+    # The recursion cancels a window's largest squares on the diagonal:
+    # here gram[0, 0] lands 1e-16 to 7e-16 from the design's, above the
+    # 7.5e-18 that sqrt(G_ii G_jj) allowed.
+    @example(window=(np.array([0.00421259, 0.00757564, 2.05095083]), 1))
     def test_normal_equations_match_design_products(self, window):
         x, q = window
         gram, moment = fc._normal_equations(x, q)
         design, target = ar_design(x, q)
         want_gram, want_moment = design.T @ design, design.T @ target
-        # Entry (i, j) is a sum of products bounded by sqrt(G_ii G_jj).
-        scale = np.sqrt(np.diag(want_gram))
-        assert np.all(np.abs(gram - want_gram) <= 1e-13 * np.outer(scale, scale))
-        assert np.all(
-            np.abs(moment - want_moment) <= 1e-13 * scale * np.linalg.norm(target)
-        )
+        # Each side sums at most 2L + q terms, so each entry's error is
+        # within (2L + q) u times the absolute terms the recursion adds
+        # up, which bound the design product's own; eps = 2u is slack.
+        terms_gram, terms_moment = recursion_terms(x, q)
+        tol = (2 * len(x) + q) * np.finfo(float).eps
+        assert np.all(np.abs(gram - want_gram) <= tol * terms_gram)
+        assert np.all(np.abs(moment - want_moment) <= tol * terms_moment)
 
     @settings(deadline=None, max_examples=100)
     @given(ar_windows(), st.integers(1, 60))
@@ -177,6 +209,29 @@ class TestFitAgainstDesignOracle:
         assert np.max(np.abs(mean - want_mean)) <= 1e-10 * np.max(np.abs(want_mean))
         want_cov = ar_covariance_loop(got, n)
         assert np.max(np.abs(cov - want_cov)) <= 1e-12 * np.max(np.abs(want_cov))
+
+
+class TestGatheredNormalEquations:
+    """The normal equations gathered through cached indices equal those
+    gathered through per-call index arrays, bit for bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(ar_windows())
+    @example(window=(fc.generate_synthetic_campus(0, days=15).values[1], 168))
+    def test_equal_to_the_outer_index_gather(self, window):
+        x, q = window
+        for got, want in zip(fc._normal_equations(x, q),
+                             ar_normal_equations_outer(x, q)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        got, want = fc.fit_ar(x, q), ar_fit_outer(x, q)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert got.intercept == want.intercept
+        assert got.noise_variance == want.noise_variance
+
+    def test_indices_are_cached_int32(self):
+        index = fc._gram_index(168)
+        assert index is fc._gram_index(168)
+        assert index.dtype == np.int32 and not index.flags.writeable
 
 
 class TestForecast:

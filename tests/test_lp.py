@@ -12,6 +12,7 @@ from plantmpc.plant import (
     balance_residuals,
 )
 
+import triplet_template
 from oracles import csc_pattern, random_box_lp, vertex_enumeration_optimum
 from simplex import BOUND_TOL, ROW_TOL, LpBuilder, matrix, solve_simplex
 from test_restoration import random_cases
@@ -799,14 +800,15 @@ class TestColumnMajor:
     ``oracles.csc_pattern``, with the column starts it computes."""
 
     @staticmethod
-    def assert_sorts_like_the_oracle(given, held):
-        """``held`` holds the matrix entries of ``given``, which come in any
-        order, where the oracle puts them."""
-        order, indptr, indices = csc_pattern(given)
+    def assert_sorts_like_the_oracle(entries, held):
+        """``held`` holds the matrix entries (rows, columns, values), which
+        come in any order, where the oracle puts them."""
+        a_rows, a_cols, a_vals = (np.asarray(part) for part in entries)
+        order, indptr, indices = csc_pattern(a_rows, a_cols, held.num_vars)
         assert held.a_rows.dtype == held.a_cols.dtype == held.a_starts.dtype == np.int32
         assert np.array_equal(held.a_rows, indices)
-        assert np.array_equal(held.a_cols, given.a_cols[order])
-        assert held.a_vals.tobytes() == given.a_vals[order].tobytes()
+        assert np.array_equal(held.a_cols, a_cols[order])
+        assert held.a_vals.tobytes() == a_vals[order].tobytes()
         assert np.array_equal(held.a_starts, indptr)
 
     def test_random_programs_sort_like_the_oracle(self):
@@ -814,34 +816,28 @@ class TestColumnMajor:
         for _ in range(120):
             built = random_box_lp(rng)
             shuffle = rng.permutation(built.num_entries)
-            given = dataclasses.replace(
-                built, a_rows=built.a_rows[shuffle].astype(np.int64),
-                a_cols=built.a_cols[shuffle].astype(np.int64),
-                a_vals=built.a_vals[shuffle])
-            held = dataclasses.replace(given, **lp.column_major(
-                given.a_rows, given.a_cols, given.a_vals, given.num_vars))
-            self.assert_sorts_like_the_oracle(given, held)
+            entries = (built.a_rows[shuffle].astype(np.int64),
+                       built.a_cols[shuffle].astype(np.int64), built.a_vals[shuffle])
+            held = dataclasses.replace(
+                built, **lp.column_major(*entries, built.num_vars))
+            self.assert_sorts_like_the_oracle(entries, held)
             held.validate()
             # ``LpBuilder`` sorts its entries the same way.
-            self.assert_sorts_like_the_oracle(given, built)
+            self.assert_sorts_like_the_oracle(entries, built)
 
-    def test_paper_shape_template_sorts_like_the_oracle(self, monkeypatch):
-        column_major, put = lp.column_major, []
-
-        def spy(*entries):
-            put.append(entries[:3])
-            return column_major(*entries)
-
-        monkeypatch.setattr(lp, "column_major", spy)
+    def test_paper_shape_template_sorts_like_the_oracle(self):
+        """The replicated paper-shape matrix holds every scenario block's
+        triplets (``triplet_template``) where the oracle's sort puts them."""
         n, s = 168, 100
         template = mpc._ProgramTemplate(PlantConfig(), n, s)
-        (a_rows, a_cols, a_vals), = put
-        held = template.program
-        self.assert_sorts_like_the_oracle(
-            dataclasses.replace(held, a_rows=a_rows, a_cols=a_cols, a_vals=a_vals),
-            held)
-        # The register entries, in (scenario, step) order.
         red = template.layout
+        held = lp.LinearProgram(
+            np.zeros(red.num_vars), np.zeros(red.num_vars), np.zeros(red.num_vars),
+            template.row_sense, np.zeros(red.num_rows), template.a_rows,
+            template.a_vals, template.a_starts)
+        self.assert_sorts_like_the_oracle(
+            triplet_template.Template(PlantConfig(), n, s).entries, held)
+        # The register entries, in (scenario, step) order.
         peak_rows = template.peak_rows.reshape(-1)
         for at, registers, coeff in ((template.r1, red.R1, -1.0),
                                      (template.r2, red.R2, 0.0)):
@@ -856,17 +852,17 @@ class TestColumnMajor:
         a_rows, a_cols = np.nonzero(a)  # row by row
         prog = restoration._correction_program(
             config, PlantState(e_cw=0.0, e_hw=0.0), ControlAction(), (0.0, 0.0, 0.0))
-        self.assert_sorts_like_the_oracle(
-            dataclasses.replace(prog, a_rows=a_rows, a_cols=a_cols,
-                                a_vals=a[a_rows, a_cols]), prog)
+        self.assert_sorts_like_the_oracle((a_rows, a_cols, a[a_rows, a_cols]), prog)
 
     def test_entries_out_of_column_order_raise(self):
+        """Column starts that decrease cannot hold entries in column order;
+        rows that decrease inside a column are not column-major either."""
         prog = lp.LinearProgram(
-            objective=np.array([1.0, 1.0]), lower=np.zeros(2),
-            upper=np.full(2, 10.0), row_sense=np.array([lp.GE, lp.GE], np.int8),
+            objective=np.ones(3), lower=np.zeros(3),
+            upper=np.full(3, 10.0), row_sense=np.array([lp.GE, lp.GE], np.int8),
             rhs=np.array([2.0, 3.0]),
-            a_rows=np.array([0, 1], np.int32), a_cols=np.array([1, 0], np.int32),
-            a_vals=np.array([1.0, 1.0]), a_starts=np.array([0, 1, 2], np.int32),
+            a_rows=np.array([0, 1], np.int32),
+            a_vals=np.array([1.0, 1.0]), a_starts=np.array([0, 2, 1, 2], np.int32),
         )
         with pytest.raises(ValueError, match="column order"):
             lp.HighsSession().solve(prog)
@@ -874,3 +870,18 @@ class TestColumnMajor:
             lp.solve(prog)
         with pytest.raises(ValueError, match="column-major"):
             prog.validate()
+        rows_down = dataclasses.replace(
+            prog, a_rows=np.array([1, 0], np.int32),
+            a_starts=np.array([0, 2, 2, 2], np.int32))
+        with pytest.raises(ValueError, match="column-major"):
+            rows_down.validate()
+
+    def test_column_indices_are_derived_from_the_starts(self):
+        """A program stores no column indices: ``a_cols`` is a fresh int32
+        array, each column's index repeated over its entries."""
+        prog = random_box_lp(np.random.default_rng(5))
+        assert "a_cols" not in vars(prog)
+        cols = prog.a_cols
+        assert cols.dtype == np.int32 and cols is not prog.a_cols
+        assert np.array_equal(
+            cols, np.repeat(np.arange(prog.num_vars), np.diff(prog.a_starts)))

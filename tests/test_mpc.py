@@ -14,6 +14,7 @@ from plantmpc.plant import (
 )
 
 import full_form
+import triplet_template
 from oracles import grid_search_two_step
 from simplex import matrix, solve_simplex
 
@@ -710,13 +711,18 @@ class TestShift:
 
 def program_bytes(reduced):
     """The ten arrays and the offset of a built program, as bytes."""
-    prog = reduced.program
+    return arrays_bytes(reduced.program, reduced.offset)
+
+
+def arrays_bytes(prog, offset):
+    """The ten arrays of ``prog``, the derived ``a_cols`` among them, and
+    ``offset``, as bytes."""
     return [
         (arr.dtype.str, arr.shape, arr.tobytes())
         for arr in (prog.objective, prog.lower, prog.upper, prog.row_sense,
                     prog.rhs, prog.rhs_lower, prog.a_rows, prog.a_cols,
                     prog.a_vals, prog.a_starts)
-    ] + [repr(reduced.offset)]
+    ] + [repr(offset)]
 
 
 class TestProgramTemplate:
@@ -788,17 +794,62 @@ class TestProgramTemplate:
         for first, second in (crossing, in_month):
             assert not second[3].next_month.any()
             a, b = (mpc.build_reduced(*args).program for args in (first, second))
-            shared = ("row_sense", "rhs_lower", "a_rows", "a_cols", "a_starts")
+            shared = ("row_sense", "a_rows", "a_starts")
             if first is in_month[0]:
                 shared += ("a_vals",)
-                template = mpc._program_template(first[0], 6, 3).program
+                template = mpc._program_template(first[0], 6, 3)
                 assert a.a_vals is template.a_vals
             for name in shared:
                 assert getattr(a, name) is getattr(b, name)
                 assert not getattr(a, name).flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(a, name)[0] = 0
-            for name in ("objective", "lower", "upper", "rhs", "a_vals"):
+            for name in ("objective", "lower", "upper", "rhs", "rhs_lower", "a_vals"):
                 if name not in shared:
                     assert getattr(a, name).flags.writeable
                     assert not np.shares_memory(getattr(a, name), getattr(b, name))
+
+
+class TestReplicatedBlock:
+    """The template keeps one scenario block and replicates it; every
+    program equals the one assembled from all blocks' triplets
+    (``triplet_template``) in value and dtype."""
+
+    @pytest.mark.parametrize("crossing", [False, True], ids=["in_month", "crossing"])
+    @pytest.mark.parametrize("binds", [False, True], ids=["free", "binding"])
+    @pytest.mark.parametrize("n", [1, 2, 24])
+    @pytest.mark.parametrize("s", [1, 2, 3, 7])
+    def test_programs_equal_the_triplet_oracle(self, s, n, binds, crossing):
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        assert mpc._tower_binds(config) == binds
+        rng = np.random.default_rng(1000 * s + n)
+        values = rng.uniform(0.0, 6000.0, (s, 4, n))
+        values[:, 3] = rng.uniform(0.02, 0.12, (s, n))
+        data = fc.ScenarioSet(values) if s > 1 else DisturbanceTrajectory(values[0])
+        state = PlantState(e_cw=float(rng.uniform(0, config.cap_cw)),
+                           e_hw=float(rng.uniform(0, config.cap_hw)),
+                           ul_cw=3.0, ol_hw=4.0, peak=float(rng.uniform(0, 9000)))
+        # Crossing: the month ends mid-horizon, or, at N = 1, on this hour.
+        timing = mpc.HorizonTiming(20, n, 20 + (n - 1) // 2 if crossing else 700)
+        assert timing.next_month.any() == (crossing and n > 1)
+        mpc._program_template.cache_clear()
+        got = mpc.build_reduced(config, state, data, timing, 0.1)
+        want = triplet_template.fill(config, state, values, timing, 0.1)
+        assert program_bytes(got) == arrays_bytes(*want)
+
+    def test_template_keeps_one_block(self):
+        """Besides the matrix values, no float array of the template is
+        longer than one scenario block's columns or rows."""
+        n, s = 24, 20
+        template = mpc._ProgramTemplate(PlantConfig(), n, s)
+        one = mpc._reduced_layout(n, 1, False)
+        held = [(f"{name}.{inner}", arr)
+                for name, value in vars(template).items()
+                for inner, arr in ([("", value)] if isinstance(value, np.ndarray)
+                                   else vars(value).items() if hasattr(value, "__dict__")
+                                   else [])
+                if isinstance(arr, np.ndarray)]
+        floats = [(name, arr.size) for name, arr in held
+                  if arr.dtype.kind == "f" and arr is not template.a_vals]
+        assert floats
+        assert all(size <= max(one.num_vars, one.num_rows) for _, size in floats), floats

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -175,26 +174,6 @@ class TestConfigValidation:
     def test_negative_coefficient(self):
         with pytest.raises(ValueError):
             PlantConfig(alpha_e_cs=-0.1)
-
-    def test_json_round_trip(self):
-        config = PlantConfig(alpha_e_cs=0.33, cap_cw=12345.0)
-        again = PlantConfig.from_json(config.to_json())
-        assert again == config
-
-    def test_json_field_names(self):
-        data = json.loads(PlantConfig().to_json())
-        expected = {
-            "alpha_e_cs", "alpha_e_hrc", "alpha_e_hwg", "alpha_e_ct",
-            "alpha_w_ct", "alpha_ng_hwg", "alpha_cond_cs", "alpha_h_hrc",
-            "cap_cw", "cap_hw", "pmax_cs", "pmax_hrc", "pmax_hwg", "pmax_ct",
-            "pmax_hx", "pmax_cw", "pmax_hw", "price_water", "price_gas",
-            "price_demand", "rho_cw", "rho_hw",
-        }
-        assert set(data) == expected
-
-    def test_unknown_json_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            PlantConfig.from_json('{"alpha_e_cs": 0.2, "bogus": 1}')
 
 
 class TestDisturbance:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -304,6 +305,27 @@ def make_spec(**overrides):
     )
     defaults.update(overrides)
     return simulate.RunSpec(**defaults)
+
+
+class TestSolutionLifetime:
+    @pytest.mark.parametrize("kind", ["det", "sto", "perf"])
+    def test_last_solution_is_gone_when_the_next_solve_starts(self, kind, monkeypatch):
+        """No hour's solution is alive through the next hour's solve, whose
+        peak memory it would add to."""
+        solve, last, alive = lp.HighsSession.solve, [], []
+
+        def watched(session, prog, **kwargs):
+            alive.append(bool(last) and last[-1]() is not None)
+            solution = solve(session, prog, **kwargs)
+            last.append(weakref.ref(solution))
+            return solution
+
+        monkeypatch.setattr(lp.HighsSession, "solve", watched)
+        spec = make_spec(controller=simulate.ControllerSpec(kind, beta=0.1, scenarios=3),
+                         sim_hours=6)
+        simulate.run_closed_loop(PlantConfig(), spec,
+                                 fc.generate_synthetic_campus(3, days=6))
+        assert alive == [False] * 6
 
 
 class TestRunSpec:
@@ -732,7 +754,7 @@ class TestProgramArrays:
         smoke_sto_loop(16, build=building, calendar=(12, 100))
         assert all(starts is prog.a_starts and index is prog.a_rows
                    and value is prog.a_vals for prog, (starts, index, value) in loads)
-        template = mpc._program_template(PlantConfig(), 24, 5).program
+        template = mpc._program_template(PlantConfig(), 24, 5)
         controller = [next(prog for prog, *_ in loads if prog is reduced.program)
                       for reduced in built]
         in_month = [prog.a_vals is template.a_vals for prog in controller]

@@ -15,9 +15,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plantmpc import simulate
+from plantmpc import lp, mpc, simulate
 from plantmpc.plant import CHANNELS, STORAGE_UNITS, PlantConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -85,3 +86,36 @@ def test_traced_seams_are_reached(workload):
         trace = simulate.run_closed_loop(PlantConfig(), spec, truth)
     assert not trace.violation_flags("fallback").any()
     assert Counter(span.name for span in tracer.spans) == expected_spans(spec)
+
+
+#: (columns, rows, entries, bytes) of every smoke-scale controller program,
+#: as ``tracing._program_size`` books them into ``mpc.lp_mb``.  The bytes
+#: count the derived column indices as the int32 array that programs once
+#: stored, so the per-layer record stays comparable with earlier runs.
+SMOKE_SIZES = {"det-monthend": (196, 118, 500, 13_766),
+               "perf-monthend": (196, 118, 500, 13_766),
+               "sto-paper": (948, 590, 2_500, 68_062)}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_traced_program_attributes_are_there(workload, monkeypatch):
+    """``--trace 1`` reads each program's sizes and sparsity pattern
+    (``_program_size``, ``_PatternWatch``) from its attributes; every one
+    is there, the indices int32, and the byte sum as before."""
+    spec = WORKLOADS.make_spec(WORKLOADS.WORKLOADS[workload], 0, WORKLOADS.SMOKE)
+    build, built = mpc.build_reduced, []
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(mpc, "build_reduced", building)
+    simulate.run_closed_loop(PlantConfig(), spec, WORKLOADS.make_truth(spec, 0))
+    tracing = load_perfbench("tracing")
+    watch = tracing._PatternWatch()
+    for reduced in built:
+        prog = reduced.program
+        assert prog.a_rows.dtype == prog.a_cols.dtype == np.int32
+        assert tracing._program_size(None, reduced) == SMOKE_SIZES[workload]
+        solution = lp.LpSolution("optimal", None, 0.0, 3)
+        assert watch((None, prog), solution) == (3, True, False)
