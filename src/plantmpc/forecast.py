@@ -517,7 +517,14 @@ def write_trajectory_csv(path, traj: DisturbanceTrajectory) -> None:
 
 
 def read_trajectory_csv(path) -> DisturbanceTrajectory:
+    """The trajectory of a CSV file in ``write_trajectory_csv``'s format.
+
+    A malformed row raises ValueError naming the file and the line: one
+    with another number of cells than the header, or a load or price that
+    is not a number.  Blank lines are skipped.
+    """
     path = Path(path)
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -525,7 +532,13 @@ def read_trajectory_csv(path) -> DisturbanceTrajectory:
             raise ValueError(
                 f"{path}: expected header {','.join(CSV_HEADER)}"
             )
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} cells, got {len(row)}")
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return DisturbanceTrajectory(np.asarray(rows).T)

@@ -20,8 +20,8 @@ or, given the caller's ``shift``, moved to the columns and rows that now
 hold the same quantities (a receding horizon's one-step shift).  Else it
 starts from the caller's ``start`` (a ``Basis``, which need not be
 consistent), else from the slack basis.  ``solve`` runs one program once,
-from the slack basis, with HiGHS's default options, on a fresh instance
-or on a given session's.
+from the slack basis, with HiGHS's default options, on the one instance
+the process keeps for such solves.
 
 A ``LinearProgram`` holds its matrix in the column layout ``passModel``
 reads: column starts, row indices and values (``column_major``), so every
@@ -31,10 +31,11 @@ pattern from run to run.  The entries' column indices are not stored:
 tests do (1.5 MB fewer held through every solve at S = 100).  A program
 whose column starts decrease raises ValueError.
 
-The two callers differ in two options, set before each run: a session
-runs every program, cold or warm, without presolve and without the dual
-simplex's cost perturbation; ``solve`` keeps HiGHS's defaults, presolve
-"choose" and perturbation multiplier 1.0.  The perturbation guards the
+Each HiGHS instance keeps one option set for all its runs, and the two
+callers differ in two options: a session runs every program, cold or
+warm, without presolve and without the dual simplex's cost perturbation;
+``solve``'s instance keeps HiGHS's defaults, presolve "choose" and
+perturbation multiplier 1.0.  The perturbation guards the
 dual simplex against degeneracy, but a restart from an optimal basis pays
 to undo it: removing it at the end leaves dual infeasibilities that a
 primal "perturbation cleanup" must repair.  On the paper-scale stochastic
@@ -57,8 +58,8 @@ basis of the last hour is stale in every step: its warm restart ended in
 a primal cleanup of about 1 500 dual infeasibilities.  Shifted
 (``mpc.ReducedProgram.shift``), on scenario noise that moves with the
 horizon, the same window's warm hours take 951 iterations instead of
-3 343 (seed 0).  Moving the 285 010 statuses of that program (217 808
-now) cost about 25 ms of the roughly 310-340 ms warm solve: reading them
+3 343 (seed 0).  Moving that program's statuses, one per column and
+row, cost about 25 ms of the roughly 310-340 ms warm solve: reading them
 (``HighsSession.basis``) about 7 ms, shifting them 1 ms and writing the
 alien basis 17 ms.  Read through ``getBasis``, whose statuses come as
 lists of binding enums, they took 200-270 ms.  A nonbasic two-sided row
@@ -66,7 +67,7 @@ lists of binding enums, they took 200-270 ms.  A nonbasic two-sided row
 the session finds which from the row activities of the optimum, one
 ``np.bincount`` over the matrix entries.
 
-One-shot solves keep the defaults because the vertex they return among
+``solve`` keeps the defaults because the vertex it returns among
 alternate optima is what their callers were written against: the
 tie-breaks of ``tests/test_mpc.py``'s scenario-order and
 nonanticipativity comparisons, and restoration's correction LP, whose
@@ -75,6 +76,7 @@ alternate optima move the closed loop's cost.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -219,13 +221,11 @@ _BASIS_STATUS = np.array(
     sorted(_highs_core.HighsBasisStatus.__members__.values(), key=int), dtype=object)
 _COLWISE = int(_highs_core.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
-#: Set per run in ``HighsSession._run`` through ``setOptionValue``;
-#: scipy's ``HighsOptions`` has no attribute for it.
-_PERTURBATION = "dual_simplex_cost_perturbation_multiplier"
-#: The options of every run of a controller session, cold or warm.
-_SESSION_OPTIONS = (("presolve", "off"), (_PERTURBATION, 0.0))
-#: HiGHS's defaults, which ``solve`` keeps.
-_ONE_SHOT_OPTIONS = (("presolve", "choose"), (_PERTURBATION, 1.0))
+#: The options a controller session sets once, through ``setOptionValue``,
+#: for every run, cold or warm; scipy's ``HighsOptions`` has no attribute
+#: for the perturbation.
+_SESSION_OPTIONS = (("presolve", "off"),
+                    ("dual_simplex_cost_perturbation_multiplier", 0.0))
 
 
 @dataclass
@@ -299,9 +299,10 @@ def _highs() -> _highs_core._Highs:
     """A HiGHS instance with the options every solve here uses.
 
     Presolve and the cost perturbation multiplier are not among them:
-    ``HighsSession._run`` sets both before every run (``_SESSION_OPTIONS``
-    for a session's own runs, ``_ONE_SHOT_OPTIONS`` for ``solve``), so no
-    run inherits them from the last.
+    each instance keeps one setting of both for all its runs.  A
+    controller session turns both off when it is made
+    (``_SESSION_OPTIONS``); ``solve``'s instance keeps HiGHS's defaults,
+    presolve "choose" and multiplier 1.0.
 
     Matrix scaling is disabled: the plant matrices are naturally well
     ranged and the scaling pass both costs time and degrades basis reuse.
@@ -334,11 +335,14 @@ def _row_sides(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
 
 def _pass_model(h, lp: LinearProgram) -> None:
     """Load ``lp`` whole, as a continuous LP, its own column starts, row
-    indices and values passed as they are.
+    indices and values passed as they are; raise ValueError if its column
+    starts decrease.
 
     HiGHS reads ``num_vars`` integrality entries, so all-continuous is an
     explicit zero array rather than an empty one.
     """
+    if (lp.a_starts[1:] < lp.a_starts[:-1]).any():
+        raise ValueError("column starts decrease: entries not in column order")
     row_lower, row_upper = _row_sides(lp)
     _check(h.passModel(
         lp.num_vars, lp.num_rows, lp.num_entries, _COLWISE, _MINIMIZE, 0.0,
@@ -382,9 +386,11 @@ class HighsSession:
 
     def __init__(self) -> None:
         self._h = _highs()
+        for name, value in _SESSION_OPTIONS:
+            _check(self._h.setOptionValue(name, value), f"setOptionValue({name!r})")
         self._optimum = None
 
-    def _run(self, lp: LinearProgram, one_shot: bool = False,
+    def _run(self, lp: LinearProgram,
              start: Callable[[], Basis | None] | None = None,
              shift: Shift | None = None) -> LpSolution:
         """Solve ``lp``; ``start`` is called only when no warm restart
@@ -395,12 +401,8 @@ class HighsSession:
         last run alone.
         """
         h = self._h
-        if (lp.a_starts[1:] < lp.a_starts[:-1]).any():
-            raise ValueError("column starts decrease: entries not in column order")
         dims = (lp.num_rows, lp.num_vars)
-        warm = not one_shot and self._optimum is not None and self._optimum[0] == dims
-        for name, value in _ONE_SHOT_OPTIONS if one_shot else _SESSION_OPTIONS:
-            _check(h.setOptionValue(name, value), f"setOptionValue({name!r})")
+        warm = self._optimum is not None and self._optimum[0] == dims
         found, optimal = 0, False
         if warm:
             if shift is None:
@@ -426,16 +428,17 @@ class HighsSession:
         solution = _result(h, lp)
         solution.iterations += found
         # The shape and nonbasic sides of the optimum, for warm restarts and
-        # ``basis``; a one-shot run restarts nothing.  Codes, not the bounds
-        # they come from: those would keep 3 MB of the last program alive
-        # through the next solve at paper scale.
+        # ``basis``.  Codes, not the bounds they come from: those would keep
+        # 3 MB of the last program alive through the next solve at paper
+        # scale.
         self._optimum = ((dims, _nonbasic_codes(lp, solution.x),
                           _nonbasic_row_codes(lp, solution.x))
-                         if solution.is_optimal and not one_shot else None)
+                         if solution.is_optimal else None)
         return solution
 
-    #: Module-level ``solve`` calls ``_run``, so code that patches or times
-    #: this attribute (``perfbench``, tests) sees the controllers' solves only.
+    #: ``perfbench`` and the tests patch or time this attribute; the
+    #: scenario-mean solves of ``mpc._mean_start`` call ``_run``, so it sees
+    #: the controllers' own solves only.
     solve = _run
 
     def basis(self) -> Basis:
@@ -460,15 +463,21 @@ class HighsSession:
         return Basis(col, row)
 
 
-def solve(lp: LinearProgram, session: HighsSession | None = None) -> LpSolution:
+#: The HiGHS instance that ``solve`` runs every program on, one per process,
+#: with HiGHS's default presolve and cost perturbation.
+_solver = functools.cache(_highs)
+
+
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve one program from scratch with HiGHS's defaults; deterministic.
 
-    The program is loaded whole into ``session``'s HiGHS instance, or a
-    fresh one, and solved cold from the slack basis, with presolve and cost
-    perturbation, whatever that instance solved before, so a caller that
-    solves many small programs can keep one instance for them.  It is not a
-    session's cold solve, which runs without both, and it leaves the
-    session no basis to restart from.
+    The program is loaded whole and solved cold from the slack basis, with
+    presolve and cost perturbation, on the process's one instance for such
+    solves (``_solver``): the outcome is the one a fresh instance gives,
+    whatever the instance solved before.  It is not a session's cold
+    solve, which runs without both.
     """
-    session = HighsSession() if session is None else session
-    return session._run(lp, one_shot=True)
+    h = _solver()
+    _pass_model(h, lp)
+    h.run()
+    return _result(h, lp)

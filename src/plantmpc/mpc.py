@@ -33,44 +33,52 @@ for a given plant, horizon N and S scenarios the program has one shape for
 the whole run: ``8 + S(8N - 4)`` columns and ``5NS - 2S`` rows, plus ``NS``
 tower-limit rows when that limit can bind.  For the default plant at
 N = 168 and S = 100 that is 134 008 columns and 83 800 rows; a one-scenario
-program has 1 348 columns and 838 rows.
+program has 1 348 columns and 838 rows.  The register of the month a step
+does not bill to keeps an explicit zero in its peak row, so the pattern
+never changes; a program inside one month passes N·S such zeros, which
+HiGHS drops on every load, and ``perfbench``'s ``mpc.lp_nnz`` counts them.
+
+Every scenario block is a copy of the same plant model, and only the data
+differs (Birge and Louveaux, Introduction to Stochastic Programming,
+1997).  So the program's only index space is one block
+(``_ReducedLayout``), and ``_ProgramTemplate`` states once how S blocks
+replicate it.  Every S-scenario array is a block's replicated
+(``_ProgramTemplate.columns`` and ``rows``), or split back per scenario
+(``_ProgramTemplate.scenarios``): the hour's bounds and costs, the matrix,
+the mean-start basis, the one-step shift and the decoded solution.
 
 Because the shape is fixed, ``build_reduced`` assembles the matrix once per
 plant, N and S (``_ProgramTemplate``, cached), column-major as HiGHS reads
 it, and each hour writes only its data: the load right-hand sides, the
 tank pins and storage box, this month's register bound, the unit and
 register costs, and, when the horizon crosses a month end, the register
-entries of the peak rows.  Every scenario block is a copy of the same
-plant model and only the data differs (Birge and Louveaux, Introduction
-to Stochastic Programming, 1997), so the template keeps one block: its
-static objective, bounds and right-hand sides, broadcast into each hour's
-fresh arrays, and its column-major matrix, replicated S times without
-sorting the S blocks' entries.  sto-paper's peak memory is reached inside
+entries of the peak rows.  sto-paper's peak memory is reached inside
 HiGHS's primal cleanup of a warm solve, and every array Python holds then
-adds to it.  Holding one block, with int32 layout indices, column indices
-derived from the starts (``lp.LinearProgram.a_cols``) and each hour's
-solution dropped before the next solve, took that peak from about 233 to
-226 MB (medians of 10 runs, seeds 0, 1 and 7919).
+adds to it.  Holding one block, column indices derived from the starts
+(``lp.LinearProgram.a_cols``) and each hour's solution dropped before the
+next solve took that peak from about 233 to 226 MB (medians of 10 runs,
+seeds 0, 1 and 7919).
 
 A program of S > 1 scenarios carries a ``start`` for its session's cold
 solve: the optimal basis of the one-scenario program of the scenario mean
-(same state, timing and buffer), copied into every scenario block.  Each
-block is a copy of the one-scenario program's structure, so that basis is
-near-optimal for all of them; at paper scale (sto-paper, seeds 0, 1 and
-7919) it cuts the cold solve's dual simplex iterations from 80 650-81 010
-to 6 310-7 170, the mean program's included.  It also carries its
-layout's one-step ``shift``: from one hour to the next every step moves one
-hour earlier, and so does the stochastic controller's scenario noise
-(``simulate._ScenarioSampler``), so the next program is nearly the last one
-moved one step, and the session restarts from the last optimal basis moved
-with it.  The single-trajectory programs have neither.  Shifted, their warm
-restarts took 8 iterations instead of 49 (det-monthend, seed 0) and 5
-instead of 58 (perf-monthend), but HiGHS's time on programs that small is
-mostly setup: reading, moving and writing their 2 860 statuses (2 186
-now) and HiGHS's repair of the alien basis added about 0.5 ms per hour,
-where the unshifted restart hands HiGHS its own basis back in 0.01 ms.
-Over 10 alternating pairs each, ``perfbench``'s ``warm_hour_ref`` rose
-3.3 % (det-monthend, lower in 2) and 3.2 % (perf-monthend, lower in 1).
+(same state, timing and buffer), replicated into every scenario block.
+Each block is a copy of the one-scenario program's structure, so that
+basis is near-optimal for all of them; at paper scale (sto-paper, seeds
+0, 1 and 7919) it cuts the cold solve's dual simplex iterations from
+80 650-81 010 to 6 310-7 170, the mean program's included.  It also
+carries its template's one-step ``shift``: from one hour to the next every
+step moves one hour earlier, and so does the stochastic controller's
+scenario noise (``simulate._ScenarioSampler``), so the next program is
+nearly the last one moved one step, and the session restarts from the
+last optimal basis moved with it.  The single-trajectory programs have
+neither.  Shifted, their warm restarts took 8 iterations instead of 49
+(det-monthend, seed 0) and 5 instead of 58 (perf-monthend), but HiGHS's
+time on programs that small is mostly setup: reading, moving and writing
+their statuses and HiGHS's repair of the alien basis added about 0.5 ms
+per hour, where the unshifted restart hands HiGHS its own basis back in
+0.01 ms.  Over 10 alternating pairs each, ``perfbench``'s
+``warm_hour_ref`` rose 3.3 % (det-monthend, lower in 2) and 3.2 %
+(perf-monthend, lower in 1).
 
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
 per-scenario unit loads, slacks, storage levels and peak registers, in
@@ -209,7 +217,7 @@ def _tower(config: PlantConfig) -> np.ndarray:
 
 
 class _ReducedLayout:
-    """Column/row indices of the program for one shape, all scenarios stacked.
+    """Column/row indices of one scenario block of the program.
 
     Residual columns, the unmet/overmet integrators, the cooling-tower load,
     the tank rates and the unmet slacks are definitional, and two of the
@@ -226,108 +234,52 @@ class _ReducedLayout:
     tower limit can bind (``tower_binds``) it is one more row block,
     ``tower`` @ P <= pmax_ct.
 
-    What remains per scenario: unit loads ``P`` (s, 4, n) in ``UNITS`` order
-    without ct and the tanks, the overmet slacks ``O`` (s, 2, n), chilled
-    water then hot water, storage states ``E`` (s, 2, n+1) and the peak
-    registers ``R`` (s, 2).  This month's ``R1`` is the last column of each
-    scenario block; next month's ``R2`` columns follow the last block.
-    Every program carries both, so the shape is the same inside a month,
-    across a month end and on the closing hour.  The hour-0 loads and the
-    storage columns of steps 0 and 1 are shared by all scenarios.  Each
-    scenario's rows are its ``row_blocks`` in order, one row per step, but
-    the dynamics rows start at step 1; ``row_block`` gives one block
-    (s, steps).
-
-    The index arrays of S > 1 scenarios are int32, half of intp's memory
-    at S = 100.  One scenario's stay intp: they are few, an hour indexes
-    with them about 20 times, and numpy casts int32 indices to intp on
-    every use, 2-3 us more each at N = 168, of a 2-3 ms hour.
+    What remains: unit loads ``P`` (4, n) in ``UNITS`` order without ct and
+    the tanks, the overmet slacks ``O`` (2, n), chilled water then hot
+    water, storage states ``E`` (2, n+1) and the peak registers ``R``,
+    this month's ``R1`` and next month's ``R2``.  The columns are the
+    ``shared`` head (the hour-0 loads and the storage columns of steps 0
+    and 1), the scenario's own ``block`` columns, ``R1`` the last of them,
+    and ``R2``: the one-scenario program.  Every program carries
+    both registers, so the shape is the same inside a month, across a
+    month end and on the closing hour.  The rows are the ``row_blocks`` in
+    order, one row per step, but the dynamics rows start at step 1;
+    ``row_block`` gives one block's range.
     """
 
-    def __init__(self, n: int, s: int, tower_binds: bool):
-        self.n, self.s = n, s
+    def __init__(self, n: int, tower_binds: bool):
+        self.n = n
         nu = len(_UNITS)
         steps = dict(cw_bal=n, hw_bal=n, e_dyn_cw=n - 1, e_dyn_hw=n - 1, peak=n)
         if tower_binds:
             steps["tower"] = n
         self.row_blocks = tuple(steps)
-        per_scenario = sum(steps.values())
         self.shared = _SHARED
         self.block = (nu + 4) * n - nu - 1
-        self.num_vars = self.shared + s * (self.block + 1)
-        self.num_rows = per_scenario * s
+        self.num_vars = self.shared + self.block + 1
+        self.num_rows = sum(steps.values())
 
-        index = np.intp if s == 1 else np.int32
-        xi = np.arange(s, dtype=index)
-        base = self.shared + xi * self.block
-        units = np.arange(nu, dtype=index)
-        tanks = np.arange(2, dtype=index)
-        k1 = np.arange(n - 1, dtype=index)
-
-        self.P = np.empty((s, nu, n), dtype=index)
-        self.P[:, :, 0] = units
-        self.P[:, :, 1:] = base[:, None, None] + units[None, :, None] * (n - 1) + k1
-        ooff = base + nu * (n - 1)
-        self.O = (
-            ooff[:, None, None]
-            + np.arange(2 * n, dtype=index).reshape(1, 2, n)
-        )
-        self.E = np.empty((s, 2, n + 1), dtype=index)
-        self.E[:, :, 0] = nu + tanks
-        self.E[:, :, 1] = nu + 2 + tanks
-        self.E[:, :, 2:] = (
-            (ooff + 2 * n)[:, None, None] + tanks[None, :, None] * (n - 1) + k1
-        )
-        self.R = np.stack(
-            [base + self.block - 1, self.shared + s * self.block + xi], axis=1
-        )
-        self.rows = (
-            (per_scenario * xi)[:, None]
-            + np.arange(per_scenario, dtype=index)
-        )
-        bounds = np.cumsum([0, *steps.values()])
+        units, tanks, k1 = np.arange(nu), np.arange(2), np.arange(n - 1)
+        self.P = np.empty((nu, n), dtype=np.intp)
+        self.P[:, 0] = units
+        self.P[:, 1:] = self.shared + units[:, None] * (n - 1) + k1
+        ooff = self.shared + nu * (n - 1)
+        self.O = ooff + np.arange(2 * n).reshape(2, n)
+        self.E = np.empty((2, n + 1), dtype=np.intp)
+        self.E[:, 0] = nu + tanks
+        self.E[:, 1] = nu + 2 + tanks
+        self.E[:, 2:] = ooff + 2 * n + tanks[:, None] * (n - 1) + k1
+        self.R = np.arange(self.num_vars - 2, self.num_vars)
+        self.R1, self.R2 = (int(c) for c in self.R)
+        bounds = np.cumsum([0, *steps.values()]).tolist()
         self._blocks = {
-            name: self.rows[:, a:b] for name, a, b in zip(steps, bounds, bounds[1:])
+            name: slice(a, b) for name, a, b in zip(steps, bounds, bounds[1:])
         }
-        for arr in (self.P, self.O, self.E, self.R, self.rows):
+        for arr in (self.P, self.O, self.E, self.R):
             arr.setflags(write=False)
-        self.R1 = self.R[:, 0]
-        self.R2 = self.R[:, 1]
 
-    def row_block(self, name: str) -> np.ndarray:
+    def row_block(self, name: str) -> slice:
         return self._blocks[name]
-
-    @functools.cached_property
-    def shift(self) -> lp.Shift:
-        """The one-step shift from the program of hour t to that of t + 1,
-        whose step k is the physical hour of step k + 1 at hour t.
-
-        Each step's columns and rows take the statuses of the next step's,
-        and the last step keeps its own.  The shared columns (the hour-0
-        loads, the storage pins and the next-hour levels) take scenario 0's
-        next-step status; the peak registers keep theirs.
-        """
-        col = np.arange(self.num_vars, dtype=np.int32)
-        for index in (self.P, self.O, self.E):
-            nxt = _next_steps(index.shape[2])
-            col[index] = index[:, :, nxt]
-            col[index[0]] = index[0][:, nxt]
-        row = np.empty(self.num_rows, dtype=np.int32)
-        for block in self._blocks.values():
-            row[block] = block[:, _next_steps(block.shape[1])]
-        for arr in (col, row):
-            arr.setflags(write=False)
-        return lp.Shift(col, row)
-
-
-def _next_steps(steps: int) -> np.ndarray:
-    """Each step's next one, the last step its own."""
-    return np.minimum(np.arange(1, steps + 1), steps - 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _reduced_layout(n: int, s: int, tower_binds: bool) -> _ReducedLayout:
-    return _ReducedLayout(n, s, tower_binds)
 
 
 def _tower_binds(config: PlantConfig) -> bool:
@@ -357,20 +309,19 @@ class Plan:
 
 @dataclass
 class ReducedProgram:
-    """A controller program and what it takes to decode its solutions.
+    """A controller program and the template it was built from.
 
     ``offset`` is the constant the eliminated quantities contribute to the
     objective.  ``start`` and ``shift`` are None for one scenario.  For
     more, ``start`` is ``HighsSession.solve``'s ``start``, which solves the
-    scenario-mean program and returns its optimal basis copied into every
-    scenario block (``_mean_start``), and ``shift`` is its ``shift``, the
-    layout's one-step shift (``_ReducedLayout.shift``).
+    scenario-mean program and returns its optimal basis replicated into
+    every scenario block (``_mean_start``), and ``shift`` is its ``shift``,
+    the template's one-step shift (``_ProgramTemplate.shift``).
     """
 
     program: lp.LinearProgram
     offset: float
-    layout: _ReducedLayout
-    config: PlantConfig
+    template: _ProgramTemplate
     start: Callable[[], lp.Basis | None] | None = None
     shift: lp.Shift | None = None
 
@@ -380,64 +331,62 @@ class ReducedProgram:
         balance's row falls short of its load, at least zero."""
         if not sol.is_optimal:
             raise ValueError(f"cannot decode a {sol.status} solution")
-        lay, x = self.layout, sol.x
-        p, e, overmet = x[lay.P], x[lay.E], x[lay.O]
-        loads = np.empty((lay.s, 7, lay.n))
+        template = self.template
+        lay, s = template.layout, template.s
+        x = template.scenarios(sol.x)
+        p, e, overmet = x[:, lay.P], x[:, lay.E], x[:, lay.O]
+        loads = np.empty((s, 7, lay.n))
         loads[:, _UNITS] = p
-        loads[:, _CT] = np.einsum("u,sun->sn", _tower(self.config), p)
+        loads[:, _CT] = np.einsum("u,sun->sn", template.tower, p)
         loads[:, _TANKS] = e[:, :, :-1] - e[:, :, 1:]
-        supply = np.einsum("ju,sun->sjn", balance_matrix(self.config)[:2], loads)
-        demand = np.stack([self.program.rhs[lay.row_block(b)]
-                           for b in ("cw_bal", "hw_bal")], axis=1)
-        slacks = np.empty((lay.s, 4, lay.n))
+        supply = np.einsum("ju,sun->sjn", template.balance[:2], loads)
+        rhs = self.program.rhs.reshape(s, -1)
+        demand = np.stack([rhs[:, lay.row_block(b)] for b in ("cw_bal", "hw_bal")],
+                          axis=1)
+        slacks = np.empty((s, 4, lay.n))
         slacks[:, 0::2] = np.maximum(demand - supply + overmet, 0.0)
         slacks[:, 1::2] = overmet
         return Plan(
             P=loads,
             S=slacks,
             E=e,
-            peaks=x[lay.R],
+            peaks=x[:, lay.R],
             objective=sol.objective + self.offset,
         )
 
 
-def _accumulate(obj: np.ndarray, index: np.ndarray, costs, copies: int = 1) -> None:
-    """Add ``costs`` to ``obj`` at ``index``, unbuffered: the shared
-    first-stage columns accumulate over scenarios.  ``costs`` is broadcast
-    to the index's shape first; numpy 2.4's ``np.add.at`` reads values it
-    must broadcast itself wrongly past the first row of a 2-D index.
-
-    With ``copies`` > 1, ``obj`` and ``index`` are one scenario block's
-    (``_ProgramTemplate``) and each shared column takes its cost ``copies``
-    times in turn, as from that many equal blocks, so the sum keeps the
-    S-scenario program's rounding.
+def _accumulate(obj: np.ndarray, index: np.ndarray, costs, copies: int) -> None:
+    """Add ``costs`` to one block's ``obj`` at ``index`` as ``copies``
+    equal scenario blocks add them: once at each block column, and
+    ``copies`` times in turn at each shared first-stage column, unbuffered,
+    so its sum keeps the S-scenario program's rounding.  ``costs`` is
+    broadcast to the index's shape first; numpy 2.4's ``np.add.at`` reads
+    values it must broadcast itself wrongly past the first row of a 2-D
+    index.
     """
     costs = np.broadcast_to(costs, index.shape)
-    if copies == 1:
-        np.add.at(obj, index, costs)
-        return
     shared = index < _SHARED
     np.add.at(obj, index[~shared], costs[~shared])
-    np.add.at(obj, np.tile(index[shared], copies), np.tile(costs[shared], copies))
+    copied = (copies, int(shared.sum()))
+    np.add.at(obj, np.broadcast_to(index[shared], copied),
+              np.broadcast_to(costs[shared], copied))
 
 
-def _replicate(block: dict, one: _ReducedLayout, s: int) -> dict:
+def _replicate(block: dict, lay: _ReducedLayout, s: int) -> dict:
     """The column-major matrix of S equal scenario blocks from that of one
-    (``block``, of the one-scenario layout ``one``).
+    (``block``, over the columns and rows of ``lay``).
 
     Each shared column holds its block entries once per scenario, in
     scenario order; the block columns and next month's register repeat per
-    scenario.  Scenario xi's copies sit ``xi * one.num_rows`` rows lower,
+    scenario.  Scenario xi's copies sit ``xi * lay.num_rows`` rows lower,
     so the rows stay ascending inside every column, and the arrays equal
     those of sorting the S-scenario program's entries.
     """
-    if s == 1:
-        return block
     starts, rows, vals = block["a_starts"], block["a_rows"], block["a_vals"]
-    body, tail = starts[one.shared], starts[one.shared + one.block]
-    segments = [(starts[c], starts[c + 1]) for c in range(one.shared)]
+    body, tail = starts[lay.shared], starts[lay.shared + lay.block]
+    segments = [(starts[c], starts[c + 1]) for c in range(lay.shared)]
     segments += [(body, tail), (tail, starts[-1])]
-    offsets = (np.arange(s, dtype=np.int32) * one.num_rows)[:, None]
+    offsets = (np.arange(s, dtype=np.int32) * lay.num_rows)[:, None]
     a_rows = np.empty(s * rows.size, dtype=np.int32)
     a_vals = np.empty(s * rows.size)
     at = 0
@@ -447,9 +396,9 @@ def _replicate(block: dict, one: _ReducedLayout, s: int) -> dict:
         a_vals[at:end].reshape(s, -1)[:] = vals[lo:hi]
         at = end
     counts = np.diff(starts)
-    a_starts = np.zeros(s * (counts.size - one.shared) + one.shared + 1, dtype=np.int32)
-    np.cumsum(np.concatenate([s * counts[:one.shared],
-                              np.tile(counts[one.shared:-1], s),
+    a_starts = np.zeros(s * (counts.size - lay.shared) + lay.shared + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([s * counts[:lay.shared],
+                              np.tile(counts[lay.shared:-1], s),
                               np.repeat(counts[-1], s)]), out=a_starts[1:])
     return dict(a_rows=a_rows, a_vals=a_vals, a_starts=a_starts)
 
@@ -458,41 +407,47 @@ class _ProgramTemplate:
     """What the program of one plant, horizon N and S scenarios holds for a
     whole run.
 
-    Every scenario block is a copy of one block, and the template keeps
-    that one: its static objective, bounds and right-hand sides (weighted
-    1/S, the shared first-stage costs summed over the S scenarios), over
-    the columns and rows of the one-scenario layout.  ``columns`` and
-    ``rows`` broadcast them into an hour's fresh S-scenario arrays.  The
-    static data: the unit limits, nonnegative slacks, next month's register
+    The program is one scenario block (``layout``) replicated S times, and
+    this is where that replication is stated.  Its columns are the block's
+    shared head once, then the block's own columns once per scenario, then
+    next month's register once per scenario; its rows are the block's rows
+    once per scenario.  ``columns`` and ``rows`` replicate an array over
+    one block into one over the program, and ``scenarios`` splits an array
+    over the program's columns back per scenario.
+
+    The template keeps one block's static objective, bounds and right-hand
+    sides (weighted 1/S, the shared first-stage costs summed over the S
+    scenarios): the unit limits, nonnegative slacks, next month's register
     from zero, the tank rate limits, the tower-limit right-hand sides and
     the static costs, the slacks' and the unmet penalty folded onto the
     unit and storage columns.
 
     The matrix is held whole, column-major as HiGHS reads it: the triplet
-    assembly and sort run for the one block, and S > 1 replicates its
-    arrays (``_replicate``).  The register entries of the peak rows bill
-    every step to this month's register (-1 for R1, 0 for R2); ``r1`` and
-    ``r2`` are where they sit in ``a_vals``, in (scenario, step) order.
-    Every array is read-only: ``build_reduced`` shares the matrix and the
-    row senses, and inside a month the matrix values too.
+    assembly and sort run for the one block, and ``_replicate`` repeats its
+    arrays.  The register entries of the peak rows bill every step to this
+    month's register (-1 for R1, 0 for R2; ``registers``).  Every array is
+    read-only: ``build_reduced`` shares the matrix and the row senses, and
+    inside a month the matrix values too.
     """
 
     def __init__(self, config: PlantConfig, n: int, s: int):
-        tower = _tower(config)
-        binds = _tower_binds(config)
-        red = self.layout = _reduced_layout(n, s, binds)
-        one = _reduced_layout(n, 1, binds)
-        obj = np.zeros(one.num_vars)
-        lower = np.full(one.num_vars, -np.inf)
-        upper = np.full(one.num_vars, np.inf)
-        sense = np.empty(one.num_rows, dtype=np.int8)
-        rhs = np.zeros(one.num_rows)
-        rhs_lower = np.zeros(one.num_rows)
+        self.config, self.s = config, s
+        tower = self.tower = _tower(config)
+        lay = self.layout = _ReducedLayout(n, _tower_binds(config))
+        self.num_vars = lay.shared + s * (lay.block + 1)
+        self.num_rows = s * lay.num_rows
+        obj = np.zeros(lay.num_vars)
+        lower = np.full(lay.num_vars, -np.inf)
+        upper = np.full(lay.num_vars, np.inf)
+        sense = np.empty(lay.num_rows, dtype=np.int8)
+        rhs = np.zeros(lay.num_rows)
+        rhs_lower = np.zeros(lay.num_rows)
         matrix = _Triplets()
+        row_index = np.arange(lay.num_rows)
 
         weight = self.weight = 1.0 / s
-        P, O, E = one.P, one.O, one.E
-        balance = balance_matrix(config)
+        P, O, E = lay.P, lay.O, lay.E
+        balance = self.balance = balance_matrix(config)
         # The utility draws per kW of each unit column, P_ct substituted; the
         # tanks draw none.
         utility = utility_matrix(config)
@@ -502,11 +457,11 @@ class _ProgramTemplate:
         def put_units(rows, coeffs) -> None:
             """The nonzero unit coefficients of one row block, in column order."""
             for i in np.flatnonzero(coeffs):
-                matrix.put(rows, P[:, i], coeffs[i])
+                matrix.put(rows, P[i], coeffs[i])
 
-        if "tower" in one.row_blocks:
-            tower_rows = one.row_block("tower")
-            put_units(tower_rows, tower)
+        if "tower" in lay.row_blocks:
+            tower_rows = lay.row_block("tower")
+            put_units(row_index[tower_rows], tower)
             sense[tower_rows] = lp.LE
             rhs[tower_rows] = config.pmax_ct
 
@@ -518,25 +473,25 @@ class _ProgramTemplate:
         # each column of the row, the overmet slack's included.
         tri = (n - np.arange(n)).astype(float)
         for j, block in enumerate(("cw_bal", "hw_bal")):
-            rows = one.row_block(block)
+            rows = row_index[lay.row_block(block)]
             penalty = weight * config.rho(STORAGE_UNITS[j]) * tri
             put_units(rows, balance[j, _UNITS])
             _accumulate(obj, P, -np.multiply.outer(balance[j, _UNITS], penalty), s)
             for i in np.flatnonzero(balance[j, _TANKS]):
                 coeff = balance[j, _TANKS[i]]
-                matrix.put(rows, E[:, i, :-1], coeff)
-                matrix.put(rows, E[:, i, 1:], -coeff)
-                _accumulate(obj, E[:, i, :-1], -coeff * penalty, s)
-                _accumulate(obj, E[:, i, 1:], coeff * penalty, s)
-            matrix.put(rows, O[:, j], -1.0)
-            obj[O[:, j]] = 2.0 * penalty
+                matrix.put(rows, E[i, :-1], coeff)
+                matrix.put(rows, E[i, 1:], -coeff)
+                _accumulate(obj, E[i, :-1], -coeff * penalty, s)
+                _accumulate(obj, E[i, 1:], coeff * penalty, s)
+            matrix.put(rows, O[j], -1.0)
+            obj[O[j]] = 2.0 * penalty
             sense[rows] = lp.LE
 
         # Tank rates from step 1 on: E_k - E_{k+1} within the rate limits.
         for j, unit in enumerate(STORAGE_UNITS):
-            dyn = one.row_block(f"e_dyn_{unit}")
-            matrix.put(dyn, E[:, j, 1:-1], 1.0)
-            matrix.put(dyn, E[:, j, 2:], -1.0)
+            dyn = row_index[lay.row_block(f"e_dyn_{unit}")]
+            matrix.put(dyn, E[j, 1:-1], 1.0)
+            matrix.put(dyn, E[j, 2:], -1.0)
             sense[dyn] = lp.RANGE
             rhs_lower[dyn] = rate_lower[_TANKS[j]]
             rhs[dyn] = rate_upper[_TANKS[j]]
@@ -545,16 +500,16 @@ class _ProgramTemplate:
         # of the step's month, at most -L_e.  Both registers appear in every
         # row, one with coefficient zero, so the pattern stays the same while
         # the split slides.
-        peak_rows = one.row_block("peak")
+        peak_rows = row_index[lay.row_block("peak")]
         put_units(peak_rows, utility[0])
-        matrix.put(peak_rows, one.R1[:, None], -1.0)
-        matrix.put(peak_rows, one.R2[:, None], 0.0)
+        matrix.put(peak_rows, lay.R1, -1.0)
+        matrix.put(peak_rows, lay.R2, 0.0)
         sense[peak_rows] = lp.LE
 
-        lower[P] = rate_lower[_UNITS][None, :, None]
-        upper[P] = rate_upper[_UNITS][None, :, None]
+        lower[P] = rate_lower[_UNITS][:, None]
+        upper[P] = rate_upper[_UNITS][:, None]
         lower[O] = 0.0
-        lower[one.R2] = 0.0
+        lower[lay.R2] = 0.0
 
         # The substituted utility purchases per kW of each unit column: the
         # electricity draw, priced per hour, and the water and gas cost.
@@ -566,43 +521,88 @@ class _ProgramTemplate:
 
         self.objective, self.lower, self.upper = obj, lower, upper
         self.rhs, self.rhs_lower = rhs, rhs_lower
-        self.row_sense = np.tile(sense, s)
-        replicated = _replicate(matrix.column_major(one.num_vars), one, s)
+        self.row_sense = self.rows(sense)
+        block = matrix.column_major(lay.num_vars)
+        replicated = _replicate(block, lay, s)
         self.a_rows, self.a_vals, self.a_starts = (
             replicated[k] for k in ("a_rows", "a_vals", "a_starts"))
-        self.cw_rows, self.hw_rows, self.peak_rows = (
-            red.row_block(b) for b in ("cw_bal", "hw_bal", "peak"))
-        # A register column holds exactly its scenario's N peak rows, in
-        # step order.
-        self.r1, self.r2 = (
-            (self.a_starts[cols][:, None] + np.arange(n, dtype=red.P.dtype)).reshape(-1)
-            for cols in (red.R1, red.R2)
-        )
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
     def columns(self, block: np.ndarray) -> np.ndarray:
-        """A fresh array over the program's columns from one block's: the
-        shared head, the block repeated per scenario, then next month's
-        register of each scenario."""
-        red = self.layout
-        if red.s == 1:
+        """A fresh array over the program's columns from one block's, of its
+        dtype: the shared head, the block repeated per scenario, then next
+        month's register of each scenario."""
+        if self.s == 1:
             return block.copy()
-        head, end = red.shared, red.shared + red.s * red.block
-        out = np.empty(red.num_vars)
+        head = self.layout.shared
+        out = np.empty(self.num_vars, dtype=block.dtype)
         out[:head] = block[:head]
-        out[head:end].reshape(red.s, red.block)[:] = block[head:-1]
-        out[end:] = block[-1]
+        self.blocks(out)[:] = block[head:-1]
+        out[-self.s:] = block[-1]
         return out
 
     def rows(self, block: np.ndarray) -> np.ndarray:
         """A fresh array over the program's rows: one block's, per scenario."""
-        if self.layout.s == 1:
+        if self.s == 1:
             return block.copy()
-        out = np.empty(self.layout.num_rows)
-        out.reshape(self.layout.s, -1)[:] = block
+        out = np.empty(self.num_rows, dtype=block.dtype)
+        out.reshape(self.s, -1)[:] = block
         return out
+
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """The scenario blocks' own columns of ``x``, an array over the
+        program's columns, as an (S, block) view."""
+        lay = self.layout
+        return x[lay.shared:lay.shared + self.s * lay.block].reshape(self.s, lay.block)
+
+    def scenarios(self, x: np.ndarray) -> np.ndarray:
+        """``x``, an array over the program's columns, per scenario over one
+        block's columns, (S, block columns): the inverse of ``columns``.  A
+        view of ``x`` for one scenario."""
+        if self.s == 1:
+            return x[None]
+        head = self.layout.shared
+        out = np.empty((self.s, self.layout.num_vars), dtype=x.dtype)
+        out[:, :head] = x[:head]
+        out[:, head:-1] = self.blocks(x)
+        out[:, -1] = x[-self.s:]
+        return out
+
+    def registers(self, a_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The register entries of the peak rows in ``a_vals``, an array over
+        the program's matrix entries, as (S, N) views in step order: this
+        month's, the last column of each block, then next month's, the
+        program's last columns.  The blocks' entries are S copies of one
+        block's in turn (``_replicate``)."""
+        head, tail = self.a_starts[self.layout.shared], self.a_starts[-self.s - 1]
+        blocks = a_vals[head:tail].reshape(self.s, -1)
+        return blocks[:, -self.layout.n:], a_vals[tail:].reshape(self.s, -1)
+
+    @functools.cached_property
+    def shift(self) -> lp.Shift:
+        """The one-step shift from the program of hour t to that of t + 1,
+        whose step k is the physical hour of step k + 1 at hour t.
+
+        Each step's columns and rows take the statuses of the next step's,
+        and the last step and the peak registers keep their own.  A step
+        never leaves its scenario, so the map is the block's offsets from
+        each index to its next step's, replicated: the shared columns take
+        scenario 0's next-step status.
+        """
+        lay = self.layout
+        col = np.zeros(lay.num_vars, dtype=np.int32)
+        for index in (lay.P, lay.O, lay.E):
+            col[index] = np.diff(index, append=index[:, -1:])
+        row = np.zeros(lay.num_rows, dtype=np.int32)
+        for name in lay.row_blocks:
+            row[lay.row_block(name)][:-1] = 1
+        col = np.arange(self.num_vars, dtype=np.int32) + self.columns(col)
+        row = np.arange(self.num_rows, dtype=np.int32) + self.rows(row)
+        for arr in (col, row):
+            arr.setflags(write=False)
+        return lp.Shift(col, row)
 
 
 @functools.lru_cache(maxsize=4)
@@ -629,7 +629,7 @@ def build_reduced(
     The optimum of the returned program plus its ``offset`` is the
     expected cost over the horizon.
 
-    The hour writes only its data into arrays broadcast from the run's
+    The hour writes only its data into arrays replicated from the run's
     template (``_ProgramTemplate``, cached per plant, N and S): the balance
     and peak right-hand sides, the tank pins and the storage box (with the
     step-0 rate limits on the next-hour levels), this month's register
@@ -661,7 +661,7 @@ def _fill(
     """``build_reduced`` on checked (S, 4, N) disturbance values."""
     s, _, n = values.shape
     template = _program_template(config, n, s)
-    red = template.layout
+    lay = template.layout
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
 
     # Each peak row bills to one register, the one of its step's month; the
@@ -669,33 +669,44 @@ def _fill(
     a_vals = template.a_vals
     if timing.next_month.any():
         a_vals = a_vals.copy()
-        r1_coeff = np.where(timing.next_month, 0.0, -1.0)
-        a_vals[template.r1] = np.tile(r1_coeff, s)
-        a_vals[template.r2] = np.tile(-1.0 - r1_coeff, s)
+        r1, r2 = template.registers(a_vals)
+        r1[:] = np.where(timing.next_month, 0.0, -1.0)
+        r2[:] = -1.0 - r1
 
     rhs = template.rows(template.rhs)
-    rhs[template.cw_rows] = load_cw
-    rhs[template.hw_rows] = load_hw
-    rhs[template.peak_rows] = -load_e
+    per_scenario = rhs.reshape(s, -1)
+    per_scenario[:, lay.row_block("cw_bal")] = load_cw
+    per_scenario[:, lay.row_block("hw_bal")] = load_hw
+    per_scenario[:, lay.row_block("peak")] = -load_e
 
-    lower, upper = template.columns(template.lower), template.columns(template.upper)
-    E = red.E
+    # What every scenario shares: the tank pins and storage box, the step-0
+    # rate limits, this month's register bound and the register costs,
+    # written once into the block and replicated.
+    lower, upper = template.lower.copy(), template.upper.copy()
+    E = lay.E
     rate_lower, rate_upper = template.rates
     for j, (lo, hi) in enumerate(storage_bounds(config, state, beta)):
         level = state.storage(STORAGE_UNITS[j])
-        lower[E[:, j, 0]] = upper[E[:, j, 0]] = level
-        lower[E[:, j, 1:]] = lo
-        upper[E[:, j, 1:]] = hi
+        lower[E[j, 0]] = upper[E[j, 0]] = level
+        lower[E[j, 1:]] = lo
+        upper[E[j, 1:]] = hi
         # The step-0 rate limit, E_0 - E_1 within the tank's rate bounds.
-        lower[E[0, j, 1]] = max(lo, level - rate_upper[_TANKS[j]])
-        upper[E[0, j, 1]] = min(hi, level - rate_lower[_TANKS[j]])
-    lower[red.R1] = state.peak
+        lower[E[j, 1]] = max(lo, level - rate_upper[_TANKS[j]])
+        upper[E[j, 1]] = min(hi, level - rate_lower[_TANKS[j]])
+    lower[lay.R1] = state.peak
+    lower, upper = template.columns(lower), template.columns(upper)
+    obj = template.objective.copy()
+    obj[lay.R] = template.weight * (config.price_demand / timing.discount)
+    obj = template.columns(obj)
 
-    # The unit costs and the discounted demand charges.
-    obj = template.columns(template.objective)
-    _accumulate(obj, red.P, template.unit_draw[:, None] * price_e[:, None, :]
-                + template.unit_fixed[:, None])
-    obj[red.R] = template.weight * (config.price_demand / timing.discount)
+    # The unit costs, per scenario.  The unit columns of steps 1.. lead
+    # each block, unit by unit (``_ReducedLayout``); the shared hour-0
+    # loads take every scenario's costs in turn, unbuffered.
+    costs = (template.unit_draw[:, None] * price_e[:, None, :]
+             + template.unit_fixed[:, None])
+    later = costs[:, :, 1:].reshape(s, -1)
+    template.blocks(obj)[:, :later.shape[1]] += later
+    np.add.at(obj, np.broadcast_to(lay.P[:, 0], costs.shape[:2]), costs[:, :, 0])
 
     # The campus load's electricity, the unmet penalty on the water loads
     # and the integrators' values carried into every step.
@@ -711,21 +722,20 @@ def _fill(
         obj, lower, upper, template.row_sense, rhs, template.a_rows, a_vals,
         template.a_starts, rhs_lower=template.rows(template.rhs_lower))
     if s == 1:
-        return ReducedProgram(program, offset, red, config)
-    start = functools.partial(_mean_start, red, config, state, values, timing, beta)
-    return ReducedProgram(program, offset, red, config, start, red.shift)
+        return ReducedProgram(program, offset, template)
+    start = functools.partial(_mean_start, template, state, values, timing, beta)
+    return ReducedProgram(program, offset, template, start, template.shift)
 
 
 def _mean_start(
-    red: _ReducedLayout,
-    config: PlantConfig,
+    template: _ProgramTemplate,
     state: PlantState,
     values: np.ndarray,
     timing: HorizonTiming,
     beta: float,
 ) -> lp.Basis | None:
-    """The optimal basis of the scenario-mean program, copied into every
-    scenario block of the S-scenario program of layout ``red`` built from
+    """The optimal basis of the scenario-mean program, replicated into
+    every scenario block of the program of ``template`` built from
     ``values``; None when the mean program has no optimum.
 
     The shared first-stage columns take the mean program's status.  Every
@@ -733,19 +743,15 @@ def _mean_start(
     full basis by S - 1 times the shared columns that are basic;
     ``lp.Basis.alien`` lets HiGHS repair that.
     """
-    mean = _fill(config, state, values.mean(axis=0, keepdims=True), timing, beta)
+    mean = _fill(template.config, state, values.mean(axis=0, keepdims=True),
+                 timing, beta)
     session = lp.HighsSession()
     solution = session._run(mean.program)
     if not solution.is_optimal:
         return None
-    seed, one = session.basis(), mean.layout
-    col = np.empty(red.num_vars, dtype=np.int8)
-    for full, single in ((red.P, one.P), (red.O, one.O), (red.E, one.E),
-                         (red.R, one.R)):
-        col[full] = seed.col[single]
-    row = np.empty(red.num_rows, dtype=np.int8)
-    row[red.rows] = seed.row[one.rows]
-    return lp.Basis(col, row, solution.iterations)
+    seed = session.basis()
+    return lp.Basis(template.columns(seed.col), template.rows(seed.row),
+                    solution.iterations)
 
 
 def extract_action(plan: Plan) -> ControlAction:

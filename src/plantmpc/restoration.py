@@ -25,9 +25,10 @@ the matrix) and the rate limits and tank capacities the bounds start
 from are built once per ``PlantConfig`` (``_correction_template``, cached)
 and shared read-only by every program of that plant.
 
-Every correction LP is loaded whole into one HiGHS instance, kept for the
-process apart from the controllers' warm-started sessions, and solved cold
-with presolve (``lp.solve``): the outcome is the one a fresh instance
+Every correction LP is solved by ``lp.solve``: loaded whole into the one
+HiGHS instance the process keeps for such solves, apart from the
+controllers' warm-started sessions, and solved cold with HiGHS's default
+options, presolve among them.  The outcome is the one a fresh instance
 gives, without building an instance per hour.
 """
 
@@ -84,7 +85,7 @@ def restore(
             return RestoreOutcome(UNCHANGED, action, np.zeros(len(UNITS)))
 
     program = _correction_program(config, state, action, residuals)
-    solution = lp.solve(program, _instance())
+    solution = lp.solve(program)
     if not solution.is_optimal:
         return RestoreOutcome(FALLBACK, ZERO_ACTION, np.zeros(len(UNITS)))
     plus, minus = solution.x.reshape(2, len(UNITS))
@@ -94,18 +95,6 @@ def restore(
         return RestoreOutcome(UNCHANGED, action, np.zeros(len(UNITS)))
     corrected = ControlAction.from_array(action.as_array() + deltas)
     return RestoreOutcome(CORRECTED, corrected, deltas)
-
-
-@functools.cache
-def _instance() -> lp.HighsSession:
-    """The HiGHS instance that solves every correction LP of the process.
-
-    ``lp.solve`` loads each program whole and solves it cold, so the
-    instance carries nothing from one correction to the next but its own
-    construction cost.  It is not a controller session: ``HighsSession.solve``
-    never sees a correction.
-    """
-    return lp.HighsSession()
 
 
 def _storage_feasible(

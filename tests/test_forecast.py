@@ -589,6 +589,18 @@ class TestCsvInterchange:
         with pytest.raises(ValueError, match="header"):
             fc.read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("row,problem", [
+        ("1,1.0,2.0,x3,0.1", "could not convert string to float: 'x3'"),
+        ("1,1.0,2.0,3.0", "expected 5 cells, got 4"),
+        ("1,1.0,2.0,3.0,0.1,9", "expected 5 cells, got 6"),
+    ], ids=["non_numeric", "short_row", "extra_column"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(fc.CSV_HEADER) + "\n0,1.0,2.0,3.0,0.1\n\n" + row + "\n")
+        with pytest.raises(ValueError) as raised:
+            fc.read_trajectory_csv(path)
+        assert str(raised.value) == f"{path}, line 4: {problem}"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("hour,load_elec_kw,load_cw_kw,load_hw_kw,price_elec_usd_per_kwh\n")

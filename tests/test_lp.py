@@ -13,6 +13,7 @@ from plantmpc.plant import (
 )
 
 import triplet_template
+from stacked_layout import StackedLayout
 from oracles import csc_pattern, random_box_lp, vertex_enumeration_optimum
 from simplex import BOUND_TOL, ROW_TOL, LpBuilder, matrix, solve_simplex
 from test_restoration import random_cases
@@ -441,7 +442,8 @@ DEGENERATE_CHAINS = pytest.mark.parametrize("case", [
 
 class TestWarmRestartOptions:
     """A session runs every program, cold or warm, without presolve and
-    cost perturbation; ``lp.solve`` keeps HiGHS's defaults."""
+    cost perturbation; ``lp.solve`` keeps HiGHS's defaults.  Each instance
+    keeps its options for all its runs."""
 
     @DEGENERATE_CHAINS
     def test_degenerate_warm_restarts_terminate_optimal(self, case):
@@ -461,11 +463,24 @@ class TestWarmRestartOptions:
             assert np.all(rows <= row_upper + 1e-7), hour
             assert warm.objective <= cold.objective + 1e-9 * abs(cold.objective), hour
 
-    def test_no_option_leaks_into_cold_solves(self):
+    def test_each_instance_keeps_its_own_options(self):
+        # A session's options are set when it is made, before any run.
+        session = lp.HighsSession()
+        for _ in range(2):
+            for h, want in ((session._h, ["off", 0.0]), (lp._solver(), ["choose", 1.0])):
+                read = [h.getOptionValue(name)[1] for name, _ in lp._SESSION_OPTIONS]
+                assert read == want
+            session.solve(simple_program())
+            lp.solve(simple_program())
+
+    def test_no_option_leaks_into_cold_solves(self, monkeypatch):
         session = lp.HighsSession()
         programs = [prog for prog, *_ in receding_chain(session)]
         for prog in programs[-3:]:
-            reused, fresh = lp.solve(prog, session), lp.solve(prog)
+            reused = lp.solve(prog)
+            with monkeypatch.context() as patched:
+                patched.setattr(lp, "_solver", lp._highs)
+                fresh = lp.solve(prog)
             assert reused.is_optimal and fresh.is_optimal
             assert reused.iterations == fresh.iterations
             assert reused.objective == fresh.objective
@@ -699,22 +714,13 @@ class TestShiftedRestart:
         with pytest.raises(ValueError, match="optimal"):
             session.basis()
 
-    def test_one_shot_run_leaves_no_basis(self):
-        prog = next(receding_chain(lp.HighsSession()))[0]
-        session = lp.HighsSession()
-        assert lp.solve(prog, session).is_optimal
-        with pytest.raises(ValueError, match="optimal"):
-            session.basis()
-        again, cold = session.solve(prog), lp.HighsSession().solve(prog)
-        assert again.iterations == cold.iterations > 0
-
     @pytest.mark.parametrize("start_fails", [False, True])
     def test_non_optimal_shifted_run_falls_back(self, start_fails, monkeypatch):
         # The shifted run, and the run from the start when ``start_fails``,
         # are cut at zero iterations.
         chain = receding_chain(lp.HighsSession())
         first, second = (next(chain)[0] for _ in range(2))
-        shift = mpc._reduced_layout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
         basis = lp.Basis(np.ones(second.num_vars, np.int8),
                          np.ones(second.num_rows, np.int8), iterations=50)
         session = lp.HighsSession()
@@ -743,7 +749,7 @@ class TestShiftedRestart:
     def test_restart_sets_the_last_basis_moved(self):
         chain = receding_chain(lp.HighsSession())
         first, second = (next(chain)[0] for _ in range(2))
-        shift = mpc._reduced_layout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
         session = lp.HighsSession()
         session.solve(first)
         last = session.basis()
@@ -770,7 +776,7 @@ class TestShiftedRestart:
 
     def test_shift_is_ignored_without_a_warm_basis(self):
         prog = next(receding_chain(lp.HighsSession()))[0]
-        shift = mpc._reduced_layout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
         shifted = lp.HighsSession().solve(prog, shift=shift)
         slack = lp.HighsSession().solve(prog)
         assert shifted.iterations == slack.iterations
@@ -830,19 +836,21 @@ class TestColumnMajor:
         triplets (``triplet_template``) where the oracle's sort puts them."""
         n, s = 168, 100
         template = mpc._ProgramTemplate(PlantConfig(), n, s)
-        red = template.layout
         held = lp.LinearProgram(
-            np.zeros(red.num_vars), np.zeros(red.num_vars), np.zeros(red.num_vars),
-            template.row_sense, np.zeros(red.num_rows), template.a_rows,
-            template.a_vals, template.a_starts)
-        self.assert_sorts_like_the_oracle(
-            triplet_template.Template(PlantConfig(), n, s).entries, held)
+            np.zeros(template.num_vars), np.zeros(template.num_vars),
+            np.zeros(template.num_vars), template.row_sense,
+            np.zeros(template.num_rows), template.a_rows, template.a_vals,
+            template.a_starts)
+        oracle = triplet_template.Template(PlantConfig(), n, s)
+        self.assert_sorts_like_the_oracle(oracle.entries, held)
         # The register entries, in (scenario, step) order.
-        peak_rows = template.peak_rows.reshape(-1)
-        for at, registers, coeff in ((template.r1, red.R1, -1.0),
-                                     (template.r2, red.R2, 0.0)):
+        red = oracle.layout
+        peak_rows = red.row_block("peak")
+        for at, registers, coeff in zip(template.registers(np.arange(held.num_entries)),
+                                        (red.R1, red.R2), (-1.0, 0.0)):
+            assert at.shape == (s, n)
             assert np.array_equal(held.a_rows[at], peak_rows)
-            assert np.array_equal(held.a_cols[at], np.repeat(registers, n))
+            assert np.array_equal(held.a_cols[at], np.repeat(registers, n).reshape(s, n))
             assert np.all(held.a_vals[at] == coeff)
 
     def test_restoration_template_sorts_like_the_oracle(self):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plantmpc import forecast as fc, lp, mpc
 from plantmpc.plant import (
@@ -15,6 +16,7 @@ from plantmpc.plant import (
 
 import full_form
 import triplet_template
+from stacked_layout import StackedLayout
 from oracles import grid_search_two_step
 from simplex import matrix, solve_simplex
 
@@ -204,9 +206,9 @@ class TestCountingFormulas:
 
     def test_paper_shape_layout(self):
         """N = 168 and S = 100 on the default plant, layout only."""
-        lay = mpc._reduced_layout(168, 100, mpc._tower_binds(PlantConfig()))
+        lay = StackedLayout(168, 100, mpc._tower_binds(PlantConfig()))
         assert (lay.num_vars, lay.num_rows) == (134_008, 83_800)
-        one = mpc._reduced_layout(168, 1, False)
+        one = mpc._ReducedLayout(168, False)
         assert (one.num_vars, one.num_rows) == (1_348, 838)
 
 
@@ -490,7 +492,8 @@ class TestClosingHour:
         timing = mpc.HorizonTiming(t=743, n=n, month_end=743)
         traj = trajectory([9000.0] * n, [5000.0] * n, [3000.0] * n, [0.06] * n)
         reduced = mpc.build_reduced(config, state, traj, timing, 0.1)
-        assert np.array_equal(reduced.program.lower[reduced.layout.R], [[12_000.0, 0.0]])
+        lay = StackedLayout(n, 1, mpc._tower_binds(config))
+        assert np.array_equal(reduced.program.lower[lay.R], [[12_000.0, 0.0]])
         plan = reduced.expand(lp.solve(reduced.program))
         assert plan.peaks[0, 0] == pytest.approx(12_000.0)
         assert plan.peaks[0, 1] < 12_000.0
@@ -572,6 +575,11 @@ class TestReducedLayout:
         )
 
     @staticmethod
+    def stacked(binds, n=5, s=3):
+        """The stacked layout of ``reduced``'s program."""
+        return StackedLayout(n, s, binds)
+
+    @staticmethod
     def recourse(lay):
         """Per-scenario columns that no other scenario uses, (s, k)."""
         parts = [lay.P[:, :, 1:], lay.O, lay.E[:, :, 2:], lay.R]
@@ -579,7 +587,8 @@ class TestReducedLayout:
 
     @CASES
     def test_columns_used_once_except_shared_first_stage(self, binds, spans):
-        lay = self.reduced(binds, spans).layout
+        lay = self.stacked(binds)
+        assert self.reduced(binds, spans).program.num_vars == lay.num_vars
         first = np.concatenate([lay.P[0, :, 0], lay.E[0, :, :2].ravel()])
         cols = np.concatenate([first, self.recourse(lay).ravel()])
         assert np.array_equal(np.sort(cols), np.arange(lay.num_vars))
@@ -588,13 +597,13 @@ class TestReducedLayout:
 
     @CASES
     def test_first_stage_shared_across_scenarios(self, binds, spans):
-        lay = self.reduced(binds, spans).layout
+        lay = self.stacked(binds)
         assert np.all(lay.P[:, :, 0] == lay.P[0, :, 0])
         assert np.all(lay.E[:, :, :2] == lay.E[0, :, :2])
 
     @CASES
     def test_recourse_not_shared(self, binds, spans):
-        lay = self.reduced(binds, spans).layout
+        lay = self.stacked(binds)
         rec = self.recourse(lay)
         assert np.unique(rec).size == rec.size
 
@@ -602,13 +611,31 @@ class TestReducedLayout:
     def test_r2_own_column_only_when_spanning(self, binds, spans):
         """R2 has its own columns, after the last scenario block, in every
         program; only a horizon that spans a month end bills steps to it."""
-        reduced = self.reduced(binds, spans)
-        lay, prog = reduced.layout, reduced.program
+        lay, prog = self.stacked(binds), self.reduced(binds, spans).program
         assert lay.R.shape == (lay.s, 2)
         assert np.array_equal(lay.R2, lay.num_vars - lay.s + np.arange(lay.s))
         billed = prog.a_cols[prog.a_vals != 0.0]
         assert np.isin(lay.R2, billed).all() == spans
         assert np.isin(lay.R1, billed).all()
+
+    @pytest.mark.parametrize("binds", [False, True])
+    def test_the_block_replicated_is_the_stacked_layout(self, binds):
+        """Scenario xi's columns and rows are the block's, split back per
+        scenario (``_ProgramTemplate.scenarios``) and offset by xi row
+        blocks."""
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        template = mpc._program_template(config, 5, 3)
+        lay, block = self.stacked(binds), template.layout
+        assert (template.num_vars, template.num_rows) == (lay.num_vars, lay.num_rows)
+        columns = template.scenarios(np.arange(template.num_vars))
+        for full, one in ((lay.P, block.P), (lay.O, block.O), (lay.E, block.E),
+                          (lay.R, block.R)):
+            assert np.array_equal(columns[:, one], full)
+        rows = np.arange(template.num_rows).reshape(3, -1)
+        assert np.array_equal(rows, lay.rows)
+        assert block.row_blocks == lay.row_blocks
+        for name in block.row_blocks:
+            assert np.array_equal(rows[:, block.row_block(name)], lay.row_block(name))
 
 
 class TestMeanStart:
@@ -646,7 +673,7 @@ class TestMeanStart:
         seed = session.basis()
         basis = reduced.start()
         assert basis.iterations == solution.iterations
-        lay, one = reduced.layout, mean.layout
+        lay, one = StackedLayout(n, s, binds), StackedLayout(n, 1, binds)
         for full, single in ((lay.P, one.P), (lay.O, one.O), (lay.E, one.E),
                              (lay.R, one.R)):
             for xi in range(s):
@@ -690,9 +717,11 @@ class TestShift:
     @pytest.mark.parametrize("s", [1, 3])
     @pytest.mark.parametrize("binds", [False, True])
     def test_maps_follow_the_steps(self, n, s, binds):
-        lay = TestReducedLayout.reduced(binds, False, n=n, s=s).layout
-        shift = lay.shift
-        assert shift is lay.shift
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        template = mpc._program_template(config, n, s)
+        lay = StackedLayout(n, s, binds)
+        shift = template.shift
+        assert shift is template.shift
         col, row = self.expected(lay)
         assert shift.col.dtype == shift.row.dtype == np.int32
         assert not shift.col.flags.writeable and not shift.row.flags.writeable
@@ -706,7 +735,7 @@ class TestShift:
 
     def test_multi_scenario_programs_carry_their_layouts_shift(self):
         reduced = TestReducedLayout.reduced(False, True)
-        assert reduced.shift is reduced.layout.shift
+        assert reduced.shift is reduced.template.shift
 
 
 def program_bytes(reduced):
@@ -837,12 +866,28 @@ class TestReplicatedBlock:
         want = triplet_template.fill(config, state, values, timing, 0.1)
         assert program_bytes(got) == arrays_bytes(*want)
 
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 6), s=st.integers(1, 5), binds=st.booleans(),
+           dtype=st.sampled_from([np.float64, np.int8]), data=st.data())
+    def test_scenarios_invert_columns(self, n, s, binds, dtype, data):
+        """An array over one block's columns, replicated over the program's
+        and split back per scenario, is that array in every scenario."""
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        template = mpc._program_template(config, n, s)
+        block = data.draw(hnp.arrays(dtype, template.layout.num_vars))
+        program = template.columns(block)
+        assert program.dtype == dtype and program.shape == (template.num_vars,)
+        assert not np.shares_memory(program, block)
+        per_scenario = template.scenarios(program)
+        assert per_scenario.shape == (s, block.size)
+        assert per_scenario.tobytes() == np.broadcast_to(block, (s, block.size)).tobytes()
+
     def test_template_keeps_one_block(self):
         """Besides the matrix values, no float array of the template is
         longer than one scenario block's columns or rows."""
         n, s = 24, 20
         template = mpc._ProgramTemplate(PlantConfig(), n, s)
-        one = mpc._reduced_layout(n, 1, False)
+        one = template.layout
         held = [(f"{name}.{inner}", arr)
                 for name, value in vars(template).items()
                 for inner, arr in ([("", value)] if isinstance(value, np.ndarray)

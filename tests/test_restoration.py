@@ -299,8 +299,8 @@ class TestAgainstRowFormulation:
 
 class TestReusedInstance:
     """Every correction LP is solved on one HiGHS instance
-    (``restoration._instance``), cold, and must come out exactly as on a
-    fresh instance."""
+    (``lp.solve``'s, ``lp._solver``), cold, and must come out exactly as on
+    a fresh instance."""
 
     @staticmethod
     def program(cfg, state, action, realized):
@@ -321,8 +321,10 @@ class TestReusedInstance:
         statuses = []
         for case in cases:
             program = self.program(*case)
-            reused = lp.solve(program, restoration._instance())
-            fresh = lp.solve(program)
+            reused = lp.solve(program)
+            with monkeypatch.context() as patched:
+                patched.setattr(lp, "_solver", lp._highs)
+                fresh = lp.solve(program)
             statuses.append(fresh.status)
             assert (reused.status, reused.iterations) == (fresh.status, fresh.iterations)
             if fresh.is_optimal:
@@ -335,7 +337,7 @@ class TestReusedInstance:
         feasible = random_cases(np.random.default_rng(3), config, 12)
         blocked = self.infeasible_case(config)
         # Reference outcomes, each on an instance of its own.
-        monkeypatch.setattr(restoration, "_instance", lp.HighsSession)
+        monkeypatch.setattr(lp, "_solver", lp._highs)
         expected = [restoration.restore(*case) for case in feasible]
         monkeypatch.undo()
         assert sum(o.kind == restoration.CORRECTED for o in expected) >= 8

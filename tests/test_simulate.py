@@ -721,7 +721,7 @@ class TestMeanStart:
         assert len(passed) == len(built) == 4
         for (start, shift), reduced in zip(passed, built):
             assert start is reduced.start is not None
-            assert shift is reduced.shift is reduced.layout.shift
+            assert shift is reduced.shift is reduced.template.shift
 
 
 class TestProgramArrays:

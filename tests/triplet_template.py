@@ -4,9 +4,9 @@ blocks: the oracle of ``mpc``'s replicated build.
 ``mpc._ProgramTemplate`` keeps one scenario block's static data and
 replicates that block's column-major matrix S times.  Here every block's
 entries, objective terms, bounds and right-hand sides are written out over
-the whole S-scenario layout and the entries sorted together, and ``fill``
-writes an hour's data into copies of them, so a program built either way
-must hold the same arrays, byte for byte.
+the whole S-scenario layout (``stacked_layout``) and the entries sorted
+together, and ``fill`` writes an hour's data into copies of them, so a
+program built either way must hold the same arrays, byte for byte.
 """
 
 import numpy as np
@@ -18,6 +18,8 @@ from plantmpc.plant import (
     rate_bounds,
     utility_matrix,
 )
+
+from stacked_layout import StackedLayout
 
 
 def accumulate(obj, index, costs):
@@ -32,7 +34,7 @@ class Template:
 
     def __init__(self, config, n, s):
         tower = mpc._tower(config)
-        red = self.layout = mpc._reduced_layout(n, s, mpc._tower_binds(config))
+        red = self.layout = StackedLayout(n, s, mpc._tower_binds(config))
         units, tanks = mpc._UNITS, mpc._TANKS
         obj = np.zeros(red.num_vars)
         lower = np.full(red.num_vars, -np.inf)
