@@ -3,9 +3,16 @@
 A benchmark run evaluates every requested controller on an identical set
 of validation disturbance trajectories with common random numbers for the
 storage tracking noise, so controller differences are paired.  Metrics
-follow the plant's billing structure: hourly utility purchases plus a
-monthly demand charge on the peak residual electrical load, reported both
-as totals and net of the campus-only cost that no controller can affect.
+follow the plant's billing structure, stated once in ``_bill``: hourly
+utility purchases plus a monthly demand charge on the peak electrical draw,
+reported both as totals and net of the campus-only cost that no controller
+can affect.
+
+Each run's result is a ``RunResult``.  Every recorded field is declared
+once, with ``_recorded``: its columns in the runs CSV, its key in the
+report JSON's run records, and whether the report aggregates its mean and
+standard error per controller.  The CSV, the JSON records and the
+aggregates all follow those declarations, in order.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import multiprocessing
-import operator
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,9 +48,6 @@ class CostComponents:
     def total(self) -> float:
         return self.electricity + self.water + self.gas + self.demand
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _monthly_peaks(series: np.ndarray, calendar) -> list[float]:
     peaks = []
@@ -59,32 +63,31 @@ def _monthly_peaks(series: np.ndarray, calendar) -> list[float]:
     return peaks
 
 
-def annual_cost(trace: ClosedLoopTrace) -> tuple[float, CostComponents]:
-    """Total cost of the trace: energy purchases plus demand charges.
-
-    Demand charges bill the realized monthly maxima of the residual
-    electrical load for every (possibly partial) month of ``trace.calendar``.
+def _bill(
+    trace: ClosedLoopTrace, draw: np.ndarray, water: float, gas: float
+) -> tuple[float, CostComponents]:
+    """The bill for an hourly electrical draw (kW) and the run's water (gal)
+    and gas (kWh): energy at each hour's price plus the demand charge on the
+    draw's maximum in every (possibly partial) month of ``trace.calendar``.
     """
-    price = trace.realized[:, 3]
-    electricity = float(price @ trace.residuals[:, 0])
-    water = float(trace.price_water * trace.residuals[:, 1].sum())
-    gas = float(trace.price_gas * trace.residuals[:, 2].sum())
-    demand = float(
-        trace.price_demand
-        * sum(_monthly_peaks(trace.residuals[:, 0], trace.calendar))
+    components = CostComponents(
+        electricity=float(trace.realized[:, 3] @ draw),
+        water=float(trace.price_water * water),
+        gas=float(trace.price_gas * gas),
+        demand=float(trace.price_demand * sum(_monthly_peaks(draw, trace.calendar))),
     )
-    components = CostComponents(electricity, water, gas, demand)
     return components.total, components
+
+
+def annual_cost(trace: ClosedLoopTrace) -> tuple[float, CostComponents]:
+    """Total cost of the trace: the bill for its residual purchases."""
+    return _bill(trace, trace.residuals[:, 0], trace.residuals[:, 1].sum(),
+                 trace.residuals[:, 2].sum())
 
 
 def campus_only_cost(trace: ClosedLoopTrace) -> tuple[float, CostComponents]:
     """Cost of serving the campus electrical load with no central plant."""
-    load = trace.realized[:, 0]
-    price = trace.realized[:, 3]
-    electricity = float(price @ load)
-    demand = float(trace.price_demand * sum(_monthly_peaks(load, trace.calendar)))
-    components = CostComponents(electricity, 0.0, 0.0, demand)
-    return components.total, components
+    return _bill(trace, trace.realized[:, 0], 0.0, 0.0)
 
 
 def violation_rate(trace: ClosedLoopTrace) -> float:
@@ -103,10 +106,15 @@ def make_validation_set(
     Each trajectory adds an AR(1)-colored perturbation per channel with
     stationary standard deviation ``relative_amplitude`` times the channel
     mean magnitude; loads are clamped at zero.  Deterministic per seed and
-    disjoint from forecast-scenario seeding.
+    disjoint from forecast-scenario seeding.  A zero amplitude gives copies
+    of the base truth; a negative or non-finite one raises ValueError.
     """
     if count < 1:
         raise ValueError("validation count must be >= 1")
+    if not (math.isfinite(relative_amplitude) and relative_amplitude >= 0):
+        raise ValueError(
+            f"relative_amplitude must be a finite number >= 0, got {relative_amplitude}"
+        )
     corr = 0.9  # lag-1 correlation of the perturbation
     scale = np.abs(base_truth.values).mean(axis=1) * relative_amplitude
     hours = len(base_truth)
@@ -127,25 +135,68 @@ def make_validation_set(
     return out
 
 
+def _recorded(*csv: str, key: str | None = None, aggregate: bool = False,
+              default=dataclasses.MISSING):
+    """Declare a recorded field of ``RunResult``, with its ``default``.
+
+    ``csv`` are its columns in the runs CSV: one for a plain value, one per
+    field for a dataclass value.  ``key`` is its key in the report JSON's
+    run records, where a dataclass value is written as a dict.  An
+    ``aggregate`` field's ``<field>_mean`` and ``<field>_se`` over each
+    controller's runs go into the report's aggregates.
+    """
+    return field(default=default, metadata=dict(csv=csv, key=key, aggregate=aggregate))
+
+
 @dataclass
 class RunResult:
-    scenario: int
-    controller: str
-    phi: float = np.nan
-    components: CostComponents | None = None
-    phi_nocp: float = np.nan
-    ccp: float = np.nan
-    violation_rate: float = np.nan
-    violation_counts: dict | None = None
-    fallback_hours: int = 0
-    monthly_peaks: list | None = None
-    runtime_seconds: float = 0.0
-    solver_iterations: int = 0
+    """One run's metrics, or the error that ended it."""
+
+    scenario: int = _recorded("scenario", key="scenario")
+    controller: str = _recorded("controller", key="controller")
+    phi: float = _recorded("phi_usd", key="phi", aggregate=True, default=np.nan)
+    phi_nocp: float = _recorded("phi_nocp_usd", key="phi_nocp", default=np.nan)
+    ccp: float = _recorded("ccp_usd", key="ccp", aggregate=True, default=np.nan)
+    components: CostComponents | None = _recorded(
+        "electricity_usd", "water_usd", "gas_usd", "demand_usd",
+        key="components", default=None)
+    violation_rate: float = _recorded("violations_per_100h", key="violation_rate",
+                                      aggregate=True, default=np.nan)
+    violation_counts: dict | None = _recorded(key="violations", default=None)
+    fallback_hours: int = _recorded("fallback_hours", default=0)
+    monthly_peaks: list | None = _recorded(key="monthly_peaks", default=None)
+    runtime_seconds: float = _recorded("runtime_seconds", key="runtime_seconds",
+                                       default=0.0)
+    solver_iterations: int = _recorded("solver_iterations", key="solver_iterations",
+                                       default=0)
     error: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+#: The recorded fields of ``RunResult``, in declaration order.
+_RECORDED = tuple(f for f in fields(RunResult) if "csv" in f.metadata)
+
+
+def _runs_csv_row(run: RunResult) -> list:
+    row = []
+    for f in _RECORDED:
+        if f.metadata["csv"]:
+            value = getattr(run, f.name)
+            row += dataclasses.astuple(value) if dataclasses.is_dataclass(value) else [value]
+    return row
+
+
+def _run_record(run: RunResult) -> dict:
+    record = {}
+    for f in _RECORDED:
+        if f.metadata["key"]:
+            value = getattr(run, f.name)
+            record[f.metadata["key"]] = (dataclasses.asdict(value)
+                                         if dataclasses.is_dataclass(value) else value)
+    return record
 
 
 def summarize_trace(trace: ClosedLoopTrace, scenario: int) -> RunResult:
@@ -205,45 +256,10 @@ def _run_one(task) -> RunResult:
         return RunResult(scenario=scenario, controller=spec.label, error=repr(exc))
 
 
-#: The runs CSV, in column order: (column name, attribute of a ``RunResult``).
-_RUN_COLUMNS = (
-    ("scenario", "scenario"),
-    ("controller", "controller"),
-    ("phi_usd", "phi"),
-    ("phi_nocp_usd", "phi_nocp"),
-    ("ccp_usd", "ccp"),
-    ("electricity_usd", "components.electricity"),
-    ("water_usd", "components.water"),
-    ("gas_usd", "components.gas"),
-    ("demand_usd", "components.demand"),
-    ("violations_per_100h", "violation_rate"),
-    ("fallback_hours", "fallback_hours"),
-    ("runtime_seconds", "runtime_seconds"),
-    ("solver_iterations", "solver_iterations"),
-)
-
-#: A run's record in the report JSON, in key order: (key, attribute of a
-#: ``RunResult``).  The cost components are written as a dict.
-_RUN_RECORD = (
-    ("scenario", "scenario"),
-    ("controller", "controller"),
-    ("phi", "phi"),
-    ("phi_nocp", "phi_nocp"),
-    ("ccp", "ccp"),
-    ("components", "components"),
-    ("violation_rate", "violation_rate"),
-    ("violations", "violation_counts"),
-    ("monthly_peaks", "monthly_peaks"),
-    ("runtime_seconds", "runtime_seconds"),
-    ("solver_iterations", "solver_iterations"),
-)
-
-
-def _run_record(run: RunResult) -> dict:
-    record = {key: getattr(run, attribute) for key, attribute in _RUN_RECORD}
-    if record["components"] is not None:
-        record["components"] = record["components"].as_dict()
-    return record
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the mean (0 for a single value)."""
+    se = values.std(ddof=1) / np.sqrt(values.size) if values.size > 1 else 0.0
+    return float(values.mean()), float(se)
 
 
 @dataclass
@@ -261,9 +277,7 @@ class BenchmarkReport:
         return np.array([getattr(r, name) for r in self.by_controller(label)])
 
     def mean_se(self, label: str, name: str = "ccp") -> tuple[float, float]:
-        values = self.metric(label, name)
-        se = values.std(ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
-        return float(values.mean()), float(se)
+        return _mean_se(self.metric(label, name))
 
     def paired_difference(
         self, label_a: str, label_b: str, name: str = "ccp"
@@ -278,8 +292,7 @@ class BenchmarkReport:
         )
         if diffs.size == 0:
             return np.nan, np.nan, diffs
-        se = diffs.std(ddof=1) / np.sqrt(diffs.size) if diffs.size > 1 else 0.0
-        return float(diffs.mean()), float(se), diffs
+        return (*_mean_se(diffs), diffs)
 
     def cdf(self, label: str, name: str = "ccp") -> tuple[np.ndarray, np.ndarray]:
         values = np.sort(self.metric(label, name))
@@ -296,19 +309,18 @@ class BenchmarkReport:
             if not rows:
                 aggregates[label] = {"runs": 0}
                 continue
-            phi_mean, phi_se = self.mean_se(label, "phi")
-            ccp_mean, ccp_se = self.mean_se(label, "ccp")
-            vio_mean, vio_se = self.mean_se(label, "violation_rate")
+            aggregate = {"runs": len(rows)}
+            for f in _RECORDED:
+                if f.metadata["aggregate"]:
+                    mean, se = self.mean_se(label, f.name)
+                    aggregate |= {f"{f.name}_mean": mean, f"{f.name}_se": se}
             comp = {
-                key: float(np.mean([getattr(r.components, key) for r in rows]))
-                for key in ("electricity", "water", "gas", "demand")
+                f.name: float(np.mean([getattr(r.components, f.name) for r in rows]))
+                for f in fields(CostComponents)
             }
             cdf_vals, cdf_probs = self.cdf(label, "ccp")
             aggregates[label] = {
-                "runs": len(rows),
-                "phi_mean": phi_mean, "phi_se": phi_se,
-                "ccp_mean": ccp_mean, "ccp_se": ccp_se,
-                "violation_rate_mean": vio_mean, "violation_rate_se": vio_se,
+                **aggregate,
                 "mean_components": comp,
                 "ccp_cdf_values": cdf_vals.tolist(),
                 "ccp_cdf_probs": cdf_probs.tolist(),
@@ -331,12 +343,10 @@ class BenchmarkReport:
             fh.write("\n")
 
     def write_runs_csv(self, path) -> None:
-        names, attributes = zip(*_RUN_COLUMNS)
-        row = operator.attrgetter(*attributes)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(names)
-            writer.writerows(row(r) for r in self.runs if r.ok)
+            writer.writerow([name for f in _RECORDED for name in f.metadata["csv"]])
+            writer.writerows(_runs_csv_row(r) for r in self.runs if r.ok)
 
     def write_cdf_csv(self, path, name: str = "ccp") -> None:
         with open(path, "w", newline="") as fh:

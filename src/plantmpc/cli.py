@@ -2,9 +2,11 @@
 
 Configuration lives in a single JSON document (see ``--help`` of each
 subcommand); command-line flags override file values, which override the
-built-in defaults mirroring the reference experiment configuration
-(168 h horizon and AR order, 100 forecast scenarios, 184-day history,
-10% deterministic buffer, 0% stochastic buffer).
+defaults.  Those are ``simulate.RunSpec``'s and ``ControllerSpec``'s, which
+mirror the reference experiment configuration, and ``run_benchmark``'s
+validation amplitude; the CLI's own are a 10% deterministic buffer, a 0%
+stochastic buffer and benchmark seed 0.  A run spans every hour of the data
+after the history unless it is given ``sim_hours``.
 
 A closed-loop trace depends on the BLAS thread count: sto-paper seed 1 of
 the benchmark differs by one simplex iteration and by 1e-15 relative in its
@@ -97,16 +99,21 @@ def _run_config(cfg: dict) -> dict:
     return run_cfg
 
 
-def _validation_amplitude(cfg: dict) -> float:
-    amplitude = _section(cfg, "validation", VALIDATION_KEYS).get("amplitude", 0.05)
-    if amplitude < 0:
+def _validation_amplitude(cfg: dict) -> float | None:
+    amplitude = _section(cfg, "validation", VALIDATION_KEYS).get("amplitude")
+    if amplitude is not None and amplitude < 0:
         raise CliError(f"validation.amplitude must be >= 0, got {amplitude}")
     return amplitude
 
 
-def _pick(flag, run_cfg: dict, key: str, default):
+def _pick(flag, run_cfg: dict, key: str, default=None):
     """A command-line value if given, else the config's, else the default."""
     return flag if flag is not None else run_cfg.get(key, default)
+
+
+def _given(**values) -> dict:
+    """The values that a flag or the config set, that is, those not None."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _plant_config(cfg: dict) -> PlantConfig:
@@ -169,9 +176,9 @@ def _parse_controller(token: str, run_cfg: dict, args) -> simulate.ControllerSpe
             beta = float(parts[1])
         except ValueError as exc:
             raise CliError(f"bad buffer in {token!r}") from exc
-    scenarios = _pick(args.scenarios, run_cfg, "scenarios", 100)
+    scenarios = _given(scenarios=_pick(args.scenarios, run_cfg, "scenarios"))
     try:
-        return simulate.ControllerSpec(kind, beta=beta, scenarios=scenarios)
+        return simulate.ControllerSpec(kind, beta=beta, **scenarios)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -179,13 +186,26 @@ def _parse_controller(token: str, run_cfg: dict, args) -> simulate.ControllerSpe
 def _run_template(
     run_cfg: dict, args, controller: simulate.ControllerSpec, data_hours: int
 ) -> simulate.RunSpec:
-    horizon = _pick(args.horizon, run_cfg, "horizon", 168)
-    ar_order = _pick(args.ar_order, run_cfg, "ar_order", 168)
-    history_hours = 24 * _pick(args.history_days, run_cfg, "history_days", 184)
-    sim_hours = _pick(args.sim_hours, run_cfg, "sim_hours", None)
-    seed = _pick(args.seed, run_cfg, "seed", 1)
-    if sim_hours is None:
-        sim_hours = data_hours - history_hours - horizon
+    """The run's spec: what a flag or the config sets, ``RunSpec``'s defaults
+    for the rest, and by default every hour the data holds."""
+    days = _pick(args.history_days, run_cfg, "history_days")
+    seed = _pick(args.seed, run_cfg, "seed")
+    settings = _given(
+        controller=controller,
+        sim_hours=_pick(args.sim_hours, run_cfg, "sim_hours"),
+        horizon=_pick(args.horizon, run_cfg, "horizon"),
+        ar_order=_pick(args.ar_order, run_cfg, "ar_order"),
+        history_hours=None if days is None else 24 * days,
+        refit_every=run_cfg.get("refit_every"),
+        scenario_seed=seed,
+        zoh_seed=None if seed is None else seed + 1,
+        apply_storage_noise=run_cfg.get("apply_storage_noise"),
+        initial_soc=run_cfg.get("initial_soc"),
+    )
+    # A dataclass keeps each field's default as its class attribute.
+    horizon = settings.get("horizon", simulate.RunSpec.horizon)
+    history_hours = settings.get("history_hours", simulate.RunSpec.history_hours)
+    sim_hours = settings.setdefault("sim_hours", data_hours - history_hours - horizon)
     if sim_hours < 1 or data_hours < history_hours + sim_hours + horizon:
         raise CliError(
             f"data too short: have {data_hours} h but need history "
@@ -193,18 +213,7 @@ def _run_template(
             f"{horizon} h"
         )
     try:
-        return simulate.RunSpec(
-            controller=controller,
-            sim_hours=sim_hours,
-            horizon=horizon,
-            ar_order=ar_order,
-            history_hours=history_hours,
-            refit_every=run_cfg.get("refit_every", 24),
-            scenario_seed=seed,
-            zoh_seed=seed + 1,
-            apply_storage_noise=run_cfg.get("apply_storage_noise", True),
-            initial_soc=run_cfg.get("initial_soc", 0.5),
-        )
+        return simulate.RunSpec(**settings)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -260,7 +269,7 @@ def _cmd_bench(args) -> int:
         template,
         seed=_pick(args.seed, run_cfg, "seed", 0),
         jobs=args.jobs,
-        validation_amplitude=_validation_amplitude(cfg),
+        **_given(validation_amplitude=_validation_amplitude(cfg)),
     )
     report.write_json(args.out)
     base = Path(args.out)

@@ -520,8 +520,8 @@ def read_trajectory_csv(path) -> DisturbanceTrajectory:
     """The trajectory of a CSV file in ``write_trajectory_csv``'s format.
 
     A malformed row raises ValueError naming the file and the line: one
-    with another number of cells than the header, or a load or price that
-    is not a number.  Blank lines are skipped.
+    with another number of cells than the header, a load or price that is
+    not a finite number, or a negative load.  Blank lines are skipped.
     """
     path = Path(path)
     rows = []
@@ -536,7 +536,13 @@ def read_trajectory_csv(path) -> DisturbanceTrajectory:
             try:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} cells, got {len(row)}")
-                rows.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
+                for name, value in zip(CSV_HEADER[1:], values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} must be finite, got {value}")
+                    if name.startswith("load_") and value < 0:
+                        raise ValueError(f"{name} must be >= 0, got {value}")
+                rows.append(values)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:

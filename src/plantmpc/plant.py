@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,11 @@ class PlantConfig:
     rho_hw: float = 10.0
 
     def __post_init__(self) -> None:
-        nonneg = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-        }
-        bad = [k for k, v in nonneg.items() if not math.isfinite(v) or v < 0]
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        bad = [k for k, v in values.items() if not math.isfinite(v) or v < 0]
         if bad:
             raise ValueError(f"negative or non-finite plant parameters: {bad}")
         # One hour of maximum discharge must fit inside the tank.

@@ -107,10 +107,10 @@ class RunSpec:
     on one warm-started ``lp.HighsSession`` per run, passing the program's
     one-step ``shift`` (None for one-scenario programs).  The fields set the
     controller, the horizon and AR forecast model, the billing calendar
-    (strictly ascending month-end hours, the last one at or after the last
-    simulated hour; empty means ``default_calendar``), the seeds of the
-    scenario and storage-noise random streams (nonnegative), and the initial
-    state of charge.
+    (strictly ascending nonnegative month-end hours, the last one at or
+    after the last simulated hour; empty means ``default_calendar``), the
+    seeds of the scenario and storage-noise random streams (nonnegative),
+    and the initial state of charge.
     """
 
     controller: ControllerSpec
@@ -144,6 +144,8 @@ class RunSpec:
         if self.calendar:
             if any(a >= b for a, b in zip(self.calendar, self.calendar[1:])):
                 raise ValueError("calendar must be strictly ascending")
+            if self.calendar[0] < 0:
+                raise ValueError(f"calendar month ends must be >= 0, got {self.calendar[0]}")
             if self.calendar[-1] < self.sim_hours - 1:
                 raise ValueError(
                     f"calendar ends at hour {self.calendar[-1]}, before the "

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -171,6 +172,13 @@ class TestValidationSet:
             assert np.array_equal(x.values, y.values)
         c = bench.make_validation_set(base, 5, seed=43)
         assert not np.array_equal(a[0].values, c[0].values)
+
+    @pytest.mark.parametrize("amplitude", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_amplitude_rejected(self, amplitude):
+        # Once ignored: -0.1 and nan gave unperturbed copies of the base.
+        base = fc.generate_synthetic_campus(1, days=2)
+        with pytest.raises(ValueError, match="relative_amplitude must be"):
+            bench.make_validation_set(base, 2, 0, relative_amplitude=amplitude)
 
     def test_scenarios_differ_and_loads_clamped(self):
         base = fc.generate_synthetic_campus(3, days=4)
@@ -370,6 +378,27 @@ class TestRunBenchmark:
         path = tmp_path / "report.json"
         report.write_json(path)
         assert path.read_text() == REPORT_JSON
+
+    def test_run_record_follows_the_declarations(self, tmp_path):
+        # The runs CSV header, each JSON run record's keys and each
+        # controller's aggregates are exactly what RunResult declares.
+        declared = [f for f in dataclasses.fields(bench.RunResult) if f.metadata]
+        rng = np.random.default_rng(13)
+        runs = [bench.summarize_trace(synthetic_trace(rng.uniform(50, 150, 30),
+                                                      r_w=rng.uniform(0, 9, 30)), s)
+                for s in range(2)]
+        report = bench.BenchmarkReport(["det:0.1"], 2, runs)
+        report.write_runs_csv(tmp_path / "runs.csv")
+        with open(tmp_path / "runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [c for f in declared for c in f.metadata["csv"]]
+        assert len(rows) == 3 and all(len(row) == len(rows[0]) for row in rows)
+        data = report.as_dict()
+        keys = [f.metadata["key"] for f in declared if f.metadata["key"]]
+        assert [list(record) for record in data["runs"]] == [keys, keys]
+        stats = [f"{f.name}_{s}" for f in declared if f.metadata["aggregate"]
+                 for s in ("mean", "se")]
+        assert list(data["aggregates"]["det:0.1"])[1:1 + len(stats)] == stats
 
     def test_paired_difference(self):
         report = bench.BenchmarkReport(

@@ -193,6 +193,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert "bad plant config" in err and "buffer" in err
 
+    @pytest.mark.parametrize("value", [True, "9"])
+    def test_plant_value_not_a_number_is_a_cli_error(self, tmp_path, data_csv,
+                                                     capsys, value):
+        # true once built a 1 kWh tank, and "9" raised a TypeError that named
+        # no field.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plant": {"cap_cw": value, "pmax_cw": value}}))
+        code = run_cli(
+            "run", "--controller", "det", "--config", str(cfg),
+            "--data", str(data_csv), "--out", str(tmp_path / "t.csv"), *SMALL,
+            "--sim-hours", "2",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad plant config: cap_cw must be a real number, got {value!r}\n"
+        )
+
     def test_plant_without_hot_water_tank_runs(self, tmp_path, data_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"plant": {"cap_hw": 0, "pmax_hw": 0}}))
@@ -410,6 +427,29 @@ class TestRunKeys:
         expected = dataclasses.replace(base, controller=controller, **changes)
         assert spec != base
         assert spec == expected
+
+
+    @pytest.mark.parametrize("kind,beta", [("det", 0.1), ("sto", 0.0)])
+    def test_bare_run_takes_the_spec_defaults(self, tmp_path, monkeypatch, kind, beta):
+        # Every setting but the buffer is RunSpec's and ControllerSpec's
+        # default; the run spans the data after the history.
+        expected = simulate.RunSpec(
+            controller=simulate.ControllerSpec(kind, beta=beta), sim_hours=2)
+        data = tmp_path / "long.csv"
+        fc.write_trajectory_csv(data, DisturbanceTrajectory(
+            np.zeros((4, expected.required_truth_hours()))))
+
+        class Built(Exception):
+            pass
+
+        def capture(config, spec, truth):
+            raise Built(spec)
+
+        monkeypatch.setattr(simulate, "run_closed_loop", capture)
+        with pytest.raises(Built) as built:
+            run_cli("run", "--controller", kind, "--data", str(data),
+                    "--out", str(tmp_path / "t.csv"))
+        assert built.value.args[0] == expected
 
 
 class TestBench:

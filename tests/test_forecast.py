@@ -593,7 +593,11 @@ class TestCsvInterchange:
         ("1,1.0,2.0,x3,0.1", "could not convert string to float: 'x3'"),
         ("1,1.0,2.0,3.0", "expected 5 cells, got 4"),
         ("1,1.0,2.0,3.0,0.1,9", "expected 5 cells, got 6"),
-    ], ids=["non_numeric", "short_row", "extra_column"])
+        ("1,1.0,nan,3.0,0.1", "load_cw_kw must be finite, got nan"),
+        ("1,1.0,2.0,3.0,inf", "price_elec_usd_per_kwh must be finite, got inf"),
+        ("1,1.0,2.0,-3.0,0.1", "load_hw_kw must be >= 0, got -3.0"),
+    ], ids=["non_numeric", "short_row", "extra_column", "nan_load", "inf_price",
+            "negative_load"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row, problem):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(fc.CSV_HEADER) + "\n0,1.0,2.0,3.0,0.1\n\n" + row + "\n")

@@ -345,6 +345,13 @@ class TestRunSpec:
             make_spec(**{field: -1})
         make_spec(**{field: 0})
 
+    def test_negative_month_end_rejected(self):
+        # Once accepted: the run billed every hour to month end 100, and
+        # bench.annual_cost then failed on the empty month ending at -1.
+        with pytest.raises(ValueError, match="calendar month ends must be >= 0"):
+            make_spec(sim_hours=30, calendar=(-1, 100))
+        assert make_spec(sim_hours=30, calendar=(0, 100)).calendar == (0, 100)
+
     def test_calendar_must_reach_the_last_hour(self):
         with pytest.raises(ValueError, match="before the last simulated hour"):
             make_spec(sim_hours=20, calendar=(10,))
