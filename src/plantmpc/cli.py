@@ -323,12 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     # Flags shared by ``run`` and ``bench``; each overrides the config file.
     settings = argparse.ArgumentParser(add_help=False)
     for flag, kind in (
-        ("--beta", float), ("--scenarios", _positive_int),
-        ("--horizon", _positive_int), ("--ar-order", _positive_int),
+        ("--beta", float), ("--horizon", _positive_int), ("--ar-order", _positive_int),
         ("--history-days", _positive_int), ("--sim-hours", _positive_int),
         ("--seed", _nonnegative_int),
     ):
         settings.add_argument(flag, type=kind)
+    settings.add_argument(
+        "--scenarios", type=_positive_int,
+        help=("the stochastic controller's sample size S; at each AR refit its "
+              f"program keeps {simulate.KEPT_SCENARIOS} of them, weighted, "
+              "when S is larger"),
+    )
 
     run = sub.add_parser(
         "run", parents=[settings], help="one closed-loop run, trace to CSV",

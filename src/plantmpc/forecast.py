@@ -306,15 +306,89 @@ def forecast(
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Equally weighted disturbance scenarios, values shaped (s, 4, n)."""
+    """Disturbance scenarios, values shaped (s, 4, n), and their
+    probabilities, (s,), nonnegative and summing to 1; 1/s each when not
+    given."""
 
     values: np.ndarray
+    probabilities: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.values.ndim != 3 or self.values.shape[1] != len(CHANNELS):
             raise ValueError("values must have shape (s, 4, n)")
         if np.any(self.values[:, :3, :] < 0):
             raise ValueError("load channels must be clamped nonnegative")
+        s = self.values.shape[0]
+        if self.probabilities is None:
+            probabilities = np.full(s, 1.0 / s)
+        else:
+            probabilities = np.asarray(self.probabilities, dtype=float)
+            if probabilities.shape != (s,):
+                raise ValueError(f"expected {s} probabilities, got shape "
+                                 f"{probabilities.shape}")
+            if not (np.all(np.isfinite(probabilities)) and np.all(probabilities >= 0)
+                    and abs(probabilities.sum() - 1.0) <= 1e-9):
+                raise ValueError("probabilities must be nonnegative and sum to 1")
+        object.__setattr__(self, "probabilities", probabilities)
+
+    @property
+    def equally_weighted(self) -> bool:
+        return bool(np.all(self.probabilities == 1.0 / len(self.probabilities)))
+
+
+def scenario_distances(values: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the scenarios of (S, 4, N) ``values``.
+
+    Each scenario is its (4, N) deviation from the scenario mean, each
+    channel-step divided by its spread over the scenarios (its standard
+    deviation, 1 where that is zero), so every channel and step counts
+    alike.  Row by row, so the matrix is exactly symmetric.
+    """
+    spread = values.std(axis=0)
+    spread[spread == 0.0] = 1.0
+    z = ((values - values.mean(axis=0)) / spread).reshape(len(values), -1)
+    return np.stack([np.linalg.norm(z - row, axis=1) for row in z])
+
+
+def fast_forward_selection(distances: np.ndarray, probabilities: np.ndarray,
+                           k: int) -> np.ndarray:
+    """The indices of ``k`` scenarios, in the order fast forward selection
+    picks them (Heitsch and Römisch, Scenario reduction algorithms in
+    stochastic programming, Comput. Optim. Appl. 24, 2003).
+
+    Each step adds the scenario that leaves the least probability-weighted
+    distance from every scenario to its nearest selected one; ties go to
+    the lowest index.
+    """
+    nearest = np.full(len(probabilities), np.inf)
+    chosen: list[int] = []
+    for _ in range(min(k, len(probabilities))):
+        cost = probabilities @ np.minimum(nearest[:, None], distances)
+        cost[chosen] = np.inf
+        u = int(np.argmin(cost))
+        chosen.append(u)
+        nearest = np.minimum(nearest, distances[:, u])
+    return np.array(chosen, dtype=np.intp)
+
+
+def reduce_scenarios(scenarios: ScenarioSet, k: int) -> tuple[np.ndarray, ScenarioSet]:
+    """Keep ``k`` of ``scenarios`` by fast forward selection over
+    ``scenario_distances``: the kept indices, ascending, and their set.
+
+    Each dropped scenario's probability goes to its nearest kept one (ties
+    to the lowest index; Dupačová, Gröwe-Kuska and Römisch, Scenario
+    reduction in stochastic programming, Math. Program. 95, 2003).  A set
+    of at most ``k`` scenarios is returned as it is.
+    """
+    s = len(scenarios.values)
+    if s <= k:
+        return np.arange(s), scenarios
+    distances = scenario_distances(scenarios.values)
+    kept = np.sort(fast_forward_selection(distances, scenarios.probabilities, k))
+    owner = np.argmin(distances[:, kept], axis=1)
+    owner[kept] = np.arange(k)
+    probabilities = np.bincount(owner, weights=scenarios.probabilities, minlength=k)
+    return kept, ScenarioSet(scenarios.values[kept], probabilities)
 
 
 def _load_floor(n: int) -> np.ndarray:
@@ -520,8 +594,9 @@ def read_trajectory_csv(path) -> DisturbanceTrajectory:
     """The trajectory of a CSV file in ``write_trajectory_csv``'s format.
 
     A malformed row raises ValueError naming the file and the line: one
-    with another number of cells than the header, a load or price that is
-    not a finite number, or a negative load.  Blank lines are skipped.
+    with another number of cells than the header, an hour other than the
+    next of 0, 1, 2, ..., a load or price that is not a finite number, or a
+    negative load.  Blank lines are skipped.
     """
     path = Path(path)
     rows = []
@@ -536,6 +611,8 @@ def read_trajectory_csv(path) -> DisturbanceTrajectory:
             try:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} cells, got {len(row)}")
+                if row[0] != str(len(rows)):
+                    raise ValueError(f"expected hour {len(rows)}, got {row[0]!r}")
                 values = [float(v) for v in row[1:]]
                 for name, value in zip(CSV_HEADER[1:], values):
                     if not math.isfinite(value):

@@ -6,7 +6,11 @@ to it: the mean forecast, a scenario set, or the realized trajectory.  The
 single-trajectory programs are the one-scenario case; the stochastic
 program replicates every recourse quantity per scenario while first-stage
 decisions (the hour-t unit loads and the hour t+1 storage levels) live in
-shared columns, which enforces nonanticipativity exactly.
+shared columns, which enforces nonanticipativity exactly.  Each scenario's
+costs are weighted by its probability (``forecast.ScenarioSet``): equal
+for a sample, unequal for the K scenarios that the stochastic controller
+keeps of its sample (``simulate.KEPT_SCENARIOS``), each carrying the
+probability of the sampled ones nearest to it.
 
 Planned storage levels stay in the box ``storage_bounds`` derives from
 the current state and the buffer beta, the same box the closed-loop trace
@@ -32,11 +36,13 @@ next month's, and each step bills to the register of its own month, so
 for a given plant, horizon N and S scenarios the program has one shape for
 the whole run: ``8 + S(8N - 4)`` columns and ``5NS - 2S`` rows, plus ``NS``
 tower-limit rows when that limit can bind.  For the default plant at
-N = 168 and S = 100 that is 134 008 columns and 83 800 rows; a one-scenario
-program has 1 348 columns and 838 rows.  The register of the month a step
-does not bill to keeps an explicit zero in its peak row, so the pattern
-never changes; a program inside one month passes N·S such zeros, which
-HiGHS drops on every load, and ``perfbench``'s ``mpc.lp_nnz`` counts them.
+N = 168 the stochastic controller's 20 kept scenarios give 26 808 columns
+and 16 760 rows (134 008 and 83 800 for all 100 of its default sample); a
+one-scenario program has 1 348 columns and 838 rows.  The register of the
+month a step does not bill to keeps an explicit zero in its peak row, so
+the pattern never changes; a program inside one month passes N·S such
+zeros, which HiGHS drops on every load, and ``perfbench``'s
+``mpc.lp_nnz`` counts them.
 
 Every scenario block is a copy of the same plant model, and only the data
 differs (Birge and Louveaux, Introduction to Stochastic Programming,
@@ -56,16 +62,17 @@ entries of the peak rows.  sto-paper's peak memory is reached inside
 HiGHS's primal cleanup of a warm solve, and every array Python holds then
 adds to it.  Holding one block, column indices derived from the starts
 (``lp.LinearProgram.a_cols``) and each hour's solution dropped before the
-next solve took that peak from about 233 to 226 MB (medians of 10 runs,
-seeds 0, 1 and 7919).
+next solve took that peak from about 233 to 226 MB when the program held
+all S = 100 scenarios (medians of 10 runs, seeds 0, 1 and 7919).
 
 A program of S > 1 scenarios carries a ``start`` for its session's cold
 solve: the optimal basis of the one-scenario program of the scenario mean
 (same state, timing and buffer), replicated into every scenario block.
 Each block is a copy of the one-scenario program's structure, so that
-basis is near-optimal for all of them; at paper scale (sto-paper, seeds
-0, 1 and 7919) it cuts the cold solve's dual simplex iterations from
-80 650-81 010 to 6 310-7 170, the mean program's included.  It also
+basis is near-optimal for all of them; at paper scale and S = 100
+(sto-paper, seeds 0, 1 and 7919) it cut the cold solve's dual simplex
+iterations from 80 650-81 010 to 6 310-7 170, the mean program's
+included.  The mean is weighted by the scenarios' probabilities.  It also
 carries its template's one-step ``shift``: from one hour to the next every
 step moves one hour earlier, and so does the stochastic controller's
 scenario noise (``simulate._ScenarioSampler``), so the next program is
@@ -175,6 +182,14 @@ def _scenario_values(forecast_or_scenarios) -> np.ndarray:
     if isinstance(forecast_or_scenarios, DisturbanceTrajectory):
         return forecast_or_scenarios.values[None, :, :]
     raise TypeError("expected DisturbanceTrajectory or ScenarioSet")
+
+
+def _probabilities(forecast_or_scenarios) -> np.ndarray | None:
+    """The scenarios' probabilities, None when they are equal."""
+    if (isinstance(forecast_or_scenarios, ScenarioSet)
+            and not forecast_or_scenarios.equally_weighted):
+        return forecast_or_scenarios.probabilities
+    return None
 
 
 class _Triplets:
@@ -622,7 +637,8 @@ def build_reduced(
     """Build the program of any controller from its disturbance data.
 
     The data is one trajectory (the mean forecast or the realized
-    disturbances) or a ``ScenarioSet``, each scenario weighted equally.
+    disturbances) or a ``ScenarioSet``, each scenario weighted by its
+    probability.
     The horizon starts from ``state``: its tank levels pin step 0,
     ``storage_bounds(config, state, beta)`` bounds every later level, and
     its peak bounds this month's register from below.
@@ -648,7 +664,8 @@ def build_reduced(
         raise ValueError(f"forecast length {n} != horizon {timing.n}")
     if n_chan != len(CHANNELS):
         raise ValueError("expected 4 disturbance channels")
-    return _fill(config, state, values, timing, beta)
+    return _fill(config, state, values, timing, beta,
+                 _probabilities(forecast_or_scenarios))
 
 
 def _fill(
@@ -657,9 +674,19 @@ def _fill(
     values: np.ndarray,
     timing: HorizonTiming,
     beta: float,
+    probabilities: np.ndarray | None = None,
 ) -> ReducedProgram:
-    """``build_reduced`` on checked (S, 4, N) disturbance values."""
+    """``build_reduced`` on checked (S, 4, N) disturbance values, weighted
+    by ``probabilities`` (None: equally).
+
+    The template's costs are weighted 1/S.  Unequal weights scale each
+    scenario's block costs and its terms of the shared hour-0 unit costs
+    and of the offset by its probability times S.  The template's static
+    costs of the shared columns are S equal terms, so they need no
+    weighting: they sum to one scenario's at any probabilities.
+    """
     s, _, n = values.shape
+    scale = None if probabilities is None else probabilities * s
     template = _program_template(config, n, s)
     lay = template.layout
     load_e, load_cw, load_hw, price_e = (values[:, ch, :] for ch in range(4))
@@ -706,6 +733,12 @@ def _fill(
              + template.unit_fixed[:, None])
     later = costs[:, :, 1:].reshape(s, -1)
     template.blocks(obj)[:, :later.shape[1]] += later
+    if scale is not None:
+        template.blocks(obj)[:] *= scale[:, None]
+        obj[-s:] *= scale
+        costs *= scale[:, None, None]
+        price_e, load_cw, load_hw = (
+            scale[:, None] * x for x in (price_e, load_cw, load_hw))
     np.add.at(obj, np.broadcast_to(lay.P[:, 0], costs.shape[:2]), costs[:, :, 0])
 
     # The campus load's electricity, the unmet penalty on the water loads
@@ -723,7 +756,8 @@ def _fill(
         template.a_starts, rhs_lower=template.rows(template.rhs_lower))
     if s == 1:
         return ReducedProgram(program, offset, template)
-    start = functools.partial(_mean_start, template, state, values, timing, beta)
+    start = functools.partial(_mean_start, template, state, values, timing, beta,
+                              probabilities)
     return ReducedProgram(program, offset, template, start, template.shift)
 
 
@@ -733,18 +767,21 @@ def _mean_start(
     values: np.ndarray,
     timing: HorizonTiming,
     beta: float,
+    probabilities: np.ndarray | None = None,
 ) -> lp.Basis | None:
     """The optimal basis of the scenario-mean program, replicated into
     every scenario block of the program of ``template`` built from
-    ``values``; None when the mean program has no optimum.
+    ``values``; None when the mean program has no optimum.  The mean is
+    weighted by ``probabilities`` (None: equally).
 
     The shared first-stage columns take the mean program's status.  Every
     block copies them, but each counts once, so the copy is short of a
     full basis by S - 1 times the shared columns that are basic;
     ``lp.Basis.alien`` lets HiGHS repair that.
     """
-    mean = _fill(template.config, state, values.mean(axis=0, keepdims=True),
-                 timing, beta)
+    mean = (values.mean(axis=0, keepdims=True) if probabilities is None
+            else np.tensordot(probabilities, values, 1)[None])
+    mean = _fill(template.config, state, mean, timing, beta)
     session = lp.HighsSession()
     solution = session._run(mean.program)
     if not solution.is_optimal:

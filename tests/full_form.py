@@ -129,9 +129,11 @@ def build(config, state, data, timing, beta) -> FullForm:
     """Extensive-form program for a trajectory or a scenario set.
 
     Planned storage levels stay in the buffered tank [beta * cap,
-    (1 - beta) * cap], widened to hold the current level.
+    (1 - beta) * cap], widened to hold the current level.  Each scenario's
+    costs are weighted by its probability.
     """
     values = mpc._scenario_values(data)
+    probabilities = getattr(data, "probabilities", np.ones(1))
     s, n_chan, n = values.shape
     if n != timing.n:
         raise ValueError(f"forecast length {n} != horizon {timing.n}")
@@ -150,7 +152,7 @@ def build(config, state, data, timing, beta) -> FullForm:
     matrix = mpc._Triplets()
     put = matrix.put
 
-    weight = 1.0 / s
+    weight = probabilities[:, None]
     demand_coeff = config.price_demand / timing.discount
 
     pmax = np.array([config.pmax(u) for u in UNITS])
@@ -242,10 +244,10 @@ def build(config, state, data, timing, beta) -> FullForm:
     obj[r[:, 1]] = weight * config.price_water
     obj[r[:, 2]] = weight * config.price_gas
     lower[lay.R1] = state.peak
-    obj[lay.R1] = weight * demand_coeff
+    obj[lay.R1] = probabilities * demand_coeff
     if lay.spans:
         lower[lay.R2] = 0.0
-        obj[lay.R2] = weight * demand_coeff
+        obj[lay.R2] = probabilities * demand_coeff
 
     program = lp.LinearProgram(obj, lower, upper, sense, rhs,
                                **matrix.column_major(obj.size))

@@ -412,14 +412,15 @@ class GivenForecaster:
 
 
 def sample(means, covs, s, seed):
-    """Scenario set drawn the way the stochastic controller draws it."""
+    """Scenario set drawn the way the stochastic controller draws it,
+    before any reduction."""
     spec = simulate.RunSpec(
         simulate.ControllerSpec(simulate.STOCHASTIC, scenarios=s),
         sim_hours=1, horizon=means.shape[1], scenario_seed=seed,
     )
     chols = [fc._jittered_cholesky(cov) for cov in covs]
     sampler = simulate._ScenarioSampler(GivenForecaster(means, chols), spec)
-    return sampler.scenario_set(0)
+    return fc.ScenarioSet(sampler.draw(0))
 
 
 def small_distribution(n=6, sigma=1.0):
@@ -610,3 +611,129 @@ class TestCsvInterchange:
         path.write_text("hour,load_elec_kw,load_cw_kw,load_hw_kw,price_elec_usd_per_kwh\n")
         with pytest.raises(ValueError, match="no data"):
             fc.read_trajectory_csv(path)
+
+    def test_hours_must_count_up_from_zero(self, tmp_path):
+        """The hour column is read: a gap, a repeat, a shuffle or a
+        non-number is named by file and line."""
+        head = ",".join(fc.CSV_HEADER) + "\n"
+        for hours, line, got in (("0 2 3", 3, "'2'"), ("0 1 1", 4, "'1'"),
+                                 ("1 0 2", 2, "'1'"), ("0 abc 2", 3, "'abc'"),
+                                 ("0 1.0 2", 3, "'1.0'")):
+            path = tmp_path / "hours.csv"
+            path.write_text(head + "".join(f"{h},1.0,2.0,3.0,0.1\n"
+                                           for h in hours.split()))
+            with pytest.raises(ValueError) as raised:
+                fc.read_trajectory_csv(path)
+            expected = line - 2
+            assert str(raised.value) == (
+                f"{path}, line {line}: expected hour {expected}, got {got}")
+
+
+def brute_force_selection(distances, probabilities, k):
+    """Greedy forward selection written out: each step tries every
+    remaining scenario and keeps the one that leaves the least
+    probability-weighted distance to the nearest selected scenario."""
+    chosen = []
+    for _ in range(k):
+        best, best_cost = None, np.inf
+        for u in range(len(probabilities)):
+            if u in chosen:
+                continue
+            cost = sum(p * min(distances[i, j] for j in chosen + [u])
+                       for i, p in enumerate(probabilities))
+            if cost < best_cost:
+                best, best_cost = u, cost
+        chosen.append(best)
+    return chosen
+
+
+def scenario_values(s, n, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array([3000.0, 4000.0, 2000.0, 0.08])[None, :, None] * (
+        1.0 + rng.normal(0.0, 0.1, (s, 4, n)))
+    return values
+
+
+class TestScenarioReduction:
+    """Fast forward selection keeps K of S scenarios and moves each dropped
+    scenario's probability to its nearest kept one."""
+
+    def test_distances_are_normalized_per_channel_step(self):
+        values = scenario_values(6, 5, seed=1)
+        d = fc.scenario_distances(values)
+        z = (values - values.mean(axis=0)) / values.std(axis=0)
+        for i in range(6):
+            for j in range(6):
+                assert d[i, j] == pytest.approx(np.linalg.norm(z[i] - z[j]), rel=1e-12)
+        assert np.array_equal(d, d.T) and np.all(np.diag(d) == 0.0)
+        # A channel-step without spread counts for nothing, without a 0/0.
+        values[:, 0, 2] = 7.0
+        assert np.all(np.isfinite(fc.scenario_distances(values)))
+
+    @pytest.mark.parametrize("s", [1, 4, 9])
+    def test_k_equal_s_is_the_identity(self, s):
+        scenarios = fc.ScenarioSet(scenario_values(s, 6, seed=s))
+        kept, reduced = fc.reduce_scenarios(scenarios, s)
+        assert np.array_equal(kept, np.arange(s))
+        assert np.array_equal(reduced.values, scenarios.values)
+        assert np.array_equal(reduced.probabilities, np.full(s, 1.0 / s))
+        order = fc.fast_forward_selection(
+            fc.scenario_distances(scenarios.values), scenarios.probabilities, s)
+        assert np.array_equal(np.sort(order), np.arange(s))
+
+    @settings(deadline=None, max_examples=40)
+    @given(s=st.integers(2, 9), n=st.integers(1, 4), seed=st.integers(0, 999),
+           data=st.data())
+    def test_selection_order_matches_the_brute_force_greedy(self, s, n, seed, data):
+        k = data.draw(st.integers(1, s))
+        values = scenario_values(s, n, seed)
+        weights = np.random.default_rng(seed).uniform(0.1, 1.0, s)
+        probabilities = weights / weights.sum()
+        distances = fc.scenario_distances(values)
+        order = fc.fast_forward_selection(distances, probabilities, k)
+        assert order.tolist() == brute_force_selection(distances, probabilities, k)
+
+    def test_ties_go_to_the_lowest_index(self):
+        # Four copies of two scenarios: every candidate of a pair ties.
+        values = np.repeat(scenario_values(2, 3, seed=2), 2, axis=0)
+        distances = fc.scenario_distances(values)
+        order = fc.fast_forward_selection(distances, np.full(4, 0.25), 2)
+        assert order.tolist() == [0, 2]
+        kept, reduced = fc.reduce_scenarios(fc.ScenarioSet(values), 2)
+        assert kept.tolist() == [0, 2]
+        assert reduced.probabilities.tolist() == [0.5, 0.5]
+
+    @settings(deadline=None, max_examples=40)
+    @given(s=st.integers(2, 12), seed=st.integers(0, 999), data=st.data())
+    def test_dropped_mass_goes_to_the_nearest_kept_scenario(self, s, seed, data):
+        k = data.draw(st.integers(1, s - 1))
+        weights = np.random.default_rng(seed).uniform(0.1, 1.0, s)
+        scenarios = fc.ScenarioSet(scenario_values(s, 3, seed), weights / weights.sum())
+        kept, reduced = fc.reduce_scenarios(scenarios, k)
+        assert np.all(np.diff(kept) > 0) and kept.size == k
+        assert np.array_equal(reduced.values, scenarios.values[kept])
+        assert reduced.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        distances = fc.scenario_distances(scenarios.values)
+        expected = scenarios.probabilities[kept].copy()
+        for i in sorted(set(range(s)) - set(kept.tolist())):
+            nearest = min(range(k), key=lambda j: (distances[i, kept[j]], kept[j]))
+            expected[nearest] += scenarios.probabilities[i]
+        assert reduced.probabilities == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("probabilities, message", [
+        ([0.5, 0.5, 0.5], "sum to 1"),
+        ([1.5, -0.5], "nonnegative"),
+        ([np.nan, 1.0], "nonnegative"),
+        ([1.0], "expected 2 probabilities"),
+    ])
+    def test_bad_probabilities_rejected(self, probabilities, message):
+        s = 3 if len(probabilities) == 3 else 2
+        with pytest.raises(ValueError, match=message):
+            fc.ScenarioSet(scenario_values(s, 2, seed=0), np.array(probabilities))
+
+    def test_equal_weights_by_default(self):
+        scenarios = fc.ScenarioSet(scenario_values(3, 2, seed=0))
+        assert scenarios.equally_weighted
+        assert np.array_equal(scenarios.probabilities, np.full(3, 1.0 / 3))
+        assert not fc.ScenarioSet(scenarios.values, np.array([0.5, 0.25, 0.25])
+                                  ).equally_weighted

@@ -406,6 +406,74 @@ class TestReducedEquivalence:
         assert np.all(x <= prog_full.upper + 1e-9)
 
 
+class TestWeightedProgram:
+    """A scenario of probability m_i / M counts as m_i copies of it in the
+    equally weighted program of M scenarios."""
+
+    @staticmethod
+    def case(spanning, plant, counts=(3, 1, 2), peak=7000.0):
+        config, _ = EQUIVALENCE_PLANTS[plant]
+        state = PlantState(e_cw=8000.0, e_hw=4000.0, ul_cw=2.0, ol_hw=1.0, peak=peak)
+        n = 8
+        timing = mpc.HorizonTiming(t=0, n=n, month_end=4 if spanning else 743)
+        rng = np.random.default_rng(29)
+        values = np.abs(np.array([[9000.0], [5000.0], [3000.0], [0.0]])
+                        + rng.normal(0, 300.0, (len(counts), 4, n)))
+        values[:, 3] = (0.07 + 0.03 * np.sin(np.arange(n))
+                        + rng.normal(0, 0.01, (len(counts), n)))
+        counts = np.array(counts)
+        weighted = fc.ScenarioSet(values, counts / counts.sum())
+        copies = fc.ScenarioSet(np.repeat(values, counts, axis=0))
+        return config, state, timing, weighted, copies
+
+    @pytest.mark.parametrize("peak", [7000.0, 20000.0])
+    @pytest.mark.parametrize("spanning", [False, True])
+    @pytest.mark.parametrize("plant", list(EQUIVALENCE_PLANTS))
+    def test_equals_the_program_with_copies(self, spanning, plant, peak):
+        """Same optimum; and the same hour-0 action where it is unique.
+        While this month's register binds (a peak of 7 000 kW against draws
+        near 9 000 kW), the hour-0 loads are degenerate, and HiGHS returns
+        different optimal ones for the two programs.  Above every draw
+        (20 000 kW) they are unique."""
+        config, state, timing, weighted, copies = self.case(spanning, plant, peak=peak)
+        plan, twin = (solve_reduced(config, state, data, timing, 0.0)
+                      for data in (weighted, copies))
+        assert plan.objective == pytest.approx(twin.objective, rel=1e-9)
+        if peak > 9000.0:
+            assert np.allclose(plan.P[0, :, 0], twin.P[0, :, 0], rtol=0.0, atol=1e-6)
+            assert np.allclose(plan.E[0, :, 1], twin.E[0, :, 1], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("spanning", [False, True])
+    @pytest.mark.parametrize("plant", list(EQUIVALENCE_PLANTS))
+    def test_equals_the_weighted_extensive_form(self, spanning, plant):
+        config, state, timing, weighted, _ = self.case(spanning, plant)
+        full = full_form.build(config, state, weighted, timing, 0.0)
+        plan = solve_reduced(config, state, weighted, timing, 0.0)
+        assert plan.objective == pytest.approx(lp.solve(full.program).objective, rel=1e-9)
+        assert full.program.objective @ full.vector(plan) == pytest.approx(
+            plan.objective, rel=1e-9)
+
+    def test_equal_probabilities_build_the_equal_weight_program(self):
+        config, state, timing, weighted, _ = self.case(True, False, counts=(1, 1, 1))
+        assert weighted.equally_weighted
+        plain = fc.ScenarioSet(weighted.values)
+        assert program_bytes(mpc.build_reduced(config, state, weighted, timing, 0.1)) \
+            == program_bytes(mpc.build_reduced(config, state, plain, timing, 0.1))
+
+    def test_mean_start_takes_the_weighted_mean(self):
+        config, state, timing, weighted, _ = self.case(False, False)
+        reduced = mpc.build_reduced(config, state, weighted, timing, 0.0)
+        mean = DisturbanceTrajectory(
+            np.tensordot(weighted.probabilities, weighted.values, 1))
+        session = lp.HighsSession()
+        solution = session.solve(mpc.build_reduced(config, state, mean, timing, 0.0).program)
+        seed, basis = session.basis(), reduced.start()
+        assert basis.iterations == solution.iterations
+        template = reduced.template
+        assert np.array_equal(basis.col, template.columns(seed.col))
+        assert np.array_equal(basis.row, template.rows(seed.row))
+
+
 def horizon_timing(kind: str, n: int) -> mpc.HorizonTiming:
     """A horizon of n steps inside a month, across its end (from n = 2 on)
     or on its closing hour."""

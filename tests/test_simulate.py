@@ -357,6 +357,29 @@ class TestRunSpec:
             make_spec(sim_hours=20, calendar=(10,))
         assert make_spec(sim_hours=20, calendar=(10, 19)).calendar == (10, 19)
 
+    @pytest.mark.parametrize("value", [6.5, 6.0, True, "6"])
+    @pytest.mark.parametrize("field", ["sim_hours", "horizon", "ar_order",
+                                       "history_hours", "refit_every",
+                                       "scenario_seed", "zoh_seed"])
+    def test_non_integers_rejected_by_name(self, field, value):
+        """Once accepted: horizon 6.5 failed mid-run in numpy, after the
+        hour-0 AR fits."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            make_spec(**{field: value})
+        good = getattr(make_spec(), field)
+        assert getattr(make_spec(**{field: np.int64(good)}), field) == good
+
+    @pytest.mark.parametrize("entry", [19.5, 19.0, True])
+    def test_non_integer_calendar_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="^calendar entry must be an integer"):
+            make_spec(sim_hours=2, calendar=(0, entry))
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integer_scenario_count_rejected(self, value):
+        for kind in ("sto", "det"):
+            with pytest.raises(ValueError, match="^scenarios must be an integer"):
+                simulate.ControllerSpec(kind, scenarios=value)
+
 
 class TestClosedLoop:
     def test_zero_disturbances_zero_cost(self):
@@ -1020,6 +1043,85 @@ class TestLazyFactors:
         for t in range(spec.sim_hours):
             a, b = lazy.scenario_set(t), eager.scenario_set(t)
             assert np.array_equal(a.values, b.values), t
+
+
+class TestScenarioReductionInTheLoop:
+    """Above ``KEPT_SCENARIOS`` the sampler reduces each refit's full set
+    and slides the kept paths until the next refit."""
+
+    S, K = 8, 3
+
+    def sampler(self, monkeypatch, s=S):
+        monkeypatch.setattr(simulate, "KEPT_SCENARIOS", self.K)
+        spec = make_spec(controller=simulate.ControllerSpec("sto", scenarios=s),
+                         sim_hours=50)
+        truth = fc.generate_synthetic_campus(47, days=7)
+        forecaster = simulate.ArForecaster(truth, spec)
+        forecaster.refresh(0)
+        full = simulate._ScenarioSampler(simulate.ArForecaster(truth, spec), spec)
+        return simulate._ScenarioSampler(forecaster, spec), full
+
+    def test_kept_paths_slide_between_refits(self, monkeypatch):
+        sampler, full = self.sampler(monkeypatch)
+        for t in range(50):
+            got = sampler.scenario_set(t)
+            sample = full.draw(t)
+            if t % 24 == 0:
+                kept, want = fc.reduce_scenarios(fc.ScenarioSet(sample), self.K)
+                assert np.array_equal(got.values, want.values), t
+                assert not got.equally_weighted
+            else:
+                assert np.allclose(got.values, sample[kept], rtol=1e-12, atol=0.0), t
+            assert np.array_equal(got.probabilities, want.probabilities), t
+
+    def test_at_most_k_scenarios_are_not_reduced(self, monkeypatch):
+        sampler, full = self.sampler(monkeypatch, s=self.K)
+        for t in range(30):
+            got = sampler.scenario_set(t)
+            assert np.array_equal(got.values, full.draw(t)) and got.equally_weighted
+
+    def test_the_program_keeps_its_shape(self, monkeypatch):
+        """``8 + K(8N - 4)`` columns every hour, refits included."""
+        sampler, _ = self.sampler(monkeypatch)
+        config, state = PlantConfig(), PlantState(e_cw=5000.0, e_hw=3000.0)
+        n = sampler.spec.horizon
+        for t in range(0, 50, 5):
+            program = mpc.build_reduced(config, state, sampler.scenario_set(t),
+                                        mpc.HorizonTiming(t, n, 743), 0.0).program
+            assert program.num_vars == 8 + self.K * (8 * n - 4)
+
+
+class TestCausality:
+    """Changing the truth from hour k + 1 on leaves every hour before k
+    bit-identical: the loop, its forecasts and the scenario reduction read
+    nothing ahead.  (Hour k's tank noise reads hour k + 1's load for the
+    intra-hour ramp.)"""
+
+    @staticmethod
+    def trace(controller, values):
+        spec = simulate.RunSpec(
+            controller=controller, sim_hours=40, horizon=12, ar_order=12,
+            history_hours=24 * 4, scenario_seed=3, zoh_seed=4,
+        )
+        return simulate.run_closed_loop(PlantConfig(), spec,
+                                        DisturbanceTrajectory(values))
+
+    @pytest.mark.parametrize("kind", ["det", "sto"])
+    @settings(deadline=None, max_examples=3)
+    @given(k=st.integers(26, 38), factor=st.sampled_from([0.7, 1.3]))
+    def test_hours_before_k_ignore_the_truth_after_it(self, kind, k, factor):
+        controller = (simulate.ControllerSpec("sto", scenarios=6) if kind == "sto"
+                      else simulate.ControllerSpec("det", beta=0.1))
+        values = fc.generate_synthetic_campus(11, days=7).values
+        changed = values.copy()
+        changed[:, 24 * 4 + k + 1:] *= factor
+        with pytest.MonkeyPatch.context() as patch:
+            # Six sampled scenarios reduced to three, with a refit at hour 24.
+            patch.setattr(simulate, "KEPT_SCENARIOS", 3)
+            a, b = (self.trace(controller, v) for v in (values, changed))
+        for f in simulate._HOURLY:
+            assert np.array_equal(getattr(a, f.name)[:k], getattr(b, f.name)[:k]), f.name
+        assert not np.array_equal(a.realized, b.realized)
 
 
 class TestNoiseWindow:
