@@ -14,22 +14,23 @@ is no part of a closed loop's set-up time.
 
 ``HighsSession`` solves a sequence of programs on one HiGHS instance.  It
 loads every program whole through HiGHS's array ``passModel`` and runs it
-from one of four starting bases.  When the program has the shape of the
-last optimal one, it restarts warm from that program's basis: as it is,
-or, given the caller's ``shift``, moved to the columns and rows that now
-hold the same quantities (a receding horizon's one-step shift).  Else it
-starts from the caller's ``start`` (a ``Basis``, which need not be
-consistent), else from the slack basis.  ``solve`` runs one program once,
-from the slack basis, with HiGHS's default options, on the one instance
-the process keeps for such solves.
+from one of three starting bases.  When the program has the shape of the
+last optimal one, it restarts warm from HiGHS's own basis of that program,
+with each column and row of the new program loaded at the HiGHS position
+of the one that the caller's ``shift`` names (a receding horizon's
+one-step rotation).  Else it starts from the caller's ``start`` (a
+``Basis``, which need not be consistent), else from the slack basis.
+``solve`` runs one program once, from the slack basis, with HiGHS's
+default options, on the one instance the process keeps for such solves.
 
 A ``LinearProgram`` holds its matrix in the column layout ``passModel``
-reads: column starts, row indices and values (``column_major``), so every
-load hands HiGHS the program's own arrays and a session keeps no sparsity
-pattern from run to run.  The entries' column indices are not stored:
-``a_cols`` derives them from the starts when asked, which only checks and
-tests do (1.5 MB fewer held through every solve at S = 100).  A program
-whose column starts decrease raises ValueError.
+reads: column starts, row indices and values (``column_major``), so a
+load at the program's own indices hands HiGHS the program's own arrays, a
+warm load gathers them into their positions, and a session keeps no
+sparsity pattern from run to run.  The entries' column indices are not
+stored: ``a_cols`` derives them from the starts when asked, which only
+checks and tests do (1.5 MB fewer held through every solve at S = 100).
+A program whose column starts decrease raises ValueError.
 
 Each HiGHS instance keeps one option set for all its runs, and the two
 callers differ in two options: a session runs every program, cold or
@@ -53,26 +54,44 @@ from the scenario-mean program's basis (``mpc.ReducedProgram.start``),
 that cold solve takes 6 311 iterations, 786 of them the mean program's,
 and about 0.8 s instead of 3.3 s on one pinned CPU of the same host.
 
-A receding horizon moves every step one hour earlier, so the unshifted
-basis of the last hour is stale in every step: its warm restart ended in
-a primal cleanup of about 1 500 dual infeasibilities.  Shifted
-(``mpc.ReducedProgram.shift``), on scenario noise that moves with the
-horizon, the same window's warm hours take 951 iterations instead of
-3 343 (seed 0).  Moving that program's statuses, one per column and
-row, cost about 25 ms of the roughly 310-340 ms warm solve: reading them
-(``HighsSession.basis``) about 7 ms, shifting them 1 ms and writing the
-alien basis 17 ms.  Read through ``getBasis``, whose statuses come as
-lists of binding enums, they took 200-270 ms.  A nonbasic two-sided row
-(``RANGE``, the tank rate limits of ``mpc``) sits at one of two sides;
-the session finds which from the row activities of the optimum, one
-``np.bincount`` over the matrix entries.
+A receding horizon moves every step one hour earlier, so the last basis
+left where it was is stale in every step: on the program of all S = 100
+scenarios its warm restart ended in a primal cleanup of about 1 500 dual
+infeasibilities, and the same window's warm hours took 3 343 iterations
+instead of 951 from the basis moved one step (seed 0).  That basis was
+moved through Python, one status per column and row: read (the basic set
+from ``getBasicVariables``, the sides from codes the session kept of every
+optimum), shifted, and written back as an alien basis that HiGHS repaired
+with a factorization of its own.  On the program of the 20 scenarios
+the stochastic controller keeps (``simulate.KEPT_SCENARIOS``, 26 808
+columns), that cost about 0.36 ms to read, 0.65 ms to build the binding's
+basis and 0.7-0.9 ms in ``setBasis`` (sto-paper, seed 0, hour 2, one
+pinned CPU), about a sixth of the warm solve, so the one-scenario
+programs were restarted unmoved.
 
-The paper-scale stochastic figures here and in ``_highs`` were
-measured on the program of all S = 100 sampled scenarios (134 008
-columns).  The stochastic controller now keeps 20 of them
-(``simulate.KEPT_SCENARIOS``), a program of 26 808 columns whose warm
-solve takes about 30 ms and 210-225 iterations on the same window (seeds
-0, 1 and 7919).
+The session moves the program instead, as receding-horizon active-set
+methods reuse the last solution moved along the horizon (Ferreau, Bock
+and Diehl, Int. J. Robust Nonlinear Control, 2008).  Each column and row
+is loaded at the HiGHS position of the one that the ``shift`` names in
+the last program, between ``getBasis`` and ``setBasis`` of one binding
+object, so the restart starts from HiGHS's own basis, not an alien one,
+and no status crosses into Python.  The positions compose hour by hour;
+the solution is read back through them, and a load from the caller's
+``start`` or the slack basis resets them.  A ``Shift`` must be a
+permutation (a rotation, ``mpc._ProgramTemplate.shift``): every position
+then holds one column or row and the basis keeps its basic count.
+Gathering the arrays into their positions takes about 0.4 ms at 26 808
+columns and 0.03 ms at a one-scenario program's 1 348, and the basis
+object's round trip 6 us.  A rotated basis can still be singular where
+the last step meets the first: HiGHS then swaps slacks in for 5-17
+columns of the 26 808 and runs a short dual phase 1.  Over the
+benchmark's windows (seeds 0, 1 and 7919, HiGHS 1.12.0) the warm
+restarts took these simplex iterations in all, against those of the
+alien or unmoved basis: sto-paper's nine 1 880-1 942 (1 877-2 021),
+det-monthend's 335 2 620-2 733 (16 411-19 785) and perf-monthend's 335
+1 175-1 349 (19 429-21 258).  Their median solve, in process on one
+pinned CPU, fell from 12.4-12.6 to 9.9-11.1 ms, from 0.60-0.61 to
+0.49-0.51 ms and from 0.59-0.64 to 0.44 ms.
 
 ``solve`` keeps the defaults because the vertex it returns among
 alternate optima is what their callers were written against: the
@@ -151,6 +170,13 @@ class LinearProgram:
     def validate(self) -> None:
         """Raise ValueError on malformed programs (duplicates, NaNs, ...)."""
         m, n = self.num_rows, self.num_vars
+        sized = [("objective", n), ("lower", n), ("upper", n), ("rhs", m),
+                 ("row_sense", m)]
+        if self.rhs_lower is not None:
+            sized.append(("rhs_lower", m))
+        for name, size in sized:
+            if np.shape(getattr(self, name)) != (size,):
+                raise ValueError(f"{name} needs {size} entries")
         if not (np.all(np.isfinite(self.objective))
                 and np.all(np.isfinite(self.rhs))
                 and np.all(np.isfinite(self.a_vals))):
@@ -178,7 +204,7 @@ class LinearProgram:
             raise ValueError("invalid row sense")
         ranged = self.row_sense == RANGE
         if ranged.any():
-            if self.rhs_lower is None or self.rhs_lower.shape != self.rhs.shape:
+            if self.rhs_lower is None:
                 raise ValueError("two-sided rows need one lower side per row")
             if not np.all(np.isfinite(self.rhs_lower[ranged])):
                 raise ValueError("non-finite coefficients")
@@ -254,45 +280,72 @@ class Basis:
         basis.row_status = _BASIS_STATUS[self.row].tolist()
         return basis
 
-    def shifted(self, shift: Shift) -> Basis:
-        """This basis moved to the next program: each of its columns and
-        rows takes the status of the one ``shift`` maps it to."""
-        return Basis(self.col[shift.col], self.row[shift.row])
+
+def _is_permutation(index: np.ndarray) -> bool:
+    """Whether ``index`` holds each of 0 .. size - 1 once."""
+    return index.ndim == 1 and np.array_equal(np.sort(index), np.arange(index.size))
 
 
 @dataclass(frozen=True)
 class Shift:
-    """Where each column and row of a program takes its starting status
-    from in the last program solved: ``col[j]`` is the index of the last
-    program's column whose status column j takes, ``row[i]`` the same for
-    rows (int32)."""
+    """A one-step rotation of a program's columns and rows: ``col[j]`` is
+    the column of the last program solved whose HiGHS position column j
+    takes, ``row[i]`` the same for rows (int32).
+
+    Both maps must be permutations, else ValueError: every position then
+    holds one column or row, and the basis the last program left in HiGHS
+    keeps its basic count for the next one (``HighsSession``).
+    """
+
+    col: np.ndarray
+    row: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("col", "row"):
+            if not _is_permutation(getattr(self, name)):
+                raise ValueError(f"the shift's {name} map is not a permutation")
+
+
+@dataclass(frozen=True)
+class _Places:
+    """The HiGHS positions of a loaded program's columns and rows:
+    ``col[j]`` the position of column j, ``row[i]`` that of row i (intp)."""
 
     col: np.ndarray
     row: np.ndarray
 
 
-def _nonbasic_codes(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    """The status codes of ``lp``'s columns at ``x``, were they all
-    nonbasic: at the nearer finite bound (the lower one when fixed), zero
-    when free."""
-    codes = np.multiply(lp.upper - x < x - lp.lower, 2, dtype=np.int8)
-    codes[np.isinf(lp.lower) & np.isinf(lp.upper)] = 3
-    return codes
+def _moved(places: _Places | None, shift: Shift | None,
+           lp: LinearProgram) -> _Places | None:
+    """The positions of ``lp`` when each of its columns and rows takes the
+    place that ``shift`` names in the last program, which sat at
+    ``places``; without a ``shift``, the last program's positions.  None
+    places each column and row at its own index."""
+    if shift is None:
+        return places
+    if shift.col.size != lp.num_vars or shift.row.size != lp.num_rows:
+        raise ValueError("the shift does not have the program's shape")
+    if places is None:
+        return _Places(shift.col.astype(np.intp), shift.row.astype(np.intp))
+    return _Places(places.col[shift.col], places.row[shift.row])
 
 
-def _nonbasic_row_codes(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    """The status codes of ``lp``'s rows at ``x``, were they all nonbasic:
-    at the finite side of a one-sided row, the lower one of an equality,
-    and at the nearer side of the activity of a two-sided row."""
-    codes = np.multiply(lp.row_sense == LE, 2, dtype=np.int8)
-    ranged = lp.row_sense == RANGE
-    if ranged.any():
-        activity = np.bincount(
-            lp.a_rows, weights=lp.a_vals * np.repeat(x, np.diff(lp.a_starts)),
-            minlength=lp.num_rows)[ranged]
-        codes[ranged] = np.multiply(
-            lp.rhs[ranged] - activity < activity - lp.rhs_lower[ranged], 2,
-            dtype=np.int8)
+def _inverse(index: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``index``."""
+    out = np.empty_like(index)
+    out[index] = np.arange(index.size, dtype=index.dtype)
+    return out
+
+
+def _nonbasic_codes(lower: np.ndarray, upper: np.ndarray,
+                    value: np.ndarray) -> np.ndarray:
+    """The status codes of columns or rows between ``lower`` and ``upper``
+    at ``value``, were they all nonbasic: at the nearer finite bound (the
+    lower one when fixed), zero when free."""
+    value = np.clip(value, lower, upper)
+    codes = np.multiply((upper - value < value - lower) & (lower < upper), 2,
+                        dtype=np.int8)
+    codes[np.isinf(lower) & np.isinf(upper)] = 3
     return codes
 
 
@@ -340,30 +393,56 @@ def _row_sides(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
     return lower, np.where(lp.row_sense == GE, np.inf, lp.rhs)
 
 
-def _pass_model(h, lp: LinearProgram) -> None:
-    """Load ``lp`` whole, as a continuous LP, its own column starts, row
-    indices and values passed as they are; raise ValueError if its column
-    starts decrease.
+def _pass_model(h, lp: LinearProgram, places: _Places | None = None) -> None:
+    """Load ``lp`` whole, as a continuous LP, each column and row at its
+    HiGHS position in ``places``; raise ValueError if its column starts
+    decrease.
 
-    HiGHS reads ``num_vars`` integrality entries, so all-continuous is an
-    explicit zero array rather than an empty one.
+    Without ``places`` each column and row sits at its own index and the
+    program's own column starts, row indices and values are passed as they
+    are.  Else every array is gathered into HiGHS's order: the columns'
+    entries keep their order, so their row indices, now positions, need
+    not ascend inside a column, which HiGHS accepts.  HiGHS reads
+    ``num_vars`` integrality entries, so all-continuous is an explicit
+    zero array rather than an empty one.
     """
-    if (lp.a_starts[1:] < lp.a_starts[:-1]).any():
+    starts = lp.a_starts
+    if (starts[1:] < starts[:-1]).any():
         raise ValueError("column starts decrease: entries not in column order")
     row_lower, row_upper = _row_sides(lp)
+    cost, col_lower, col_upper = lp.objective, lp.lower, lp.upper
+    index, values = lp.a_rows, lp.a_vals
+    if places is not None:
+        cols, rows = _inverse(places.col), _inverse(places.row)
+        cost, col_lower, col_upper, row_lower, row_upper = (
+            a[at] for a, at in ((cost, cols), (col_lower, cols), (col_upper, cols),
+                                (row_lower, rows), (row_upper, rows)))
+        counts = np.diff(starts)[cols]
+        first = starts[:-1][cols]
+        starts = np.zeros(lp.num_vars + 1, dtype=np.int32)
+        np.cumsum(counts, out=starts[1:])
+        # Each entry's index in ``lp``: its column's first entry there plus
+        # its offset inside the column.
+        entries = np.repeat(first - starts[:-1], counts)
+        entries += np.arange(lp.num_entries, dtype=np.int32)
+        index, values = places.row[index[entries]], values[entries]
     _check(h.passModel(
         lp.num_vars, lp.num_rows, lp.num_entries, _COLWISE, _MINIMIZE, 0.0,
-        lp.objective, lp.lower, lp.upper, row_lower, row_upper,
-        lp.a_starts, lp.a_rows, lp.a_vals, np.zeros(lp.num_vars, dtype=np.int32),
+        cost, col_lower, col_upper, row_lower, row_upper,
+        starts, index, values, np.zeros(lp.num_vars, dtype=np.int32),
     ), "passModel")
 
 
-def _result(h, lp: LinearProgram) -> LpSolution:
-    """The outcome of the last run of ``h`` on ``lp``."""
+def _result(h, lp: LinearProgram, places: _Places | None = None) -> LpSolution:
+    """The outcome of the last run of ``h`` on ``lp``, loaded at
+    ``places`` (``_pass_model``)."""
     status = h.getModelStatus()
     iterations = int(h.getInfo().simplex_iteration_count)
     if status == _STATUS.kOptimal:
-        x = np.clip(np.asarray(h.getSolution().col_value), lp.lower, lp.upper)
+        x = np.asarray(h.getSolution().col_value)
+        if places is not None:
+            x = x[places.col]
+        x = np.clip(x, lp.lower, lp.upper)
         return LpSolution(OPTIMAL, x, float(lp.objective @ x), iterations)
     if status == _STATUS.kInfeasible:
         return LpSolution(INFEASIBLE, None, None, iterations)
@@ -375,33 +454,40 @@ def _result(h, lp: LinearProgram) -> LpSolution:
 class HighsSession:
     """Persistent HiGHS instance that warm-starts receding-horizon solves.
 
-    Every program is loaded whole, its column-major arrays passed as they
-    are, and run with presolve and cost perturbation off, from one of four
-    starting bases:
+    Every program is loaded whole and run with presolve and cost
+    perturbation off, from one of three starting bases:
 
-    - the last optimal basis, when the program has the shape (rows,
-      columns) of the last program solved to optimality and the caller
-      gives no ``shift``.  This warm restart cuts re-solve time by an
-      order of magnitude;
-    - the same basis moved by the caller's ``shift`` (``Basis.shifted``),
-      as an alien basis, which HiGHS repairs;
+    - HiGHS's own basis of the last program, when the program has the
+      shape (rows, columns) of the last program solved to optimality.
+      The program is loaded with each column and row at the position of
+      the one the caller's ``shift`` names in the last program (at the
+      last program's positions when there is no ``shift``), between
+      ``getBasis`` and ``setBasis`` of the same binding object: no status
+      crosses into Python and the basis is not alien.  This warm restart
+      cuts re-solve time by an order of magnitude;
     - the caller's ``start``, when there is no such basis or the warm run
       ended non-optimal (a stale basis can mislead the solver);
     - the slack basis, when there is no ``start``, it gives no basis, or
       the run from it ended non-optimal.
+
+    The positions compose over warm restarts, and a load from ``start`` or
+    from the slack basis puts every column and row back at its own index.
     """
 
     def __init__(self) -> None:
         self._h = _highs()
         for name, value in _SESSION_OPTIONS:
             _check(self._h.setOptionValue(name, value), f"setOptionValue({name!r})")
+        #: The shape of the last program when it was solved to optimality.
         self._optimum = None
+        #: The HiGHS positions of the loaded program (None: its own indices).
+        self._places = None
 
     def _run(self, lp: LinearProgram,
              start: Callable[[], Basis | None] | None = None,
              shift: Shift | None = None) -> LpSolution:
         """Solve ``lp``; ``start`` is called only when no warm restart
-        ended optimal, and ``shift`` only moves the basis of a warm restart.
+        ended optimal, and ``shift`` only places a warm restart's program.
 
         A solution from ``start``'s basis counts the iterations that found
         the basis too.  After a fallback, the iterations are those of the
@@ -409,18 +495,20 @@ class HighsSession:
         """
         h = self._h
         dims = (lp.num_rows, lp.num_vars)
-        warm = self._optimum is not None and self._optimum[0] == dims
+        # Cleared first, so that a load that raises leaves no warm restart.
+        warm, self._optimum = self._optimum == dims, None
         found, optimal = 0, False
         if warm:
-            if shift is None:
-                basis = h.getBasis()
-            else:
-                basis = self.basis().shifted(shift).alien()
-            _pass_model(h, lp)
+            places = _moved(self._places, shift, lp)
+            basis = h.getBasis()
+            _pass_model(h, lp, places)
+            self._places = places
             _check(h.setBasis(basis), "setBasis")
             del basis
             h.run()
             optimal = h.getModelStatus() == _STATUS.kOptimal
+        if not optimal:
+            self._places = None
         if not optimal and start is not None and (basis := start()) is not None:
             _pass_model(h, lp)
             _check(h.setBasis(basis.alien()), "setBasis")
@@ -432,15 +520,9 @@ class HighsSession:
             found = 0
             _pass_model(h, lp)
             h.run()
-        solution = _result(h, lp)
+        solution = _result(h, lp, self._places)
         solution.iterations += found
-        # The shape and nonbasic sides of the optimum, for warm restarts and
-        # ``basis``.  Codes, not the bounds they come from: those would keep
-        # 3 MB of the last program alive through the next solve at paper
-        # scale.
-        self._optimum = ((dims, _nonbasic_codes(lp, solution.x),
-                          _nonbasic_row_codes(lp, solution.x))
-                         if solution.is_optimal else None)
+        self._optimum = dims if solution.is_optimal else None
         return solution
 
     #: ``perfbench`` and the tests patch or time this attribute; the
@@ -449,24 +531,34 @@ class HighsSession:
     solve = _run
 
     def basis(self) -> Basis:
-        """The optimal basis of the last run as status codes.
+        """The optimal basis of the last run as status codes, over the
+        program's own columns and rows.
 
         The basic set comes from HiGHS; each nonbasic column sits at the
-        bound its value is on, each nonbasic row at its finite side (the
-        lower one of an equality) or, two-sided, at the side its activity
-        is on.  Only the sides of fixed columns and of equality rows may
-        differ from ``getBasis``, and HiGHS never moves those.
-        ``getBasis`` returns lists of binding enums, which at paper scale
-        took 200-270 ms to read as codes against about 7 ms here.
+        bound its value is on and each nonbasic row at the side its
+        activity is on, a fixed column or an equality row at its lower
+        side.  Only those two sides may differ from ``getBasis``, and HiGHS
+        never moves them.  The bounds and values are read from HiGHS as
+        lists of floats, cheap on the one-scenario programs whose bases
+        ``mpc._mean_start`` reads; ``getBasis``'s statuses come as lists of
+        binding enums, which took 200-270 ms to read at paper scale.
         """
         if self._optimum is None:
             raise ValueError("the last run did not end optimal")
-        _, col, row = self._optimum
-        col, row = col.copy(), row.copy()
-        status, basic = self._h.getBasicVariables()
+        h = self._h
+        model, solution = h.getLp(), h.getSolution()
+        col = _nonbasic_codes(np.asarray(model.col_lower_),
+                              np.asarray(model.col_upper_),
+                              np.asarray(solution.col_value))
+        row = _nonbasic_codes(np.asarray(model.row_lower_),
+                              np.asarray(model.row_upper_),
+                              np.asarray(solution.row_value))
+        status, basic = h.getBasicVariables()
         _check(status, "getBasicVariables")
         col[basic[basic >= 0]] = 1
         row[-1 - basic[basic < 0]] = 1
+        if self._places is not None:
+            col, row = col[self._places.col], row[self._places.row]
         return Basis(col, row)
 
 

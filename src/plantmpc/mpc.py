@@ -51,7 +51,7 @@ differs (Birge and Louveaux, Introduction to Stochastic Programming,
 replicate it.  Every S-scenario array is a block's replicated
 (``_ProgramTemplate.columns`` and ``rows``), or split back per scenario
 (``_ProgramTemplate.scenarios``): the hour's bounds and costs, the matrix,
-the mean-start basis, the one-step shift and the decoded solution.
+the mean-start basis, the one-step rotation and the decoded solution.
 
 Because the shape is fixed, ``build_reduced`` assembles the matrix once per
 plant, N and S (``_ProgramTemplate``, cached), column-major as HiGHS reads
@@ -72,20 +72,24 @@ Each block is a copy of the one-scenario program's structure, so that
 basis is near-optimal for all of them; at paper scale and S = 100
 (sto-paper, seeds 0, 1 and 7919) it cut the cold solve's dual simplex
 iterations from 80 650-81 010 to 6 310-7 170, the mean program's
-included.  The mean is weighted by the scenarios' probabilities.  It also
-carries its template's one-step ``shift``: from one hour to the next every
-step moves one hour earlier, and so does the stochastic controller's
-scenario noise (``simulate._ScenarioSampler``), so the next program is
-nearly the last one moved one step, and the session restarts from the
-last optimal basis moved with it.  The single-trajectory programs have
-neither.  Shifted, their warm restarts took 8 iterations instead of 49
-(det-monthend, seed 0) and 5 instead of 58 (perf-monthend), but HiGHS's
-time on programs that small is mostly setup: reading, moving and writing
-their statuses and HiGHS's repair of the alien basis added about 0.5 ms
-per hour, where the unshifted restart hands HiGHS its own basis back in
-0.01 ms.  Over 10 alternating pairs each, ``perfbench``'s
-``warm_hour_ref`` rose 3.3 % (det-monthend, lower in 2) and 3.2 %
-(perf-monthend, lower in 1).
+included.  The mean is weighted by the scenarios' probabilities.
+
+Every program carries its template's one-step ``shift``, a rotation of
+its columns and rows: from one hour to the next every step moves one hour
+earlier, and so does the stochastic controller's scenario noise
+(``simulate._ScenarioSampler``), so the next program is nearly the last
+one moved one step.  The session loads each of its columns and rows at the
+HiGHS position of the one that held the same quantity an hour earlier and
+restarts from HiGHS's own basis (``lp.HighsSession``).  The present, step
+0, keeps its places, and the new last step takes those of step 1, which
+passed into the present; rotated through the shared head instead, with
+the head in the place of scenario 0's step 1, the stochastic program's
+warm restarts took 16-21 % more iterations on the benchmark's sto-paper
+window.  The one-scenario programs gain most: restarted unmoved they
+re-solved 49 simplex iterations a warm hour (det-monthend, seed 0) and 58
+(perf-monthend), rotated 7.8 and 4.0.  Moving the basis through Python
+instead of the program had cost them more time than the iterations it
+saved.
 
 ``ReducedProgram.expand`` decodes an optimal solution into a ``Plan``: the
 per-scenario unit loads, slacks, storage levels and peak registers, in
@@ -327,18 +331,19 @@ class ReducedProgram:
     """A controller program and the template it was built from.
 
     ``offset`` is the constant the eliminated quantities contribute to the
-    objective.  ``start`` and ``shift`` are None for one scenario.  For
-    more, ``start`` is ``HighsSession.solve``'s ``start``, which solves the
-    scenario-mean program and returns its optimal basis replicated into
-    every scenario block (``_mean_start``), and ``shift`` is its ``shift``,
-    the template's one-step shift (``_ProgramTemplate.shift``).
+    objective.  ``shift`` is ``HighsSession.solve``'s ``shift``, the
+    template's one-step rotation (``_ProgramTemplate.shift``).  ``start``
+    is None for one scenario; for more it is
+    ``HighsSession.solve``'s ``start``, which solves the scenario-mean
+    program and returns its optimal basis replicated into every scenario
+    block (``_mean_start``).
     """
 
     program: lp.LinearProgram
     offset: float
     template: _ProgramTemplate
+    shift: lp.Shift
     start: Callable[[], lp.Basis | None] | None = None
-    shift: lp.Shift | None = None
 
     def expand(self, sol: lp.LpSolution) -> Plan:
         """Decode an optimal solution of ``program``: the tank rates are
@@ -597,22 +602,30 @@ class _ProgramTemplate:
 
     @functools.cached_property
     def shift(self) -> lp.Shift:
-        """The one-step shift from the program of hour t to that of t + 1,
-        whose step k is the physical hour of step k + 1 at hour t.
+        """The one-step rotation from the program of hour t to that of
+        t + 1, whose step k is the physical hour of step k + 1 at hour t.
 
-        Each step's columns and rows take the statuses of the next step's,
-        and the last step and the peak registers keep their own.  A step
-        never leaves its scenario, so the map is the block's offsets from
-        each index to its next step's, replicated: the shared columns take
-        scenario 0's next-step status.
+        Step 0 keeps its places: the shared first-stage columns and each
+        block's step-0 rows and overmet slacks, which all hold the
+        present.  Each later step takes the places of its next step, and
+        the last step those of step 1, which the horizon's move turned
+        into the present.  So the last step's columns and rows take their
+        statuses from one and the same step, and nothing leaves its block:
+        the rotation is one block's offsets from each index to the one
+        whose place it takes, the last N - 1 steps of every quantity and
+        row block rotated, replicated.
         """
         lay = self.layout
+        later = lay.n - 1
         col = np.zeros(lay.num_vars, dtype=np.int32)
         for index in (lay.P, lay.O, lay.E):
-            col[index] = np.diff(index, append=index[:, -1:])
+            steps = index[:, index.shape[1] - later:]
+            col[steps] = np.roll(steps, -1, axis=1) - steps
         row = np.zeros(lay.num_rows, dtype=np.int32)
         for name in lay.row_blocks:
-            row[lay.row_block(name)][:-1] = 1
+            block = np.arange(lay.num_rows)[lay.row_block(name)]
+            steps = block[block.size - later:]
+            row[steps] = np.roll(steps, -1) - steps
         col = np.arange(self.num_vars, dtype=np.int32) + self.columns(col)
         row = np.arange(self.num_rows, dtype=np.int32) + self.rows(row)
         for arr in (col, row):
@@ -755,10 +768,10 @@ def _fill(
         obj, lower, upper, template.row_sense, rhs, template.a_rows, a_vals,
         template.a_starts, rhs_lower=template.rows(template.rhs_lower))
     if s == 1:
-        return ReducedProgram(program, offset, template)
+        return ReducedProgram(program, offset, template, template.shift)
     start = functools.partial(_mean_start, template, state, values, timing, beta,
                               probabilities)
-    return ReducedProgram(program, offset, template, start, template.shift)
+    return ReducedProgram(program, offset, template, template.shift, start)
 
 
 def _mean_start(

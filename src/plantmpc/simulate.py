@@ -118,11 +118,12 @@ class RunSpec:
 
     Every controller builds ``mpc.build_reduced`` each hour and solves it
     on one warm-started ``lp.HighsSession`` per run, passing the program's
-    one-step ``shift`` (None for one-scenario programs).  The fields set the
-    controller, the horizon and AR forecast model, the billing calendar
-    (strictly ascending nonnegative month-end hours, the last one at or
-    after the last simulated hour; empty means ``default_calendar``), the
-    seeds of the scenario and storage-noise random streams (nonnegative),
+    one-step ``shift``, the rotation of its columns and rows that the
+    session loads it by.  The fields set the controller, the horizon and
+    AR forecast model, the billing calendar (strictly ascending
+    nonnegative month-end hours, the last one at or after the last
+    simulated hour; empty means ``default_calendar``), the seeds of the
+    scenario and storage-noise random streams (nonnegative),
     and the initial state of charge.
     """
 
@@ -477,14 +478,14 @@ class _ScenarioSampler:
     absolute hour does not depend on the run's length.  Each hour's set is
     still a sample of that hour's forecast distribution; only the coupling
     across hours is chosen, so that consecutive programs are close to one
-    program moved one step, which ``lp.HighsSession``'s shifted warm
+    program moved one step, which ``lp.HighsSession``'s rotated warm
     restart exploits.
 
     Of more than ``KEPT_SCENARIOS`` paths, the program sees only that many.
     At each AR refit the hour's full set is reduced by fast forward
     selection (``forecast.reduce_scenarios``); until the next refit the
     same kept paths slide with the horizon and carry the probabilities of
-    that reduction, so the program keeps its shape and the shifted warm
+    that reduction, so the program keeps its shape and the rotated warm
     restart holds.  Every path is still drawn every hour, so the random
     stream does not depend on the reduction.
     """

@@ -73,23 +73,21 @@ class StackedLayout:
 
     @property
     def shift(self) -> lp.Shift:
-        """The one-step shift from the program of hour t to that of t + 1.
+        """The one-step rotation from the program of hour t to that of
+        t + 1, one scenario and one step chain at a time.
 
-        Each step's columns and rows take the statuses of the next step's,
-        and the last step keeps its own.  The shared columns take scenario
-        0's next-step status; the peak registers keep theirs.
+        Step 0 keeps its places: the shared columns and every scenario's
+        step-0 rows and overmet slacks.  Each later step takes the places
+        of its next step, and the last step those of step 1.  The peak
+        registers keep their places.
         """
         col = np.arange(self.num_vars, dtype=np.int32)
         for index in (self.P, self.O, self.E):
-            nxt = _next_steps(index.shape[2])
-            col[index] = index[:, :, nxt]
-            col[index[0]] = index[0][:, nxt]
-        row = np.empty(self.num_rows, dtype=np.int32)
-        for block in self._blocks.values():
-            row[block] = block[:, _next_steps(block.shape[1])]
+            for chain in index.reshape(-1, index.shape[2]):
+                later = chain[1:][chain[1:] >= self.shared]
+                col[later] = np.roll(later, -1)
+        row = np.arange(self.num_rows, dtype=np.int32)
+        for name, block in self._blocks.items():
+            later = block if name.startswith("e_dyn") else block[:, 1:]
+            row[later] = np.roll(later, -1, axis=1)
         return lp.Shift(col, row)
-
-
-def _next_steps(steps: int) -> np.ndarray:
-    """Each step's next one, the last step its own."""
-    return np.minimum(np.arange(1, steps + 1), steps - 1)

@@ -186,6 +186,34 @@ class TestValidation:
         with pytest.raises(ValueError, match="crossed"):
             builder.build(validate=True)
 
+    @pytest.mark.parametrize("field,size", [
+        ("objective", 2), ("lower", 1), ("lower", 3), ("upper", 1),
+        ("row_sense", 1), ("row_sense", 3), ("rhs_lower", 1), ("rhs_lower", 3),
+    ])
+    def test_short_or_long_arrays_rejected(self, field, size):
+        """Every per-column array has one entry per column, and the row
+        senses and lower sides one per row; each is checked by name."""
+        builder = LpBuilder()
+        xy = builder.add_variables(2, 0.0, 10.0, [1.0, 2.0])
+        builder.add_row(lp.GE, 1.0, xy, [1.0, 1.0])
+        builder.add_row(lp.LE, 8.0, xy, [1.0, 1.0])
+        prog = dataclasses.replace(builder.build(), rhs_lower=np.zeros(2))
+        prog.validate()
+        if field == "objective":
+            # The objective fixes the column count: a 2-D one has no length.
+            wrong = dataclasses.replace(prog, objective=np.ones((2, 1)))
+        else:
+            wrong = dataclasses.replace(
+                prog, **{field: np.resize(getattr(prog, field), size)})
+        with pytest.raises(ValueError, match=field):
+            wrong.validate()
+
+    def test_two_row_senses_and_one_rhs_rejected(self):
+        prog = dataclasses.replace(
+            simple_program(), row_sense=np.array([lp.GE, lp.GE], np.int8))
+        with pytest.raises(ValueError, match="row_sense needs 1 entries"):
+            prog.validate()
+
 
 def two_sided(prog, rng):
     """``prog`` with about half its rows two-sided, each reaching down from
@@ -649,9 +677,11 @@ def status_codes(basis) -> lp.Basis:
 
 
 class TestShiftedRestart:
-    """A warm restart given a shift starts from the last optimal basis moved
-    one step, as an alien basis; a run from it that ends non-optimal falls
-    back to the caller's start, then to the slack basis."""
+    """A warm restart given a shift loads the program with each column and
+    row at the HiGHS position of the one the shift names in the last
+    program, and restarts from HiGHS's own basis, not an alien one.  A run
+    from it that ends non-optimal falls back to the caller's start, then to
+    the slack basis, each loaded at the program's own indices."""
 
     @DEGENERATE_CHAINS
     def test_receding_chains_reach_the_one_shot_objective(self, case):
@@ -666,7 +696,11 @@ class TestShiftedRestart:
     def assert_reads_get_basis(session, prog):
         # Nonbasic fixed columns and equality rows may sit at either side;
         # HiGHS does not move them, so only their nonbasic status matters.
+        # ``getBasis`` reads HiGHS's positions, ``basis`` the program's.
         read, full = session.basis(), status_codes(session._h.getBasis())
+        if session._places is not None:
+            full = lp.Basis(full.col[session._places.col],
+                            full.row[session._places.row])
         fixed = prog.lower == prog.upper
         assert np.array_equal(read.col == 1, full.col == 1)
         assert np.array_equal(read.col[~fixed], full.col[~fixed])
@@ -717,7 +751,8 @@ class TestShiftedRestart:
     @pytest.mark.parametrize("start_fails", [False, True])
     def test_non_optimal_shifted_run_falls_back(self, start_fails, monkeypatch):
         # The shifted run, and the run from the start when ``start_fails``,
-        # are cut at zero iterations.
+        # are cut at zero iterations.  Only the shifted run is loaded at
+        # moved positions; the fallback puts every column and row back.
         chain = receding_chain(lp.HighsSession())
         first, second = (next(chain)[0] for _ in range(2))
         shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
@@ -728,11 +763,11 @@ class TestShiftedRestart:
         start, calls = TestStart.counted(basis)
         original, loads = lp._pass_model, []
 
-        def limited(h, *args):
-            loads.append(None)
+        def limited(h, prog, places=None):
+            loads.append(places)
             cut = len(loads) == 1 or (start_fails and len(loads) == 2)
             h.setOptionValue("simplex_iteration_limit", 0 if cut else 2**31 - 1)
-            original(h, *args)
+            original(h, prog, places)
 
         monkeypatch.setattr(lp, "_pass_model", limited)
         solution = session.solve(second, start=start, shift=shift)
@@ -742,20 +777,28 @@ class TestShiftedRestart:
         else:
             want = lp.HighsSession().solve(second, start=lambda: basis)
         assert len(calls) == 1 and len(loads) == (3 if start_fails else 2)
+        assert np.array_equal(loads[0].col, shift.col)
+        assert np.array_equal(loads[0].row, shift.row)
+        assert all(places is None for places in loads[1:])
+        assert session._places is None
         assert solution.is_optimal
         assert solution.iterations == want.iterations
         assert solution.x.tobytes() == want.x.tobytes()
 
     def test_restart_sets_the_last_basis_moved(self):
+        """One load per warm solve, between ``getBasis`` and ``setBasis`` of
+        the same binding object, which is not alien: each column and row of
+        the new program sits where the one it moved from sat, and starts
+        from that one's status."""
         chain = receding_chain(lp.HighsSession())
         first, second = (next(chain)[0] for _ in range(2))
         shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
         session = lp.HighsSession()
         session.solve(first)
-        last = session.basis()
-        moved = last.shifted(shift)
+        last = status_codes(session._h.getBasis())
+        moved = lp.Basis(last.col[shift.col], last.row[shift.row])
         assert not np.array_equal(moved.col, last.col)
-        set_bases = []
+        calls = []
 
         class Recording:
             def __init__(self, h):
@@ -764,15 +807,87 @@ class TestShiftedRestart:
             def __getattr__(self, name):
                 return getattr(self.h, name)
 
+            def getBasis(self):
+                calls.append(("get", self.h.getBasis()))
+                return calls[-1][1]
+
             def setBasis(self, basis):
-                set_bases.append(basis)
+                calls.append(("set", basis))
                 return self.h.setBasis(basis)
 
+            def passModel(self, *args):
+                calls.append(("load", None))
+                return self.h.passModel(*args)
+
         session._h = Recording(session._h)
-        assert session.solve(second, shift=shift).is_optimal
-        assert len(set_bases) == 1 and set_bases[0].alien
-        assert np.array_equal(status_codes(set_bases[0]).col, moved.col)
-        assert np.array_equal(status_codes(set_bases[0]).row, moved.row)
+        solution = session.solve(second, shift=shift)
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(lp.solve(second).objective, rel=1e-9)
+        assert [call for call, _ in calls] == ["get", "load", "set"]
+        assert calls[2][1] is calls[0][1] and not calls[2][1].alien
+        places = session._places
+        assert np.array_equal(places.col, shift.col)
+        assert np.array_equal(places.row, shift.row)
+        basis = status_codes(calls[2][1])
+        assert np.array_equal(basis.col[places.col], moved.col)
+        assert np.array_equal(basis.row[places.row], moved.row)
+        model = session._h.getLp()
+        assert np.array_equal(np.asarray(model.col_cost_)[places.col], second.objective)
+        assert np.array_equal(np.asarray(model.row_upper_)[places.row],
+                              lp._row_sides(second)[1])
+
+    def test_positions_compose_over_restarts(self):
+        """Each warm restart moves the positions once more; HiGHS holds the
+        program at them, and the solution reads back through them."""
+        session = lp.HighsSession()
+        shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        col = row = None
+        for hour, (prog, warm, loads, cold) in enumerate(
+                receding_chain(session, shifted=True)):
+            assert warm.is_optimal and loads == 1, hour
+            if hour == 0:
+                assert session._places is None
+                col, row = np.arange(prog.num_vars), np.arange(prog.num_rows)
+                continue
+            col, row = col[shift.col], row[shift.row]
+            assert np.array_equal(session._places.col, col), hour
+            assert np.array_equal(session._places.row, row), hour
+            model = session._h.getLp()
+            assert np.array_equal(np.asarray(model.col_lower_)[col], prog.lower), hour
+            assert np.array_equal(np.asarray(model.col_upper_)[col], prog.upper), hour
+            x = np.asarray(session._h.getSolution().col_value)[col]
+            assert np.array_equal(warm.x, np.clip(x, prog.lower, prog.upper)), hour
+
+    def test_a_load_that_raises_leaves_no_warm_restart(self):
+        """A warm load that raises leaves the session to start the next
+        program cold, at its own indices, as a fresh session does."""
+        shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        chain = receding_chain(lp.HighsSession())
+        first, second, third = (next(chain)[0] for _ in range(3))
+        session = lp.HighsSession()
+        session.solve(first)
+        starts = second.a_starts.copy()
+        starts[1], starts[2] = starts[2], starts[1]
+        with pytest.raises(ValueError, match="column order"):
+            session.solve(dataclasses.replace(second, a_starts=starts), shift=shift)
+        solution, fresh = session.solve(third, shift=shift), lp.HighsSession().solve(third)
+        assert session._places is None
+        assert solution.iterations == fresh.iterations
+        assert solution.x.tobytes() == fresh.x.tobytes()
+
+    def test_no_shift_keeps_the_positions(self):
+        """A warm restart without a shift loads the program at the last
+        program's positions."""
+        session = lp.HighsSession()
+        shift = StackedLayout(24, 3, mpc._tower_binds(PlantConfig())).shift
+        chain = receding_chain(lp.HighsSession())
+        first, second, third = (next(chain)[0] for _ in range(3))
+        session.solve(first)
+        session.solve(second, shift=shift)
+        places = session._places
+        solution = session.solve(third)
+        assert solution.is_optimal and session._places is places
+        assert solution.objective == pytest.approx(lp.solve(third).objective, rel=1e-9)
 
     def test_shift_is_ignored_without_a_warm_basis(self):
         prog = next(receding_chain(lp.HighsSession()))[0]
@@ -781,6 +896,30 @@ class TestShiftedRestart:
         slack = lp.HighsSession().solve(prog)
         assert shifted.iterations == slack.iterations
         assert shifted.x.tobytes() == slack.x.tobytes()
+
+
+class TestShiftIsAPermutation:
+    """A ``Shift`` names one place for every column and row, so it must
+    be a permutation; a repeated index would read one column's value as
+    another's."""
+
+    def test_repeated_or_missing_indices_rejected(self):
+        lp.Shift(np.array([1, 2, 0], np.int32), np.array([0], np.int32))
+        # [1, 2, 3, 3]: a shift whose last step keeps its own status while
+        # its neighbour takes it too.
+        for col, row, name in (([1, 1, 0], [0], "col"), ([0, 1, 3], [0], "col"),
+                               ([1, 2, 3, 3], [0], "col"), ([0, 1, 2], [1], "row"),
+                               ([0, 1], [-1], "row")):
+            with pytest.raises(ValueError, match=f"{name} map is not a permutation"):
+                lp.Shift(np.array(col, np.int32), np.array(row, np.int32))
+
+    def test_shift_of_another_shape_raises(self):
+        session = lp.HighsSession()
+        prog = simple_program()
+        assert session.solve(prog).is_optimal
+        wrong = lp.Shift(np.arange(2, dtype=np.int32), np.arange(1, dtype=np.int32))
+        with pytest.raises(ValueError, match="shape"):
+            session.solve(prog, shift=wrong)
 
 
 class TestFailedCalls:

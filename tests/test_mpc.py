@@ -723,7 +723,8 @@ class TestMeanStart:
         one = self.scenarios(1, 6)
         for data in (one, DisturbanceTrajectory(one.values[0])):
             reduced = mpc.build_reduced(config, state, data, timing, 0.0)
-            assert reduced.start is None and reduced.shift is None
+            assert reduced.start is None
+            assert reduced.shift is reduced.template.shift
 
     @TestReducedLayout.CASES
     def test_every_block_copies_the_mean_basis(self, binds, spans):
@@ -756,29 +757,39 @@ class TestMeanStart:
 
 
 class TestShift:
-    """The one-step shift from hour t's program to hour t + 1's: step k
-    takes the status of step k + 1, the last step keeps its own."""
+    """The one-step rotation from hour t's program to hour t + 1's: step 0
+    keeps its places, each later step takes the place of its next step,
+    and the last step that of step 1."""
 
     @staticmethod
     def expected(lay):
-        """The shift's maps, one column and one row at a time.  Scenario 0
-        goes last, so the shared first-stage columns end with its entry.
-        A tank's dynamics rows start at step 1."""
+        """The rotation's maps, one column and one row at a time.  A
+        column's later steps are those past step 0 that its scenario owns:
+        the storage levels of step 1 are shared.  A tank's dynamics rows
+        start at step 1, so all of them are later steps."""
         n = lay.n
         col = np.full(lay.num_vars, -1)
         row = np.full(lay.num_rows, -1)
-        for xi in reversed(range(lay.s)):
+        for xi in range(lay.s):
             for index, last in ((lay.P, n - 1), (lay.O, n - 1), (lay.E, n)):
                 for c in range(index.shape[1]):
+                    later = [k for k in range(1, last + 1)
+                             if index[xi, c, k] >= lay.shared]
                     for k in range(last + 1):
-                        col[index[xi, c, k]] = index[xi, c, min(k + 1, last)]
+                        col[index[xi, c, k]] = index[xi, c, k]
+                    for k, after in zip(later, later[1:] + later[:1]):
+                        col[index[xi, c, k]] = index[xi, c, after]
             for r in lay.R[xi]:
                 col[r] = r
             for name in lay.row_blocks:
                 block = lay.row_block(name)[xi]
                 assert block.size == (n - 1 if name.startswith("e_dyn") else n)
-                for k in range(block.size):
-                    row[block[k]] = block[min(k + 1, block.size - 1)]
+                first = 0 if name.startswith("e_dyn") else 1
+                row[block[:first]] = block[:first]
+                later = list(range(first, block.size))
+                for k, after in zip(later, later[1:] + later[:1]):
+                    row[block[k]] = block[after]
+        assert np.all(col >= 0) and np.all(row >= 0)
         return col, row
 
     @pytest.mark.parametrize("n", [1, 2, 24])
@@ -795,11 +806,52 @@ class TestShift:
         assert not shift.col.flags.writeable and not shift.row.flags.writeable
         assert np.array_equal(shift.col, col)
         assert np.array_equal(shift.row, row)
-        if n > 1:
-            # The shared hour-0 loads, the pins and the next-hour levels
-            # take scenario 0's next-step statuses.
-            assert np.array_equal(shift.col[lay.P[0, :, 0]], lay.P[0, :, 1])
-            assert np.array_equal(shift.col[lay.E[0, :, :2]], lay.E[0, :, 1:3])
+        assert np.array_equal(lay.shift.col, col) and np.array_equal(lay.shift.row, row)
+        # The shared hour-0 loads, the pins and the next-hour levels keep
+        # their places.
+        head = np.arange(lay.shared)
+        assert np.array_equal(shift.col[head], head)
+        if n > 2:
+            # Every scenario's last steps take the places of its step 1.
+            for xi in range(s):
+                assert np.array_equal(shift.col[lay.P[xi, :, -1]], lay.P[xi, :, 1])
+                assert np.array_equal(shift.col[lay.E[xi, :, -1]], lay.E[xi, :, 2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 30), s=st.integers(1, 6), binds=st.booleans())
+    def test_rotation_is_a_blockwise_permutation(self, n, s, binds):
+        """The rotation is a permutation of the columns and of the rows;
+        step 0 keeps its places and each later step of each scenario
+        block takes its next step's place, the last step that of step 1;
+        nothing moves between blocks; the registers keep their places."""
+        config = PlantConfig(pmax_ct=6000.0) if binds else PlantConfig()
+        shift = mpc._program_template(config, n, s).shift
+        lay = StackedLayout(n, s, binds)
+        assert np.array_equal(np.sort(shift.col), np.arange(lay.num_vars))
+        assert np.array_equal(np.sort(shift.row), np.arange(lay.num_rows))
+        for quantity in (lay.P, lay.O, lay.E):
+            for chain in quantity.reshape(-1, quantity.shape[2]):
+                later = chain[1:][chain[1:] >= lay.shared]
+                assert later.size == n - 1
+                assert np.array_equal(shift.col[later[:-1]], later[1:])
+                assert shift.col[later[-1]] == later[0]
+                step0 = np.setdiff1d(chain, later)
+                assert np.array_equal(shift.col[step0], step0)
+        for name in lay.row_blocks:
+            block = lay.row_block(name)
+            later = block if name.startswith("e_dyn") else block[:, 1:]
+            assert np.array_equal(shift.row[later[:, :-1]], later[:, 1:])
+            assert np.array_equal(shift.row[later[:, -1]], later[:, 0])
+            if not name.startswith("e_dyn"):
+                assert np.array_equal(shift.row[block[:, 0]], block[:, 0])
+        # Each column's scenario, -1 for the shared head, and each row's.
+        owner = np.full(lay.num_vars, -1)
+        for xi in range(s):
+            owner[TestReducedLayout.recourse(lay)[xi]] = xi
+        assert np.array_equal(owner[shift.col], owner)
+        assert np.array_equal(shift.row // (lay.num_rows // s),
+                              np.arange(lay.num_rows) // (lay.num_rows // s))
+        assert np.array_equal(shift.col[lay.R], lay.R)
 
     def test_multi_scenario_programs_carry_their_layouts_shift(self):
         reduced = TestReducedLayout.reduced(False, True)

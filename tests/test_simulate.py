@@ -608,16 +608,16 @@ def flagged_trace():
     return trace
 
 
-def smoke_sto_loop(sim_hours, solve=None, build=None, calendar=()):
+def smoke_sto_loop(sim_hours, solve=None, build=None, calendar=(), kind="sto"):
     """The benchmark's smoke-scale sto-paper run at seed 0 (N = q = 24,
     S = 5, 14-day history), ``sim_hours`` long, with ``HighsSession.solve``
     and ``mpc.build_reduced`` replaced by ``solve`` and ``build`` if given,
-    on ``calendar`` if given."""
+    on ``calendar`` if given; or the same run of the controller ``kind``."""
     def seed(stream):
         return int(np.random.SeedSequence((0, stream)).generate_state(1)[0])
 
     spec = simulate.RunSpec(
-        controller=simulate.ControllerSpec("sto", beta=0.0, scenarios=5),
+        controller=simulate.ControllerSpec(kind, beta=0.0, scenarios=5),
         sim_hours=sim_hours, horizon=24, ar_order=24, history_hours=24 * 14,
         calendar=calendar, scenario_seed=seed(1), zoh_seed=seed(2),
     )
@@ -654,22 +654,59 @@ def smoke_sto_run():
     return SimpleNamespace(trace=trace, builds=len(built), solves=solved)
 
 
+def warm_iterations(kind):
+    """The simplex iterations of the 23 warm restarts of ``kind``'s
+    24-hour ``smoke_sto_loop``, each ended optimal at the objective of
+    ``lp.solve`` to 1e-9 relative."""
+    solve, solved = lp.HighsSession.solve, []
+
+    def counted(session, prog, **kwargs):
+        solved.append((prog, solve(session, prog, **kwargs)))
+        return solved[-1][1]
+
+    smoke_sto_loop(24, counted, kind=kind)
+    _, *warm = solved
+    assert len(warm) == 23 and all(s.is_optimal for _, s in warm)
+    for prog, solution in warm:
+        assert solution.objective == pytest.approx(lp.solve(prog).objective, rel=1e-9)
+    return sum(s.iterations for _, s in warm)
+
+
 class TestWarmRestartIterations:
     def test_stochastic_warm_restarts_stay_cheap(self, smoke_sto_run):
-        """Iteration guard for warm restarts from the last optimal basis
-        shifted one step, on the noise window shifted with it, without cost
-        perturbation.
+        """Iteration guard for warm restarts from the last optimal basis,
+        each program loaded at the last one's positions rotated one step,
+        on the noise window shifted with it, without cost perturbation.
 
         With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's 23 warm restarts
-        take 1 435 simplex iterations; from the unshifted basis on the same
-        noise windows 2 198.  Before the tank rates and unmet slacks were
-        substituted out of the program they took 1 299 and 2 180; before
-        the noise window moved with the horizon, the unshifted restarts
-        took 1 390, and 2 824 with the cost perturbation left on.
+        take 1 253 simplex iterations.  Rotated through the shared head
+        instead, the head in the place of scenario 0's step 1 and every
+        other scenario's last step in that of its own step 1, they took
+        1 578.  From the alien basis moved one step, the last step keeping
+        its own status, they took 1 435, and from the unmoved basis on the
+        same noise windows 2 198.  Before the tank rates and unmet slacks
+        were substituted out of the program the moved and unmoved bases
+        took 1 299 and 2 180; before the noise window moved with the
+        horizon, the unmoved restarts took 1 390, and 2 824 with the cost
+        perturbation left on.  The bound is the rotated count plus 4.5 %,
+        the margin the guard kept over 1 435.
         """
         _, *warm = (solution for *_, solution in smoke_sto_run.solves)
         assert len(warm) == 23 and all(s.is_optimal for s in warm)
-        assert sum(s.iterations for s in warm) < 1500
+        assert sum(s.iterations for s in warm) < 1310
+
+    @pytest.mark.parametrize("kind,bound", [("det", 202), ("perf", 99)])
+    def test_one_scenario_warm_restarts_stay_cheap(self, kind, bound):
+        """Iteration guard for rotated warm restarts of the one-scenario
+        programs, on the smoke run's inputs with the mean forecast or the
+        realized trajectory.
+
+        With HiGHS 1.12.0 (scipy 1.17.1) the 23 warm restarts take 193
+        simplex iterations (det) and 94 (perf); restarted at the last
+        program's own positions, 363 and 343.  The bounds are the rotated
+        counts plus 4.5 %, the sto guard's margin.
+        """
+        assert warm_iterations(kind) < bound
 
 
 class TestColdStartIterations:
@@ -691,9 +728,9 @@ class TestColdStartIterations:
 
 class TestMeanStart:
     """The stochastic controller's cold solve starts from the scenario-mean
-    program's basis and its warm restarts shift the last basis, unless the
-    scenario noise is redrawn; the other controllers' programs have neither
-    a start nor a shift."""
+    program's basis; the other controllers' programs have no start.  Every
+    program carries its template's one-step rotation, which its warm
+    restart loads it by."""
 
     def test_each_hour_builds_and_solves_once(self, smoke_sto_run):
         assert smoke_sto_run.builds == len(smoke_sto_run.solves) == 24
@@ -717,7 +754,7 @@ class TestMeanStart:
 
         def recording(*args):
             reduced = build(*args)
-            starts.append((reduced.start, reduced.shift))
+            starts.append((reduced.start, reduced.shift is reduced.template.shift))
             return reduced
 
         monkeypatch.setattr(mpc, "build_reduced", recording)
@@ -726,7 +763,7 @@ class TestMeanStart:
                                      sim_hours=4),
             fc.generate_synthetic_campus(3, days=5),
         )
-        assert starts == [(None, None)] * 4
+        assert starts == [(None, True)] * 4
 
     def test_each_solve_passes_the_program_shift(self, monkeypatch):
         build, solve = mpc.build_reduced, lp.HighsSession.solve
@@ -754,11 +791,22 @@ class TestMeanStart:
             assert shift is reduced.shift is reduced.template.shift
 
 
+def placed_entries(starts, index, values, col, row):
+    """The (column, row, value) triplets of a column-major matrix whose
+    column j and row i sit at positions ``col[j]`` and ``row[i]``, in
+    position order."""
+    cols = col[np.repeat(np.arange(starts.size - 1), np.diff(starts))]
+    rows = row[index]
+    order = np.lexsort((rows, cols))
+    return cols[order], rows[order], np.asarray(values)[order]
+
+
 class TestProgramArrays:
     def test_highs_loads_the_programs_own_arrays(self, monkeypatch):
-        """Every model load hands HiGHS the program's own column starts, row
-        indices and values; an in-month controller program's values are its
-        template's.
+        """Every cold model load hands HiGHS the program's own column
+        starts, row indices and values, and a warm one the same entries at
+        the program's HiGHS positions; an in-month controller program's
+        values are its template's.
 
         The month ends at hour 12, so the horizons of hours 0-12 cross it
         and hours 13-15 lie inside the next month.  The loads include the
@@ -772,18 +820,29 @@ class TestProgramArrays:
             return built[-1]
 
         class Loader:
-            def __init__(self, h, prog):
-                self.h, self.prog = h, prog
+            def __init__(self, h, prog, places):
+                self.h, self.prog, self.places = h, prog, places
 
             def passModel(self, *args):
-                loads.append((self.prog, args[11:14]))
+                loads.append((self.prog, self.places, args[11:14]))
                 return self.h.passModel(*args)
 
-        monkeypatch.setattr(lp, "_pass_model",
-                            lambda h, prog: pass_model(Loader(h, prog), prog))
+        monkeypatch.setattr(
+            lp, "_pass_model", lambda h, prog, places=None:
+            pass_model(Loader(h, prog, places), prog, places))
         smoke_sto_loop(16, build=building, calendar=(12, 100))
+        cold = [(prog, arrays) for prog, places, arrays in loads if places is None]
         assert all(starts is prog.a_starts and index is prog.a_rows
-                   and value is prog.a_vals for prog, (starts, index, value) in loads)
+                   and value is prog.a_vals for prog, (starts, index, value) in cold)
+        warm = [load for load in loads if load[1] is not None]
+        assert len(warm) == 15
+        for prog, places, arrays in warm:
+            loaded = placed_entries(*arrays, np.arange(prog.num_vars),
+                                    np.arange(prog.num_rows))
+            held = placed_entries(prog.a_starts, prog.a_rows, prog.a_vals,
+                                  places.col, places.row)
+            for a, b in zip(loaded, held):
+                assert np.array_equal(a, b)
         template = mpc._program_template(PlantConfig(), 24, 5)
         controller = [next(prog for prog, *_ in loads if prog is reduced.program)
                       for reduced in built]
