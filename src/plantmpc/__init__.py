@@ -25,7 +25,7 @@ from .forecast import (
     mean_forecast,
     zoh_noise,
 )
-from .lp import HighsSession, LinearProgram, LpSolution, solve
+from .lp import HighsSession, LinearProgram, LpSolution
 from .mpc import (
     HorizonTiming,
     build_reduced,

@@ -20,8 +20,8 @@ with each column and row of the new program loaded at the HiGHS position
 of the one that the caller's ``shift`` names (a receding horizon's
 one-step rotation).  Else it starts from the caller's ``start`` (a
 ``Basis``, which need not be consistent), else from the slack basis.
-``solve`` runs one program once, from the slack basis, with HiGHS's
-default options, on the one instance the process keeps for such solves.
+Every HiGHS solve of the package runs on a session: the controllers',
+the scenario-mean programs' and restoration's corrections.
 
 A ``LinearProgram`` holds its matrix in the column layout ``passModel``
 reads: column starts, row indices and values (``column_major``), so a
@@ -32,19 +32,19 @@ stored: ``a_cols`` derives them from the starts when asked, which only
 checks and tests do (1.5 MB fewer held through every solve at S = 100).
 A program whose column starts decrease raises ValueError.
 
-Each HiGHS instance keeps one option set for all its runs, and the two
-callers differ in two options: a session runs every program, cold or
-warm, without presolve and without the dual simplex's cost perturbation;
-``solve``'s instance keeps HiGHS's defaults, presolve "choose" and
-perturbation multiplier 1.0.  The perturbation guards the
-dual simplex against degeneracy, but a restart from an optimal basis pays
-to undo it: removing it at the end leaves dual infeasibilities that a
-primal "perturbation cleanup" must repair.  On the paper-scale stochastic
-program (S = 100, N = 168, sto-paper inputs, seed 0, hour 2) a warm
-restart with the perturbation took 2 137 dual phase-2 iterations, then
-1 988 cleanup iterations for 3 993 dual infeasibilities; without it 2 031
-and 1 231 for 1 532.  Over the benchmark's sto-paper window that is 3 343
-instead of 5 923 simplex iterations per warm hour (seed 0).  From the
+Each HiGHS instance keeps one option set for all its runs, and every
+session has the same one: it runs every program, cold or warm, without
+presolve and without the dual simplex's cost perturbation, which HiGHS's
+defaults turn on (presolve "choose", perturbation multiplier 1.0).  The
+perturbation guards the dual simplex against degeneracy, but a restart
+from an optimal basis pays to undo it: removing it at the end leaves dual
+infeasibilities that a primal "perturbation cleanup" must repair.  On the
+paper-scale stochastic program (S = 100, N = 168, sto-paper inputs, seed
+0, hour 2) a warm restart with the perturbation took 2 137 dual phase-2
+iterations, then 1 988 cleanup iterations for 3 993 dual
+infeasibilities; without it 2 031 and 1 231 for 1 532.  Over the
+benchmark's sto-paper window that is 3 343 instead of 5 923 simplex
+iterations per warm hour (seed 0).  From the
 slack basis the perturbation costs too: the same window's first, cold
 solve takes 80 647 iterations without both options and 104 187 with
 them, about 3.1 s instead of 8.7 s on a shared 2-CPU host (HiGHS 1.12.0).
@@ -92,17 +92,10 @@ det-monthend's 335 2 620-2 733 (16 411-19 785) and perf-monthend's 335
 1 175-1 349 (19 429-21 258).  Their median solve, in process on one
 pinned CPU, fell from 12.4-12.6 to 9.9-11.1 ms, from 0.60-0.61 to
 0.49-0.51 ms and from 0.59-0.64 to 0.44 ms.
-
-``solve`` keeps the defaults because the vertex it returns among
-alternate optima is what their callers were written against: the
-tie-breaks of ``tests/test_mpc.py``'s scenario-order and
-nonanticipativity comparisons, and restoration's correction LP, whose
-alternate optima move the closed loop's cost.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -254,7 +247,7 @@ _BASIS_STATUS = np.array(
     sorted(_highs_core.HighsBasisStatus.__members__.values(), key=int), dtype=object)
 _COLWISE = int(_highs_core.MatrixFormat.kColwise)
 _MINIMIZE = int(_highs_core.ObjSense.kMinimize)
-#: The options a controller session sets once, through ``setOptionValue``,
+#: The options a session sets once, through ``setOptionValue``,
 #: for every run, cold or warm; scipy's ``HighsOptions`` has no attribute
 #: for the perturbation.
 _SESSION_OPTIONS = (("presolve", "off"),
@@ -358,11 +351,9 @@ def _check(status, call: str) -> None:
 def _highs() -> _highs_core._Highs:
     """A HiGHS instance with the options every solve here uses.
 
-    Presolve and the cost perturbation multiplier are not among them:
-    each instance keeps one setting of both for all its runs.  A
-    controller session turns both off when it is made
-    (``_SESSION_OPTIONS``); ``solve``'s instance keeps HiGHS's defaults,
-    presolve "choose" and multiplier 1.0.
+    Presolve and the cost perturbation multiplier are not among them: a
+    session turns both off when it is made (``_SESSION_OPTIONS``), and an
+    instance keeps one setting of both for all its runs.
 
     Matrix scaling is disabled: the plant matrices are naturally well
     ranged and the scaling pass both costs time and degrades basis reuse.
@@ -526,8 +517,8 @@ class HighsSession:
         return solution
 
     #: ``perfbench`` and the tests patch or time this attribute; the
-    #: scenario-mean solves of ``mpc._mean_start`` call ``_run``, so it sees
-    #: the controllers' own solves only.
+    #: scenario-mean solves of ``mpc._mean_start`` and restoration's
+    #: corrections call ``_run``, so it sees the controllers' own solves only.
     solve = _run
 
     def basis(self) -> Basis:
@@ -561,22 +552,3 @@ class HighsSession:
             col, row = col[self._places.col], row[self._places.row]
         return Basis(col, row)
 
-
-#: The HiGHS instance that ``solve`` runs every program on, one per process,
-#: with HiGHS's default presolve and cost perturbation.
-_solver = functools.cache(_highs)
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve one program from scratch with HiGHS's defaults; deterministic.
-
-    The program is loaded whole and solved cold from the slack basis, with
-    presolve and cost perturbation, on the process's one instance for such
-    solves (``_solver``): the outcome is the one a fresh instance gives,
-    whatever the instance solved before.  It is not a session's cold
-    solve, which runs without both.
-    """
-    h = _solver()
-    _pass_model(h, lp)
-    h.run()
-    return _result(h, lp)

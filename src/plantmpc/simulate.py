@@ -12,8 +12,10 @@ storage bounds are ``mpc.storage_bounds`` of it.
 
 Per-hour order (mirrored by the test oracle):
 
-1. solve controller program, commit the first-stage action
-2. restore the action against realized loads (zero action on failure)
+1. solve controller program on the run's controller session, commit the
+   first-stage action
+2. restore the action against realized loads on the run's correction
+   session, warm from the last correction's basis (zero action on failure)
 3. ``step``: realized residual demands and stage cost of the implemented
    action; storage update E <- E - P + v; on a fallback hour the campus
    loads drain the tanks directly (production is off but the distribution
@@ -119,11 +121,12 @@ class RunSpec:
     Every controller builds ``mpc.build_reduced`` each hour and solves it
     on one warm-started ``lp.HighsSession`` per run, passing the program's
     one-step ``shift``, the rotation of its columns and rows that the
-    session loads it by.  The fields set the controller, the horizon and
-    AR forecast model, the billing calendar (strictly ascending
-    nonnegative month-end hours, the last one at or after the last
-    simulated hour; empty means ``default_calendar``), the seeds of the
-    scenario and storage-noise random streams (nonnegative),
+    session loads it by; the hour's correction runs on a second session of
+    the run's own (``restoration.restore``).  The fields set the
+    controller, the horizon and AR forecast model, the billing calendar
+    (strictly ascending nonnegative month-end hours, the last one at or
+    after the last simulated hour; empty means ``default_calendar``), the
+    seeds of the scenario and storage-noise random streams (nonnegative),
     and the initial state of charge.
     """
 
@@ -612,6 +615,7 @@ def run_closed_loop(
                 else _ScenarioSampler(forecaster, spec).scenario_set)
     noise, clamp_floor = precompute_storage_noise(truth, spec, models)
     session = lp.HighsSession()
+    corrections = lp.HighsSession()
 
     state = PlantState(
         e_cw=spec.initial_soc * config.cap_cw, e_hw=spec.initial_soc * config.cap_hw
@@ -636,7 +640,8 @@ def run_closed_loop(
         realized = truth.at(h + t)
         committed = action.as_array()
         if not fallback:
-            outcome = restoration.restore(config, state, action, realized)
+            outcome = restoration.restore(config, state, action, realized,
+                                          corrections)
             fallback = outcome.kind == restoration.FALLBACK
             action = ZERO_ACTION if fallback else outcome.action
 

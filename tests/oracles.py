@@ -325,9 +325,27 @@ def balance_residuals_terms(config, action, dist, slacks=(0.0, 0.0, 0.0, 0.0)):
     return cw_res, hw_res, cond_res
 
 
-def correction_program_built(config, state, action, residuals) -> lp.LinearProgram:
+def correction_program_built(config, state, action, residuals,
+                             price_elec) -> lp.LinearProgram:
     """``restoration._correction_program`` built whole from the plant, every
-    array fresh: delta+ for every unit in UNITS order, then delta-."""
+    array fresh: delta+ for every unit in UNITS order, then delta-.
+
+    Each unit's purchase cost per kW at ``price_elec`` is written out term
+    by term; the tie-break scales them so that the largest moves a kW of
+    correction by 1e-4.
+    """
+    c = config
+    unit_cost = [
+        price_elec * c.alpha_e_cs,
+        price_elec * c.alpha_e_hrc,
+        price_elec * c.alpha_e_hwg + c.price_gas * c.alpha_ng_hwg,
+        price_elec * c.alpha_e_ct + c.price_water * c.alpha_w_ct,
+        0.0, 0.0, 0.0,  # the dump exchanger and the tanks draw nothing
+    ]
+    largest = max(abs(cost) for cost in unit_cost)
+    weight = 1e-4 / largest if largest > 0.0 else 0.0
+    tie = np.array([weight * cost for cost in unit_cost])
+
     coeff = balance_matrix(config)
     a = np.hstack([coeff, -coeff])
     a_rows, a_cols = np.nonzero(a)
@@ -342,7 +360,7 @@ def correction_program_built(config, state, action, residuals) -> lp.LinearProgr
         hi[i] = min(hi[i], state.storage(unit) - rates[i])
 
     return lp.LinearProgram(
-        objective=np.ones(2 * len(UNITS)),
+        objective=np.concatenate([1.0 + tie, 1.0 - tie]),
         lower=np.concatenate([np.maximum(lo, 0.0), np.maximum(-hi, 0.0)]),
         upper=np.concatenate([np.maximum(hi, 0.0), np.maximum(-lo, 0.0)]),
         row_sense=np.full(3, lp.EQ, dtype=np.int8),

@@ -1,6 +1,6 @@
 """Embedded bounded-variable simplex and a program builder, for tests.
 
-The simplex is the independent oracle that HiGHS (``lp.solve`` and
+The simplex is the independent oracle that HiGHS (``cold_solve.solve`` and
 ``lp.HighsSession``) is checked against: two-phase primal simplex on the
 equality form ``A x + s = b`` with general variable bounds, Dantzig
 pricing, and a Bland's-rule fallback after a run of degenerate pivots.  A

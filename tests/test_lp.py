@@ -12,6 +12,7 @@ from plantmpc.plant import (
     balance_residuals,
 )
 
+import cold_solve
 import triplet_template
 from stacked_layout import StackedLayout
 from oracles import csc_pattern, random_box_lp, vertex_enumeration_optimum
@@ -19,7 +20,7 @@ from simplex import BOUND_TOL, ROW_TOL, LpBuilder, matrix, solve_simplex
 from test_restoration import random_cases
 
 #: The in-tree simplex oracle and the production HiGHS path.
-SOLVERS = {"embedded": solve_simplex, "highs": lp.solve}
+SOLVERS = {"embedded": solve_simplex, "highs": cold_solve.solve}
 
 
 def simple_program():
@@ -259,7 +260,7 @@ class TestTwoSidedRows:
             prog = two_sided(random_box_lp(rng), rng)
             prog.validate()
             oracle = solve_simplex(split(prog))
-            for solve in (solve_simplex, lp.solve, lp.HighsSession().solve):
+            for solve in (solve_simplex, cold_solve.solve, lp.HighsSession().solve):
                 sol = solve(prog)
                 assert sol.status == oracle.status
                 if oracle.is_optimal:
@@ -404,10 +405,10 @@ class TestHighsSession:
                 zero = np.zeros(prog.num_vars)
                 prog = dataclasses.replace(prog, lower=zero, upper=zero)
                 assert session.solve(prog).status == lp.INFEASIBLE
-                assert lp.solve(prog).status == lp.INFEASIBLE
+                assert cold_solve.solve(prog).status == lp.INFEASIBLE
                 continue
             warm = session.solve(prog)
-            cold = lp.solve(prog)
+            cold = cold_solve.solve(prog)
             assert warm.is_optimal and cold.is_optimal
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
             warm_iterations += warm.iterations
@@ -454,7 +455,7 @@ def receding_chain(session, peak_at=lambda t: 9000.0, tied=False, s=3,
             solution = session.solve(prog, shift=reduced.shift if shifted else None)
         finally:
             lp._pass_model = original
-        cold = lp.solve(prog)
+        cold = cold_solve.solve(prog)
         yield prog, solution, len(loads), cold
         e = reduced.expand(cold).E[0, :, 1]
 
@@ -470,7 +471,7 @@ DEGENERATE_CHAINS = pytest.mark.parametrize("case", [
 
 class TestWarmRestartOptions:
     """A session runs every program, cold or warm, without presolve and
-    cost perturbation; ``lp.solve`` keeps HiGHS's defaults.  Each instance
+    cost perturbation; ``cold_solve.solve`` keeps HiGHS's defaults.  Each instance
     keeps its options for all its runs."""
 
     @DEGENERATE_CHAINS
@@ -495,20 +496,20 @@ class TestWarmRestartOptions:
         # A session's options are set when it is made, before any run.
         session = lp.HighsSession()
         for _ in range(2):
-            for h, want in ((session._h, ["off", 0.0]), (lp._solver(), ["choose", 1.0])):
+            for h, want in ((session._h, ["off", 0.0]), (cold_solve._solver(), ["choose", 1.0])):
                 read = [h.getOptionValue(name)[1] for name, _ in lp._SESSION_OPTIONS]
                 assert read == want
             session.solve(simple_program())
-            lp.solve(simple_program())
+            cold_solve.solve(simple_program())
 
     def test_no_option_leaks_into_cold_solves(self, monkeypatch):
         session = lp.HighsSession()
         programs = [prog for prog, *_ in receding_chain(session)]
         for prog in programs[-3:]:
-            reused = lp.solve(prog)
+            reused = cold_solve.solve(prog)
             with monkeypatch.context() as patched:
-                patched.setattr(lp, "_solver", lp._highs)
-                fresh = lp.solve(prog)
+                patched.setattr(cold_solve, "_solver", lp._highs)
+                fresh = cold_solve.solve(prog)
             assert reused.is_optimal and fresh.is_optimal
             assert reused.iterations == fresh.iterations
             assert reused.objective == fresh.objective
@@ -517,13 +518,13 @@ class TestWarmRestartOptions:
 
 class TestSessionAgreesWithOneShot:
     """A fresh session's cold solve, without presolve and cost
-    perturbation, agrees with ``lp.solve`` on status and objective, and
+    perturbation, agrees with ``cold_solve.solve`` on status and objective, and
     its solution is feasible; among alternate optima it may return
     another vertex."""
 
     @staticmethod
     def assert_agrees(prog):
-        cold, one_shot = lp.HighsSession().solve(prog), lp.solve(prog)
+        cold, one_shot = lp.HighsSession().solve(prog), cold_solve.solve(prog)
         assert cold.status == one_shot.status
         if not cold.is_optimal:
             return cold
@@ -546,8 +547,8 @@ class TestSessionAgreesWithOneShot:
         for cfg, state, action, realized in random_cases(
                 np.random.default_rng(11), config, 100):
             residuals = balance_residuals(cfg, action, realized)
-            self.assert_agrees(
-                restoration._correction_program(cfg, state, action, residuals))
+            self.assert_agrees(restoration._correction_program(
+                cfg, state, action, residuals, realized.price_elec))
 
     def test_receding_chain_programs(self):
         for prog, *_ in receding_chain(lp.HighsSession()):
@@ -822,7 +823,7 @@ class TestShiftedRestart:
         session._h = Recording(session._h)
         solution = session.solve(second, shift=shift)
         assert solution.is_optimal
-        assert solution.objective == pytest.approx(lp.solve(second).objective, rel=1e-9)
+        assert solution.objective == pytest.approx(cold_solve.solve(second).objective, rel=1e-9)
         assert [call for call, _ in calls] == ["get", "load", "set"]
         assert calls[2][1] is calls[0][1] and not calls[2][1].alien
         places = session._places
@@ -887,7 +888,7 @@ class TestShiftedRestart:
         places = session._places
         solution = session.solve(third)
         assert solution.is_optimal and session._places is places
-        assert solution.objective == pytest.approx(lp.solve(third).objective, rel=1e-9)
+        assert solution.objective == pytest.approx(cold_solve.solve(third).objective, rel=1e-9)
 
     def test_shift_is_ignored_without_a_warm_basis(self):
         prog = next(receding_chain(lp.HighsSession()))[0]
@@ -998,7 +999,8 @@ class TestColumnMajor:
         a = np.hstack([coeff, -coeff])
         a_rows, a_cols = np.nonzero(a)  # row by row
         prog = restoration._correction_program(
-            config, PlantState(e_cw=0.0, e_hw=0.0), ControlAction(), (0.0, 0.0, 0.0))
+            config, PlantState(e_cw=0.0, e_hw=0.0), ControlAction(), (0.0, 0.0, 0.0),
+            0.06)
         self.assert_sorts_like_the_oracle((a_rows, a_cols, a[a_rows, a_cols]), prog)
 
     def test_entries_out_of_column_order_raise(self):
@@ -1014,7 +1016,7 @@ class TestColumnMajor:
         with pytest.raises(ValueError, match="column order"):
             lp.HighsSession().solve(prog)
         with pytest.raises(ValueError, match="column order"):
-            lp.solve(prog)
+            cold_solve.solve(prog)
         with pytest.raises(ValueError, match="column-major"):
             prog.validate()
         rows_down = dataclasses.replace(

@@ -14,6 +14,7 @@ from plantmpc.plant import (
     balance_residuals,
 )
 
+import cold_solve
 import full_form
 import triplet_template
 from stacked_layout import StackedLayout
@@ -24,7 +25,7 @@ from simplex import matrix, solve_simplex
 def solve_reduced(config, state, data, timing, beta):
     """Production path: reduced program, HiGHS, decoded plan."""
     reduced = mpc.build_reduced(config, state, data, timing, beta)
-    sol = lp.solve(reduced.program)
+    sol = cold_solve.solve(reduced.program)
     assert sol.is_optimal
     return reduced.expand(sol)
 
@@ -283,8 +284,8 @@ class TestStochasticStructure:
         shared_prog = full.program
         explicit_prog, copies = explicit_nonanticipativity(shared_prog, full.layout)
         assert explicit_prog.num_rows == shared_prog.num_rows + 7 * (s - 1)
-        sol_shared = lp.solve(shared_prog)
-        sol_explicit = lp.solve(explicit_prog)
+        sol_shared = cold_solve.solve(shared_prog)
+        sol_explicit = cold_solve.solve(explicit_prog)
         assert sol_shared.objective == pytest.approx(
             sol_explicit.objective, rel=1e-8
         )
@@ -304,7 +305,7 @@ class TestStochasticStructure:
         timing = mpc.HorizonTiming(t=0, n=n, month_end=743)
         scen = self.make_scenarios(s, n, seed=13, spread=15.0)
         full = full_form.build(config, state, scen, timing, 0.0)
-        sol_s = lp.solve(full.program)
+        sol_s = cold_solve.solve(full.program)
 
         mean_traj = DisturbanceTrajectory(scen.values.mean(axis=0))
         plan_d = solve_reduced(config, state, mean_traj, timing, 0.0)
@@ -317,7 +318,7 @@ class TestStochasticStructure:
         lower[cols] = det_first
         upper[cols] = det_first
         fixed = dataclasses.replace(pinned, lower=lower, upper=upper)
-        sol_fixed = lp.solve(fixed)
+        sol_fixed = cold_solve.solve(fixed)
         assert sol_fixed.is_optimal
         assert sol_s.objective <= sol_fixed.objective + 1e-6 * abs(sol_fixed.objective)
 
@@ -388,10 +389,10 @@ class TestReducedEquivalence:
 
         full = full_form.build(config, state, scen, timing, 0.0)
         prog_full = full.program
-        sol_full = lp.solve(prog_full)
+        sol_full = cold_solve.solve(prog_full)
         reduced = mpc.build_reduced(config, state, scen, timing, 0.0)
         reduced.program.validate()
-        plan = reduced.expand(lp.solve(reduced.program))
+        plan = reduced.expand(cold_solve.solve(reduced.program))
         assert plan.objective == pytest.approx(sol_full.objective, rel=1e-9)
         x = full.vector(plan)
         assert prog_full.objective @ x == pytest.approx(plan.objective, rel=1e-9)
@@ -449,7 +450,7 @@ class TestWeightedProgram:
         config, state, timing, weighted, _ = self.case(spanning, plant)
         full = full_form.build(config, state, weighted, timing, 0.0)
         plan = solve_reduced(config, state, weighted, timing, 0.0)
-        assert plan.objective == pytest.approx(lp.solve(full.program).objective, rel=1e-9)
+        assert plan.objective == pytest.approx(cold_solve.solve(full.program).objective, rel=1e-9)
         assert full.program.objective @ full.vector(plan) == pytest.approx(
             plan.objective, rel=1e-9)
 
@@ -522,7 +523,7 @@ class TestAgainstTheExtensiveForm:
         *args, pattern = case
         config, state, _, _, beta = args
         full = full_form.build(*args)
-        oracle = lp.solve(full.program)
+        oracle = cold_solve.solve(full.program)
         reduced = mpc.build_reduced(*args)
         reduced.program.validate()
         solution = lp.HighsSession().solve(reduced.program, start=reduced.start)
@@ -562,13 +563,13 @@ class TestClosingHour:
         reduced = mpc.build_reduced(config, state, traj, timing, 0.1)
         lay = StackedLayout(n, 1, mpc._tower_binds(config))
         assert np.array_equal(reduced.program.lower[lay.R], [[12_000.0, 0.0]])
-        plan = reduced.expand(lp.solve(reduced.program))
+        plan = reduced.expand(cold_solve.solve(reduced.program))
         assert plan.peaks[0, 0] == pytest.approx(12_000.0)
         assert plan.peaks[0, 1] < 12_000.0
         action = mpc.extract_action(plan)
         assert action.p_cs == pytest.approx(config.pmax_cs, rel=1e-9)
         assert action.p_cw < 0.0
-        oracle = lp.solve(full_form.build(config, state, traj, timing, 0.1).program)
+        oracle = cold_solve.solve(full_form.build(config, state, traj, timing, 0.1).program)
         assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
 
 
@@ -591,7 +592,7 @@ class TestBindingTower:
         scen = fc.ScenarioSet(values)
         reduced = mpc.build_reduced(config, state, scen, mpc.HorizonTiming(0, n, 743), 0.0)
         reduced.program.validate()
-        plan = reduced.expand(lp.solve(reduced.program))
+        plan = reduced.expand(cold_solve.solve(reduced.program))
         p_ct = plan.P[:, 3]
         assert np.all(p_ct <= config.pmax_ct + 1e-6)
         assert np.isclose(p_ct, config.pmax_ct, rtol=0.0, atol=1e-6).any()
@@ -599,7 +600,7 @@ class TestBindingTower:
             p_ct, config.alpha_cond_cs * plan.P[:, 0] + plan.P[:, 4], rtol=0.0, atol=1e-9
         )
         full = full_form.build(config, state, scen, mpc.HorizonTiming(0, n, 743), 0.0)
-        oracle = lp.solve(full.program)
+        oracle = cold_solve.solve(full.program)
         assert plan.objective == pytest.approx(oracle.objective, rel=1e-9)
 
 

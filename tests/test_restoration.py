@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plantmpc import forecast as fc, lp, restoration, simulate
 from plantmpc.plant import (
@@ -17,6 +17,7 @@ from plantmpc.plant import (
     balance_residuals,
 )
 
+import cold_solve
 from oracles import correction_program_built
 from simplex import LpBuilder, solve_simplex
 
@@ -60,13 +61,14 @@ def row_form_correction(config, state, action, realized):
 
 
 def recorded_cases(monkeypatch):
-    """Restoration inputs of a deterministic and a stochastic closed loop."""
+    """Restoration inputs (config, state, action, realized) of a
+    deterministic and a stochastic closed loop."""
     cases = []
     original = restoration.restore
 
-    def record(config, state, action, realized):
+    def record(config, state, action, realized, session=None):
         cases.append((config, state, action, realized))
-        return original(config, state, action, realized)
+        return original(config, state, action, realized, session)
 
     monkeypatch.setattr(restoration, "restore", record)
     truth = fc.generate_synthetic_campus(43, days=10)
@@ -104,6 +106,18 @@ def random_cases(rng, config, count):
         )
         cases.append((config, state, ControlAction.from_array(rates), realized))
     return cases
+
+
+def deltas(solution):
+    """Each unit's correction, delta+ - delta-, of a correction solution."""
+    plus, minus = solution.x.reshape(2, len(UNITS))
+    return plus - minus
+
+
+def untie_broken_minimum(program):
+    """The least total correction of ``program``'s constraints, the
+    tie-break dropped, by the embedded simplex."""
+    return solve_simplex(dataclasses.replace(program, objective=np.ones(2 * len(UNITS))))
 
 
 def scipy_min_correction(config, state, action, realized):
@@ -265,9 +279,10 @@ class TestAgainstRowFormulation:
         cases = recorded_cases(monkeypatch)
         recorded = len(cases)
         cases += random_cases(np.random.default_rng(8), config, 120)
+        session = lp.HighsSession()
         solved = corrected = boxed_out = 0
         for cfg, state, action, realized in cases:
-            outcome = restoration.restore(cfg, state, action, realized)
+            outcome = restoration.restore(cfg, state, action, realized, session)
             oracle = row_form_correction(cfg, state, action, realized)
             if outcome.kind == restoration.FALLBACK:
                 assert oracle.status == lp.INFEASIBLE
@@ -289,23 +304,51 @@ class TestAgainstRowFormulation:
         assert boxed_out >= 30
 
     def test_never_uses_the_controller_session(self, config, monkeypatch):
-        def forbidden(self, program):
-            raise AssertionError("restoration solved on a HighsSession")
+        """Corrections run through ``HighsSession._run``, on a session of
+        their own: never through ``HighsSession.solve``, the seam that
+        perfbench times as the controllers' solves, and in a closed loop
+        never on the controller's session."""
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("restoration solved through HighsSession.solve")
 
-        monkeypatch.setattr(lp.HighsSession, "solve", forbidden)
-        for case in random_cases(np.random.default_rng(2), config, 10):
-            restoration.restore(*case)
+        with monkeypatch.context() as patched:
+            patched.setattr(lp.HighsSession, "solve", forbidden)
+            session = lp.HighsSession()
+            for case in random_cases(np.random.default_rng(2), config, 10):
+                restoration.restore(*case)
+                restoration.restore(*case, session)
+
+        solve, restore = lp.HighsSession.solve, restoration.restore
+        controller, corrections = set(), set()
+
+        def solving(self, *args, **kwargs):
+            controller.add(id(self))
+            return solve(self, *args, **kwargs)
+
+        def restoring(*args):
+            corrections.add(id(args[-1]))
+            return restore(*args)
+
+        monkeypatch.setattr(lp.HighsSession, "solve", solving)
+        monkeypatch.setattr(restoration, "restore", restoring)
+        spec = simulate.RunSpec(controller=simulate.ControllerSpec("det", beta=0.1),
+                                sim_hours=12, horizon=6, ar_order=6, history_hours=60)
+        simulate.run_closed_loop(config, spec, fc.generate_synthetic_campus(43, days=4))
+        assert len(controller) == len(corrections) == 1
+        assert controller.isdisjoint(corrections)
 
 
 class TestReusedInstance:
-    """Every correction LP is solved on one HiGHS instance
-    (``lp.solve``'s, ``lp._solver``), cold, and must come out exactly as on
-    a fresh instance."""
+    """A run solves all its corrections on one ``lp.HighsSession``, each
+    warm from the last optimal correction's basis, and each must come out
+    as a fresh session's cold solve does: to 1e-9 kW per unit, and bit for
+    bit after a fallback, which leaves the session no basis."""
 
     @staticmethod
     def program(cfg, state, action, realized):
         residuals = balance_residuals(cfg, action, realized)
-        return restoration._correction_program(cfg, state, action, residuals)
+        return restoration._correction_program(cfg, state, action, residuals,
+                                               realized.price_elec)
 
     @staticmethod
     def infeasible_case(config):
@@ -314,71 +357,92 @@ class TestReusedInstance:
         action = ControlAction(p_cs=100.0, p_ct=config.alpha_cond_cs * 100.0)
         return config, state, action, Disturbance(0.0, 100.0, 0.0, 0.05)
 
-    def test_matches_a_fresh_solve_bit_for_bit(self, config, monkeypatch):
+    def test_matches_a_fresh_solve(self, config, monkeypatch):
         cases = recorded_cases(monkeypatch)
         cases += random_cases(np.random.default_rng(11), config, 200)
         cases.append(self.infeasible_case(config))
+        session = lp.HighsSession()
         statuses = []
         for case in cases:
             program = self.program(*case)
-            reused = lp.solve(program)
-            with monkeypatch.context() as patched:
-                patched.setattr(lp, "_solver", lp._highs)
-                fresh = lp.solve(program)
+            reused, fresh = session._run(program), lp.HighsSession()._run(program)
             statuses.append(fresh.status)
-            assert (reused.status, reused.iterations) == (fresh.status, fresh.iterations)
+            assert reused.status == fresh.status
             if fresh.is_optimal:
-                assert reused.x.tobytes() == fresh.x.tobytes()
-                assert reused.objective == fresh.objective
+                assert np.abs(deltas(reused) - deltas(fresh)).max() <= 1e-9
         assert statuses.count(lp.OPTIMAL) >= 450
         assert lp.INFEASIBLE in statuses
 
-    def test_a_fallback_leaves_no_state_behind(self, config, monkeypatch):
+    def test_a_fallback_leaves_no_state_behind(self, config):
         feasible = random_cases(np.random.default_rng(3), config, 12)
         blocked = self.infeasible_case(config)
-        # Reference outcomes, each on an instance of its own.
-        monkeypatch.setattr(lp, "_solver", lp._highs)
+        # Reference outcomes, each cold on a session of its own.
         expected = [restoration.restore(*case) for case in feasible]
-        monkeypatch.undo()
         assert sum(o.kind == restoration.CORRECTED for o in expected) >= 8
+        session = lp.HighsSession()
         for case, reference in zip(feasible, expected):
-            assert restoration.restore(*blocked).kind == restoration.FALLBACK
-            outcome = restoration.restore(*case)
+            assert restoration.restore(*blocked, session).kind == restoration.FALLBACK
+            assert session._optimum is None
+            outcome = restoration.restore(*case, session)
             assert outcome.kind == reference.kind
             assert outcome.deltas.tobytes() == reference.deltas.tobytes()
             assert outcome.action == reference.action
 
 
+#: Electricity prices of the hours of a closed loop ($/kWh): all positive.
+HOURLY_PRICES = st.floats(0.01, 0.3)
+
+
+#: The kW grid of ``correction_inputs(grid=True)``.
+GRID_KW = 2.0 ** -10
+
+
 @st.composite
-def correction_inputs(draw):
+def correction_inputs(draw, price_elec=st.one_of(st.just(0.0), HOURLY_PRICES),
+                      grid=False):
     """Arguments of one ``restoration._correction_program`` call: a plant
-    whose balance matrix may lose an entry, tanks empty, full or between,
-    rates inside and outside their limits, and any balance residuals."""
+    whose balance matrix may lose an entry and whose water and gas may be
+    free, tanks empty, full or between, rates inside and outside their
+    limits, any balance residuals, and an electricity price drawn from
+    ``price_elec``.
+
+    With ``grid`` every capacity, level, rate and residual is a multiple
+    of ``GRID_KW``, so each bound and right-hand side of the program is
+    zero or at least 1e-3 kW.  Off the grid, an edge within HiGHS's 1e-7
+    kW feasibility tolerance may be met with or without a correction of
+    that size, and presolve and the simplex then differ by it.
+    """
 
     def real(lo, hi):
-        return draw(st.floats(lo, hi))
+        value = draw(st.floats(lo, hi))
+        return round(value / GRID_KW) * GRID_KW if grid else value
 
     def coefficient():
         return draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
 
+    def price():
+        return draw(st.one_of(st.just(0.0), st.floats(0.001, 0.05)))
+
     config = PlantConfig(
         cap_cw=real(5000.0, 40000.0), cap_hw=real(3000.0, 30000.0),
         alpha_h_hrc=coefficient(), alpha_cond_cs=coefficient(),
+        price_water=price(), price_gas=price(),
     )
     state = PlantState(**{
         f"e_{u}": draw(st.one_of(st.just(0.0), st.just(config.cap(u)),
-                                 st.floats(0.0, config.cap(u))))
+                                 st.just(real(0.0, config.cap(u)))))
         for u in STORAGE_UNITS
     })
     rates = [real(-0.2 * config.pmax(u), 1.2 * config.pmax(u)) for u in PRODUCTION_UNITS]
     rates += [real(-1.2 * config.pmax(u), 1.2 * config.pmax(u)) for u in STORAGE_UNITS]
     residuals = tuple(real(-1e4, 1e4) for _ in range(3))
-    return config, state, ControlAction(*rates), residuals
+    return config, state, ControlAction(*rates), residuals, draw(price_elec)
 
 
 class TestCorrectionTemplate:
-    """Each hour's correction program writes its bounds and right-hand side
-    into the plant's cached template (``restoration._correction_template``)."""
+    """Each hour's correction program writes its bounds, right-hand side and
+    tie-broken objective into the plant's cached template
+    (``restoration._correction_template``)."""
 
     @given(correction_inputs())
     def test_equals_the_program_built_whole(self, case):
@@ -393,16 +457,44 @@ class TestCorrectionTemplate:
             assert a.tobytes() == b.tobytes(), f.name
 
     def test_shared_arrays_are_read_only(self, config):
-        fixed, lower, upper, cap = restoration._correction_template(config)
-        for arr in (*fixed.values(), lower, upper, cap):
+        fixed, utility, lower, upper, cap = restoration._correction_template(config)
+        for arr in (*fixed.values(), utility, lower, upper, cap):
             assert arr.flags.owndata and not arr.flags.writeable
         state = PlantState(e_cw=0.0, e_hw=config.cap_hw)
         program = restoration._correction_program(
-            config, state, ControlAction(p_cs=100.0), (1.0, 2.0, 3.0))
+            config, state, ControlAction(p_cs=100.0), (1.0, 2.0, 3.0), 0.06)
         for name, arr in fixed.items():
             assert getattr(program, name) is arr, name
-        for arr in (program.lower, program.upper, program.rhs):
+        for arr in (program.objective, program.lower, program.upper, program.rhs):
             assert arr.flags.writeable
+
+
+
+class TestPathIndependence:
+    """With the tie-break the correction's optimum is unique, so the warm
+    path of a run's session returns the correction that a presolved cold
+    solve does, whatever corrections the session solved before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(correction_inputs(HOURLY_PRICES, grid=True), min_size=2, max_size=8))
+    def test_warm_corrections_equal_cold_presolved_solves(self, cases):
+        session = lp.HighsSession()
+        for case in cases:
+            program = restoration._correction_program(*case)
+            warm, cold = session._run(program), cold_solve.solve(program)
+            assert warm.status == cold.status
+            if not cold.is_optimal:
+                continue
+            assert np.abs(deltas(warm) - deltas(cold)).max() <= 1e-9
+            # The tie-break moves each kW's cost by at most TIE_BREAK:
+            # T (1 - w) <= T* (1 + w) for the total T and the least T*.
+            least = untie_broken_minimum(program)
+            assert least.is_optimal
+            total = np.abs(deltas(warm)).sum()
+            w = restoration.TIE_BREAK
+            slack = 1e-9 * (1.0 + least.objective)
+            assert least.objective - slack <= total
+            assert total * (1 - w) <= least.objective * (1 + w) + slack
 
 
 class TestFallback:

@@ -20,6 +20,8 @@ from plantmpc.plant import (
     stage_cost,
 )
 
+import cold_solve
+
 
 def scripted_step_through(config, spec, truth, forecast_fn):
     """Straight-line re-implementation of the per-hour bookkeeping.
@@ -28,7 +30,7 @@ def scripted_step_through(config, spec, truth, forecast_fn):
     maintains its own state variables and walks the documented order
     (solve, restore, residuals, storage + noise, fallback drain, clamp +
     bounds, peak/month reset) step by step using only the public builder,
-    its own HiGHS session, and the restoration operation.  Sharing the
+    its own HiGHS sessions, and the restoration operation.  Sharing the
     solver path, the program's start and one-step shift included, keeps
     degenerate LP ties from splitting the two.  The
     storage bounds follow their own five-case update, hour by hour.
@@ -44,7 +46,7 @@ def scripted_step_through(config, spec, truth, forecast_fn):
     ol = {"cw": 0.0, "hw": 0.0}
     peak = 0.0
     noise, _ = simulate.precompute_storage_noise(truth, spec)
-    session = lp.HighsSession()
+    session, corrections = lp.HighsSession(), lp.HighsSession()
     rows = []
     for t in range(y):
         timing = simulate.month_timing(t, calendar, n)
@@ -58,7 +60,7 @@ def scripted_step_through(config, spec, truth, forecast_fn):
         assert solution.is_optimal
         action = mpc.extract_action(reduced.expand(solution))
         realized = truth.at(h + t)
-        outcome = restoration.restore(config, state, action, realized)
+        outcome = restoration.restore(config, state, action, realized, corrections)
         fallback = outcome.kind == restoration.FALLBACK
         final = ControlAction() if fallback else outcome.action
         r_e, _, _ = residual_demands(config, final, realized.load_elec)
@@ -631,6 +633,41 @@ def smoke_sto_loop(sim_hours, solve=None, build=None, calendar=(), kind="sto"):
         return simulate.run_closed_loop(PlantConfig(), spec, truth)
 
 
+class TestHistoryIndependence:
+    def test_a_run_does_not_depend_on_the_runs_before_it(self, monkeypatch):
+        """A smoke-scale det run's trace is byte-identical whether or not
+        the process ran another closed loop just before it, and each run
+        corrects its hours on a session of its own that starts with no
+        basis.
+
+        The second check is the one that catches a correction session kept
+        from run to run: a warm restart from another run's basis changes
+        the corrections only in their last bits, and on the smoke-scale
+        and benchmark loops tried it left the traces byte-identical.
+        """
+        restore, sessions = restoration.restore, []
+
+        def restoring(*args):
+            session = args[-1]
+            if not sessions or sessions[-1][0] is not session:
+                sessions.append((session, session._optimum is None))
+            return restore(*args)
+
+        monkeypatch.setattr(restoration, "restore", restoring)
+
+        def record():
+            trace = smoke_sto_loop(24, kind="det")
+            return [value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+                    for f in dataclasses.fields(trace) if f.name != "runtime_seconds"
+                    for value in [getattr(trace, f.name)]]
+
+        first = record()
+        smoke_sto_loop(8)
+        assert record() == first
+        assert len(sessions) == 3
+        assert all(fresh for _, fresh in sessions)
+
+
 @pytest.fixture(scope="module")
 def smoke_sto_run():
     """``smoke_sto_loop`` over 24 hours: its trace, the number of programs
@@ -657,7 +694,7 @@ def smoke_sto_run():
 def warm_iterations(kind):
     """The simplex iterations of the 23 warm restarts of ``kind``'s
     24-hour ``smoke_sto_loop``, each ended optimal at the objective of
-    ``lp.solve`` to 1e-9 relative."""
+    ``cold_solve.solve`` to 1e-9 relative."""
     solve, solved = lp.HighsSession.solve, []
 
     def counted(session, prog, **kwargs):
@@ -668,7 +705,7 @@ def warm_iterations(kind):
     _, *warm = solved
     assert len(warm) == 23 and all(s.is_optimal for _, s in warm)
     for prog, solution in warm:
-        assert solution.objective == pytest.approx(lp.solve(prog).objective, rel=1e-9)
+        assert solution.objective == pytest.approx(cold_solve.solve(prog).objective, rel=1e-9)
     return sum(s.iterations for _, s in warm)
 
 
@@ -717,13 +754,13 @@ class TestColdStartIterations:
         With HiGHS 1.12.0 (scipy 1.17.1) the smoke run's first solve takes
         175 simplex iterations, 78 of them the mean program's; from the
         slack basis 399, and with presolve and cost perturbation on, as
-        ``lp.solve`` still runs it, 436.  Before the tank rates and unmet
+        ``cold_solve.solve`` still runs it, 436.  Before the tank rates and unmet
         slacks were substituted out of the program: 223, 130, 605 and 686.
         """
         program, _, _, cold = smoke_sto_run.solves[0]
         assert cold.is_optimal and cold.iterations < 300
         assert lp.HighsSession().solve(program).iterations == 399
-        assert lp.solve(program).iterations == 436
+        assert cold_solve.solve(program).iterations == 436
 
 
 class TestMeanStart:
